@@ -12,6 +12,7 @@ share across threads.
 from .errors import (
     DegenerateRay,
     HitOrigin,
+    InvalidArgument,
     InvalidPair,
     InvalidQuery,
     MalformedCylinder,
@@ -27,7 +28,6 @@ from .errors import (
     WrongHomeCone,
     ZeroVector,
 )
-from .kernels import BACKEND, HAVE_COMPILED
 from .lattice import (
     ORIGIN,
     BasePoint,

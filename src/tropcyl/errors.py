@@ -5,6 +5,14 @@ class TropcylError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidArgument(TropcylError, ValueError):
+    """An argument value lies outside the domain of the function.
+
+    Also a `ValueError`: `spine_from_json` reports one raised while placing
+    a vertex as malformed input.
+    """
+
+
 class InvalidPair(TropcylError):
     """The boundary self-intersection sequence does not define a valid pair."""
 

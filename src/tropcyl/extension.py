@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     DegenerateRay,
     HitOrigin,
+    InvalidArgument,
     InvalidQuery,
     NotExtendable,
     StructuralError,
@@ -417,7 +418,7 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
         raise InvalidQuery(f"family needs l >= 1, got {l}")
     b = Fraction(b)
     if b <= 0:
-        raise ValueError(f"family needs b > 0, got {b}")
+        raise InvalidArgument(f"family needs b > 0, got {b}")
     base = del_pezzo_base()
     eps = b / (2 * (1 + max(abs(m), abs(n - m - l))))
     v0 = base.point(1, b, 0)

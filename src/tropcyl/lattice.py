@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from . import kernels
 from .errors import (
+    InvalidArgument,
     InvalidPair,
     OriginNotInChart,
     OutOfChart,
@@ -149,7 +149,7 @@ class CurveClass:
         items = []
         for k, v in sorted(dict(mapping).items()):
             if v < 0:
-                raise ValueError("curve class multiplicities must be >= 0")
+                raise InvalidArgument("curve class multiplicities must be >= 0")
             if v:
                 items.append((int(k), int(v)))
         return cls(tuple(items))
@@ -185,7 +185,7 @@ class TropicalBase:
         a = Fraction(a)
         b = Fraction(b)
         if a < 0 or b < 0:
-            raise ValueError(f"cone coordinates must be nonnegative, got ({a}, {b})")
+            raise InvalidArgument(f"cone coordinates must be nonnegative, got ({a}, {b})")
         cone %= self.l
         if a == 0 and b == 0:
             return ORIGIN
@@ -286,9 +286,16 @@ def monodromy(base: TropicalBase) -> IntMatrix2:
     """Product of the l forward transports around the origin, from cone 0.
 
     The identity exactly when the fan closure exists; the pair is toric in
-    that case.
+    that case.  Walls are crossed counterclockwise in the order
+    1, 2, ..., l-1, 0, each by its matrix [[-d, 1], [-1, 0]].
     """
-    a, b, c, d = kernels.monodromy_product(base.pair.self_intersections)
+    ds = base.pair.self_intersections
+    l = len(ds)
+    a, b, c, d = 1, 0, 0, 1
+    for k in range(1, l + 1):
+        dk = ds[k % l]
+        # left-multiply by [[-dk, 1], [-1, 0]]
+        a, b, c, d = -dk * a + c, -dk * b + d, -a, -b
     return IntMatrix2(a, b, c, d)
 
 
@@ -302,8 +309,16 @@ def fan_closure(pair: LooijengaPair):
     """
     if not isinstance(pair, LooijengaPair):
         pair = LooijengaPair(tuple(pair))
-    vs = kernels.fan_closure_vectors(pair.self_intersections)
-    return None if vs is None else [tuple(v) for v in vs]
+    ds = pair.self_intersections
+    l = len(ds)
+    vs = [(1, 0), (0, 1)]
+    for i in range(1, l + 1):
+        (x0, y0), (x1, y1) = vs[i - 1], vs[i]
+        di = ds[i % l]
+        vs.append((-x0 - di * x1, -y0 - di * y1))
+    if vs[l] == (1, 0) and vs[l + 1] == (0, 1):
+        return vs[:l]
+    return None
 
 
 def winding_number(vectors) -> int:
@@ -441,5 +456,31 @@ def verify_toric_criterion(l: int, lo: int, hi: int):
 
     Returns (pairs_checked, closures_found, mismatches) where a mismatch is
     a pair on which trivial monodromy and fan closure disagree.
+
+    A depth-first walk over d_1, ..., d_{l-1} carries two separate
+    quantities down each shared prefix: the product of the wall crossings
+    so far, as in `monodromy`, and the frame (v_{k-1}, v_k) of the
+    recurrence in `fan_closure`.  Both cross wall 0 last, so each leaf of
+    the walk finishes every choice of d_0.
     """
-    return kernels.verify_toric_grid(l, lo, hi)
+    if l < 3:
+        raise InvalidPair(f"need at least 3 boundary components, got {l}")
+    values = range(lo, hi + 1)
+    counts = [0, 0, 0]  # pairs, closures, mismatches
+
+    def walk(k, a, b, c, d, v0, v1):
+        (x0, y0), (x1, y1) = v0, v1
+        if k == l:
+            for d0 in values:
+                trivial = (-d0 * a + c, -d0 * b + d, -a, -b) == (1, 0, 0, 1)
+                closed = (x1, y1) == (1, 0) and (-x0 - d0 * x1, -y0 - d0 * y1) == (0, 1)
+                counts[1] += closed
+                counts[2] += trivial != closed
+            counts[0] += len(values)
+            return
+        for dk in values:
+            walk(k + 1, -dk * a + c, -dk * b + d, -a, -b,
+                 v1, (-x0 - dk * x1, -y0 - dk * y1))
+
+    walk(1, 1, 0, 0, 1, (1, 0), (0, 1))
+    return tuple(counts)

@@ -22,13 +22,24 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x) -> bool:
+    """JSON integer: `bool` is an `int` subclass but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_field(x, what: str) -> int:
+    if not _is_int(x):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, str):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {s!r}") from exc
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     raise SchemaError(f"expected a rational string, got {s!r}")
 
@@ -37,7 +48,7 @@ def pair_from_json(data) -> LooijengaPair:
     if not isinstance(data, dict) or "self_intersections" not in data:
         raise SchemaError('pair file needs a "self_intersections" list')
     seq = data["self_intersections"]
-    if not isinstance(seq, list) or not all(isinstance(x, int) for x in seq):
+    if not isinstance(seq, list) or not all(_is_int(x) for x in seq):
         raise SchemaError('"self_intersections" must be a list of integers')
     return LooijengaPair(tuple(seq))
 
@@ -63,7 +74,10 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if vid in ids:
             raise SchemaError(f"duplicate vertex id {vid!r}")
         ids.add(vid)
-        if item.get("origin"):
+        origin = item.get("origin", False)
+        if not isinstance(origin, bool):
+            raise SchemaError(f'vertex {vid!r} "origin" must be true or false')
+        if origin:
             vertices.append(Vertex(vid, base.point(0, 0, 0)))
             continue
         if "cone" not in item or "coords" not in item:
@@ -71,9 +85,9 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         coords = item["coords"]
         if not isinstance(coords, list) or len(coords) != 2:
             raise SchemaError(f"vertex {vid!r} coords must be a pair")
+        cone = _int_field(item["cone"], f"vertex {vid!r} cone")
         try:
-            pos = base.point(int(item["cone"]),
-                             parse_frac(coords[0]), parse_frac(coords[1]))
+            pos = base.point(cone, parse_frac(coords[0]), parse_frac(coords[1]))
         except ValueError as exc:
             raise SchemaError(f"vertex {vid!r}: {exc}") from exc
         vertices.append(Vertex(vid, pos))
@@ -87,18 +101,20 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
                 raise SchemaError(f'edge entry needs "{key}"')
         direction = item["direction"]
         if (not isinstance(direction, list) or len(direction) != 2
-                or not all(isinstance(x, int) for x in direction)):
-            raise SchemaError(f"edge direction must be an integer pair")
+                or not all(_is_int(x) for x in direction)):
+            raise SchemaError("edge direction must be an integer pair")
         tail, head = item["tail"], item["head"]
+        if not isinstance(tail, str) or not isinstance(head, str):
+            raise SchemaError("edge endpoints must be vertex id strings")
+        cone = _int_field(item["cone"], "edge cone")
         if item["length"] == "unbounded":
             if head not in ids:
                 vertices.append(Vertex(head, None))
                 ids.add(head)
-            edges.append(make_edge(tail, head, int(item["cone"]),
-                                   tuple(direction), None))
+            edges.append(make_edge(tail, head, cone, tuple(direction), None))
         else:
-            edges.append(make_edge(tail, head, int(item["cone"]),
-                                   tuple(direction), parse_frac(item["length"])))
+            edges.append(make_edge(tail, head, cone, tuple(direction),
+                                   parse_frac(item["length"])))
 
     boundary = data["boundary"]
     if not isinstance(boundary, list) or len(boundary) != 2:

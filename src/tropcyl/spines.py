@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    InvalidArgument,
     MalformedCylinder,
     OriginVertex,
     StructuralError,
@@ -544,7 +545,7 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     """
     t = Fraction(t)
     if not 0 < t < 1:
-        raise ValueError("subdivision parameter must be strictly inside (0, 1)")
+        raise InvalidArgument("subdivision parameter must be strictly inside (0, 1)")
     target = None
     for e in tree.edges:
         if (e.tail, e.head) == key:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,33 @@ class TestValidate:
         assert code == 0
         assert report == {"valid": True, "violations": []}
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("edges", "cone", "x"),
+        ("edges", "cone", 1.7),
+        ("edges", "tail", 0),
+        ("vertices", "cone", True),
+        ("vertices", "origin", "no"),
+        ("vertices", "coords", [True, "0/1"]),
+        ("pair", "self_intersections", [True, 0, 0]),
+    ], ids=["edge-cone-str", "edge-cone-float", "edge-tail-int",
+            "vertex-cone-bool", "origin-str", "coord-bool", "pair-bool"])
+    def test_mistyped_field_exit_2(self, capsys, pair_file, spine_file,
+                                   tmp_path, where, key, value):
+        spine = json.loads(Path(spine_file).read_text())
+        if where == "pair":
+            path = tmp_path / "bad_pair.json"
+            path.write_text(json.dumps({key: value}))
+            argv = ["validate", str(path), spine_file]
+        else:
+            spine[where][0][key] = value
+            path = tmp_path / "bad_spine.json"
+            path.write_text(json.dumps(spine))
+            argv = ["validate", pair_file, str(path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tropcyl: ")
+
     def test_origin_vertex_reported(self, capsys, pair_file, tmp_path):
         bad = {
             "vertices": [
@@ -135,6 +163,12 @@ class TestCount:
         assert code == 0
         assert report["count"] == 2
         assert report["b"] == "7/3"
+
+    def test_nonpositive_height_is_domain_error(self, capsys):
+        code, report = run_json(
+            capsys, ["count", "--l", "2", "--m", "0", "--n", "1", "--b", "0"])
+        assert code == 1
+        assert report["error"] == "InvalidArgument"
 
     def test_invalid_l(self, capsys):
         code, report = run_json(capsys, ["count", "--l", "0", "--m", "0", "--n", "0"])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import (
+    CurveClass,
+    InvalidArgument,
     InvalidPair,
     IntMatrix2,
     LooijengaPair,
@@ -22,6 +24,7 @@ from tropcyl import (
     monodromy,
     norm_sq,
     transport,
+    verify_toric_criterion,
     wall_chart,
     wedge_lattice_length,
     winding_number,
@@ -64,8 +67,13 @@ class TestPoints:
         assert del_pezzo.point(2, 0, 0) == tc.ORIGIN
 
     def test_negative_coordinates_rejected(self, del_pezzo):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument) as info:
             del_pezzo.point(0, -1, 2)
+        assert isinstance(info.value, ValueError)
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(InvalidArgument):
+            CurveClass.of({0: -1})
 
     def test_coords_in_cone(self, del_pezzo):
         p = del_pezzo.point(1, 4, 0)  # on wall 1
@@ -215,6 +223,13 @@ class TestMonodromy:
         assert m.det() == 1
         assert m == IntMatrix2(1, 0, 1, 1)
 
+    def test_huge_entries_exact(self):
+        # Python ints never overflow: compare with the hand recurrence
+        big = 2**40
+        m = monodromy(build_base(LooijengaPair((big, 0, 0))))
+        assert (m.a, m.b, m.c, m.d) == _oracle_monodromy((big, 0, 0))
+        assert m == IntMatrix2(big, -1, 1, 0)
+
     def test_matches_explicit_product(self, del_pezzo):
         # independent recomputation: multiply the four factors directly
         mats = [del_pezzo.forward_matrix(i) for i in range(4)]
@@ -251,6 +266,54 @@ class TestFanClosure:
             closed = fan_closure(ds) is not None
             trivial = monodromy(build_base(LooijengaPair(ds))).is_identity
             assert closed == trivial, ds
+
+
+def _oracle_monodromy(ds):
+    """Wall transports multiplied one pair at a time, in crossing order."""
+    l = len(ds)
+    a, b, c, d = 1, 0, 0, 1
+    for k in range(1, l + 1):
+        dk = ds[k % l]
+        a, b, c, d = -dk * a + c, -dk * b + d, -a, -b
+    return a, b, c, d
+
+
+def _oracle_closes(ds):
+    """Whether the frame recurrence returns to ((1,0), (0,1)) after l steps."""
+    l = len(ds)
+    vs = [(1, 0), (0, 1)]
+    for i in range(1, l + 1):
+        (x0, y0), (x1, y1) = vs[i - 1], vs[i]
+        di = ds[i % l]
+        vs.append((-x0 - di * x1, -y0 - di * y1))
+    return vs[l] == (1, 0) and vs[l + 1] == (0, 1)
+
+
+def _oracle_sweep(l, lo, hi):
+    """Every sequence rebuilt from scratch: the sweep with no shared prefixes."""
+    pairs = closures = mismatches = 0
+    for ds in product(range(lo, hi + 1), repeat=l):
+        pairs += 1
+        trivial = _oracle_monodromy(ds) == (1, 0, 0, 1)
+        closed = _oracle_closes(ds)
+        closures += closed
+        mismatches += trivial != closed
+    return pairs, closures, mismatches
+
+
+class TestToricSweep:
+    @pytest.mark.parametrize("lo, hi", [(-3, 3), (-4, 2), (-1, 3), (-2, 1), (0, 0)])
+    @pytest.mark.parametrize("l", [3, 4, 5])
+    def test_matches_oracle(self, l, lo, hi):
+        assert verify_toric_criterion(l, lo, hi) == _oracle_sweep(l, lo, hi)
+
+    @pytest.mark.parametrize("l, closures", [(3, 1), (4, 13), (5, 30), (6, 122)])
+    def test_closure_counts(self, l, closures):
+        assert verify_toric_criterion(l, -3, 3) == (7 ** l, closures, 0)
+
+    def test_short_sequences_rejected(self):
+        with pytest.raises(InvalidPair):
+            verify_toric_criterion(2, -3, 3)
 
 
 class TestIntersectionMatrix:
