@@ -212,8 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=10_000)
     p.set_defaults(func=cmd_extend)
 
+    l_help = f"boundary winding, 1 <= l <= {wallcross.L_MAX}"
     p = sub.add_parser("count", help="cylinder count of the family L(l, m, n)")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=int, required=True, help=l_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", default=None,
@@ -221,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("symmetry", help="orientation symmetry of a count")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=int, required=True, help=l_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_symmetry)

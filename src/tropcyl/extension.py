@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import (
     DegenerateRay,
@@ -39,12 +40,12 @@ from .lattice import (
 from .spines import (
     CylinderInB,
     CylinderInBTilde,
-    Edge,
     TropicalTree,
     Vertex,
     check_structure,
     direction_at,
     direction_sum,
+    is_outward_radial,
     make_edge,
     make_tree,
     validate_spine,
@@ -145,12 +146,41 @@ class ExtensionResult:
     steps: int
 
 
-def _fresh_id(tree: TropicalTree, prefix: str) -> str:
-    names = {v.id for v in tree.vertices}
-    k = 1
-    while f"{prefix}{k}" in names:
-        k += 1
-    return f"{prefix}{k}"
+def _unused_ids(tree: TropicalTree, prefix: str):
+    """prefix1, prefix2, ... skipping the ids of `tree`, in order."""
+    return (f"{prefix}{k}" for k in count(1) if f"{prefix}{k}" not in tree)
+
+
+def _end_state(tree: TropicalTree, end: str):
+    """(id, position, outgoing ray) of the bounded 1-valent end `end`."""
+    v = tree.vertex(end)
+    if v.is_unbounded:
+        raise StructuralError(f"cannot extend at unbounded vertex {end!r}")
+    inc = tree.incident(end)
+    if len(inc) != 1:
+        raise StructuralError(f"vertex {end!r} is not a 1-valent end")
+    w = direction_at(tree, inc[0], end)
+    return end, v.position, TangentVector(w.cone, -w.u, -w.v)
+
+
+def _cast(base: TropicalBase, end, fresh: str):
+    """One extension move from `end` = (id, position, outgoing ray).
+
+    Returns (new vertex `fresh`, new edge, curve class increment, the new
+    end, or None once the end runs off to infinity).
+    """
+    vid, position, ray = end
+    hit = ray_trace(base, position, ray)
+    if hit.kind == "origin":
+        raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
+    vertex = Vertex(fresh, hit.point)
+    edge = make_edge(vid, fresh, hit.cone, hit.direction, hit.length)
+    if hit.kind == "unbounded":
+        return vertex, edge, CurveClass.zero(), None
+    # multiple of the wall ray picked up by the transversal crossing
+    mu = abs(hit.direction[1] if hit.wall == hit.cone else hit.direction[0])
+    return (vertex, edge, CurveClass.of({hit.wall: mu}),
+            (fresh, hit.point, TangentVector(hit.cone, *hit.direction)))
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -161,37 +191,11 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     end was closed off with an unbounded edge.  The old boundary vertex
     becomes 2-valent and exactly balanced either way.
     """
-    v = tree.vertex(end)
-    if v.is_unbounded:
-        raise StructuralError(f"cannot extend at unbounded vertex {end!r}")
-    inc = tree.incident(end)
-    if len(inc) != 1:
-        raise StructuralError(f"vertex {end!r} is not a 1-valent end")
-    w = direction_at(tree, inc[0], end)
-    hit = ray_trace(base, v.position, TangentVector(w.cone, -w.u, -w.v))
-    if hit.kind == "origin":
-        raise HitOrigin(f"extension ray from {end!r} runs into the origin")
-
-    fresh = _fresh_id(tree, "x")
-    if hit.kind == "unbounded":
-        new_vertex = Vertex(fresh, None)
-        new_edge = Edge(end, fresh, hit.cone, hit.direction, None)
-        increment = CurveClass.zero()
-        finished = True
-    else:
-        new_vertex = Vertex(fresh, hit.point)
-        new_edge = make_edge(end, fresh, hit.cone, hit.direction, hit.length)
-        # multiple of the wall ray picked up by the transversal crossing
-        if hit.wall == hit.cone:
-            mu = abs(hit.direction[1])
-        else:
-            mu = abs(hit.direction[0])
-        increment = CurveClass.of({hit.wall: mu})
-        finished = False
-    boundary = tuple(fresh if x == end else x for x in tree.boundary)
-    new_tree = make_tree(list(tree.vertices) + [new_vertex],
-                         list(tree.edges) + [new_edge], boundary)
-    return new_tree, increment, finished
+    vertex, edge, increment, new_end = _cast(
+        base, _end_state(tree, end), next(_unused_ids(tree, "x")))
+    boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
+    new_tree = make_tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
+    return new_tree, increment, new_end is None
 
 
 def extend(base: TropicalBase, spine: TropicalTree, max_steps: int = 10_000) -> ExtensionResult:
@@ -199,29 +203,35 @@ def extend(base: TropicalBase, spine: TropicalTree, max_steps: int = 10_000) -> 
 
     Ends are served alternately; the two sides never interact, so the
     result does not depend on the order.  Raises NotExtendable when the
-    step budget runs out (non-positive pairs can spiral forever).
+    step budget runs out (non-positive pairs can spiral forever).  Each
+    end keeps its id, position and outgoing ray; the tree is built once.
     """
     violations = validate_spine(base, spine)
     if violations:
         raise StructuralError(
             "cannot extend an invalid spine: "
             + "; ".join(x.message for x in violations))
-    current = spine
+    fresh = _unused_ids(spine, "x")
+    ends = [_end_state(spine, end) for end in spine.boundary]
+    boundary = list(spine.boundary)
+    vertices = list(spine.vertices)
+    edges = list(spine.edges)
     total = CurveClass.zero()
     steps = 0
-    finished = [False, False]
     side = 0
-    while not all(finished):
-        if not finished[side]:
+    while any(ends):
+        if ends[side] is not None:
             if steps >= max_steps:
                 raise NotExtendable(steps)
-            current, increment, fin = extend_step(base, current,
-                                                  current.boundary[side])
+            vertex, edge, increment, ends[side] = _cast(base, ends[side],
+                                                        next(fresh))
+            vertices.append(vertex)
+            edges.append(edge)
+            boundary[side] = vertex.id
             total = total + increment
             steps += 1
-            finished[side] = fin
         side = 1 - side
-    return ExtensionResult(current, total, steps)
+    return ExtensionResult(make_tree(vertices, edges, boundary), total, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +254,20 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     vertices = list(ext.vertices)
     edges = list(ext.edges)
     legs = []
-    names = {v.id for v in ext.vertices}
-    counter = 1
+    fresh = _unused_ids(ext, "o")
     for v in ext.vertices:
         if v.is_unbounded or v.position.is_origin:
             continue
         sigma = direction_sum(base, ext, v.id)
         if sigma.is_zero:
             continue
-        pa, pb = base.coords_in_cone(v.position, sigma.cone)
-        cross = sigma.u * pb - sigma.v * pa
-        dot = sigma.u * pa + sigma.v * pb
-        if cross != 0 or dot <= 0:
+        if not is_outward_radial(base, v.position, sigma):
             raise UnbalancedNonRadial(
                 f"vertex {v.id!r} has direction sum ({sigma.u}, {sigma.v}) "
                 f"that is not an outward radial vector")
         _, mult = primitive_part(sigma.u, sigma.v)
-        alpha, _ = lattice_length_of_point(pa, pb)
-        while f"o{counter}" in names:
-            counter += 1
-        oid = f"o{counter}"
-        names.add(oid)
+        alpha, _ = lattice_length_of_point(*base.coords_in_cone(v.position, sigma.cone))
+        oid = next(fresh)
         vertices.append(Vertex(oid, ORIGIN))
         leg = make_edge(v.id, oid, sigma.cone, (-sigma.u, -sigma.v),
                         alpha / mult)
@@ -276,26 +279,16 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
 
 def _path_order(tree: TropicalTree) -> list[str]:
     """Vertex ids from boundary[0] to boundary[1] along the path."""
-    adjacency: dict[str, list[str]] = {v.id: [] for v in tree.vertices}
-    for e in tree.edges:
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
     order = [tree.boundary[0]]
     prev = None
     while order[-1] != tree.boundary[1]:
-        nxt = [x for x in adjacency[order[-1]] if x != prev]
+        x = order[-1]
+        nxt = [y for e in tree.incident(x) for y in (e.tail, e.head) if y not in (x, prev)]
         if len(nxt) != 1:
             raise StructuralError("tree is not a path between its boundary")
-        prev = order[-1]
+        prev = x
         order.append(nxt[0])
     return order
-
-
-def _edge_between(tree: TropicalTree, a: str, b: str) -> Edge:
-    for e in tree.edges:
-        if {e.tail, e.head} == {a, b}:
-            return e
-    raise StructuralError(f"no edge between {a!r} and {b!r}")
 
 
 def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
@@ -315,7 +308,7 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
     heights[order[1]] = coord
     for i in range(len(order) - 1):
         x, y = order[i], order[i + 1]
-        e = _edge_between(path, x, y)
+        e = path.edge(x, y)
         if e.is_ray:
             # travel toward infinity at either end of the path
             slopes[(e.tail, e.head)] = -1 if i == 0 else 1

@@ -63,6 +63,8 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
     for key in ("vertices", "edges", "boundary"):
         if key not in data:
             raise SchemaError(f'spine file needs a "{key}" entry')
+    if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+        raise SchemaError('"vertices" and "edges" must be lists')
     vertices = []
     ids = set()
     for item in data["vertices"]:
@@ -117,7 +119,8 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
                                    parse_frac(item["length"])))
 
     boundary = data["boundary"]
-    if not isinstance(boundary, list) or len(boundary) != 2:
+    if (not isinstance(boundary, list) or len(boundary) != 2
+            or not all(isinstance(b, str) for b in boundary)):
         raise SchemaError('"boundary" must be a pair of vertex ids')
     return make_tree(vertices, edges, (boundary[0], boundary[1]))
 

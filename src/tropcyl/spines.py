@@ -10,7 +10,7 @@ infinity have length None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -20,6 +20,7 @@ from .errors import (
     StructuralError,
 )
 from .lattice import (
+    ORIGIN,
     BasePoint,
     TangentVector,
     TropicalBase,
@@ -80,26 +81,56 @@ class TropicalTree:
     The same structure serves bounded spines (all vertices positioned,
     boundary = the two leaves), extended spines (boundary at infinity) and
     cylinder bodies (extra legs ending at the origin).
+
+    A tree indexes its adjacency once, when it is made: the first vertex
+    with each id, the edges incident to each id (in edge order) and the
+    edge of each (tail, head) key.  Trees are immutable, so the index never
+    goes stale; it takes no part in equality, hashing or repr.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     boundary: tuple[str, str]
+    _vertex_of: dict = field(init=False, repr=False, compare=False)
+    _incident: dict = field(init=False, repr=False, compare=False)
+    _edge_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        incident: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            for vid in {e.tail, e.head}:
+                incident.setdefault(vid, []).append(e)
+        # built from the back, so the first vertex or edge of a key wins
+        object.__setattr__(self, "_vertex_of",
+                           {v.id: v for v in reversed(self.vertices)})
+        object.__setattr__(self, "_incident",
+                           {vid: tuple(es) for vid, es in incident.items()})
+        object.__setattr__(self, "_edge_of",
+                           {(e.tail, e.head): e for e in reversed(self.edges)})
+
+    def __contains__(self, vid: str) -> bool:
+        return vid in self._vertex_of
 
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
+        if vid in self._vertex_of:
+            return self._vertex_of[vid]
         raise StructuralError(f"no vertex {vid!r}")
 
     def position(self, vid: str) -> BasePoint | None:
         return self.vertex(vid).position
 
     def incident(self, vid: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if vid in (e.tail, e.head))
+        return self._incident.get(vid, ())
 
     def valency(self, vid: str) -> int:
         return len(self.incident(vid))
+
+    def edge(self, a: str, b: str) -> Edge:
+        """The edge between `a` and `b`, whichever of them is its tail."""
+        e = self._edge_of.get((a, b)) or self._edge_of.get((b, a))
+        if e is None:
+            raise StructuralError(f"no edge between {a!r} and {b!r}")
+        return e
 
 
 def make_tree(vertices, edges, boundary) -> TropicalTree:
@@ -118,16 +149,13 @@ class CylinderInB:
 
     def path_part(self) -> TropicalTree:
         """The tree with all legs (and their origin endpoints) removed."""
-        leg_set = set(self.legs)
-        edges = tuple(e for e in self.tree.edges if (e.tail, e.head) not in leg_set)
-        drop = set()
-        for key in self.legs:
-            for vid in key:
-                pos = self.tree.position(vid)
-                if pos is not None and pos.is_origin:
-                    drop.add(vid)
-        vertices = tuple(v for v in self.tree.vertices if v.id not in drop)
-        return make_tree(vertices, edges, self.tree.boundary)
+        legs = set(self.legs)
+        drop = {vid for leg in legs for vid in leg
+                if self.tree.position(vid) == ORIGIN}
+        return make_tree([v for v in self.tree.vertices if v.id not in drop],
+                         [e for e in self.tree.edges
+                          if (e.tail, e.head) not in legs],
+                         self.tree.boundary)
 
 
 @dataclass(frozen=True)
@@ -142,17 +170,21 @@ class CylinderInBTilde:
     cylinder: CylinderInB
     slopes: tuple[tuple[tuple[str, str], int], ...]
     heights: tuple[tuple[str, Fraction], ...]
+    _slope_of: dict = field(init=False, repr=False, compare=False)
+    _height_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_slope_of", dict(self.slopes))
+        object.__setattr__(self, "_height_of", dict(self.heights))
 
     def slope(self, key: tuple[str, str]) -> int:
-        for k, s in self.slopes:
-            if k == key:
-                return s
+        if key in self._slope_of:
+            return self._slope_of[key]
         raise StructuralError(f"no slope for edge {key}")
 
     def height(self, vid: str) -> Fraction:
-        for k, h in self.heights:
-            if k == vid:
-                return h
+        if vid in self._height_of:
+            return self._height_of[vid]
         raise StructuralError(f"no height for vertex {vid!r}")
 
 
@@ -164,14 +196,12 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
                     allow_unbounded: bool = True,
                     allow_origin: bool = False) -> None:
     """Raise StructuralError unless `tree` is a consistent mapped tree."""
-    ids = [v.id for v in tree.vertices]
-    if len(set(ids)) != len(ids):
+    if len(tree._vertex_of) != len(tree.vertices):
         raise StructuralError("duplicate vertex ids")
-    byid = {v.id: v for v in tree.vertices}
     if len(tree.boundary) != 2 or tree.boundary[0] == tree.boundary[1]:
         raise StructuralError("boundary must be two distinct vertices")
     for b in tree.boundary:
-        if b not in byid:
+        if b not in tree:
             raise StructuralError(f"boundary vertex {b!r} missing")
 
     for v in tree.vertices:
@@ -181,22 +211,19 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             raise StructuralError(f"vertex {v.id!r} sits at the origin")
 
     seen = set()
-    adjacency: dict[str, list[str]] = {v.id: [] for v in tree.vertices}
     for e in tree.edges:
         if e.tail == e.head:
             raise StructuralError("loop edge")
-        if e.tail not in byid or e.head not in byid:
+        if e.tail not in tree or e.head not in tree:
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) references missing vertex")
         key = frozenset((e.tail, e.head))
         if key in seen:
             raise StructuralError(f"parallel edges between {e.tail!r} and {e.head!r}")
         seen.add(key)
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
         if e.direction == (0, 0):
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) has zero direction")
-        tail = byid[e.tail]
-        head = byid[e.head]
+        tail = tree.vertex(e.tail)
+        head = tree.vertex(e.head)
         if tail.is_unbounded:
             raise StructuralError(f"edge tail {e.tail!r} is unbounded")
         tc = base.coords_in_cone(tail.position, e.cone)
@@ -228,10 +255,8 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
                     f"its direction and length")
 
     for v in tree.vertices:
-        if v.is_unbounded:
-            inc = adjacency[v.id]
-            if len(inc) != 1:
-                raise StructuralError(f"unbounded vertex {v.id!r} must be 1-valent")
+        if v.is_unbounded and tree.valency(v.id) != 1:
+            raise StructuralError(f"unbounded vertex {v.id!r} must be 1-valent")
 
     if len(tree.edges) != len(tree.vertices) - 1:
         raise StructuralError("edge count does not match a tree")
@@ -244,7 +269,8 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             if x in reached:
                 continue
             reached.add(x)
-            stack.extend(adjacency[x])
+            stack.extend(e.head if e.tail == x else e.tail
+                         for e in tree.incident(x))
         if len(reached) != len(tree.vertices):
             raise StructuralError("graph is not connected")
 
@@ -312,23 +338,15 @@ class Violation:
 
 def _is_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
     """Whether +-vec points along the ray from the origin through `pos`."""
-    coords = base.coords_in_cone(pos, vec.cone)
-    if coords is None:
-        raise StructuralError("vector home cone does not contain the point")
-    pa, pb = coords
-    return vec.u * pb - vec.v * pa == 0
-
-
-def _radial_sign(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> int:
-    """0 for zero, +1 if `vec` is a positive multiple of the position ray,
-    -1 if a negative multiple, and raises if not radial at all."""
-    if vec.is_zero:
-        return 0
-    if not _is_radial(base, pos, vec):
-        raise ValueError("vector is not radial")
     pa, pb = base.coords_in_cone(pos, vec.cone)
-    dot = vec.u * pa + vec.v * pb
-    return 1 if dot > 0 else -1
+    return vec.u * pb == vec.v * pa
+
+
+def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
+    """Whether `vec` is a positive multiple of the ray from the origin
+    through `pos`; `vec` lives in the canonical cone of `pos`."""
+    pa, pb = base.coords_in_cone(pos, vec.cone)
+    return vec.u * pb == vec.v * pa and vec.u * pa + vec.v * pb > 0
 
 
 def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
@@ -361,8 +379,7 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
         sigma = direction_sum(base, tree, v.id)
         if sigma.is_zero:
             continue
-        if not _is_radial(base, v.position, sigma) or \
-                _radial_sign(base, v.position, sigma) <= 0:
+        if not is_outward_radial(base, v.position, sigma):
             out.append(Violation(
                 "defect-not-outward", v.id,
                 f"2-valent vertex {v.id!r} has direction sum ({sigma.u}, "
@@ -472,59 +489,49 @@ class CanonicalImage:
     pieces: tuple
 
 
+def _erasable(tree: TropicalTree, vid: str) -> bool:
+    """Whether `vid` is a balanced 2-valent inner vertex whose two edges
+    run straight on inside one cone, so erasing it keeps the image."""
+    inc = tree.incident(vid)
+    if len(inc) != 2 or vid in tree.boundary:
+        return False
+    pos = tree.position(vid)
+    if pos is None or pos.is_origin or inc[0].cone != inc[1].cone:
+        return False
+    w1, w2 = (direction_at(tree, e, vid) for e in inc)
+    return (w1.u + w2.u, w1.v + w2.v) == (0, 0)
+
+
 def canonical_image(z) -> CanonicalImage:
     tree = _tree_of(z)
-    positions = {v.id: v.position for v in tree.vertices}
-    edges = list(tree.edges)
-
-    # erase balanced collinear 2-valent vertices (same home cone)
-    changed = True
-    while changed:
-        changed = False
-        incidence: dict[str, list[Edge]] = {}
-        for e in edges:
-            incidence.setdefault(e.tail, []).append(e)
-            incidence.setdefault(e.head, []).append(e)
-        for vid, inc in incidence.items():
-            if len(inc) != 2 or vid in tree.boundary:
-                continue
-            pos = positions[vid]
-            if pos is None or pos.is_origin:
-                continue
-            e1, e2 = inc
-            if e1.cone != e2.cone:
-                continue
-            w1 = direction_at(tree, e1, vid)
-            w2 = direction_at(tree, e2, vid)
-            if (w1.u + w2.u, w1.v + w2.v) != (0, 0):
-                continue
-            if e1.is_ray:  # at most one of the two can be a ray
-                e1, e2 = e2, e1
-            a = e1.head if e1.tail == vid else e1.tail
-            b = e2.head if e2.tail == vid else e2.tail
-            da = direction_at(tree, e1, a)  # direction of travel a -> vid -> b
-            if e2.is_ray:
-                merged = Edge(a, b, e1.cone, (da.u, da.v), None)
-            else:
-                merged = make_edge(a, b, e1.cone, (da.u, da.v),
-                                   e1.length + e2.length)
-            edges = [e for e in edges if e not in (e1, e2)]
-            edges.append(merged)
-            changed = True
-            break
-
+    # Erasing a vertex leaves the cone and the exact direction of the edge
+    # at each neighbour as they were, so the erasable vertices can be read
+    # off the tree once; each maximal run through them becomes one piece.
+    # Runs are walked from their bounded ends, so a ray can only end one.
+    erasable = {v.id for v in tree.vertices if _erasable(tree, v.id)}
+    walked = set()
     pieces = []
-    for e in edges:
-        tail_pos = positions[e.tail]
-        if e.is_ray:
-            prim, _ = primitive_part(*e.direction)
-            pieces.append(("ray", e.cone, _point_key(tail_pos), prim))
-        else:
-            k1 = _point_key(tail_pos)
-            k2 = _point_key(positions[e.head])
-            if k2 < k1:
-                k1, k2 = k2, k1
-            pieces.append(("seg", e.cone, k1, k2))
+    for v in tree.vertices:
+        if v.id in erasable or v.is_unbounded:
+            continue
+        for first in tree.incident(v.id):
+            if id(first) in walked:
+                continue
+            last, end = first, v.id
+            while True:
+                walked.add(id(last))
+                end = last.head if last.tail == end else last.tail
+                if end not in erasable:
+                    break
+                e1, e2 = tree.incident(end)
+                last = e2 if e1 is last else e1
+            if last.is_ray:
+                prim, _ = primitive_part(*last.direction)
+                pieces.append(("ray", last.cone, _point_key(v.position), prim))
+            else:
+                k1, k2 = sorted((_point_key(v.position),
+                                 _point_key(tree.position(end))))
+                pieces.append(("seg", last.cone, k1, k2))
     return CanonicalImage(tuple(sorted(pieces)))
 
 
@@ -546,17 +553,12 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     t = Fraction(t)
     if not 0 < t < 1:
         raise InvalidArgument("subdivision parameter must be strictly inside (0, 1)")
-    target = None
-    for e in tree.edges:
-        if (e.tail, e.head) == key:
-            target = e
-            break
+    target = tree._edge_of.get(key)
     if target is None or target.is_ray:
         raise StructuralError(f"no bounded edge {key}")
     if new_id is None:
         k = 0
-        names = {v.id for v in tree.vertices}
-        while f"s{k}" in names:
+        while f"s{k}" in tree:
             k += 1
         new_id = f"s{k}"
     tc = base.coords_in_cone(tree.position(target.tail), target.cone)
@@ -579,11 +581,6 @@ def relabel(tree: TropicalTree, mapping: dict[str, str]) -> TropicalTree:
         return mapping.get(x, x)
 
     vertices = [Vertex(m(v.id), v.position) for v in tree.vertices]
-    edges = []
-    for e in tree.edges:
-        if e.is_ray:
-            edges.append(Edge(m(e.tail), m(e.head), e.cone, e.direction, None))
-        else:
-            edges.append(make_edge(m(e.tail), m(e.head), e.cone, e.direction,
-                                   e.length))
+    edges = [make_edge(m(e.tail), m(e.head), e.cone, e.direction, e.length)
+             for e in tree.edges]
     return make_tree(vertices, edges, (m(tree.boundary[0]), m(tree.boundary[1])))

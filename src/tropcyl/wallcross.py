@@ -150,14 +150,22 @@ def focus_focus_inverse(s: SparseLaurentSeries,
     return _apply_shear(s, -1, trunc)
 
 
+L_MAX = 1000
+
+
 @dataclass(frozen=True)
 class CountQuery:
-    """Parameters of the one-wall family: l >= 1 boundary winding, y-offset
-    m, and bend n.  n outside [0, l] simply yields a zero count."""
+    """Parameters of the one-wall family: boundary winding 1 <= l <= L_MAX,
+    y-offset m, and bend n.  n outside [0, l] simply yields a zero count.
+    The series cost grows faster than l^2, hence the cap on l."""
 
     l: int
     m: int
     n: int
+
+    def __post_init__(self):
+        if not 1 <= self.l <= L_MAX:
+            raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {self.l}")
 
 
 def _auto_trunc(l: int, m: int) -> int:
@@ -176,8 +184,6 @@ def _raw_count(l: int, m: int, n: int) -> int:
 def count(q: CountQuery) -> int:
     """Cylinder count of the family: the coefficient of x^l y^{m+n} in the
     focus-focus image of x^l y^m.  Equals C(l, n) for 0 <= n <= l, else 0."""
-    if q.l < 1:
-        raise InvalidQuery(f"count needs l >= 1, got {q.l}")
     return _raw_count(q.l, q.m, q.n)
 
 
@@ -202,8 +208,6 @@ def symmetry_check(q: CountQuery) -> bool:
     of x^{-l} y^{-m} in the inverse substitution applied to
     x^{-l} y^{-(m+n)}.  Both equal C(l, n).
     """
-    if q.l < 1:
-        raise InvalidQuery(f"symmetry check needs l >= 1, got {q.l}")
     forward = _raw_count(q.l, q.m, q.n)
     trunc = _auto_trunc(q.l, q.m) + abs(q.n)
     mono = SparseLaurentSeries.monomial(-q.l, -(q.m + q.n))

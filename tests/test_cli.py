@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl.cli import run
@@ -78,8 +82,12 @@ class TestValidate:
         ("vertices", "origin", "no"),
         ("vertices", "coords", [True, "0/1"]),
         ("pair", "self_intersections", [True, 0, 0]),
+        ("top", "vertices", 5),
+        ("top", "edges", 7),
+        ("top", "boundary", [["a"], "b"]),
     ], ids=["edge-cone-str", "edge-cone-float", "edge-tail-int",
-            "vertex-cone-bool", "origin-str", "coord-bool", "pair-bool"])
+            "vertex-cone-bool", "origin-str", "coord-bool", "pair-bool",
+            "vertices-int", "edges-int", "boundary-list"])
     def test_mistyped_field_exit_2(self, capsys, pair_file, spine_file,
                                    tmp_path, where, key, value):
         spine = json.loads(Path(spine_file).read_text())
@@ -87,6 +95,11 @@ class TestValidate:
             path = tmp_path / "bad_pair.json"
             path.write_text(json.dumps({key: value}))
             argv = ["validate", str(path), spine_file]
+        elif where == "top":
+            spine[key] = value
+            path = tmp_path / "bad_spine.json"
+            path.write_text(json.dumps(spine))
+            argv = ["validate", pair_file, str(path)]
         else:
             spine[where][0][key] = value
             path = tmp_path / "bad_spine.json"
@@ -175,6 +188,13 @@ class TestCount:
         assert code == 1
         assert report["error"] == "InvalidQuery"
 
+    @pytest.mark.parametrize("command", ["count", "symmetry"])
+    def test_l_above_cap(self, capsys, command):
+        code, report = run_json(capsys, [command, "--l", "1001", "--m", "0", "--n", "0"])
+        assert code == 1
+        assert report["error"] == "InvalidQuery"
+        assert "1000" in report["detail"]
+
 
 class TestSymmetryCmd:
     def test_report(self, capsys):
@@ -239,3 +259,126 @@ class TestUsage:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+# Reports of the subcommands before adjacency was indexed once per tree;
+# the inputs are in tests/data and the expected stdout in tests/data/golden.
+GOLDEN = [
+    ("validate_family_2_0_1", 0, ["validate", "dp.json", "family_2_0_1.json"]),
+    ("extend_family_2_0_1", 0, ["extend", "dp.json", "family_2_0_1.json"]),
+    ("validate_family_5_-3_2", 0, ["validate", "dp.json", "family_5_-3_2.json"]),
+    ("extend_family_5_-3_2", 0, ["extend", "dp.json", "family_5_-3_2.json"]),
+    ("validate_family_8_4_8", 0, ["validate", "dp.json", "family_8_4_8.json"]),
+    ("extend_family_8_4_8", 0, ["extend", "dp.json", "family_8_4_8.json"]),
+    ("validate_turn16", 0, ["validate", "turn16.json", "turn16_start.json"]),
+    ("extend_turn16", 0, ["extend", "turn16.json", "turn16_start.json"]),
+    ("validate_spiral", 0, ["validate", "m2x4.json", "spiral_start.json"]),
+    ("extend_spiral", 1,
+     ["extend", "m2x4.json", "spiral_start.json", "--max-steps", "200"]),
+    ("validate_spiral_400", 0, ["validate", "m2x4.json", "spiral_400.json"]),
+    ("extend_spiral_400", 1,
+     ["extend", "m2x4.json", "spiral_400.json", "--max-steps", "200"]),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name, code, argv", GOLDEN,
+                             ids=[case[0] for case in GOLDEN])
+    def test_report_is_byte_identical(self, capsys, name, code, argv):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        assert run(argv) == code
+        expected = (DATA / "golden" / f"{name}.out").read_text()
+        assert capsys.readouterr().out == expected
+
+
+# Integers and strings that mean something somewhere in a pair or spine
+# file, so that mutations often get past the schema checks.
+_SMALL_INTS = st.integers(-3, 3)
+_WORDS = st.sampled_from(["1/2", "0/1", "-1/3", "3/1", "5/2", "1/0",
+                          "unbounded", "v0", "v1", "v2", "a", "b", "x1"])
+# A fixed alphabet: plain st.text() first builds a Unicode table, which
+# takes seconds in a checkout without a .hypothesis cache.
+_TEXT = st.text(alphabet='av01/-x "\\\n\u00e9\u2013', max_size=4)
+_LEAVES = (st.none() | st.booleans() | _SMALL_INTS | st.integers()
+           | st.floats() | _TEXT | _WORDS)
+_KEYS = _TEXT | st.sampled_from(
+    ["self_intersections", "vertices", "edges", "boundary", "id", "cone",
+     "coords", "origin", "tail", "head", "direction", "length"])
+ANY_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc`, a non-empty dict or list, with one value at some depth
+    deleted, or replaced by a value of the same JSON type, a leaf value or
+    arbitrary JSON.  Each level stops or descends with even odds, so top
+    level entries are hit as often as leaves."""
+    key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                               else range(len(doc))))
+    out = doc.copy()
+    old = doc[key]
+    if isinstance(old, (dict, list)) and old and draw(st.booleans()):
+        out[key] = draw(mutated(old))
+        return out
+    how = draw(st.sampled_from(["same", "leaf", "json", "delete"]))
+    if how == "delete":
+        del out[key]
+    elif how == "same" and isinstance(old, int) and not isinstance(old, bool):
+        out[key] = draw(_SMALL_INTS)
+    elif how == "same" and isinstance(old, str):
+        out[key] = draw(_WORDS)
+    else:
+        out[key] = draw(ANY_JSON if how == "json" else _LEAVES)
+    return out
+
+
+def _load(name):
+    return json.loads((DATA / name).read_text())
+
+
+# Matching pair and spine files; the pairs have at most 8 entries, so
+# `base` stays cheap.
+VALID = st.sampled_from([
+    (_load("dp.json"), _load("family_2_0_1.json")),
+    (_load("dp.json"), _load("family_5_-3_2.json")),
+    (_load("m2x4.json"), _load("spiral_start.json")),
+    ({"self_intersections": [-1, -2, 0, 3, -1, -2, 0, -3]},
+     _load("spiral_start.json")),
+])
+FILES = st.one_of(
+    VALID.flatmap(lambda files: st.tuples(st.just(files[0]), mutated(files[1]))),
+    VALID.flatmap(lambda files: st.tuples(mutated(files[0]), st.just(files[1]))),
+    st.tuples(ANY_JSON, ANY_JSON))
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=2000)
+    @given(command=st.sampled_from(["base", "validate", "extend"]),
+           files=FILES)
+    def test_exit_contract(self, tmp_path_factory, command, files):
+        d = tmp_path_factory.getbasetemp()
+        for name, doc in zip(("fuzz_pair.json", "fuzz_spine.json"), files):
+            (d / name).write_text(json.dumps(doc))
+        argv = [command, str(d / "fuzz_pair.json")]
+        if command != "base":
+            argv.append(str(d / "fuzz_spine.json"))
+        if command == "extend":
+            argv += ["--max-steps", "50"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("tropcyl: ") and err.count("\n") == 1
+        else:
+            assert out.endswith("\n") and out.count("\n") == 1
+            assert isinstance(json.loads(out), dict)
+        assert "Traceback" not in err

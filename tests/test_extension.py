@@ -6,10 +6,13 @@ import tropcyl as tc
 from tropcyl import (
     CurveClass,
     DegenerateRay,
+    ExtensionResult,
     HitOrigin,
+    LooijengaPair,
     NotExtendable,
     TangentVector,
     Vertex,
+    build_base,
     cylinder_in_b,
     extend,
     extend_step,
@@ -190,6 +193,50 @@ class TestExtend:
         s = family_spine(2, 0, -1, 1)  # inward defect at the center
         with pytest.raises(tc.StructuralError):
             extend(del_pezzo, s)
+
+
+def _extend_by_steps(base, spine):
+    """extend() as alternating extend_step calls, each on the whole tree."""
+    current, total, steps = spine, CurveClass.zero(), 0
+    finished = [False, False]
+    side = 0
+    while not all(finished):
+        if not finished[side]:
+            current, inc, finished[side] = extend_step(
+                base, current, current.boundary[side])
+            total = total + inc
+            steps += 1
+        side = 1 - side
+    return ExtensionResult(current, total, steps)
+
+
+class TestExtendMatchesSteps:
+    def test_family_grid(self, del_pezzo):
+        # also: the one-pass canonical image of each cylinder path equals
+        # the exact trace clipping
+        for l in range(1, 9):
+            for m in range(-4, 5):
+                for n in range(l + 1):
+                    spine = family_spine(l, m, n, F(3, 2))
+                    res = extend(del_pezzo, spine)
+                    assert res == _extend_by_steps(del_pezzo, spine), (l, m, n)
+                    cyl = cylinder_in_b(del_pezzo, res.extended)
+                    assert tc.canonical_image(cyl.path_part()) == \
+                        trace_path_image(l, m, n, F(3, 2)), (l, m, n)
+
+    def test_one_turn_spines(self):
+        # a rotation of (-2)^(k-1), (-1): the ray winds once round the
+        # origin and leaves after k + 2 steps
+        for k in range(3, 17):
+            base = build_base(LooijengaPair((-2,) * (k - 1) + (-1,)))
+            spine = make_tree(
+                [Vertex("a", base.point(0, 2, 1)), Vertex("b", base.point(0, 1, 1))],
+                [make_edge("a", "b", 0, (-1, 0), 1)],
+                ("a", "b"),
+            )
+            res = extend(base, spine)
+            assert res.steps == k + 2
+            assert res == _extend_by_steps(base, spine), k
 
 
 class TestCylinder:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import (
@@ -115,6 +117,54 @@ class TestStructure:
         )
         with pytest.raises(StructuralError):
             tc.check_structure(del_pezzo, bad)
+
+
+def _malformed(base, case):
+    a, b = Vertex("a", base.point(0, 1, 1)), Vertex("b", base.point(0, 2, 1))
+    ab = make_edge("a", "b", 0, (1, 0), 1)
+    if case == "duplicate":
+        return make_tree([a, b, Vertex("b", base.point(0, 3, 1))], [ab], ("a", "b"))
+    if case == "parallel":
+        return make_tree([a, b], [ab, ab], ("a", "b"))
+    if case == "missing":
+        return make_tree([a, b], [make_edge("a", "c", 0, (1, 0), 1)], ("a", "b"))
+    if case == "infinite-2-valent":
+        return make_tree([a, b, Vertex("c", base.point(0, 3, 1)), Vertex("x", None)],
+                         [tc.Edge("a", "x", 0, (0, 1), None),
+                          tc.Edge("b", "x", 0, (0, 1), None)],
+                         ("a", "c"))
+    # a triangle and a lone vertex: n - 1 edges, but not connected
+    return make_tree([a, b, Vertex("c", base.point(0, 2, 2)),
+                      Vertex("d", base.point(0, 3, 3))],
+                     [ab, make_edge("b", "c", 0, (0, 1), 1),
+                      make_edge("a", "c", 0, (1, 1), 1)],
+                     ("a", "d"))
+
+
+class TestIndexedStructure:
+    @pytest.mark.parametrize("case, message", [
+        ("duplicate", "duplicate vertex ids"),
+        ("parallel", "parallel edges"),
+        ("missing", "references missing vertex"),
+        ("infinite-2-valent", "must be 1-valent"),
+        ("cycle", "not connected"),
+    ])
+    def test_rejected_with_reason(self, del_pezzo, case, message):
+        with pytest.raises(StructuralError, match=message):
+            tc.check_structure(del_pezzo, _malformed(del_pezzo, case))
+
+    def test_lookups(self, del_pezzo):
+        s = tc.family_spine(2, 0, 1, 1)
+        assert s.edge("v2", "v0") is s.edge("v0", "v2")
+        assert "v1" in s and "x1" not in s
+        assert [e.head for e in s.incident("v0")] == ["v1", "v2"]
+        with pytest.raises(StructuralError):
+            s.edge("v1", "v2")
+        with pytest.raises(StructuralError):
+            s.vertex("x1")
+        # the index takes no part in equality or hashing
+        copy = make_tree(s.vertices, s.edges, s.boundary)
+        assert copy == s and hash(copy) == hash(s)
 
 
 class TestValidation:
@@ -257,6 +307,22 @@ class TestCanonicalImage:
             cyl = tc.cylinder_in_b(del_pezzo, res.extended)
             img = canonical_image(cyl.path_part())
             assert canonical_image(_realize(del_pezzo, img)) == img
+
+
+class TestCanonicalImageOnePass:
+    @settings(max_examples=25, deadline=1000)
+    @given(l=st.integers(1, 6), m=st.integers(-3, 3), data=st.data())
+    def test_invariant_under_subdivision_chains(self, l, m, data):
+        base = del_pezzo_base()
+        n = data.draw(st.integers(0, l))
+        res = tc.extend(base, tc.family_spine(l, m, n, 1))
+        tree = tc.cylinder_in_b(base, res.extended).tree
+        image = canonical_image(tree)
+        for _ in range(data.draw(st.integers(1, 5))):
+            e = data.draw(st.sampled_from([e for e in tree.edges if not e.is_ray]))
+            t = F(data.draw(st.integers(1, 8)), 9)
+            tree = subdivide_edge(base, tree, (e.tail, e.head), t)
+        assert canonical_image(tree) == image
 
 
 class TestValidateInvariance:
