@@ -48,6 +48,8 @@ def _load_json(path: str):
 
 def cmd_base(args) -> int:
     pair = pair_from_json(_load_json(args.pair_file))
+    if len(pair) > wallcross.L_MAX:
+        raise InvalidQuery(f"base is capped at l = {wallcross.L_MAX}, got {len(pair)}")
     base = build_base(pair)
     mono = monodromy(base)
     closure = fan_closure(pair)
@@ -160,12 +162,19 @@ def cmd_trace(args) -> int:
     return 0
 
 
+TABLE_M_VALUES = 100
+
+
 def emit_table(l_max: int, m_values) -> dict:
-    """Count table rows for l = 0..l_max, cross-checked against the oracle."""
+    """Count table rows for l = 0..l_max and each of at most
+    TABLE_M_VALUES values of m, cross-checked against the oracle."""
     if l_max < 1:
         raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
     if l_max > 20:
         raise InvalidQuery(f"table is capped at l_max = 20, got {l_max}")
+    if not 1 <= len(m_values) <= TABLE_M_VALUES:
+        raise InvalidQuery(
+            f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
     rows = []
     for m in m_values:
         for l in range(0, l_max + 1):
@@ -181,8 +190,10 @@ def emit_table(l_max: int, m_values) -> dict:
 
 
 def cmd_table(args) -> int:
-    m_values = list(range(args.m_min, args.m_max + 1))
-    report = emit_table(args.l_max, m_values)
+    if args.m_min > args.m_max:
+        raise InvalidQuery(
+            f"table needs --m-min <= --m-max, got {args.m_min} > {args.m_max}")
+    report = emit_table(args.l_max, range(args.m_min, args.m_max + 1))
     text = json.dumps(report, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -198,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("base", help="analyze a pair: monodromy, fan closure, positivity")
-    p.add_argument("pair_file")
+    p.add_argument("pair_file",
+                   help=f"pair of at most {wallcross.L_MAX} boundary components")
     p.set_defaults(func=cmd_base)
 
     p = sub.add_parser("validate", help="check the spine conditions")
@@ -239,8 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="binomial count table with oracle cross-check")
     p.add_argument("--l-max", type=int, required=True)
-    p.add_argument("--m-min", type=int, default=0)
-    p.add_argument("--m-max", type=int, default=0)
+    m_help = f"m-range bound; --m-min <= --m-max, at most {TABLE_M_VALUES} values"
+    p.add_argument("--m-min", type=int, default=0, help=m_help)
+    p.add_argument("--m-max", type=int, default=0, help=m_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 

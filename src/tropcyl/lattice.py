@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .errors import (
@@ -354,45 +353,44 @@ def intersection_matrix(pair: LooijengaPair):
     return m
 
 
-def _int_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def is_positive(pair: LooijengaPair) -> bool:
-    """Whether the intersection matrix is NOT negative semi-definite.
+    """Whether the intersection matrix M is NOT negative semi-definite.
 
-    Decided exactly: M is negative semi-definite iff every principal minor
-    of -M is >= 0.
+    Decided exactly by symmetric (LDL^T) elimination of -M over the
+    rationals, without pivoting: -M is positive semi-definite iff every
+    pivot is >= 0 and every zero pivot has the rest of its row zero.  So a
+    negative pivot, or a zero pivot with a nonzero entry after it, makes
+    the pair positive.  A positive d_i (a positive 1x1 minor of M)
+    answers at once.
+
+    -M is stored as sparse upper rows: -d_i on the diagonal and -1 for
+    each cyclic neighbour.  M is cyclic tridiagonal, so fill-in stays in
+    the last row and column, and the elimination takes O(l) steps.
     """
-    m = intersection_matrix(pair)
-    l = len(m)
-    neg = [[-x for x in row] for row in m]
-    for size in range(1, l + 1):
-        for subset in combinations(range(l), size):
-            minor = [[neg[i][j] for j in subset] for i in subset]
-            if _int_det(minor) < 0:
+    if not isinstance(pair, LooijengaPair):
+        pair = LooijengaPair(tuple(pair))
+    ds = pair.self_intersections
+    if any(d > 0 for d in ds):
+        return True
+    l = len(ds)
+    # row k of the upper triangle of -M, as {column: entry}
+    rows = [{k: Fraction(-d)} for k, d in enumerate(ds)]
+    for k in range(l - 1):
+        rows[k][k + 1] = Fraction(-1)
+    rows[0][l - 1] = Fraction(-1)
+    for k, row in enumerate(rows):
+        pivot = row.pop(k)
+        if pivot < 0:
+            return True
+        if pivot == 0:
+            if any(row.values()):
                 return True
+            continue
+        for i, a in row.items():
+            target = rows[i]
+            for j, b in row.items():
+                if j >= i:
+                    target[j] = target.get(j, 0) - a * b / pivot
     return False
 
 

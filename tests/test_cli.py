@@ -59,6 +59,21 @@ class TestBase:
         assert code == 1
         assert report["error"] == "InvalidPair"
 
+    def test_length_cap(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"self_intersections": [-2] * 1001}))
+        code, report = run_json(capsys, ["base", str(path)])
+        assert code == 1
+        assert report["error"] == "InvalidQuery"
+
+    def test_long_semidefinite_cycle(self, capsys, tmp_path):
+        # 2^30 principal minors: decided by elimination instead
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"self_intersections": [-2] * 30}))
+        code, report = run_json(capsys, ["base", str(path)])
+        assert code == 0
+        assert report["positive"] is False
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{not json")
@@ -237,6 +252,17 @@ class TestTable:
         assert code == 1
         assert report["error"] == "InvalidQuery"
 
+    @pytest.mark.parametrize("m_min, m_max, code", [
+        (-50, 49, 0), (-50, 50, 1), (0, 10**9, 1), (1, 0, 1), (5, 5, 0)])
+    def test_m_range_cap(self, capsys, m_min, m_max, code):
+        got, report = run_json(capsys, ["table", "--l-max", "1",
+                                        f"--m-min={m_min}", f"--m-max={m_max}"])
+        assert got == code
+        if code:
+            assert report["error"] == "InvalidQuery"
+        else:
+            assert report["m_values"] == list(range(m_min, m_max + 1))
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "table.json"
         code, report = run_json(capsys, ["table", "--l-max", "3", "--out", str(out)])
@@ -263,9 +289,16 @@ class TestUsage:
 
 DATA = Path(__file__).parent / "data"
 
-# Reports of the subcommands before adjacency was indexed once per tree;
-# the inputs are in tests/data and the expected stdout in tests/data/golden.
+# Reports of the subcommands captured before a faster path replaced the
+# old one (adjacency indexed once per tree; positivity by elimination
+# instead of principal minors); the inputs are in tests/data and the
+# expected stdout in tests/data/golden.
 GOLDEN = [
+    ("base_dp", 0, ["base", "dp.json"]),
+    ("base_m2x4", 0, ["base", "m2x4.json"]),
+    ("base_toric_blowup", 0, ["base", "toric_blowup.json"]),
+    ("base_nonpositive_10", 0, ["base", "nonpositive_10.json"]),
+    ("base_m2x14", 0, ["base", "m2x14.json"]),
     ("validate_family_2_0_1", 0, ["validate", "dp.json", "family_2_0_1.json"]),
     ("extend_family_2_0_1", 0, ["extend", "dp.json", "family_2_0_1.json"]),
     ("validate_family_5_-3_2", 0, ["validate", "dp.json", "family_5_-3_2.json"]),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +335,58 @@ class TestIntersectionMatrix:
         assert intersection_matrix((1, 1, 1)) == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
 
 
+def _int_det(rows) -> int:
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _oracle_is_positive(ds):
+    """M is negative semi-definite iff every principal minor of -M is >= 0:
+    the 2^l enumeration that the elimination replaces."""
+    l = len(ds)
+    neg = [[0] * l for _ in range(l)]
+    for i, d in enumerate(ds):
+        neg[i][i] = -d
+        neg[i][(i + 1) % l] = neg[(i + 1) % l][i] = -1
+    for size in range(1, l + 1):
+        for subset in combinations(range(l), size):
+            if _int_det([[neg[i][j] for j in subset] for i in subset]) < 0:
+                return True
+    return False
+
+
+@st.composite
+def _mixed_pairs(draw):
+    """Pairs of length 7..10 with entries in [-4, 1].  Entries <= -2 make
+    -M diagonally dominant, hence non-positive; up to three entries are
+    then redrawn from the whole range, so both answers come up often."""
+    l = draw(st.integers(7, 10))
+    ds = draw(st.lists(st.integers(-4, -2), min_size=l, max_size=l))
+    for i in draw(st.lists(st.integers(0, l - 1), max_size=3)):
+        ds[i] = draw(st.integers(-4, 1))
+    return tuple(ds)
+
+
 class TestPositivity:
     def test_examples(self):
         assert is_positive((0, -1, 0, 0)) is True
@@ -359,3 +411,18 @@ class TestPositivity:
                     break
             if found:
                 assert is_positive(ds) is True
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_matches_minor_oracle_on_grid(self, l):
+        for ds in product(range(-3, 3), repeat=l):
+            assert is_positive(ds) is _oracle_is_positive(ds), ds
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_pairs())
+    def test_matches_minor_oracle_beyond_grid(self, ds):
+        assert is_positive(ds) is _oracle_is_positive(ds)
+
+    def test_scales_to_l_1000(self):
+        # (-2)^l has kernel (1, ..., 1): its last pivot is exactly zero
+        assert is_positive((-2,) * 1000) is False
+        assert is_positive((-2,) * 999 + (-1,)) is True
