@@ -14,6 +14,8 @@ import sys
 
 from .errors import TropcylError
 from .extension import (
+    MAX_STEPS,
+    MAX_STEPS_CAP,
     cylinder_in_b,
     del_pezzo_base,
     extend,
@@ -103,13 +105,14 @@ def cmd_extend(args) -> int:
 
 def cmd_count(args) -> int:
     q = CountQuery(args.l, args.m, args.n)
-    if args.b is not None:
-        b = parse_frac(args.b)
+    b = None if args.b is None else parse_frac(args.b)
+    if b is not None:
         spine = family_spine(args.l, args.m, args.n, b)
         value = count_spine(del_pezzo_base(), spine)
     else:
         value = count(q)
-    oracle = binomial_oracle(args.l, args.n) if args.l <= 20 else None
+    oracle = (binomial_oracle(args.l, args.n)
+              if args.l <= wallcross.ORACLE_L_MAX else None)
     report = {
         "l": args.l,
         "m": args.m,
@@ -119,8 +122,8 @@ def cmd_count(args) -> int:
         "match": (value == oracle) if oracle is not None else None,
         "symmetry": symmetry_check(q),
     }
-    if args.b is not None:
-        report["b"] = frac_to_str(parse_frac(args.b))
+    if b is not None:
+        report["b"] = frac_to_str(b)
     _emit(report)
     return 0
 
@@ -162,38 +165,11 @@ def cmd_trace(args) -> int:
     return 0
 
 
-TABLE_M_VALUES = 100
-
-
-def emit_table(l_max: int, m_values) -> dict:
-    """Count table rows for l = 0..l_max and each of at most
-    TABLE_M_VALUES values of m, cross-checked against the oracle."""
-    if l_max < 1:
-        raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
-    if l_max > 20:
-        raise InvalidQuery(f"table is capped at l_max = 20, got {l_max}")
-    if not 1 <= len(m_values) <= TABLE_M_VALUES:
-        raise InvalidQuery(
-            f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
-    rows = []
-    for m in m_values:
-        for l in range(0, l_max + 1):
-            counts = [wallcross._raw_count(l, m, n) for n in range(l + 1)]
-            expected = [binomial_oracle(l, n) for n in range(l + 1)]
-            if counts != expected:
-                raise InvalidQuery(
-                    f"engine/oracle mismatch at l={l}, m={m}: "
-                    f"{counts} vs {expected}")
-            rows.append({"l": l, "m": m, "counts": counts})
-    return {"l_max": l_max, "m_values": list(m_values), "rows": rows,
-            "verified": True}
-
-
 def cmd_table(args) -> int:
     if args.m_min > args.m_max:
         raise InvalidQuery(
             f"table needs --m-min <= --m-max, got {args.m_min} > {args.m_max}")
-    report = emit_table(args.l_max, range(args.m_min, args.m_max + 1))
+    report = wallcross.count_table(args.l_max, range(args.m_min, args.m_max + 1))
     text = json.dumps(report, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend a spine and build its cylinder")
     p.add_argument("pair_file")
     p.add_argument("spine_file")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS,
+                   help=f"step budget, 1 to {MAX_STEPS_CAP} (default {MAX_STEPS})")
     p.set_defaults(func=cmd_extend)
 
     l_help = f"boundary winding, 1 <= l <= {wallcross.L_MAX}"
@@ -251,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="binomial count table with oracle cross-check")
     p.add_argument("--l-max", type=int, required=True)
-    m_help = f"m-range bound; --m-min <= --m-max, at most {TABLE_M_VALUES} values"
+    m_help = ("m-range bound; --m-min <= --m-max, at most "
+              f"{wallcross.TABLE_M_VALUES} values")
     p.add_argument("--m-min", type=int, default=0, help=m_help)
     p.add_argument("--m-max", type=int, default=0, help=m_help)
     p.add_argument("--out", default=None)

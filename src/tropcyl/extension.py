@@ -198,14 +198,24 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     return new_tree, increment, new_end is None
 
 
-def extend(base: TropicalBase, spine: TropicalTree, max_steps: int = 10_000) -> ExtensionResult:
+MAX_STEPS = 10_000
+MAX_STEPS_CAP = 100_000
+
+
+def extend(base: TropicalBase, spine: TropicalTree,
+           max_steps: int = MAX_STEPS) -> ExtensionResult:
     """Iterate extension at both ends until both run off to infinity.
 
     Ends are served alternately; the two sides never interact, so the
     result does not depend on the order.  Raises NotExtendable when the
-    step budget runs out (non-positive pairs can spiral forever).  Each
-    end keeps its id, position and outgoing ray; the tree is built once.
+    step budget runs out (non-positive pairs can spiral forever), and
+    InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP: a spiral's time
+    and memory grow with its steps.  Each end keeps its id, position and
+    outgoing ray; the tree is built once.
     """
+    if not 1 <= max_steps <= MAX_STEPS_CAP:
+        raise InvalidQuery(
+            f"extend needs 1 <= max_steps <= {MAX_STEPS_CAP}, got {max_steps}")
     violations = validate_spine(base, spine)
     if violations:
         raise StructuralError(
@@ -246,7 +256,7 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     parameter length divides the radial lattice length by the sum's
     divisibility, which balances the vertex exactly.
     """
-    check_structure(base, ext, allow_unbounded=True, allow_origin=True)
+    check_structure(base, ext, allow_unbounded=True)
     for b in ext.boundary:
         if not ext.vertex(b).is_unbounded:
             raise StructuralError(
@@ -343,12 +353,12 @@ def _developed_point(base: TropicalBase, x: Fraction, y: Fraction) -> BasePoint:
     (0,1),(-1,1); (-1,1),(0,-1); (0,-1),(1,0).
     """
     if x >= 0 and y >= 0:
-        return base.point(0, x, y)
-    if x <= 0 and x + y >= 0:
-        return base.point(1, x + y, -x)
-    if x <= 0:
-        return base.point(2, -x, -x - y)
-    return base.point(3, -y, x)
+        cone = 0
+    elif x <= 0:
+        cone = 1 if x + y >= 0 else 2
+    else:
+        cone = 3
+    return base.point(cone, *_dev_to_cone(cone, x, y))
 
 
 _DEV_WEDGES = (

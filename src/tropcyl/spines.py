@@ -193,9 +193,12 @@ class CylinderInBTilde:
 
 
 def check_structure(base: TropicalBase, tree: TropicalTree,
-                    allow_unbounded: bool = True,
-                    allow_origin: bool = False) -> None:
-    """Raise StructuralError unless `tree` is a consistent mapped tree."""
+                    allow_unbounded: bool = True) -> None:
+    """Raise StructuralError unless `tree` is a consistent mapped tree.
+
+    Vertices at the origin are allowed here; `validate_spine` reports them
+    as `origin-image` violations, and cylinders end their legs there.
+    """
     if len(tree._vertex_of) != len(tree.vertices):
         raise StructuralError("duplicate vertex ids")
     if len(tree.boundary) != 2 or tree.boundary[0] == tree.boundary[1]:
@@ -207,8 +210,6 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
     for v in tree.vertices:
         if v.is_unbounded and not allow_unbounded:
             raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
-        if v.position is not None and v.position.is_origin and not allow_origin:
-            raise StructuralError(f"vertex {v.id!r} sits at the origin")
 
     seen = set()
     for e in tree.edges:
@@ -389,13 +390,13 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
 
 def validate_spine(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
     """All violated spine conditions for a bounded spine (empty = valid)."""
-    check_structure(base, tree, allow_unbounded=False, allow_origin=True)
+    check_structure(base, tree, allow_unbounded=False)
     return _spine_conditions(base, tree)
 
 
 def validate_extended_spine(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
     """Spine conditions for a spine whose two ends run to infinity."""
-    check_structure(base, tree, allow_unbounded=True, allow_origin=True)
+    check_structure(base, tree, allow_unbounded=True)
     out = _spine_conditions(base, tree)
     unbounded = {v.id for v in tree.vertices if v.is_unbounded}
     if unbounded != set(tree.boundary):
@@ -408,7 +409,7 @@ def validate_extended_spine(base: TropicalBase, tree: TropicalTree) -> list[Viol
 def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]:
     """Cylinder conditions: stray leaves at the origin, the rest balanced."""
     tree = cyl.tree
-    check_structure(base, tree, allow_unbounded=True, allow_origin=True)
+    check_structure(base, tree, allow_unbounded=True)
     out: list[Violation] = []
     for v in tree.vertices:
         if v.id in tree.boundary:

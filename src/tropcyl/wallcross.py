@@ -2,11 +2,12 @@
 wall-crossing count engine.
 
 The shear substitution x -> x(1+y), y -> y acts on monomials by
-x^a y^b -> x^a y^b (1+y)^a, with the binomial series (truncated in y) for
-negative a.  The count attached to the del Pezzo family L(l, m, n) is the
-coefficient of x^l y^{m+n} in the image of x^l y^m, which is the binomial
-coefficient C(l, n); an independent subset-enumeration oracle and an
-orientation-reversed reading are provided for cross-checks.
+x^a y^b -> x^a y^b (1+y)^a: a polynomial for a >= 0; truncation in y
+applies only to the binomial series of a negative a.  The count of the del
+Pezzo family L(l, m, n) is the coefficient of x^l y^{m+n} in the exact
+polynomial image of x^l y^m, which is the binomial coefficient C(l, n); an
+independent subset-enumeration oracle and an orientation-reversed reading
+are provided for cross-checks.
 """
 
 from __future__ import annotations
@@ -100,18 +101,6 @@ def series_mul(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentS
     return SparseLaurentSeries.from_dict(acc, trunc)
 
 
-def _binomial(n: int, k: int) -> int:
-    """C(n, k) for integer n (possibly negative), k >= 0."""
-    if k < 0:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= n - i
-        den *= i + 1
-    return num // den
-
-
 def _apply_shear(s: SparseLaurentSeries, power_sign: int,
                  trunc: int | None) -> SparseLaurentSeries:
     """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial."""
@@ -128,9 +117,11 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int,
                 raise InvalidQuery(
                     "negative substitution powers need a finite truncation")
             kmax = eff - b
+        binom = 1  # C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly, any e
         for k in range(0, kmax + 1):
             key = (a, b + k)
-            acc[key] = acc.get(key, Fraction(0)) + c * _binomial(e, k)
+            acc[key] = acc.get(key, Fraction(0)) + c * binom
+            binom = binom * (e - k) // (k + 1)
     return SparseLaurentSeries.from_dict(acc, eff)
 
 
@@ -151,13 +142,15 @@ def focus_focus_inverse(s: SparseLaurentSeries,
 
 
 L_MAX = 1000
+ORACLE_L_MAX = 20
+TABLE_M_VALUES = 100
 
 
 @dataclass(frozen=True)
 class CountQuery:
     """Parameters of the one-wall family: boundary winding 1 <= l <= L_MAX,
     y-offset m, and bend n.  n outside [0, l] simply yields a zero count.
-    The series cost grows faster than l^2, hence the cap on l."""
+    The image of x^l y^m is an exact polynomial; the cap bounds its size."""
 
     l: int
     m: int
@@ -168,14 +161,8 @@ class CountQuery:
             raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {self.l}")
 
 
-def _auto_trunc(l: int, m: int) -> int:
-    # the image of x^l y^m has y-exponents in [m, m+l]
-    return max(abs(m) + l, l) + 2
-
-
 def _raw_count(l: int, m: int, n: int) -> int:
-    mono = SparseLaurentSeries.monomial(l, m)
-    image = focus_focus_apply(mono, _auto_trunc(l, m))
+    image = focus_focus_apply(SparseLaurentSeries.monomial(l, m))
     c = image.coefficient(l, m + n)
     assert c.denominator == 1
     return int(c)
@@ -190,12 +177,13 @@ def count(q: CountQuery) -> int:
 def binomial_oracle(l: int, n: int) -> int:
     """C(l, n) by explicit enumeration of size-n subsets of {1, ..., l}.
 
-    Independent of the series engine; enumeration is capped at l <= 20.
+    Independent of the series engine; enumeration is capped at ORACLE_L_MAX.
     """
     if l < 0:
         raise InvalidQuery(f"oracle needs l >= 0, got {l}")
-    if l > 20:
-        raise InvalidQuery(f"oracle enumerates subsets only up to l = 20, got {l}")
+    if l > ORACLE_L_MAX:
+        raise InvalidQuery(
+            f"oracle enumerates subsets only up to l = {ORACLE_L_MAX}, got {l}")
     if n < 0 or n > l:
         return 0
     return sum(1 for _ in combinations(range(1, l + 1), n))
@@ -209,11 +197,37 @@ def symmetry_check(q: CountQuery) -> bool:
     x^{-l} y^{-(m+n)}.  Both equal C(l, n).
     """
     forward = _raw_count(q.l, q.m, q.n)
-    trunc = _auto_trunc(q.l, q.m) + abs(q.n)
     mono = SparseLaurentSeries.monomial(-q.l, -(q.m + q.n))
-    image = focus_focus_inverse(mono, trunc)
+    image = focus_focus_inverse(mono)
     backward = image.coefficient(-q.l, -q.m)
     return forward == backward and backward.denominator == 1
+
+
+def count_table(l_max: int, m_values) -> dict:
+    """Count table rows for l = 0..l_max and each of at most TABLE_M_VALUES
+    values of m, each row read off one image and checked against the
+    oracle row of its l (which does not depend on m)."""
+    if l_max < 1:
+        raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
+    if l_max > ORACLE_L_MAX:
+        raise InvalidQuery(f"table is capped at l_max = {ORACLE_L_MAX}, got {l_max}")
+    if not 1 <= len(m_values) <= TABLE_M_VALUES:
+        raise InvalidQuery(
+            f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
+    expected = [[binomial_oracle(l, n) for n in range(l + 1)]
+                for l in range(l_max + 1)]
+    rows = []
+    for m in m_values:
+        for l in range(0, l_max + 1):
+            coeffs = focus_focus_apply(SparseLaurentSeries.monomial(l, m)).as_dict()
+            counts = [int(coeffs.get((l, m + n), 0)) for n in range(l + 1)]
+            if counts != expected[l]:
+                raise InvalidQuery(
+                    f"engine/oracle mismatch at l={l}, m={m}: "
+                    f"{counts} vs {expected[l]}")
+            rows.append({"l": l, "m": m, "counts": counts})
+    return {"l_max": l_max, "m_values": list(m_values), "rows": rows,
+            "verified": True}
 
 
 def count_spine(base, spine: TropicalTree) -> int:

@@ -175,6 +175,21 @@ class TestExtend:
         assert code == 1
         assert report["error"] == "NotExtendable"
 
+    @pytest.mark.parametrize("max_steps, code", [
+        ("100000", 0), ("1", 1), ("100001", 1), ("0", 1), ("-1", 1),
+        ("1000000000", 1)])
+    def test_max_steps_bounds(self, capsys, pair_file, spine_file,
+                              max_steps, code):
+        # the family spine needs 3 steps: 1 runs out, the rest are refused
+        got, report = run_json(capsys, ["extend", pair_file, spine_file,
+                                        f"--max-steps={max_steps}"])
+        assert got == code
+        if code == 0:
+            assert report["steps"] == 3
+        else:
+            expected = "NotExtendable" if max_steps == "1" else "InvalidQuery"
+            assert report["error"] == expected
+
 
 class TestCount:
     def test_plain(self, capsys):
@@ -291,8 +306,8 @@ DATA = Path(__file__).parent / "data"
 
 # Reports of the subcommands captured before a faster path replaced the
 # old one (adjacency indexed once per tree; positivity by elimination
-# instead of principal minors); the inputs are in tests/data and the
-# expected stdout in tests/data/golden.
+# instead of principal minors; one exact shear per count image); the
+# inputs are in tests/data and the expected stdout in tests/data/golden.
 GOLDEN = [
     ("base_dp", 0, ["base", "dp.json"]),
     ("base_m2x4", 0, ["base", "m2x4.json"]),
@@ -313,6 +328,22 @@ GOLDEN = [
     ("validate_spiral_400", 0, ["validate", "m2x4.json", "spiral_400.json"]),
     ("extend_spiral_400", 1,
      ["extend", "m2x4.json", "spiral_400.json", "--max-steps", "200"]),
+    ("count_5_3_2", 0, ["count", "--l", "5", "--m", "3", "--n", "2"]),
+    ("count_20_-5_9", 0, ["count", "--l", "20", "--m", "-5", "--n", "9"]),
+    ("count_400_4_133", 0, ["count", "--l", "400", "--m", "4", "--n", "133"]),
+    ("count_1000_0_500", 0,
+     ["count", "--l", "1000", "--m", "0", "--n", "500"]),
+    ("count_2_0_1_b7-3", 0,
+     ["count", "--l", "2", "--m", "0", "--n", "1", "--b", "7/3"]),
+    ("symmetry_4_-1_2", 0, ["symmetry", "--l", "4", "--m", "-1", "--n", "2"]),
+    ("symmetry_400_-9_7", 0,
+     ["symmetry", "--l", "400", "--m", "-9", "--n", "7"]),
+    ("table_20_-3", 0, ["table", "--l-max", "20", "--m-min=-3", "--m-max=-3"]),
+    ("table_6_-2_2", 0, ["table", "--l-max", "6", "--m-min=-2", "--m-max=2"]),
+    ("table_lmax_0", 1, ["table", "--l-max", "0"]),
+    ("table_lmax_21", 1, ["table", "--l-max", "21"]),
+    ("trace_2_0_1", 0,
+     ["trace", "--l", "2", "--m", "0", "--n", "1", "--b", "1", "--t=-1,0,1/2"]),
 ]
 
 
@@ -390,6 +421,50 @@ FILES = st.one_of(
     st.tuples(ANY_JSON, ANY_JSON))
 
 
+# Heights and parameter values for `--b` and `--t`, well-formed or not.
+_FRACS = st.sampled_from(["1", "7/3", "-1/2", "0", "2/4", "1/0", "x", ""])
+_L = st.integers(-2, 1002)  # around 1 <= l <= L_MAX and the oracle's 20
+_M = st.integers(-30, 30)
+
+
+@st.composite
+def query_argv(draw):
+    """Well-formed argv of count, symmetry, table or trace: argparse
+    accepts it, so the command itself decides the exit code."""
+    command = draw(st.sampled_from(["count", "symmetry", "table", "trace"]))
+    if command == "table":
+        l_max = draw(st.integers(-1, 22))
+        # long m-ranges only on small tables; 0 values means min > max
+        width = draw(st.integers(0, 101 if l_max <= 3 else 2))
+        m_min = draw(_M)
+        return [command, f"--l-max={l_max}", f"--m-min={m_min}",
+                f"--m-max={m_min + width - 1}"]
+    l = draw(_L)
+    argv = [command, f"--l={l}", f"--m={draw(_M)}",
+            f"--n={draw(st.integers(-2, max(l, 0) + 2))}"]
+    if command == "trace":
+        ts = draw(st.lists(_FRACS, max_size=3))
+        argv += [f"--b={draw(_FRACS)}", "--t=" + ",".join(ts)]
+    elif command == "count" and draw(st.booleans()):
+        argv.append(f"--b={draw(_FRACS)}")
+    return argv
+
+
+def _check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("tropcyl: ") and err.count("\n") == 1
+    else:
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err
+
+
 class TestFuzz:
     @settings(max_examples=60, deadline=2000)
     @given(command=st.sampled_from(["base", "validate", "extend"]),
@@ -403,15 +478,9 @@ class TestFuzz:
             argv.append(str(d / "fuzz_spine.json"))
         if command == "extend":
             argv += ["--max-steps", "50"]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out == ""
-            assert err.startswith("tropcyl: ") and err.count("\n") == 1
-        else:
-            assert out.endswith("\n") and out.count("\n") == 1
-            assert isinstance(json.loads(out), dict)
-        assert "Traceback" not in err
+        _check_exit_contract(argv)
+
+    @settings(max_examples=60, deadline=2000)
+    @given(argv=query_argv())
+    def test_query_exit_contract(self, argv):
+        _check_exit_contract(argv)

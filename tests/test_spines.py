@@ -181,6 +181,14 @@ class TestValidation:
         codes = {v.code for v in validate_spine(del_pezzo, s)}
         assert "origin-image" in codes
 
+    def test_origin_vertex_is_structurally_sound(self, del_pezzo):
+        # the structure check accepts it; the spine conditions report it
+        s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 2), tc.ORIGIN,
+                             0, (-1, -2), 1)
+        tc.check_structure(del_pezzo, s, allow_unbounded=False)
+        assert [(v.code, v.where) for v in validate_spine(del_pezzo, s)
+                if v.code == "origin-image"] == [("origin-image", "b")]
+
     def test_radial_direction_violates(self, del_pezzo):
         s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 1),
                              del_pezzo.point(0, 2, 2), 0, (1, 1), 1)

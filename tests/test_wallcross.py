@@ -26,6 +26,17 @@ F = Fraction
 S = SparseLaurentSeries
 
 
+def _binomial(n: int, k: int) -> int:
+    """C(n, k) for integer n (possibly negative), k >= 0, as a product
+    quotient; a test-only oracle for the running binomials of the shear."""
+    num = 1
+    den = 1
+    for i in range(k):
+        num *= n - i
+        den *= i + 1
+    return num // den
+
+
 class TestSeries:
     def test_monomial_product(self):
         x = S.monomial(1, 0)
@@ -86,6 +97,20 @@ class TestFocusFocus:
                         assert c == 1
                     else:
                         assert c == 0, ((a, b), (i, j), c)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
+    def test_monomial_images_match_binomial_oracle(self, sign):
+        # x^a y^b -> sum_k C(sign*a, k) x^a y^(b+k), up to y-order trunc;
+        # a < 0 (for apply) is the series branch that count never takes
+        trunc = 30
+        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        for a in range(-25, 26):
+            e = sign * a
+            for b in (-3, 0, 2):
+                kmax = trunc - b if e < 0 else min(e, trunc - b)
+                expected = {(a, b + k): _binomial(e, k) for k in range(kmax + 1)}
+                got = shear(S.monomial(a, b), trunc)
+                assert got == S.from_dict(expected, trunc), (sign, a, b)
 
     @given(
         terms=st.dictionaries(
