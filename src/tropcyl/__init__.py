@@ -93,7 +93,7 @@ from .extension import (
 from .wallcross import (
     CountQuery,
     SparseLaurentSeries,
-    binomial_oracle,
+    backward_count,
     count,
     count_spine,
     focus_focus_apply,

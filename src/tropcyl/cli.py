@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
-from .errors import TropcylError
+from .errors import InvalidQuery, TropcylError
 from .extension import (
     MAX_STEPS,
     MAX_STEPS_CAP,
@@ -33,9 +34,8 @@ from .serialize import (
     spine_from_json,
     spine_to_json,
 )
-from .wallcross import CountQuery, binomial_oracle, count, count_spine, symmetry_check
+from .wallcross import CountQuery, backward_count, count, count_spine
 from . import wallcross
-from .errors import InvalidQuery
 from .spines import validate_spine
 
 
@@ -111,7 +111,7 @@ def cmd_count(args) -> int:
         value = count_spine(del_pezzo_base(), spine)
     else:
         value = count(q)
-    oracle = (binomial_oracle(args.l, args.n)
+    oracle = ((comb(args.l, args.n) if args.n >= 0 else 0)
               if args.l <= wallcross.ORACLE_L_MAX else None)
     report = {
         "l": args.l,
@@ -120,7 +120,7 @@ def cmd_count(args) -> int:
         "count": value,
         "oracle": oracle,
         "match": (value == oracle) if oracle is not None else None,
-        "symmetry": symmetry_check(q),
+        "symmetry": value == backward_count(q),
     }
     if b is not None:
         report["b"] = frac_to_str(b)
@@ -131,7 +131,7 @@ def cmd_count(args) -> int:
 def cmd_symmetry(args) -> int:
     q = CountQuery(args.l, args.m, args.n)
     forward = count(q)
-    symmetric = symmetry_check(q)
+    symmetric = forward == backward_count(q)
     report = {
         "l": args.l,
         "m": args.m,

@@ -34,6 +34,8 @@ from .lattice import (
     TangentVector,
     TropicalBase,
     build_base,
+    is_int,
+    is_rational,
     lattice_length_of_point,
     primitive_part,
 )
@@ -388,6 +390,16 @@ class TracePoint:
     point: BasePoint
 
 
+def _family_height(l, m, n, b) -> Fraction:
+    """`b` as a `Fraction`, once l, m, n are ints with l >= 1 and b rational."""
+    if not (is_int(l) and is_int(m) and is_int(n) and is_rational(b)):
+        raise InvalidArgument("family needs int l, m, n and a rational b, "
+                              f"got {l!r}, {m!r}, {n!r}, {b!r}")
+    if l < 1:
+        raise InvalidQuery(f"family needs l >= 1, got {l}")
+    return Fraction(b)
+
+
 def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     """Point of the explicit del Pezzo family trace at parameter `t`.
 
@@ -395,9 +407,9 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     the result is converted to canonical cone coordinates.  This is a
     verification oracle hard-wired to the four-cone base.
     """
-    if l < 1:
-        raise InvalidQuery(f"family needs l >= 1, got {l}")
-    b = Fraction(b)
+    b = _family_height(l, m, n, b)
+    if not is_rational(t):
+        raise InvalidArgument(f"trace needs a rational t, got {t!r}")
     t = Fraction(t)
     base = del_pezzo_base()
     x = l * t
@@ -407,6 +419,8 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
 
 def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:
     """Trace samples at each parameter value in `ts`."""
+    if not isinstance(ts, (list, tuple)) or not all(map(is_rational, ts)):
+        raise InvalidArgument(f"trace needs a list of rational t, got {ts!r:.60}")
     return [TracePoint(Fraction(t), tropical_trace(l, m, n, b, t)) for t in ts]
 
 
@@ -417,9 +431,7 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
     (n - m - l, l) into cone 1; the short arms keep both endpoints
     strictly inside their cones.
     """
-    if l < 1:
-        raise InvalidQuery(f"family needs l >= 1, got {l}")
-    b = Fraction(b)
+    b = _family_height(l, m, n, b)
     if b <= 0:
         raise InvalidArgument(f"family needs b > 0, got {b}")
     base = del_pezzo_base()
@@ -446,9 +458,7 @@ def trace_path_image(l: int, m: int, n: int, b):
     """
     from .spines import CanonicalImage, _point_key
 
-    if l < 1:
-        raise InvalidQuery(f"family needs l >= 1, got {l}")
-    b = Fraction(b)
+    b = _family_height(l, m, n, b)
     base = del_pezzo_base()
     origin = (Fraction(0), b)
     rays = (((l, m)), ((-l, n - m)))

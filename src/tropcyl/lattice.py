@@ -26,6 +26,16 @@ from .errors import (
 Frac = Fraction
 
 
+def is_int(x) -> bool:
+    """An exact integer: `bool` is an `int` subclass but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_rational(x) -> bool:
+    """An exact rational: an integer (see `is_int`) or a `Fraction`."""
+    return is_int(x) or isinstance(x, Fraction)
+
+
 @dataclass(frozen=True)
 class LooijengaPair:
     """Cyclic sequence of boundary self-intersection numbers, length >= 3."""
@@ -33,10 +43,13 @@ class LooijengaPair:
     self_intersections: tuple[int, ...]
 
     def __post_init__(self):
-        si = tuple(int(x) for x in self.self_intersections)
+        si = self.self_intersections
+        if not isinstance(si, (tuple, list)) or not all(map(is_int, si)):
+            raise InvalidArgument(
+                f"self-intersections must be a tuple or list of ints, got {si!r:.60}")
         if len(si) < 3:
             raise InvalidPair(f"need at least 3 boundary components, got {len(si)}")
-        object.__setattr__(self, "self_intersections", si)
+        object.__setattr__(self, "self_intersections", tuple(si))
 
     def __len__(self) -> int:
         return len(self.self_intersections)

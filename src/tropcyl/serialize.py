@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import LooijengaPair, TropicalBase
+from .lattice import LooijengaPair, TropicalBase, is_int
 from .spines import CylinderInB, TropicalTree, Vertex, make_edge, make_tree
 
 
@@ -22,13 +22,8 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _is_int(x) -> bool:
-    """JSON integer: `bool` is an `int` subclass but not an integer here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _int_field(x, what: str) -> int:
-    if not _is_int(x):
+    if not is_int(x):
         raise SchemaError(f"{what} must be an integer, got {x!r}")
     return x
 
@@ -39,7 +34,7 @@ def parse_frac(s) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {s!r}") from exc
-    if _is_int(s):
+    if is_int(s):
         return Fraction(s)
     raise SchemaError(f"expected a rational string, got {s!r}")
 
@@ -48,7 +43,7 @@ def pair_from_json(data) -> LooijengaPair:
     if not isinstance(data, dict) or "self_intersections" not in data:
         raise SchemaError('pair file needs a "self_intersections" list')
     seq = data["self_intersections"]
-    if not isinstance(seq, list) or not all(_is_int(x) for x in seq):
+    if not isinstance(seq, list) or not all(is_int(x) for x in seq):
         raise SchemaError('"self_intersections" must be a list of integers')
     return LooijengaPair(tuple(seq))
 
@@ -103,7 +98,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
                 raise SchemaError(f'edge entry needs "{key}"')
         direction = item["direction"]
         if (not isinstance(direction, list) or len(direction) != 2
-                or not all(_is_int(x) for x in direction)):
+                or not all(is_int(x) for x in direction)):
             raise SchemaError("edge direction must be an integer pair")
         tail, head = item["tail"], item["head"]
         if not isinstance(tail, str) or not isinstance(head, str):

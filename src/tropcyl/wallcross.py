@@ -5,19 +5,20 @@ The shear substitution x -> x(1+y), y -> y acts on monomials by
 x^a y^b -> x^a y^b (1+y)^a: a polynomial for a >= 0; truncation in y
 applies only to the binomial series of a negative a.  The count of the del
 Pezzo family L(l, m, n) is the coefficient of x^l y^{m+n} in the exact
-polynomial image of x^l y^m, which is the binomial coefficient C(l, n); an
-independent subset-enumeration oracle and an orientation-reversed reading
-are provided for cross-checks.
+polynomial image of x^l y^m, the binomial coefficient C(l, n); so is the
+reversed reading off the inverse image of x^{-l} y^{-(m+n)}.  Reports check
+counts against `math.comb`, which shares no code with the running binomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
-from .errors import InvalidQuery, NotInFamily, UnsupportedBase
+from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
 from .extension import DEL_PEZZO_PAIR
+from .lattice import is_int, is_rational
 from .spines import TropicalTree, direction_at, validate_spine
 
 
@@ -36,24 +37,23 @@ class SparseLaurentSeries:
 
     @classmethod
     def from_dict(cls, d, trunc: int | None = None) -> "SparseLaurentSeries":
-        items = []
-        for (i, j), c in sorted(d.items()):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if trunc is not None and j > trunc:
-                continue
-            items.append(((int(i), int(j)), c))
-        return cls(tuple(items), trunc)
+        if not (isinstance(d, dict) and (trunc is None or is_int(trunc)) and all(
+                isinstance(k, tuple) and len(k) == 2 and all(map(is_int, k))
+                and is_rational(c) for k, c in d.items())):
+            raise InvalidArgument("series needs (int, int): int or Fraction terms and an "
+                                  f"int or None trunc, got {d!r:.60}, {trunc!r}")
+        return cls._of({k: Fraction(c) for k, c in d.items()}, trunc)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1,
                  trunc: int | None = None) -> "SparseLaurentSeries":
-        return cls.from_dict({(i, j): Fraction(coeff)}, trunc)
+        return cls.from_dict({(i, j): coeff}, trunc)
 
     @classmethod
-    def zero(cls) -> "SparseLaurentSeries":
-        return cls((), None)
+    def _of(cls, acc: dict, trunc: int | None) -> "SparseLaurentSeries":
+        """`from_dict` of the arithmetic's own (int, int) -> Fraction dicts."""
+        return cls(tuple(sorted((k, c) for k, c in acc.items()
+                                if c and (trunc is None or k[1] <= trunc))), trunc)
 
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
@@ -84,7 +84,7 @@ def series_add(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentS
     acc = dict(a.terms)
     for k, c in b.terms:
         acc[k] = acc.get(k, Fraction(0)) + c
-    return SparseLaurentSeries.from_dict(acc, _combine_trunc(a.trunc, b.trunc))
+    return SparseLaurentSeries._of(acc, _combine_trunc(a.trunc, b.trunc))
 
 
 def series_mul(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentSeries:
@@ -98,7 +98,7 @@ def series_mul(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentS
                 continue
             k = (i1 + i2, j)
             acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-    return SparseLaurentSeries.from_dict(acc, trunc)
+    return SparseLaurentSeries._of(acc, trunc)
 
 
 def _apply_shear(s: SparseLaurentSeries, power_sign: int,
@@ -122,7 +122,7 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int,
             key = (a, b + k)
             acc[key] = acc.get(key, Fraction(0)) + c * binom
             binom = binom * (e - k) // (k + 1)
-    return SparseLaurentSeries.from_dict(acc, eff)
+    return SparseLaurentSeries._of(acc, eff)
 
 
 def focus_focus_apply(s: SparseLaurentSeries,
@@ -148,7 +148,7 @@ TABLE_M_VALUES = 100
 
 @dataclass(frozen=True)
 class CountQuery:
-    """Parameters of the one-wall family: boundary winding 1 <= l <= L_MAX,
+    """Parameters of the one-wall family, all ints: winding 1 <= l <= L_MAX,
     y-offset m, and bend n.  n outside [0, l] simply yields a zero count.
     The image of x^l y^m is an exact polynomial; the cap bounds its size."""
 
@@ -157,56 +157,38 @@ class CountQuery:
     n: int
 
     def __post_init__(self):
+        if not (is_int(self.l) and is_int(self.m) and is_int(self.n)):
+            raise InvalidQuery(
+                f"count needs int l, m, n, got {self.l!r}, {self.m!r}, {self.n!r}")
         if not 1 <= self.l <= L_MAX:
             raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {self.l}")
-
-
-def _raw_count(l: int, m: int, n: int) -> int:
-    image = focus_focus_apply(SparseLaurentSeries.monomial(l, m))
-    c = image.coefficient(l, m + n)
-    assert c.denominator == 1
-    return int(c)
 
 
 def count(q: CountQuery) -> int:
     """Cylinder count of the family: the coefficient of x^l y^{m+n} in the
     focus-focus image of x^l y^m.  Equals C(l, n) for 0 <= n <= l, else 0."""
-    return _raw_count(q.l, q.m, q.n)
+    image = focus_focus_apply(SparseLaurentSeries.monomial(q.l, q.m))
+    c = image.coefficient(q.l, q.m + q.n)
+    assert c.denominator == 1
+    return int(c)
 
 
-def binomial_oracle(l: int, n: int) -> int:
-    """C(l, n) by explicit enumeration of size-n subsets of {1, ..., l}.
-
-    Independent of the series engine; enumeration is capped at ORACLE_L_MAX.
-    """
-    if l < 0:
-        raise InvalidQuery(f"oracle needs l >= 0, got {l}")
-    if l > ORACLE_L_MAX:
-        raise InvalidQuery(
-            f"oracle enumerates subsets only up to l = {ORACLE_L_MAX}, got {l}")
-    if n < 0 or n > l:
-        return 0
-    return sum(1 for _ in combinations(range(1, l + 1), n))
+def backward_count(q: CountQuery) -> Fraction:
+    """The reversed reading of the count: the coefficient of x^{-l} y^{-m}
+    in the inverse substitution applied to x^{-l} y^{-(m+n)}."""
+    image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
+    return image.coefficient(-q.l, -q.m)
 
 
 def symmetry_check(q: CountQuery) -> bool:
-    """Orientation symmetry of the count at engine level.
-
-    Compares the forward count with the reversed reading: the coefficient
-    of x^{-l} y^{-m} in the inverse substitution applied to
-    x^{-l} y^{-(m+n)}.  Both equal C(l, n).
-    """
-    forward = _raw_count(q.l, q.m, q.n)
-    mono = SparseLaurentSeries.monomial(-q.l, -(q.m + q.n))
-    image = focus_focus_inverse(mono)
-    backward = image.coefficient(-q.l, -q.m)
-    return forward == backward and backward.denominator == 1
+    """Orientation symmetry of the count: both readings equal C(l, n)."""
+    return count(q) == backward_count(q)
 
 
 def count_table(l_max: int, m_values) -> dict:
     """Count table rows for l = 0..l_max and each of at most TABLE_M_VALUES
-    values of m, each row read off one image and checked against the
-    oracle row of its l (which does not depend on m)."""
+    values of m, each row read off one image and checked against the row
+    of `math.comb(l, n)` (which does not depend on m)."""
     if l_max < 1:
         raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
     if l_max > ORACLE_L_MAX:
@@ -214,8 +196,7 @@ def count_table(l_max: int, m_values) -> dict:
     if not 1 <= len(m_values) <= TABLE_M_VALUES:
         raise InvalidQuery(
             f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
-    expected = [[binomial_oracle(l, n) for n in range(l + 1)]
-                for l in range(l_max + 1)]
+    expected = [[comb(l, n) for n in range(l + 1)] for l in range(l_max + 1)]
     rows = []
     for m in m_values:
         for l in range(0, l_max + 1):

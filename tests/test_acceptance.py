@@ -17,7 +17,6 @@ from tropcyl import (
     IntMatrix2,
     LooijengaPair,
     SparseLaurentSeries,
-    binomial_oracle,
     build_base,
     canonical_image,
     count,
@@ -36,6 +35,7 @@ from tropcyl import (
     verify_toric_criterion,
     virtual_dim,
 )
+from subset_oracle import subset_count
 
 F = Fraction
 
@@ -56,7 +56,7 @@ def test_criterion_1_binomial_count_reproduction():
         for l in range(1, 13):
             for m in range(-5, 6):
                 for n in range(0, l + 1):
-                    assert count(CountQuery(l, m, n)) == binomial_oracle(l, n), \
+                    assert count(CountQuery(l, m, n)) == subset_count(l, n), \
                         (l, m, n)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"count grid took {elapsed:.2f}s"
@@ -68,7 +68,7 @@ def test_criterion_2_wall_crossing_identity():
             for m in range(-5, 6):
                 image = focus_focus_apply(SparseLaurentSeries.monomial(l, m))
                 expected = SparseLaurentSeries.from_dict({
-                    (l, m + n): binomial_oracle(l, n) for n in range(l + 1)
+                    (l, m + n): subset_count(l, n) for n in range(l + 1)
                 })
                 assert image == expected, (l, m)
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropcyl as tc
+from tropcyl import wallcross
 from tropcyl.cli import run
 from tropcyl.serialize import spine_to_json
+from subset_oracle import subset_count
 
 
 @pytest.fixture
@@ -224,6 +226,51 @@ class TestCount:
         assert code == 1
         assert report["error"] == "InvalidQuery"
         assert "1000" in report["detail"]
+
+
+class TestCountOracle:
+    def test_oracle_is_the_subset_count(self, capsys):
+        for l in range(1, wallcross.ORACLE_L_MAX + 1):
+            for n in range(-1, l + 2):
+                code, report = run_json(
+                    capsys, ["count", f"--l={l}", f"--m={l % 5 - 2}", f"--n={n}"])
+                assert code == 0
+                assert report["oracle"] == subset_count(l, n), (l, n)
+                assert report["match"] is True, (l, n)
+
+    def test_table_rows_are_the_subset_counts(self, capsys):
+        code, report = run_json(capsys, ["table", "--l-max", "20",
+                                         "--m-min=-1", "--m-max=1"])
+        assert code == 0
+        assert report["verified"] is True
+        assert [(r["l"], r["m"], r["counts"]) for r in report["rows"]] == [
+            (l, m, [subset_count(l, n) for n in range(l + 1)])
+            for m in (-1, 0, 1) for l in range(21)]
+
+
+class TestOneShearEachWay:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--l", "5", "--m", "3", "--n", "2"],
+        ["count", "--l", "400", "--m", "-1", "--n", "7"],
+        ["count", "--l", "2", "--m", "0", "--n", "1", "--b", "7/3"],
+        ["symmetry", "--l", "4", "--m", "-1", "--n", "2"],
+    ], ids=["count", "count-no-oracle", "count-b", "symmetry"])
+    def test_each_direction_applied_once(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def spy(name):
+            shear = getattr(wallcross, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return shear(*args, **kwargs)
+            return counted
+
+        for name in ("focus_focus_apply", "focus_focus_inverse"):
+            monkeypatch.setattr(wallcross, name, spy(name))
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert sorted(calls) == ["focus_focus_apply", "focus_focus_inverse"]
 
 
 class TestSymmetryCmd:

@@ -8,6 +8,7 @@ from tropcyl import (
     DegenerateRay,
     ExtensionResult,
     HitOrigin,
+    InvalidArgument,
     LooijengaPair,
     NotExtendable,
     TangentVector,
@@ -22,6 +23,7 @@ from tropcyl import (
     make_tree,
     ray_trace,
     trace_path_image,
+    trace_points,
     tropical_trace,
 )
 
@@ -372,3 +374,22 @@ class TestTrace:
             cyl = cylinder_in_b(del_pezzo, res.extended)
             assert tc.canonical_image(cyl.path_part()) == \
                 trace_path_image(l, m, n, b)
+
+    @pytest.mark.parametrize("call", [
+        lambda: trace_points(2, 0, 1, 1, ["x"]),
+        lambda: trace_points(2, 0, 1, 1, [F(1, 2), 0.5]),
+        lambda: trace_points(2, 0, 1, 1, None),
+        lambda: trace_points(2, 0, 1, 1, "1"),
+        lambda: tropical_trace(2, 0, 1, float("nan"), 0),
+        lambda: tropical_trace(2, 0, 1, 1, "1/2"),
+        lambda: tropical_trace(2.0, 0, 1, 1, 0),
+        lambda: tropical_trace(True, 0, 1, 1, 0),
+        lambda: tropical_trace(2, None, 1, 1, 0),
+        lambda: family_spine(2, 0, 1, float("inf")),
+        lambda: family_spine(2, 0, "1", 1),
+        lambda: trace_path_image(2, 0, 1, True),
+    ], ids=["t-string", "t-float", "ts-none", "ts-string", "b-nan", "t-str",
+            "l-float", "l-bool", "m-none", "b-inf", "n-str", "b-bool"])
+    def test_non_exact_arguments_rejected(self, call):
+        with pytest.raises(InvalidArgument):
+            call()

@@ -49,6 +49,17 @@ class TestPair:
         with pytest.raises(InvalidPair):
             LooijengaPair((5,))
 
+    def test_list_accepted(self):
+        assert LooijengaPair([0, -1, 0, 0]).self_intersections == (0, -1, 0, 0)
+
+    @pytest.mark.parametrize("entries", [
+        (1.5, 0, 0), (True, 0, 0), ("0", 0, 0), (0, None, 0), "000", None, 3,
+        iter((0, 0, 0))])
+    def test_non_int_entries_rejected(self, entries):
+        # used to floor 1.5 to 1, accept True as 1, or raise a bare TypeError
+        with pytest.raises(InvalidArgument):
+            LooijengaPair(entries)
+
 
 class TestPoints:
     def test_wall_point_canonical_cone(self, del_pezzo):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 import tropcyl as tc
 from tropcyl import (
     CountQuery,
+    InvalidArgument,
     InvalidQuery,
     NotInFamily,
     SparseLaurentSeries,
     UnsupportedBase,
-    binomial_oracle,
+    backward_count,
     count,
     count_spine,
     focus_focus_apply,
@@ -21,6 +22,7 @@ from tropcyl import (
     symmetry_check,
     virtual_dim,
 )
+from subset_oracle import subset_count
 
 F = Fraction
 S = SparseLaurentSeries
@@ -135,6 +137,37 @@ class TestFocusFocus:
         assert S.from_dict(lhs.as_dict(), safe) == S.from_dict(rhs.as_dict(), safe)
 
 
+class TestSeriesInput:
+    def test_int_and_fraction_coefficients(self):
+        s = S.from_dict({(1, 0): 2, (0, -1): F(1, 2), (3, 3): 0})
+        assert s.terms == (((0, -1), F(1, 2)), ((1, 0), F(2)))
+        assert all(type(c) is F for _, c in s.terms)
+        assert S.monomial(2, -1, 3, trunc=4) == S.from_dict({(2, -1): 3}, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: S.from_dict({(0.5, 1): 1}),
+        lambda: S.monomial(1.5, 0),
+        lambda: S.from_dict({("0", 1): 1}),
+        lambda: S.from_dict({(True, 1): 1}),
+        lambda: S.from_dict({(0, 1, 2): 1}),
+        lambda: S.from_dict({0: 1}),
+        lambda: S.from_dict({(0, 1): float("nan")}),
+        lambda: S.from_dict({(0, 1): 0.5}),
+        lambda: S.from_dict({(0, 1): "1"}),
+        lambda: S.monomial(0, 0, None),
+        lambda: S.monomial(0, 0, True),
+        lambda: S.from_dict({(0, 1): 1}, trunc=2.0),
+        lambda: S.monomial(0, 0, trunc="3"),
+        lambda: S.from_dict([((0, 1), 1)]),
+    ], ids=["exp-float", "monomial-float", "exp-str", "exp-bool", "key-triple",
+            "key-int", "coeff-nan", "coeff-float", "coeff-str", "coeff-none",
+            "coeff-bool", "trunc-float", "trunc-str", "not-a-dict"])
+    def test_non_exact_input_rejected(self, build):
+        # float exponents used to be floored; strings and NaN raised ValueError
+        with pytest.raises(InvalidArgument):
+            build()
+
+
 class TestCounts:
     def test_values(self):
         assert count(CountQuery(1, 0, 0)) == 1
@@ -146,24 +179,36 @@ class TestCounts:
         with pytest.raises(InvalidQuery):
             count(CountQuery(0, 0, 0))
 
-    def test_oracle_values(self):
-        assert binomial_oracle(2, 1) == 2
-        assert binomial_oracle(7, 0) == 1
-        assert binomial_oracle(6, 3) == 20
-        assert binomial_oracle(5, 9) == 0
-        assert binomial_oracle(5, -1) == 0
+    @pytest.mark.parametrize("fields", [
+        (5, 1.5, 2), ("5", 1, 2), (True, 1, 2), (5, 1, None), (5, 1, False),
+        (F(5), 1, 2)])
+    def test_fields_must_be_ints(self, fields):
+        # (5, 1.5, 2) used to count 0; ("5", 1, 2) raised a bare TypeError
+        with pytest.raises(InvalidQuery):
+            CountQuery(*fields)
 
     def test_oracle_caps(self):
+        # the oracle-checked table stops at ORACLE_L_MAX = 20, as before
+        from tropcyl.wallcross import ORACLE_L_MAX, count_table
+        assert ORACLE_L_MAX == 20
+        assert count_table(20, [0])["verified"]
         with pytest.raises(InvalidQuery):
-            binomial_oracle(21, 1)
+            count_table(21, [1])
         with pytest.raises(InvalidQuery):
-            binomial_oracle(-1, 0)
+            count_table(0, [0])
+
+    def test_oracle_values(self):
+        assert subset_count(2, 1) == 2
+        assert subset_count(7, 0) == 1
+        assert subset_count(6, 3) == 20
+        assert subset_count(5, 9) == 0
+        assert subset_count(5, -1) == 0
 
     def test_engine_matches_oracle_sample(self):
         for l in range(1, 9):
             for m in (-3, 0, 2):
                 for n in range(0, l + 1):
-                    assert count(CountQuery(l, m, n)) == binomial_oracle(l, n)
+                    assert count(CountQuery(l, m, n)) == subset_count(l, n)
 
     def test_pascal_recurrence(self):
         for l in range(2, 9):
@@ -187,6 +232,13 @@ class TestSymmetry:
             for m in (-2, 0, 3):
                 for n in range(0, l + 1):
                     assert symmetry_check(CountQuery(l, m, n))
+
+    def test_backward_count_is_the_binomial(self):
+        for l in range(1, 9):
+            for m in (-2, 0, 3):
+                for n in range(-1, l + 2):
+                    assert backward_count(CountQuery(l, m, n)) == \
+                        subset_count(l, n), (l, m, n)
 
 
 class TestCountSpine:
