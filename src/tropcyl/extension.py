@@ -34,12 +34,14 @@ from .lattice import (
     TangentVector,
     TropicalBase,
     build_base,
+    develop,
     is_int,
     is_rational,
     lattice_length_of_point,
     primitive_part,
 )
 from .spines import (
+    CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
     TropicalTree,
@@ -51,6 +53,7 @@ from .spines import (
     make_edge,
     make_tree,
     validate_spine,
+    _point_key,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -348,38 +351,15 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
 # the explicit del Pezzo family and its trace
 
 
-def _developed_point(base: TropicalBase, x: Fraction, y: Fraction) -> BasePoint:
-    """Convert a point of the developed plane picture into cone coordinates.
-
-    The four cones develop onto the wedges spanned by (1,0),(0,1);
-    (0,1),(-1,1); (-1,1),(0,-1); (0,-1),(1,0).
-    """
-    if x >= 0 and y >= 0:
-        cone = 0
-    elif x <= 0:
-        cone = 1 if x + y >= 0 else 2
-    else:
-        cone = 3
-    return base.point(cone, *_dev_to_cone(cone, x, y))
+def _det(p, q):
+    return p[0] * q[1] - p[1] * q[0]
 
 
-_DEV_WEDGES = (
-    ((1, 0), (0, 1)),
-    ((0, 1), (-1, 1)),
-    ((-1, 1), (0, -1)),
-    ((0, -1), (1, 0)),
-)
-
-
-def _dev_to_cone(cone: int, x, y):
-    """Linear coordinates of a developed point/vector in one cone."""
-    if cone == 0:
-        return (x, y)
-    if cone == 1:
-        return (x + y, -x)
-    if cone == 2:
-        return (-x, -x - y)
-    return (-y, x)
+def _del_pezzo_cones():
+    """(cone, w, w') for cones 3, 0, 1, 2 of the four-cone base, with the
+    developed walls w, w' of each cone from `develop`."""
+    walls = develop(DEL_PEZZO_PAIR, -1, 3)
+    return zip((3, 0, 1, 2), walls, walls[1:])
 
 
 @dataclass(frozen=True)
@@ -404,17 +384,20 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     """Point of the explicit del Pezzo family trace at parameter `t`.
 
     In the developed picture the trace is (l*t, b + m*t - n*min(0, t));
-    the result is converted to canonical cone coordinates.  This is a
-    verification oracle hard-wired to the four-cone base.
+    the result is converted to canonical cone coordinates in a cone that
+    holds it.  This is a verification oracle on the developed walls of the
+    four-cone base from `develop`.
     """
     b = _family_height(l, m, n, b)
     if not is_rational(t):
         raise InvalidArgument(f"trace needs a rational t, got {t!r}")
     t = Fraction(t)
-    base = del_pezzo_base()
-    x = l * t
-    y = b + m * t - n * min(Fraction(0), t)
-    return _developed_point(base, x, y)
+    p = (l * t, b + m * t - n * min(Fraction(0), t))
+    # the four developed cones cover the plane
+    for cone, w0, w1 in _del_pezzo_cones():
+        x, y = _det(p, w1), _det(w0, p)
+        if x >= 0 and y >= 0:
+            return del_pezzo_base().point(cone, x, y)
 
 
 def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:
@@ -452,53 +435,35 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
 def trace_path_image(l: int, m: int, n: int, b):
     """Canonical image of the whole trace path, computed by exact clipping.
 
-    Intersects the two developed rays of the trace with each cone wedge
-    directly; independent of the extension engine, so the two can be
-    compared piece by piece.
+    Clips the two developed rays of the trace, from (0, b) in directions
+    (l, m) and (-l, n - m), against each cone between the developed walls
+    of the four-cone base from `develop`.  Independent of the extension
+    engine, so the two can be compared piece by piece.
     """
-    from .spines import CanonicalImage, _point_key
-
     b = _family_height(l, m, n, b)
     base = del_pezzo_base()
-    origin = (Fraction(0), b)
-    rays = (((l, m)), ((-l, n - m)))
     pieces = []
-    for dx, dy in rays:
-        for cone, (g1, g2) in enumerate(_DEV_WEDGES):
-            lo = Fraction(0)
-            hi = None  # None = unbounded
-            empty = False
-            for (gx, gy), sign in (((g1), 1), ((g2), -1)):
-                # sign * det(g, P + s*d) >= 0, oriented so inside is >= 0
-                aa = sign * (gx * (origin[1] + 0) - gy * (origin[0] + 0))
-                bb = sign * (gx * dy - gy * dx)
-                if bb == 0:
-                    if aa < 0:
-                        empty = True
-                        break
-                elif bb > 0:
-                    bound = Fraction(-aa, bb)
-                    if bound > lo:
-                        lo = bound
-                else:
-                    bound = Fraction(-aa, bb)
-                    if hi is None or bound < hi:
-                        hi = bound
-            if empty or (hi is not None and hi <= lo):
+    for cone, w0, w1 in _del_pezzo_cones():
+        # the ray s -> (0, b) + s*d, s >= 0, has cone coordinates p + s*dp
+        p = (_det((0, b), w1), _det(w0, (0, b)))
+        for d in ((l, m), (-l, n - m)):
+            dp = (_det(d, w1), _det(w0, d))
+            if any(dq == 0 and q < 0 for q, dq in zip(p, dp)):
+                continue  # parallel to a wall, on its far side
+            lo, hi = Fraction(0), None  # None = unbounded
+            for q, dq in zip(p, dp):
+                if dq > 0:
+                    lo = max(lo, -q / dq)
+                elif dq < 0:
+                    hi = -q / dq if hi is None else min(hi, -q / dq)
+            if hi is not None and hi <= lo:
                 continue
-            px = origin[0] + lo * dx
-            py = origin[1] + lo * dy
-            start = base.point(cone, *_dev_to_cone(cone, px, py))
+            start = base.point(cone, p[0] + lo * dp[0], p[1] + lo * dp[1])
             if hi is None:
-                du, dv = _dev_to_cone(cone, dx, dy)
-                prim, _ = primitive_part(int(du), int(dv))
+                prim, _ = primitive_part(*dp)
                 pieces.append(("ray", cone, _point_key(start), prim))
             else:
-                qx = origin[0] + hi * dx
-                qy = origin[1] + hi * dy
-                end = base.point(cone, *_dev_to_cone(cone, qx, qy))
-                k1, k2 = _point_key(start), _point_key(end)
-                if k2 < k1:
-                    k1, k2 = k2, k1
-                pieces.append(("seg", cone, k1, k2))
+                end = base.point(cone, p[0] + hi * dp[0], p[1] + hi * dp[1])
+                pieces.append(("seg", cone, *sorted((_point_key(start),
+                                                     _point_key(end)))))
     return CanonicalImage(tuple(sorted(pieces)))

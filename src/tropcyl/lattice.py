@@ -252,11 +252,14 @@ class TropicalBase:
         return TangentVector((wall - 1) % self.l, u, v)
 
 
+def _as_pair(pair) -> LooijengaPair:
+    """`pair` itself, or the pair of a tuple or list (else InvalidArgument)."""
+    return pair if isinstance(pair, LooijengaPair) else LooijengaPair(pair)
+
+
 def build_base(pair: LooijengaPair) -> TropicalBase:
     """Tropical base of `pair`: l cones and l walls, cyclically indexed."""
-    if not isinstance(pair, LooijengaPair):
-        pair = LooijengaPair(tuple(pair))
-    return TropicalBase(pair)
+    return TropicalBase(_as_pair(pair))
 
 
 def wall_chart(base: TropicalBase, wall: int, p):
@@ -311,24 +314,43 @@ def monodromy(base: TropicalBase) -> IntMatrix2:
     return IntMatrix2(a, b, c, d)
 
 
+def develop(pair: LooijengaPair, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Developed rays of walls lo..hi, in the chart of cone 0.
+
+    Wall 0 develops to (1, 0) and wall 1 to (0, 1).  The recurrence
+    v_{k+1} = -v_{k-1} - d_k v_k places the walls past wall 1, and the
+    same recurrence solved for v_{k-1} places those before wall 0.
+    Consecutive rays have determinant 1, so a point or vector P of the
+    plane has coordinates (det(P, w'), det(w, P)) in the cone with walls
+    (w, w').
+    """
+    if lo > hi:
+        raise InvalidArgument(f"develop needs lo <= hi, got {lo} > {hi}")
+    ds = _as_pair(pair).self_intersections
+    l = len(ds)
+    # forward from the frame (v_0, v_1), backward from (v_1, v_0)
+    up, down = [(1, 0), (0, 1)], [(0, 1), (1, 0)]
+    for frame, ks in ((up, range(1, hi)), (down, range(0, lo, -1))):
+        for k in ks:
+            (x0, y0), (x1, y1) = frame[-2], frame[-1]
+            d = ds[k % l]
+            frame.append((-x0 - d * x1, -y0 - d * y1))
+    first = min(lo, 0)
+    return (down[:0:-1] + up[1:])[lo - first:hi - first + 1]
+
+
 def fan_closure(pair: LooijengaPair):
     """Ray vectors (1,0), (0,1), ... of the closed fan, or None.
 
-    Runs the recurrence v_{i+1} = -v_{i-1} - d_i v_i and accepts exactly
-    when the moving frame returns after one cycle, which is equivalent to
-    trivial monodromy.  (Degenerate multi-winding closures are returned
-    too; they never occur for geometrically realizable pairs.)
+    Develops walls 0..l+1 and accepts exactly when the frame of walls l
+    and l+1 is again ((1,0), (0,1)), which is equivalent to trivial
+    monodromy.  (Degenerate multi-winding closures are returned too; they
+    never occur for geometrically realizable pairs.)
     """
-    if not isinstance(pair, LooijengaPair):
-        pair = LooijengaPair(tuple(pair))
-    ds = pair.self_intersections
-    l = len(ds)
-    vs = [(1, 0), (0, 1)]
-    for i in range(1, l + 1):
-        (x0, y0), (x1, y1) = vs[i - 1], vs[i]
-        di = ds[i % l]
-        vs.append((-x0 - di * x1, -y0 - di * y1))
-    if vs[l] == (1, 0) and vs[l + 1] == (0, 1):
+    pair = _as_pair(pair)
+    l = len(pair)
+    vs = develop(pair, 0, l + 1)
+    if vs[l:] == [(1, 0), (0, 1)]:
         return vs[:l]
     return None
 
@@ -355,8 +377,7 @@ def winding_number(vectors) -> int:
 
 def intersection_matrix(pair: LooijengaPair):
     """Symmetric l x l matrix: d_i on the diagonal, 1 for cyclic neighbours."""
-    if not isinstance(pair, LooijengaPair):
-        pair = LooijengaPair(tuple(pair))
+    pair = _as_pair(pair)
     l = len(pair)
     m = [[0] * l for _ in range(l)]
     for i in range(l):
@@ -380,9 +401,7 @@ def is_positive(pair: LooijengaPair) -> bool:
     each cyclic neighbour.  M is cyclic tridiagonal, so fill-in stays in
     the last row and column, and the elimination takes O(l) steps.
     """
-    if not isinstance(pair, LooijengaPair):
-        pair = LooijengaPair(tuple(pair))
-    ds = pair.self_intersections
+    ds = _as_pair(pair).self_intersections
     if any(d > 0 for d in ds):
         return True
     l = len(ds)
@@ -471,7 +490,7 @@ def verify_toric_criterion(l: int, lo: int, hi: int):
     A depth-first walk over d_1, ..., d_{l-1} carries two separate
     quantities down each shared prefix: the product of the wall crossings
     so far, as in `monodromy`, and the frame (v_{k-1}, v_k) of the
-    recurrence in `fan_closure`.  Both cross wall 0 last, so each leaf of
+    recurrence in `develop`.  Both cross wall 0 last, so each leaf of
     the walk finishes every choice of d_0.
     """
     if l < 3:

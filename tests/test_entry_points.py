@@ -65,6 +65,10 @@ ENTRY_POINTS = {
     "monomial": (lambda *args: _series(S.monomial, *args),
                  st.tuples(INT, INT, RATIONAL, st.none() | INT)),
     "LooijengaPair": (_pair, st.tuples(SEQUENCE)),
+    "build_base": (tc.build_base, st.tuples(SEQUENCE)),
+    "fan_closure": (tc.fan_closure, st.tuples(SEQUENCE)),
+    "intersection_matrix": (tc.intersection_matrix, st.tuples(SEQUENCE)),
+    "is_positive": (tc.is_positive, st.tuples(SEQUENCE)),
     "tropical_trace": (tc.tropical_trace,
                        st.tuples(INT, INT, INT, RATIONAL, RATIONAL)),
     "trace_points": (_trace, st.tuples(

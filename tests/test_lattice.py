@@ -29,6 +29,7 @@ from tropcyl import (
     wedge_lattice_length,
     winding_number,
 )
+from tropcyl.lattice import develop
 
 
 class TestPair:
@@ -277,6 +278,42 @@ class TestFanClosure:
             closed = fan_closure(ds) is not None
             trivial = monodromy(build_base(LooijengaPair(ds))).is_identity
             assert closed == trivial, ds
+
+
+class TestDevelop:
+    def test_del_pezzo_walls(self):
+        # the wedges of the four-cone base, cones 3, 0, 1, 2
+        assert develop((0, -1, 0, 0), -1, 3) == [
+            (0, -1), (1, 0), (0, 1), (-1, 1), (0, -1)]
+
+    def test_toric_walls_repeat(self):
+        # trivial monodromy: the walls repeat with period l both ways
+        assert develop((1, 1, 1), -3, 4) == [
+            (1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1), (1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_frame_and_recurrence_on_grid(self, l):
+        # walls -l-1..l+1: 2l+2 consecutive pairs, 2l+1 inner walls k = -l..l
+        ones, zeros = [1] * (2 * l + 2), [(0, 0)] * (2 * l + 1)
+        for ds in product(range(-3, 2), repeat=l):
+            walls = develop(ds, -l - 1, l + 1)
+            assert walls[l + 1:l + 3] == [(1, 0), (0, 1)], ds
+            assert [x0 * y1 - y0 * x1 for (x0, y0), (x1, y1)
+                    in zip(walls, walls[1:])] == ones, ds
+            # v_{k-1} + d_k v_k + v_{k+1} = 0 on both sides of walls 0, 1;
+            # d_k = ds[k % l] is (ds * 3)[k + l]
+            assert [(x0 + d * x1 + x2, y0 + d * y1 + y2)
+                    for d, (x0, y0), (x1, y1), (x2, y2)
+                    in zip(ds * 3, walls, walls[1:], walls[2:])] == zeros, ds
+
+    def test_sub_windows_agree(self):
+        ds = (-2, -1, -3, -4, -4)
+        walls = develop(ds, -9, 9)
+        for lo in range(-9, 10):
+            for hi in range(lo, 10):
+                assert develop(ds, lo, hi) == walls[lo + 9:hi + 10]
+        with pytest.raises(InvalidArgument):
+            develop(ds, 1, -1)
 
 
 def _oracle_monodromy(ds):
