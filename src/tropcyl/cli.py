@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import comb
 
 from .errors import InvalidQuery, TropcylError
@@ -178,7 +179,9 @@ def cmd_table(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `run`."""
     parser = argparse.ArgumentParser(
         prog="tropcyl",
         description="Tropical bases, spines, extensions and wall-crossing counts.")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import count
 
 from .errors import (
@@ -216,7 +217,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
     step budget runs out (non-positive pairs can spiral forever), and
     InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP: a spiral's time
     and memory grow with its steps.  Each end keeps its id, position and
-    outgoing ray; the tree is built once.
+    outgoing ray; the tree and the curve class are built once.
     """
     if not 1 <= max_steps <= MAX_STEPS_CAP:
         raise InvalidQuery(
@@ -231,7 +232,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
     boundary = list(spine.boundary)
     vertices = list(spine.vertices)
     edges = list(spine.edges)
-    total = CurveClass.zero()
+    total: dict[int, int] = {}
     steps = 0
     side = 0
     while any(ends):
@@ -243,10 +244,12 @@ def extend(base: TropicalBase, spine: TropicalTree,
             vertices.append(vertex)
             edges.append(edge)
             boundary[side] = vertex.id
-            total = total + increment
+            for wall, mu in increment.coeffs:
+                total[wall] = total.get(wall, 0) + mu
             steps += 1
         side = 1 - side
-    return ExtensionResult(make_tree(vertices, edges, boundary), total, steps)
+    return ExtensionResult(make_tree(vertices, edges, boundary),
+                           CurveClass.of(total), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +358,12 @@ def _det(p, q):
     return p[0] * q[1] - p[1] * q[0]
 
 
+@cache
 def _del_pezzo_cones():
     """(cone, w, w') for cones 3, 0, 1, 2 of the four-cone base, with the
-    developed walls w, w' of each cone from `develop`."""
+    developed walls w, w' of each cone from `develop`; computed once."""
     walls = develop(DEL_PEZZO_PAIR, -1, 3)
-    return zip((3, 0, 1, 2), walls, walls[1:])
+    return tuple(zip((3, 0, 1, 2), walls, walls[1:]))
 
 
 @dataclass(frozen=True)

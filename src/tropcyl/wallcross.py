@@ -3,7 +3,9 @@ wall-crossing count engine.
 
 The shear substitution x -> x(1+y), y -> y acts on monomials by
 x^a y^b -> x^a y^b (1+y)^a: a polynomial for a >= 0; truncation in y
-applies only to the binomial series of a negative a.  The count of the del
+applies only to the binomial series of a negative a.  The image is summed
+in integer numerators over the lcm of the input's denominators, and each
+coefficient becomes a `Fraction` once, at the end.  The count of the del
 Pezzo family L(l, m, n) is the coefficient of x^l y^{m+n} in the exact
 polynomial image of x^l y^m, the binomial coefficient C(l, n); so is the
 reversed reading off the inverse image of x^{-l} y^{-(m+n)}.  Reports check
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
 from .extension import DEL_PEZZO_PAIR
@@ -103,9 +105,14 @@ def series_mul(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentS
 
 def _apply_shear(s: SparseLaurentSeries, power_sign: int,
                  trunc: int | None) -> SparseLaurentSeries:
-    """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial."""
+    """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
+
+    With D the lcm of the coefficients' denominators, the integer
+    numerators c*D*C(e, k) are summed in plain ints and each output
+    coefficient becomes a `Fraction` once, at the end."""
     eff = _combine_trunc(s.trunc, trunc)
-    acc: dict[tuple[int, int], Fraction] = {}
+    den = lcm(*(c.denominator for _, c in s.terms))
+    acc: dict[tuple[int, int], int] = {}
     for (a, b), c in s.terms:
         e = power_sign * a
         if e >= 0:
@@ -117,12 +124,15 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int,
                 raise InvalidQuery(
                     "negative substitution powers need a finite truncation")
             kmax = eff - b
-        binom = 1  # C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly, any e
+        # v = c*D*C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly, any e
+        v = c.numerator * (den // c.denominator)
         for k in range(0, kmax + 1):
             key = (a, b + k)
-            acc[key] = acc.get(key, Fraction(0)) + c * binom
-            binom = binom * (e - k) // (k + 1)
-    return SparseLaurentSeries._of(acc, eff)
+            acc[key] = acc.get(key, 0) + v
+            v = v * (e - k) // (k + 1)
+    if den == 1:
+        return SparseLaurentSeries._of({k: Fraction(v) for k, v in acc.items()}, eff)
+    return SparseLaurentSeries._of({k: Fraction(v, den) for k, v in acc.items()}, eff)
 
 
 def focus_focus_apply(s: SparseLaurentSeries,

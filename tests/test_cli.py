@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import wallcross
-from tropcyl.cli import run
+from tropcyl.cli import _build_parser, run
 from tropcyl.serialize import spine_to_json
 from subset_oracle import subset_count
 
@@ -394,14 +394,35 @@ GOLDEN = [
 ]
 
 
+def _check_golden(capsys, name, code, argv):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == code, name
+    expected = (DATA / "golden" / f"{name}.out").read_text()
+    assert capsys.readouterr().out == expected, name
+
+
 class TestGolden:
     @pytest.mark.parametrize("name, code, argv", GOLDEN,
                              ids=[case[0] for case in GOLDEN])
     def test_report_is_byte_identical(self, capsys, name, code, argv):
-        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-        assert run(argv) == code
-        expected = (DATA / "golden" / f"{name}.out").read_text()
-        assert capsys.readouterr().out == expected
+        _check_golden(capsys, name, code, argv)
+
+
+class TestCachedParser:
+    """`run` parses with one parser built on first use; no call may leave
+    state in it that changes a later call."""
+
+    def test_no_state_between_calls(self, capsys):
+        assert _build_parser() is _build_parser()
+        assert run(["count", "--l", "x", "--m", "0", "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value" in captured.err
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: tropcyl")
+        assert run(["count", "--l", "0", "--m", "0", "--n", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidQuery"
+        for case in [*GOLDEN, *reversed(GOLDEN)]:
+            _check_golden(capsys, *case)
 
 
 # Integers and strings that mean something somewhere in a pair or spine

@@ -240,6 +240,38 @@ class TestExtendMatchesSteps:
             assert res.steps == k + 2
             assert res == _extend_by_steps(base, spine), k
 
+    def test_curve_class_is_sum_of_increments(self, del_pezzo):
+        # extend sums the increments in one dict, _extend_by_steps one
+        # CurveClass at a time: the criterion-5 spines (b = 1 is not in the
+        # family grid) and one-turn spines longer than those above
+        for l in range(1, 5):
+            for n in range(0, l + 1):
+                for m in range(-2, 3):
+                    for b in (F(1), F(3, 2)):
+                        spine = family_spine(l, m, n, b)
+                        assert extend(del_pezzo, spine).curve_class == \
+                            _extend_by_steps(del_pezzo, spine).curve_class
+        for k in (24, 40):
+            base = build_base(LooijengaPair((-2,) * (k - 1) + (-1,)))
+            spine = make_tree(
+                [Vertex("a", base.point(0, 2, 1)), Vertex("b", base.point(0, 1, 1))],
+                [make_edge("a", "b", 0, (-1, 0), 1)],
+                ("a", "b"),
+            )
+            got = extend(base, spine).curve_class
+            assert got == _extend_by_steps(base, spine).curve_class, k
+            assert set(got.as_dict()) == set(range(k)), k  # every wall crossed
+        # wall 2 is crossed twice, once from each end
+        base = build_base(LooijengaPair((-3, -3, 0)))
+        spine = make_tree(
+            [Vertex("a", base.point(0, 2, 1)), Vertex("b", base.point(0, F(7, 4), F(5, 4)))],
+            [make_edge("a", "b", 0, (-1, 1), F(1, 4))],
+            ("a", "b"),
+        )
+        got = extend(base, spine).curve_class
+        assert got == _extend_by_steps(base, spine).curve_class
+        assert got == CurveClass.of({0: 1, 1: 1, 2: 4})
+
 
 class TestCylinder:
     def test_leg_data(self, del_pezzo):

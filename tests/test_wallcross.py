@@ -22,6 +22,7 @@ from tropcyl import (
     symmetry_check,
     virtual_dim,
 )
+from shear_oracle import fraction_shear
 from subset_oracle import subset_count
 
 F = Fraction
@@ -135,6 +136,65 @@ class TestFocusFocus:
         lhs = focus_focus_apply(series_mul(f, g), trunc)
         rhs = series_mul(focus_focus_apply(f, trunc), focus_focus_apply(g, trunc))
         assert S.from_dict(lhs.as_dict(), safe) == S.from_dict(rhs.as_dict(), safe)
+
+
+def _shear_both_ways(s, sign, trunc):
+    """The engine's image of `s` and the `Fraction` reference's, or the
+    exception type each raised; every engine coefficient is a `Fraction`."""
+    shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+    out = []
+    for f in (lambda: shear(s, trunc), lambda: fraction_shear(s, sign, trunc)):
+        try:
+            out.append(f())
+        except InvalidQuery:
+            out.append(InvalidQuery)
+    if out[0] is not InvalidQuery:
+        assert all(type(c) is F for _, c in out[0].terms)
+    return out
+
+
+class TestIntegerShear:
+    """The shear sums integer numerators over the lcm of the denominators;
+    the reference sums `Fraction`s term by term."""
+
+    def test_monomial_grid_matches_fraction_reference(self):
+        for a in range(-6, 7):
+            for b in range(-3, 4):
+                for q in range(1, 7):
+                    for coeff_sign in (1, -1):
+                        # numerator 2q - 1 is prime to q, and not 1 once q > 1
+                        s = S.monomial(a, b, F(coeff_sign * (2 * q - 1), q))
+                        for trunc in (None, *range(9)):
+                            for sign in (1, -1):
+                                got, want = _shear_both_ways(s, sign, trunc)
+                                assert got == want, (a, b, q, coeff_sign, trunc, sign)
+
+    def test_two_denominators_share_outputs(self):
+        # the two images overlap in y-degrees, so coefficients over
+        # different denominators meet, and some cancel to zero
+        for a in range(-3, 4):
+            for q1 in range(1, 7):
+                for q2 in range(1, 7):
+                    s = S.from_dict({(a, 0): F(1, q1), (a, 1): F(-1, q2)})
+                    for trunc in (None, 4):
+                        for sign in (1, -1):
+                            got, want = _shear_both_ways(s, sign, trunc)
+                            assert got == want, (a, q1, q2, trunc, sign)
+
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(-12, 12), st.integers(-6, 6)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=30),
+            max_size=6),
+        own_trunc=st.none() | st.integers(-4, 14),
+        trunc=st.none() | st.integers(-4, 14),
+        sign=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, terms, own_trunc, trunc, sign):
+        s = S.from_dict(terms, own_trunc)
+        got, want = _shear_both_ways(s, sign, trunc)
+        assert got == want
 
 
 class TestSeriesInput:
