@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
+from math import gcd
 
 from .errors import (
     DegenerateRay,
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .lattice import (
     ORIGIN,
+    ZERO,
     BasePoint,
     CurveClass,
     LooijengaPair,
@@ -94,12 +96,17 @@ def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> Ra
     parameter length), an unbounded verdict if the ray stays inside the
     open cone, or an origin verdict if it runs exactly into the origin.
     A wall start is first carried to the side the ray actually enters.
+
+    The wall parameters ta = a/-u and tb = b/-v are compared by their
+    cross-multiplied integer numerators, and the length and the hit
+    coordinate are each built as one `Fraction`.
     """
     if start.is_origin:
         raise DegenerateRay("ray starts at the origin")
     if dirvec.is_zero:
         raise DegenerateRay("ray direction is zero")
-    cone = dirvec.cone % base.l
+    l = base.l
+    cone = dirvec.cone % l
     coords = base.coords_in_cone(start, cone)
     if coords is None:
         raise WrongHomeCone(
@@ -110,33 +117,42 @@ def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> Ra
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")
     if a == 0 and u == 0:
-        raise DegenerateRay(f"direction runs along wall {(cone + 1) % base.l}")
+        raise DegenerateRay(f"direction runs along wall {(cone + 1) % l}")
 
     if b == 0 and v < 0:
         # start on the cone's first wall, pointing across it
         vec = base.transport(TangentVector(cone, u, v), cone, forward=False)
         cone, u, v = vec.cone, vec.u, vec.v
-        a, b = Fraction(0), a
+        a, b = ZERO, a
     elif a == 0 and u < 0:
         # start on the cone's second wall, pointing across it
-        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % base.l,
+        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % l,
                              forward=True)
         cone, u, v = vec.cone, vec.u, vec.v
-        a, b = b, Fraction(0)
+        a, b = b, ZERO
 
-    ta = a / -u if u < 0 else None
-    tb = b / -v if v < 0 else None
-    if ta is None and tb is None:
+    if u >= 0 and v >= 0:
         return RayHit("unbounded", cone, (u, v), (a, b))
-    if ta is not None and tb is not None and ta == tb:
-        return RayHit("origin", cone, (u, v), (a, b))
-    if tb is None or (ta is not None and ta < tb):
-        hit = base.point(cone, Fraction(0), b + ta * v)
-        return RayHit("wall", cone, (u, v), (a, b),
-                      wall=(cone + 1) % base.l, point=hit, length=ta)
-    hit = base.point(cone, a + tb * u, Fraction(0))
-    return RayHit("wall", cone, (u, v), (a, b),
-                  wall=cone, point=hit, length=tb)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    if u < 0 and v < 0:
+        # ta - tb, scaled by the positive ad*(-u) * bd*(-v)
+        cross = bn * ad * u - an * bd * v
+        if cross == 0:
+            return RayHit("origin", cone, (u, v), (a, b))
+        ta_first = cross < 0
+    else:
+        ta_first = u < 0
+    if ta_first:
+        # out through the second wall, at b + ta*v
+        den = ad * -u
+        hit = base.point(cone, ZERO, Fraction(bn * den + an * v * bd, bd * den))
+        return RayHit("wall", cone, (u, v), (a, b), wall=(cone + 1) % l,
+                      point=hit, length=Fraction(an, den))
+    # out through the first wall, at a + tb*u
+    den = bd * -v
+    hit = base.point(cone, Fraction(an * den + bn * u * ad, ad * den), ZERO)
+    return RayHit("wall", cone, (u, v), (a, b), wall=cone,
+                  point=hit, length=Fraction(bn, den))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +188,9 @@ def _end_state(tree: TropicalTree, end: str):
 def _cast(base: TropicalBase, end, fresh: str):
     """One extension move from `end` = (id, position, outgoing ray).
 
-    Returns (new vertex `fresh`, new edge, curve class increment, the new
-    end, or None once the end runs off to infinity).
+    Returns (new vertex `fresh`, new edge, the crossing (wall, multiple)
+    or None, the new end or None); both are None once the end runs off to
+    infinity.
     """
     vid, position, ray = end
     hit = ray_trace(base, position, ray)
@@ -182,10 +199,10 @@ def _cast(base: TropicalBase, end, fresh: str):
     vertex = Vertex(fresh, hit.point)
     edge = make_edge(vid, fresh, hit.cone, hit.direction, hit.length)
     if hit.kind == "unbounded":
-        return vertex, edge, CurveClass.zero(), None
+        return vertex, edge, None, None
     # multiple of the wall ray picked up by the transversal crossing
     mu = abs(hit.direction[1] if hit.wall == hit.cone else hit.direction[0])
-    return (vertex, edge, CurveClass.of({hit.wall: mu}),
+    return (vertex, edge, (hit.wall, mu),
             (fresh, hit.point, TangentVector(hit.cone, *hit.direction)))
 
 
@@ -197,11 +214,11 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     end was closed off with an unbounded edge.  The old boundary vertex
     becomes 2-valent and exactly balanced either way.
     """
-    vertex, edge, increment, new_end = _cast(
+    vertex, edge, crossing, new_end = _cast(
         base, _end_state(tree, end), next(_unused_ids(tree, "x")))
     boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
     new_tree = make_tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
-    return new_tree, increment, new_end is None
+    return new_tree, CurveClass.of([crossing] if crossing else ()), new_end is None
 
 
 MAX_STEPS = 10_000
@@ -239,12 +256,13 @@ def extend(base: TropicalBase, spine: TropicalTree,
         if ends[side] is not None:
             if steps >= max_steps:
                 raise NotExtendable(steps)
-            vertex, edge, increment, ends[side] = _cast(base, ends[side],
-                                                        next(fresh))
+            vertex, edge, crossing, ends[side] = _cast(base, ends[side],
+                                                       next(fresh))
             vertices.append(vertex)
             edges.append(edge)
             boundary[side] = vertex.id
-            for wall, mu in increment.coeffs:
+            if crossing is not None:
+                wall, mu = crossing
                 total[wall] = total.get(wall, 0) + mu
             steps += 1
         side = 1 - side
@@ -322,7 +340,7 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
     heights: dict[str, Fraction] = {}
     slopes: dict[tuple[str, str], int] = {}
 
-    coord = Fraction(0)
+    coord = ZERO
     heights[order[1]] = coord
     for i in range(len(order) - 1):
         x, y = order[i], order[i + 1]
@@ -396,12 +414,17 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     if not is_rational(t):
         raise InvalidArgument(f"trace needs a rational t, got {t!r}")
     t = Fraction(t)
-    p = (l * t, b + m * t - n * min(Fraction(0), t))
+    # the point is P/den for the integer vector P and den = lcm of the
+    # denominators of b and t, so the cone search compares integers
+    bn, bd, tn, td = b.numerator, b.denominator, t.numerator, t.denominator
+    den = bd * td // gcd(bd, td)
+    tn *= den // td
+    p = (l * tn, bn * (den // bd) + (m - n if tn < 0 else m) * tn)
     # the four developed cones cover the plane
     for cone, w0, w1 in _del_pezzo_cones():
         x, y = _det(p, w1), _det(w0, p)
         if x >= 0 and y >= 0:
-            return del_pezzo_base().point(cone, x, y)
+            return del_pezzo_base().point(cone, Fraction(x, den), Fraction(y, den))
 
 
 def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:
@@ -454,7 +477,7 @@ def trace_path_image(l: int, m: int, n: int, b):
             dp = (_det(d, w1), _det(w0, d))
             if any(dq == 0 and q < 0 for q, dq in zip(p, dp)):
                 continue  # parallel to a wall, on its far side
-            lo, hi = Fraction(0), None  # None = unbounded
+            lo, hi = ZERO, None  # None = unbounded
             for q, dq in zip(p, dp):
                 if dq > 0:
                     lo = max(lo, -q / dq)

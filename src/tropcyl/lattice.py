@@ -10,7 +10,7 @@ points.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -23,7 +23,9 @@ from .errors import (
     ZeroVector,
 )
 
-Frac = Fraction
+# The one zero of every default and wall coordinate; a Fraction is
+# immutable, so sharing it is safe.
+ZERO = Fraction(0)
 
 
 def is_int(x) -> bool:
@@ -68,8 +70,8 @@ class BasePoint:
     """
 
     cone: int | None
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    a: Fraction = ZERO
+    b: Fraction = ZERO
 
     @property
     def is_origin(self) -> bool:
@@ -182,20 +184,33 @@ class CurveClass:
 
 @dataclass(frozen=True)
 class TropicalBase:
-    """The fan of cones attached to a pair, with its wall-crossing rules."""
+    """The fan of cones attached to a pair, with its wall-crossing rules.
+
+    `l`, the number of cones, is read once from the pair; it takes no part
+    in equality, hashing or repr.
+    """
 
     pair: LooijengaPair
+    l: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def l(self) -> int:
-        return len(self.pair)
+    def __post_init__(self):
+        object.__setattr__(self, "l", len(self.pair))
 
     # -- points ----------------------------------------------------------
 
     def point(self, cone: int, a, b) -> BasePoint:
-        """Canonical point of cone `cone` with coordinates (a, b) >= 0."""
-        a = Fraction(a)
-        b = Fraction(b)
+        """Canonical point of cone `cone` with coordinates (a, b) >= 0.
+
+        Raises InvalidArgument unless `cone` is an int (see `is_int`) and
+        `a`, `b` are exact rationals (see `is_rational`).
+        """
+        if type(cone) is not int and not is_int(cone):
+            raise InvalidArgument(f"point needs an int cone, got {cone!r:.60}")
+        if type(a) is not Fraction or type(b) is not Fraction:
+            if not (is_rational(a) and is_rational(b)):
+                raise InvalidArgument(
+                    f"point needs rational coordinates, got ({a!r:.60}, {b!r:.60})")
+            a, b = Fraction(a), Fraction(b)
         if a < 0 or b < 0:
             raise InvalidArgument(f"cone coordinates must be nonnegative, got ({a}, {b})")
         cone %= self.l
@@ -205,19 +220,19 @@ class TropicalBase:
             return BasePoint(cone, a, b)
         if a == 0:
             # lies on wall cone+1; store it there
-            return BasePoint((cone + 1) % self.l, b, Fraction(0))
+            return BasePoint((cone + 1) % self.l, b, ZERO)
         return BasePoint(cone, a, b)
 
     def coords_in_cone(self, p: BasePoint, cone: int):
         """Coordinates of `p` in the closed cone `cone`, or None."""
         cone %= self.l
         if p.is_origin:
-            return (Fraction(0), Fraction(0))
+            return (ZERO, ZERO)
         if p.cone == cone:
             return (p.a, p.b)
         if p.b == 0 and (p.cone - 1) % self.l == cone:
             # wall point seen from the lower-indexed neighbour
-            return (Fraction(0), p.a)
+            return (ZERO, p.a)
         return None
 
     # -- transports ------------------------------------------------------

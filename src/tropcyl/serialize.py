@@ -18,7 +18,8 @@ class SchemaError(ValueError):
 
 
 def frac_to_str(x) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -28,9 +29,23 @@ def _int_field(x, what: str) -> int:
     return x
 
 
+_NONZERO_DIGITS = frozenset("123456789")
+
+
 def parse_frac(s) -> Fraction:
+    """The rational of a string or int; SchemaError for anything else.
+
+    A canonical "p/q" (ASCII digits, at most one leading "-", q without a
+    leading zero) is read with `int`; every other string goes to
+    `Fraction`, which settles what is accepted.
+    """
     if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if (slash and digits.isascii() and digits.isdigit()
+                    and den[:1] in _NONZERO_DIGITS and den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den))
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {s!r}") from exc

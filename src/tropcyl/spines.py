@@ -21,6 +21,7 @@ from .errors import (
 )
 from .lattice import (
     ORIGIN,
+    ZERO,
     BasePoint,
     TangentVector,
     TropicalBase,
@@ -67,7 +68,8 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     """
     u, v = int(direction[0]), int(direction[1])
     if length is not None:
-        length = Fraction(length)
+        if type(length) is not Fraction:
+            length = Fraction(length)
         if head < tail:
             tail, head = head, tail
             u, v = -u, -v
@@ -192,6 +194,20 @@ class CylinderInBTilde:
 # structural checks
 
 
+def _ends_match(tc, hc, length, direction) -> bool:
+    """Whether hc == tc + length * direction, coordinate by coordinate.
+
+    With length p/q, t = tn/td and h = hn/hd this is
+    q*(hn*td - tn*hd) == p*d*hd*td, all in integers.
+    """
+    p, q = length.numerator, length.denominator
+    for t, h, d in zip(tc, hc, direction):
+        tn, td, hn, hd = t.numerator, t.denominator, h.numerator, h.denominator
+        if q * (hn * td - tn * hd) != p * d * hd * td:
+            return False
+    return True
+
+
 def check_structure(base: TropicalBase, tree: TropicalTree,
                     allow_unbounded: bool = True) -> None:
     """Raise StructuralError unless `tree` is a consistent mapped tree.
@@ -249,8 +265,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             if hc is None:
                 raise StructuralError(
                     f"vertex {e.head!r} lies outside cone {e.cone} of its edge")
-            du, dv = e.direction
-            if (tc[0] + e.length * du, tc[1] + e.length * dv) != hc:
+            if not _ends_match(tc, hc, e.length, e.direction):
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) endpoints do not match "
                     f"its direction and length")
@@ -338,16 +353,26 @@ class Violation:
 
 
 def _is_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
-    """Whether +-vec points along the ray from the origin through `pos`."""
+    """Whether +-vec points along the ray from the origin through `pos`.
+
+    With cone coordinates (an/ad, bn/bd) of `pos`, this is
+    u*bn*ad == v*an*bd, all in integers.
+    """
     pa, pb = base.coords_in_cone(pos, vec.cone)
-    return vec.u * pb == vec.v * pa
+    an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
+    return vec.u * bn * ad == vec.v * an * bd
 
 
 def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
     """Whether `vec` is a positive multiple of the ray from the origin
-    through `pos`; `vec` lives in the canonical cone of `pos`."""
+    through `pos`; `vec` lives in the canonical cone of `pos`.
+
+    Both tests are scaled by the positive ad*bd of the cone coordinates
+    (an/ad, bn/bd) of `pos`, so they compare integers.
+    """
     pa, pb = base.coords_in_cone(pos, vec.cone)
-    return vec.u * pb == vec.v * pa and vec.u * pa + vec.v * pb > 0
+    an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
+    return vec.u * bn * ad == vec.v * an * bd and vec.u * an * bd + vec.v * bn * ad > 0
 
 
 def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
@@ -473,7 +498,7 @@ def _tree_of(z) -> TropicalTree:
 
 def _point_key(p: BasePoint):
     if p.is_origin:
-        return (-1, Fraction(0), Fraction(0))
+        return (-1, ZERO, ZERO)
     return (p.cone, p.a, p.b)
 
 

@@ -1,0 +1,100 @@
+"""Test-only references for the ray cast, the spine checks and the
+family trace's cone search: the same decisions made with `Fraction`
+arithmetic, as the engine did before it moved to integer numerators."""
+
+from fractions import Fraction
+
+from tropcyl import (
+    DEL_PEZZO_PAIR,
+    DegenerateRay,
+    RayHit,
+    TangentVector,
+    WrongHomeCone,
+    del_pezzo_base,
+)
+from tropcyl.lattice import develop
+
+
+def fraction_ray_trace(base, start, dirvec) -> RayHit:
+    """`ray_trace`, comparing ta = a/-u with tb = b/-v as `Fraction`s."""
+    if start.is_origin:
+        raise DegenerateRay("ray starts at the origin")
+    if dirvec.is_zero:
+        raise DegenerateRay("ray direction is zero")
+    cone = dirvec.cone % base.l
+    coords = base.coords_in_cone(start, cone)
+    if coords is None:
+        raise WrongHomeCone(
+            f"start point is not in cone {cone} of the ray direction")
+    a, b = coords
+    u, v = dirvec.u, dirvec.v
+
+    if b == 0 and v == 0:
+        raise DegenerateRay(f"direction runs along wall {cone}")
+    if a == 0 and u == 0:
+        raise DegenerateRay(f"direction runs along wall {(cone + 1) % base.l}")
+
+    if b == 0 and v < 0:
+        vec = base.transport(TangentVector(cone, u, v), cone, forward=False)
+        cone, u, v = vec.cone, vec.u, vec.v
+        a, b = Fraction(0), a
+    elif a == 0 and u < 0:
+        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % base.l,
+                             forward=True)
+        cone, u, v = vec.cone, vec.u, vec.v
+        a, b = b, Fraction(0)
+
+    ta = a / -u if u < 0 else None
+    tb = b / -v if v < 0 else None
+    if ta is None and tb is None:
+        return RayHit("unbounded", cone, (u, v), (a, b))
+    if ta is not None and tb is not None and ta == tb:
+        return RayHit("origin", cone, (u, v), (a, b))
+    if tb is None or (ta is not None and ta < tb):
+        hit = base.point(cone, Fraction(0), b + ta * v)
+        return RayHit("wall", cone, (u, v), (a, b),
+                      wall=(cone + 1) % base.l, point=hit, length=ta)
+    hit = base.point(cone, a + tb * u, Fraction(0))
+    return RayHit("wall", cone, (u, v), (a, b),
+                  wall=cone, point=hit, length=tb)
+
+
+def fraction_ends_match(tc, hc, length, direction) -> bool:
+    """The endpoint test of `check_structure`: hc == tc + length * direction."""
+    du, dv = direction
+    return (tc[0] + length * du, tc[1] + length * dv) == tuple(hc)
+
+
+def fraction_is_radial(base, pos, vec) -> bool:
+    pa, pb = base.coords_in_cone(pos, vec.cone)
+    return vec.u * pb == vec.v * pa
+
+
+def fraction_is_outward_radial(base, pos, vec) -> bool:
+    pa, pb = base.coords_in_cone(pos, vec.cone)
+    return vec.u * pb == vec.v * pa and vec.u * pa + vec.v * pb > 0
+
+
+# walls -1..3 of the four-cone base, bounding its cones 3, 0, 1, 2
+DEL_PEZZO_WALLS = develop(DEL_PEZZO_PAIR, -1, 3)
+
+
+def fraction_tropical_trace(l, m, n, b, t):
+    """`tropical_trace` for int l, m, n and `Fraction` b, t: the cone
+    coordinates (det(P, w'), det(w, P)) of P as `Fraction`s."""
+    p = (l * t, b + m * t - n * min(Fraction(0), t))
+    for cone, w0, w1 in zip((3, 0, 1, 2), DEL_PEZZO_WALLS, DEL_PEZZO_WALLS[1:]):
+        x = p[0] * w1[1] - p[1] * w1[0]
+        y = w0[0] * p[1] - w0[1] * p[0]
+        if x >= 0 and y >= 0:
+            return del_pezzo_base().point(cone, x, y)
+
+
+def outcome(f, *args):
+    """("value", result, its repr) or ("raise", exception type, message):
+    equal outcomes mean equal values of the same types, or the same error."""
+    try:
+        result = f(*args)
+    except Exception as exc:  # compared, not swallowed: the pair must agree
+        return ("raise", type(exc), str(exc))
+    return ("value", result, repr(result))

@@ -56,6 +56,12 @@ def _trace(l, m, n, b, ts):
                for s in tc.trace_points(l, m, n, b, ts))
 
 
+def _point(cone, a, b):
+    p = tc.del_pezzo_base().point(cone, a, b)
+    assert type(cone) is int and _exact(a) and _exact(b)
+    assert type(p.a) is Fraction and type(p.b) is Fraction
+
+
 ENTRY_POINTS = {
     "CountQuery": (_count, st.tuples(INT, INT, INT)),
     "from_dict": (
@@ -66,6 +72,7 @@ ENTRY_POINTS = {
                  st.tuples(INT, INT, RATIONAL, st.none() | INT)),
     "LooijengaPair": (_pair, st.tuples(SEQUENCE)),
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
+    "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
     "fan_closure": (tc.fan_closure, st.tuples(SEQUENCE)),
     "intersection_matrix": (tc.intersection_matrix, st.tuples(SEQUENCE)),
     "is_positive": (tc.is_positive, st.tuples(SEQUENCE)),

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import (
@@ -27,7 +30,51 @@ from tropcyl import (
     tropical_trace,
 )
 
+from ray_oracle import fraction_ray_trace, fraction_tropical_trace, outcome
+
 F = Fraction
+
+# the bases, start coordinates and directions of the reference grid
+GRID_PAIRS = ((0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3))
+GRID_COORDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 5))
+GRID_STEPS = range(-3, 4)
+
+
+def _trace_both_ways(base, start, dirvec):
+    got = outcome(ray_trace, base, start, dirvec)
+    assert got == outcome(fraction_ray_trace, base, start, dirvec), (
+        base.pair, start, dirvec)
+    return got
+
+
+class TestIntegerRayTrace:
+    """The cast compares cross-multiplied integer numerators; the reference
+    compares `Fraction` parameters.  Every pair of calls gives an equal
+    `RayHit` (equal repr, so equal types too) or the same error."""
+
+    def test_grid_matches_fraction_reference(self):
+        kinds = set()
+        for ds in GRID_PAIRS:
+            base = build_base(LooijengaPair(ds))
+            for cone, a, b in product(range(base.l), GRID_COORDS, GRID_COORDS):
+                start = base.point(cone, a, b)
+                # a direction homed in the start's cone, and one in the next
+                # cone, which holds only starts on their shared wall
+                for home, u, v in product((cone, cone + 1), GRID_STEPS, GRID_STEPS):
+                    got = _trace_both_ways(base, start, TangentVector(home, u, v))
+                    kinds.add(got[1].kind if got[0] == "value" else got[1].__name__)
+        assert kinds == {"wall", "unbounded", "origin", "DegenerateRay",
+                         "WrongHomeCone"}
+
+    @given(ds=st.lists(st.integers(-3, 1), min_size=3, max_size=6),
+           cone=st.integers(0, 5),
+           a=st.fractions(0, 10, max_denominator=30),
+           b=st.fractions(0, 10, max_denominator=30),
+           u=st.integers(-12, 12), v=st.integers(-12, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, ds, cone, a, b, u, v):
+        base = build_base(LooijengaPair(ds))
+        _trace_both_ways(base, base.point(cone, a, b), TangentVector(cone, u, v))
 
 
 class TestRayTrace:
@@ -373,6 +420,28 @@ class TestLift:
             z.cylinder, z.slopes,
             tuple((vid, h + F(7, 2)) for (vid, h) in z.heights))
         assert tc.a_value(del_pezzo, shifted) == tc.a_value(del_pezzo, z)
+
+
+class TestIntegerTrace:
+    """The trace scales P to a common integer denominator before the cone
+    determinants; the reference computes them in `Fraction`s."""
+
+    def test_grid_matches_fraction_reference(self):
+        ts = [F(k, 4) for k in range(-6, 7)] + [F(-7, 3), F(5, 11)]
+        for l, m, b, t in product(range(1, 4), range(-3, 4),
+                                  (F(3, 2), F(1, 7), F(-2)), ts):
+            for n in range(-1, l + 2):
+                got = outcome(tropical_trace, l, m, n, b, t)
+                assert got == outcome(fraction_tropical_trace, l, m, n, b, t), (
+                    l, m, n, b, t)
+
+    @given(l=st.integers(1, 40), m=st.integers(-40, 40), n=st.integers(-5, 45),
+           b=st.fractions(-9, 9, max_denominator=50),
+           t=st.fractions(-9, 9, max_denominator=50))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, l, m, n, b, t):
+        assert outcome(tropical_trace, l, m, n, b, t) == outcome(
+            fraction_tropical_trace, l, m, n, b, t)
 
 
 class TestTrace:

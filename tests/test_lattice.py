@@ -83,6 +83,28 @@ class TestPoints:
             del_pezzo.point(0, -1, 2)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("args", [
+        ("x", 1, 1), (None, 1, 1), (True, 1, 1), (1.0, 1, 1), (Fraction(1), 1, 1),
+        (0, float("nan"), 1), (0, 0.5, 1), (0, 1, float("inf")), (0, True, 1),
+        (0, 1, "1/2"), (0, None, 0), (0, Fraction(1, 2), 0.25),
+    ])
+    def test_non_exact_arguments_rejected(self, del_pezzo, args):
+        # used to raise a bare TypeError or ValueError, or store a float
+        with pytest.raises(InvalidArgument):
+            del_pezzo.point(*args)
+
+    def test_exact_arguments_become_fractions(self, del_pezzo):
+        for cone, a, b in ((0, 1, 2), (-3, Fraction(1, 2), 3), (5, 2, Fraction(0))):
+            p = del_pezzo.point(cone, a, b)
+            assert type(p.a) is Fraction and type(p.b) is Fraction
+            assert p == del_pezzo.point(cone % 4, Fraction(a), Fraction(b))
+
+    def test_length_read_once(self, del_pezzo):
+        assert del_pezzo.l == 4
+        assert repr(del_pezzo) == (
+            "TropicalBase(pair=LooijengaPair(self_intersections=(0, -1, 0, 0)))")
+        assert del_pezzo == build_base(LooijengaPair((0, -1, 0, 0)))
+
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(InvalidArgument):
             CurveClass.of({0: -1})

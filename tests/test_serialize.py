@@ -24,6 +24,7 @@ class TestRationals:
     def test_lowest_terms(self):
         assert frac_to_str(F(6, 4)) == "3/2"
         assert frac_to_str(F(2, -4)) == "-1/2"
+        assert frac_to_str(3) == "3/1"  # an int is still wrapped
 
     def test_plain_integers_accepted(self):
         assert parse_frac("7") == 7
@@ -36,6 +37,48 @@ class TestRationals:
             parse_frac("x")
         with pytest.raises(SchemaError):
             parse_frac(1.5)
+
+
+def _fraction_parse(s):
+    """The parse before the `int` fast path: every string through `Fraction`."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {s!r}") from exc
+
+
+def _parse_outcome(parse, s):
+    try:
+        x = parse(s)
+    except SchemaError as exc:
+        return ("raise", str(exc))
+    assert type(x) is Fraction, (s, x)
+    return ("value", x)
+
+
+ODD_STRINGS = (
+    "7", "-7", "0", "-0/1", "0/5", "01/2", "-007/3", "1/01", "1/00", "1/0",
+    "-1/0", "--3", "--3/2", "-/2", "1/", "/2", "/", "-", "", "+1/2", " 1/2",
+    "1/2 ", "1 / 2", "1_0/3", "1/1_0", "1.5", "1e3", "1/-2", "1/+2", "1//2",
+    "1/2/3", "x", "1/x", "١/٢", "-٣/4", "3/٤", "²/3", "1/²", "１/２",
+    "1" * 5000 + "/3", "1/" + "7" * 5000,
+)
+
+
+class TestParseFastPath:
+    """Canonical "p/q" strings are read with `int`; every string parses to
+    the `Fraction` value, or fails with the message, of the `Fraction`
+    parse."""
+
+    def test_canonical_grid(self):
+        for p in range(-40, 41):
+            for q in range(1, 41):
+                s = f"{p}/{q}"
+                assert _parse_outcome(parse_frac, s) == ("value", F(p, q)), s
+
+    @pytest.mark.parametrize("s", ODD_STRINGS, ids=range(len(ODD_STRINGS)))
+    def test_matches_fraction_parse(self, s):
+        assert _parse_outcome(parse_frac, s) == _parse_outcome(_fraction_parse, s)
 
 
 class TestPairFile:

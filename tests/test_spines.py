@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,14 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import (
+    LooijengaPair,
     MalformedCylinder,
     OriginVertex,
     StructuralError,
     TangentVector,
     Vertex,
     a_value,
+    build_base,
     canonical_image,
     del_pezzo_base,
     direction_sum,
@@ -22,6 +25,14 @@ from tropcyl import (
     relabel,
     subdivide_edge,
     validate_spine,
+)
+from tropcyl.spines import _ends_match, _is_radial, is_outward_radial
+
+from ray_oracle import (
+    fraction_ends_match,
+    fraction_is_outward_radial,
+    fraction_is_radial,
+    outcome,
 )
 
 F = Fraction
@@ -359,3 +370,79 @@ class TestAValue:
         s = tc.family_spine(1, 0, 1, 1)
         with pytest.raises(MalformedCylinder):
             a_value(del_pezzo, tc.CylinderInB(s, ()))
+
+
+COORDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 5))
+STEPS = range(-3, 4)
+
+
+class TestIntegerChecks:
+    """The endpoint test and the two radial tests compare integer
+    numerators; each agrees with its `Fraction` form in `ray_oracle`."""
+
+    def test_endpoint_grid_matches_fraction_reference(self):
+        verdicts = set()
+        lengths = (F(1, 3), F(1, 2), F(1), F(7, 5), F(3))
+        for ta, tb, length in product(COORDS, COORDS, lengths):
+            tail = (ta, tb)
+            for d in product(STEPS, STEPS):
+                end = (ta + length * d[0], tb + length * d[1])
+                # the true endpoint, nudges of each coordinate, and the tail
+                for head in (end, (end[0] + F(1, 6), end[1]),
+                             (end[0], end[1] - F(1, 3)), tail):
+                    got = _ends_match(tail, head, length, d)
+                    assert got == fraction_ends_match(tail, head, length, d), (
+                        tail, head, length, d)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @given(t=st.tuples(st.fractions(-5, 5, max_denominator=40),
+                       st.fractions(-5, 5, max_denominator=40)),
+           h=st.tuples(st.fractions(-5, 5, max_denominator=40),
+                       st.fractions(-5, 5, max_denominator=40)),
+           length=st.fractions(0, 6, max_denominator=40).filter(bool),
+           d=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+           exact=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_endpoint_matches_fraction_reference(self, t, h, length, d, exact):
+        if exact:  # half the draws put the head where the edge ends
+            h = (t[0] + length * d[0], t[1] + length * d[1])
+        assert _ends_match(t, h, length, d) == fraction_ends_match(t, h, length, d)
+
+    @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
+    def test_radial_grid_matches_fraction_reference(self, ds):
+        base = build_base(LooijengaPair(ds))
+        verdicts = set()
+        for cone, a, b in product(range(base.l), COORDS, COORDS):
+            pos = base.point(cone, a, b)
+            # vectors homed in the point's cone and the one before it,
+            # which sees only wall points (other starts raise alike)
+            for home, u, v in product((cone - 1, cone), STEPS, STEPS):
+                vec = TangentVector(home, u, v)
+                for engine, reference in ((_is_radial, fraction_is_radial),
+                                          (is_outward_radial,
+                                           fraction_is_outward_radial)):
+                    got = outcome(engine, base, pos, vec)
+                    assert got == outcome(reference, base, pos, vec), (pos, vec)
+                    verdicts.add(got[1])
+        assert {True, False, TypeError} <= verdicts
+
+    @given(ds=st.lists(st.integers(-3, 1), min_size=3, max_size=6),
+           cone=st.integers(0, 5),
+           a=st.fractions(0, 10, max_denominator=30),
+           b=st.fractions(0, 10, max_denominator=30),
+           u=st.integers(-12, 12), v=st.integers(-12, 12), radial=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_radial_matches_fraction_reference(self, ds, cone, a, b, u, v, radial):
+        base = build_base(LooijengaPair(ds))
+        pos = base.point(cone, a, b)
+        if radial and not pos.is_origin:
+            # a multiple of the point's own coordinates, to hit the equality
+            pa, pb = base.coords_in_cone(pos, cone)
+            g = pa.denominator * pb.denominator
+            u, v = int(pa * g) * u, int(pb * g) * u
+        vec = TangentVector(cone, u, v)
+        assert outcome(_is_radial, base, pos, vec) == outcome(
+            fraction_is_radial, base, pos, vec)
+        assert outcome(is_outward_radial, base, pos, vec) == outcome(
+            fraction_is_outward_radial, base, pos, vec)
