@@ -47,6 +47,7 @@ from .spines import (
     CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
+    Edge,
     TropicalTree,
     Vertex,
     check_structure,
@@ -62,8 +63,10 @@ from .spines import (
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
 
 
+@cache
 def del_pezzo_base() -> TropicalBase:
-    """The four-cone base used by the explicit count family."""
+    """The four-cone base used by the explicit count family, built once
+    (a `TropicalBase` is frozen, so every caller may share it)."""
     return build_base(LooijengaPair(DEL_PEZZO_PAIR))
 
 
@@ -89,30 +92,34 @@ class RayHit:
     length: Fraction | None = None
 
 
-def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> RayHit:
-    """Follow the straight ray from `start` with direction `dirvec`.
+def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
+    """The ray cast behind `ray_trace`, on plain values.
 
-    Returns the first wall hit strictly after the start (with the traversed
-    parameter length), an unbounded verdict if the ray stays inside the
-    open cone, or an origin verdict if it runs exactly into the origin.
-    A wall start is first carried to the side the ray actually enters.
+    Follows the ray from `start` with direction (u, v) in cone `cone` and
+    returns (kind, cone, u, v, a, b, wall, point, length): the kind, the
+    ray's cone, direction and start coordinates (a, b) in the cone it
+    actually runs through, then the wall hit, the hit point and the
+    parameter length, all three None unless kind is "wall".  A wall start
+    is first carried across the wall the ray enters, by the inline
+    transport of `TropicalBase.transport`.
 
     The wall parameters ta = a/-u and tb = b/-v are compared by their
     cross-multiplied integer numerators, and the length and the hit
-    coordinate are each built as one `Fraction`.
+    coordinate are each built as one `Fraction`.  The hit lies strictly
+    inside its wall, so it is built directly as the canonical `BasePoint`
+    that `TropicalBase.point` would return.
     """
-    if start.is_origin:
+    if start.cone is None:
         raise DegenerateRay("ray starts at the origin")
-    if dirvec.is_zero:
+    if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
     l = base.l
-    cone = dirvec.cone % l
+    cone %= l
     coords = base.coords_in_cone(start, cone)
     if coords is None:
         raise WrongHomeCone(
             f"start point is not in cone {cone} of the ray direction")
     a, b = coords
-    u, v = dirvec.u, dirvec.v
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")
@@ -120,39 +127,52 @@ def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> Ra
         raise DegenerateRay(f"direction runs along wall {(cone + 1) % l}")
 
     if b == 0 and v < 0:
-        # start on the cone's first wall, pointing across it
-        vec = base.transport(TangentVector(cone, u, v), cone, forward=False)
-        cone, u, v = vec.cone, vec.u, vec.v
+        # start on the cone's first wall, pointing across it: backward
+        d = base.pair.self_intersections[cone]
+        cone, u, v = (cone - 1) % l, -v, u - d * v
         a, b = ZERO, a
     elif a == 0 and u < 0:
-        # start on the cone's second wall, pointing across it
-        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % l,
-                             forward=True)
-        cone, u, v = vec.cone, vec.u, vec.v
+        # start on the cone's second wall, pointing across it: forward
+        cone = (cone + 1) % l
+        d = base.pair.self_intersections[cone]
+        u, v = v - d * u, -u
         a, b = b, ZERO
 
     if u >= 0 and v >= 0:
-        return RayHit("unbounded", cone, (u, v), (a, b))
+        return "unbounded", cone, u, v, a, b, None, None, None
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     if u < 0 and v < 0:
         # ta - tb, scaled by the positive ad*(-u) * bd*(-v)
         cross = bn * ad * u - an * bd * v
         if cross == 0:
-            return RayHit("origin", cone, (u, v), (a, b))
+            return "origin", cone, u, v, a, b, None, None, None
         ta_first = cross < 0
     else:
         ta_first = u < 0
     if ta_first:
-        # out through the second wall, at b + ta*v
+        # out through the second wall, at b + ta*v, stored on that wall
         den = ad * -u
-        hit = base.point(cone, ZERO, Fraction(bn * den + an * v * bd, bd * den))
-        return RayHit("wall", cone, (u, v), (a, b), wall=(cone + 1) % l,
-                      point=hit, length=Fraction(an, den))
+        wall = (cone + 1) % l
+        hit = BasePoint(wall, Fraction(bn * den + an * v * bd, bd * den), ZERO)
+        return "wall", cone, u, v, a, b, wall, hit, Fraction(an, den)
     # out through the first wall, at a + tb*u
     den = bd * -v
-    hit = base.point(cone, Fraction(an * den + bn * u * ad, ad * den), ZERO)
-    return RayHit("wall", cone, (u, v), (a, b), wall=cone,
-                  point=hit, length=Fraction(bn, den))
+    hit = BasePoint(cone, Fraction(an * den + bn * u * ad, ad * den), ZERO)
+    return "wall", cone, u, v, a, b, cone, hit, Fraction(bn, den)
+
+
+def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> RayHit:
+    """Follow the straight ray from `start` with direction `dirvec`.
+
+    Returns the first wall hit strictly after the start (with the traversed
+    parameter length), an unbounded verdict if the ray stays inside the
+    open cone, or an origin verdict if it runs exactly into the origin.
+    A wall start is first carried to the side the ray actually enters.
+    A thin wrapper: `_trace` casts the ray, this builds the `RayHit`.
+    """
+    kind, cone, u, v, a, b, wall, point, length = _trace(
+        base, start, dirvec.cone, dirvec.u, dirvec.v)
+    return RayHit(kind, cone, (u, v), (a, b), wall, point, length)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +194,8 @@ def _unused_ids(tree: TropicalTree, prefix: str):
 
 
 def _end_state(tree: TropicalTree, end: str):
-    """(id, position, outgoing ray) of the bounded 1-valent end `end`."""
+    """(id, position, cone, u, v) of the bounded 1-valent end `end`: its
+    outgoing ray is (u, v) in cone `cone`."""
     v = tree.vertex(end)
     if v.is_unbounded:
         raise StructuralError(f"cannot extend at unbounded vertex {end!r}")
@@ -182,28 +203,31 @@ def _end_state(tree: TropicalTree, end: str):
     if len(inc) != 1:
         raise StructuralError(f"vertex {end!r} is not a 1-valent end")
     w = direction_at(tree, inc[0], end)
-    return end, v.position, TangentVector(w.cone, -w.u, -w.v)
+    return end, v.position, w.cone, -w.u, -w.v
 
 
 def _cast(base: TropicalBase, end, fresh: str):
-    """One extension move from `end` = (id, position, outgoing ray).
+    """One extension move from `end` = (id, position, cone, u, v).
 
     Returns (new vertex `fresh`, new edge, the crossing (wall, multiple)
     or None, the new end or None); both are None once the end runs off to
-    infinity.
+    infinity.  The edge is built with `make_edge`'s tail choice.
     """
-    vid, position, ray = end
-    hit = ray_trace(base, position, ray)
-    if hit.kind == "origin":
+    vid, position, cone, u, v = end
+    kind, cone, u, v, _, _, wall, point, length = _trace(base, position,
+                                                         cone, u, v)
+    if kind == "origin":
         raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
-    vertex = Vertex(fresh, hit.point)
-    edge = make_edge(vid, fresh, hit.cone, hit.direction, hit.length)
-    if hit.kind == "unbounded":
+    vertex = Vertex(fresh, point)
+    if length is not None and fresh < vid:
+        edge = Edge(fresh, vid, cone, (-u, -v), length)
+    else:
+        edge = Edge(vid, fresh, cone, (u, v), length)
+    if wall is None:
         return vertex, edge, None, None
     # multiple of the wall ray picked up by the transversal crossing
-    mu = abs(hit.direction[1] if hit.wall == hit.cone else hit.direction[0])
-    return (vertex, edge, (hit.wall, mu),
-            (fresh, hit.point, TangentVector(hit.cone, *hit.direction)))
+    mu = -v if wall == cone else -u
+    return vertex, edge, (wall, mu), (fresh, point, cone, u, v)
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):

@@ -211,14 +211,13 @@ class TropicalBase:
                 raise InvalidArgument(
                     f"point needs rational coordinates, got ({a!r:.60}, {b!r:.60})")
             a, b = Fraction(a), Fraction(b)
-        if a < 0 or b < 0:
+        an, bn = a.numerator, b.numerator
+        if an < 0 or bn < 0:
             raise InvalidArgument(f"cone coordinates must be nonnegative, got ({a}, {b})")
         cone %= self.l
-        if a == 0 and b == 0:
-            return ORIGIN
-        if b == 0:
-            return BasePoint(cone, a, b)
-        if a == 0:
+        if bn == 0:
+            return BasePoint(cone, a, b) if an else ORIGIN
+        if an == 0:
             # lies on wall cone+1; store it there
             return BasePoint((cone + 1) % self.l, b, ZERO)
         return BasePoint(cone, a, b)
@@ -245,26 +244,29 @@ class TropicalBase:
     def transport(self, vec: TangentVector, wall: int, forward: bool = True) -> TangentVector:
         """Re-express `vec` across wall `wall`.
 
-        Forward moves from cone wall-1 into cone wall; backward is the
-        inverse.  Raises WrongHomeCone if `vec` lives on the wrong side.
+        Forward moves from cone wall-1 into cone wall by
+        (u, v) -> (v - d*u, -u), the map of `forward_matrix`, with d the
+        self-intersection of wall `wall`; backward is its inverse
+        (u, v) -> (-v, u - d*v).  Both are applied in integers, with no
+        matrix built.  Raises WrongHomeCone if `vec` lives on the wrong side.
         """
-        wall %= self.l
-        m = self.forward_matrix(wall)
+        l = self.l
+        wall %= l
+        d = self.pair.self_intersections[wall]
+        u, v = vec.u, vec.v
         if forward:
-            if vec.cone != (wall - 1) % self.l:
+            if vec.cone != (wall - 1) % l:
                 raise WrongHomeCone(
                     f"forward transport across wall {wall} needs home cone "
-                    f"{(wall - 1) % self.l}, got {vec.cone}"
+                    f"{(wall - 1) % l}, got {vec.cone}"
                 )
-            u, v = m.apply(vec.u, vec.v)
-            return TangentVector(wall, u, v)
+            return TangentVector(wall, v - d * u, -u)
         if vec.cone != wall:
             raise WrongHomeCone(
                 f"backward transport across wall {wall} needs home cone "
                 f"{wall}, got {vec.cone}"
             )
-        u, v = m.inverse().apply(vec.u, vec.v)
-        return TangentVector((wall - 1) % self.l, u, v)
+        return TangentVector((wall - 1) % l, -v, u - d * v)
 
 
 def _as_pair(pair) -> LooijengaPair:

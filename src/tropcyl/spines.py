@@ -228,19 +228,20 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
 
     seen = set()
+    vertex_of = tree._vertex_of
     for e in tree.edges:
         if e.tail == e.head:
             raise StructuralError("loop edge")
-        if e.tail not in tree or e.head not in tree:
+        tail = vertex_of.get(e.tail)
+        head = vertex_of.get(e.head)
+        if tail is None or head is None:
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) references missing vertex")
-        key = frozenset((e.tail, e.head))
+        key = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
         if key in seen:
             raise StructuralError(f"parallel edges between {e.tail!r} and {e.head!r}")
         seen.add(key)
         if e.direction == (0, 0):
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) has zero direction")
-        tail = tree.vertex(e.tail)
-        head = tree.vertex(e.head)
         if tail.is_unbounded:
             raise StructuralError(f"edge tail {e.tail!r} is unbounded")
         tc = base.coords_in_cone(tail.position, e.cone)
@@ -258,7 +259,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             if head.is_unbounded:
                 raise StructuralError(
                     f"bounded edge ({e.tail!r}, {e.head!r}) ends at infinity")
-            if e.length <= 0:
+            if e.length.numerator <= 0:
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) has nonpositive length")
             hc = base.coords_in_cone(head.position, e.cone)
@@ -306,20 +307,38 @@ def direction_at(tree: TropicalTree, edge: Edge, vid: str) -> TangentVector:
     raise StructuralError(f"vertex {vid!r} is not an endpoint of the edge")
 
 
-def _to_canonical_cone(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> TangentVector:
-    """Transport `vec` into the canonical cone of `pos` (wall points live in
-    the higher-indexed neighbour)."""
+def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
+    """(edge, u, v) for each edge at `vid`, in incident order: the edge's
+    direction pointing away from `vid`, as ints in the canonical cone of
+    `pos` (wall points live in the higher-indexed neighbour, so an edge
+    from the lower cone is carried across the wall by the inline transport
+    (u, v) -> (v - d*u, -u) of `TropicalBase.transport`).
+
+    Edge cones count modulo l, as in `TropicalBase.coords_in_cone`.
+    """
     target = pos.cone
-    if vec.cone == target:
-        return vec
-    if pos.on_wall and (vec.cone + 1) % base.l == target:
-        return base.transport(vec, target, forward=True)
-    raise StructuralError(
-        f"edge cone {vec.cone} is not adjacent to the vertex in cone {target}")
+    out = []
+    for e in tree.incident(vid):
+        u, v = e.direction
+        if vid != e.tail:
+            if e.is_ray:
+                raise StructuralError("rays have no direction at their infinite end")
+            u, v = -u, -v
+        if e.cone != target:
+            cone = e.cone % base.l
+            if pos.b == 0 and (cone + 1) % base.l == target:
+                d = base.pair.self_intersections[target]
+                u, v = v - d * u, -u
+            elif cone != target:
+                raise StructuralError(
+                    f"edge cone {e.cone} is not adjacent to the vertex in cone {target}")
+        out.append((e, u, v))
+    return out
 
 
 def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVector:
-    """Sum of outgoing edge directions at `vid`, in its canonical cone."""
+    """Sum of outgoing edge directions at `vid`, in its canonical cone,
+    added as ints from `_outgoing`."""
     pos = tree.position(vid)
     if pos is None:
         raise StructuralError(f"vertex {vid!r} is unbounded")
@@ -327,10 +346,9 @@ def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVe
         raise OriginVertex("direction sums are undefined at the origin")
     total_u = 0
     total_v = 0
-    for e in tree.incident(vid):
-        w = _to_canonical_cone(base, pos, direction_at(tree, e, vid))
-        total_u += w.u
-        total_v += w.v
+    for _, u, v in _outgoing(base, tree, vid, pos):
+        total_u += u
+        total_v += v
     return TangentVector(pos.cone, total_u, total_v)
 
 
@@ -352,17 +370,6 @@ class Violation:
     message: str
 
 
-def _is_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
-    """Whether +-vec points along the ray from the origin through `pos`.
-
-    With cone coordinates (an/ad, bn/bd) of `pos`, this is
-    u*bn*ad == v*an*bd, all in integers.
-    """
-    pa, pb = base.coords_in_cone(pos, vec.cone)
-    an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
-    return vec.u * bn * ad == vec.v * an * bd
-
-
 def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
     """Whether `vec` is a positive multiple of the ray from the origin
     through `pos`; `vec` lives in the canonical cone of `pos`.
@@ -376,7 +383,18 @@ def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) ->
 
 
 def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
-    """Shared body of the spine validators (conditions on the mapped tree)."""
+    """Shared body of the spine validators (conditions on the mapped tree).
+
+    One pass over the bounded vertices off the origin reads each vertex's
+    outgoing directions once, from `_outgoing`, in its canonical cone.
+    With cone coordinates (an/ad, bn/bd) of the vertex, an edge (u, v)
+    points along the origin ray when u*bn*ad == v*an*bd, and a 2-valent
+    vertex's nonzero direction sum (su, sv) points outward when also
+    su*an*bd + sv*bn*ad > 0: transports are linear and fix the wall ray,
+    so these are the radial tests in the edge's own cone.  Defects are
+    held back, so every `radial-direction` violation comes before any
+    `defect-not-outward` one.
+    """
     out: list[Violation] = []
     for v in tree.vertices:
         if v.position is not None and v.position.is_origin:
@@ -387,29 +405,31 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
         out.append(Violation(
             "leaf-set", ",".join(sorted(leaves)),
             "the 1-valent vertices must be exactly the boundary pair"))
+    defects: list[Violation] = []
     for v in tree.vertices:
-        if v.position is None or v.position.is_origin:
+        pos = v.position
+        if pos is None or pos.cone is None:
             continue
-        for e in tree.incident(v.id):
-            w = direction_at(tree, e, v.id)
-            if _is_radial(base, v.position, w):
+        a, b = pos.a, pos.b
+        p = b.numerator * a.denominator
+        q = a.numerator * b.denominator
+        outgoing = _outgoing(base, tree, v.id, pos)
+        for e, du, dv in outgoing:
+            if du * p == dv * q:
                 out.append(Violation(
                     "radial-direction", v.id,
                     f"edge ({e.tail!r}, {e.head!r}) points along the origin "
                     f"ray at vertex {v.id!r}"))
-    for v in tree.vertices:
-        if v.position is None or v.position.is_origin:
+        if len(outgoing) != 2:
             continue
-        if tree.valency(v.id) != 2:
-            continue
-        sigma = direction_sum(base, tree, v.id)
-        if sigma.is_zero:
-            continue
-        if not is_outward_radial(base, v.position, sigma):
-            out.append(Violation(
+        su = outgoing[0][1] + outgoing[1][1]
+        sv = outgoing[0][2] + outgoing[1][2]
+        if (su or sv) and not (su * p == sv * q and su * q + sv * p > 0):
+            defects.append(Violation(
                 "defect-not-outward", v.id,
-                f"2-valent vertex {v.id!r} has direction sum ({sigma.u}, "
-                f"{sigma.v}) whose negative does not point to the origin"))
+                f"2-valent vertex {v.id!r} has direction sum ({su}, "
+                f"{sv}) whose negative does not point to the origin"))
+    out.extend(defects)
     return out
 
 

@@ -320,6 +320,39 @@ class TestExtendMatchesSteps:
         assert got == CurveClass.of({0: 1, 1: 1, 2: 4})
 
 
+class TestDirectConstruction:
+    """`_cast` builds each hit point as a `BasePoint` and each edge as an
+    `Edge` directly, skipping `TropicalBase.point` and `make_edge`: both
+    must be exactly the values those constructors give."""
+
+    def _extended(self, del_pezzo):
+        for l in range(1, 5):  # the criterion-5 grid
+            for n, m, b in product(range(l + 1), range(-2, 3), (F(1), F(3, 2))):
+                yield del_pezzo, extend(del_pezzo, family_spine(l, m, n, b)).extended
+        for k in (24, 40):
+            base = build_base(LooijengaPair((-2,) * (k - 1) + (-1,)))
+            spine = make_tree(
+                [Vertex("a", base.point(0, 2, 1)), Vertex("b", base.point(0, 1, 1))],
+                [make_edge("a", "b", 0, (-1, 0), 1)],
+                ("a", "b"),
+            )
+            yield base, extend(base, spine).extended
+
+    def test_points_and_edges_are_canonical(self, del_pezzo):
+        for base, ext in self._extended(del_pezzo):
+            for v in ext.vertices:
+                p = v.position
+                if p is not None:
+                    assert type(p.a) is F and type(p.b) is F, (v, p)
+                    assert base.point(p.cone, p.a, p.b) == p, (v, p)
+            assert tc.relabel(ext, {}) == ext
+
+    def test_del_pezzo_base_built_once(self, del_pezzo):
+        assert tc.del_pezzo_base() is tc.del_pezzo_base()
+        assert tc.del_pezzo_base() == build_base(LooijengaPair(tc.DEL_PEZZO_PAIR))
+        assert tc.del_pezzo_base() == del_pezzo
+
+
 class TestCylinder:
     def test_leg_data(self, del_pezzo):
         res = extend(del_pezzo, family_spine(3, 1, 2, F(5, 2)))

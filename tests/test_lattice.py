@@ -31,6 +31,9 @@ from tropcyl import (
 )
 from tropcyl.lattice import develop
 
+from ray_oracle import outcome
+from spine_oracle import matrix_transport
+
 
 class TestPair:
     def test_cyclic_indexing(self):
@@ -82,6 +85,10 @@ class TestPoints:
         with pytest.raises(InvalidArgument) as info:
             del_pezzo.point(0, -1, 2)
         assert isinstance(info.value, ValueError)
+        # the sign is read off each numerator, whatever its size
+        for a, b in ((2, -1), (0, Fraction(-1, 7)), (Fraction(-3, 2), 0), (1, -5)):
+            with pytest.raises(InvalidArgument):
+                del_pezzo.point(0, a, b)
 
     @pytest.mark.parametrize("args", [
         ("x", 1, 1), (None, 1, 1), (True, 1, 1), (1.0, 1, 1), (Fraction(1), 1, 1),
@@ -208,6 +215,23 @@ class TestTransport:
                     there = transport(base, vec, wall)
                     back = transport(base, there, wall, forward=False)
                     assert back == vec
+
+    @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
+    def test_inline_matches_matrix_form(self, ds):
+        # the inline maps agree with forward_matrix(w).apply and .inverse()
+        # on every wall, both ways, from every home cone: equal vectors or
+        # the same WrongHomeCone message
+        base = build_base(LooijengaPair(ds))
+        raised = 0
+        for wall, cone, forward in product(range(-1, base.l + 1), range(base.l),
+                                           (True, False)):
+            for u, v in product(range(-4, 5), repeat=2):
+                vec = TangentVector(cone, u, v)
+                got = outcome(transport, base, vec, wall, forward)
+                assert got == outcome(matrix_transport, base, vec, wall,
+                                      forward), (wall, vec, forward)
+                raised += got[0] == "raise"
+        assert 0 < raised < 2 * (base.l + 2) * base.l * 81
 
     @given(
         d=st.integers(min_value=-6, max_value=6),

@@ -26,13 +26,18 @@ from tropcyl import (
     subdivide_edge,
     validate_spine,
 )
-from tropcyl.spines import _ends_match, _is_radial, is_outward_radial
+from tropcyl.spines import _ends_match, _spine_conditions, is_outward_radial
 
 from ray_oracle import (
     fraction_ends_match,
     fraction_is_outward_radial,
     fraction_is_radial,
     outcome,
+)
+from spine_oracle import (
+    _is_radial,
+    two_pass_spine_conditions,
+    vector_direction_sum,
 )
 
 F = Fraction
@@ -137,6 +142,8 @@ def _malformed(base, case):
         return make_tree([a, b, Vertex("b", base.point(0, 3, 1))], [ab], ("a", "b"))
     if case == "parallel":
         return make_tree([a, b], [ab, ab], ("a", "b"))
+    if case == "antiparallel":
+        return make_tree([a, b], [ab, tc.Edge("b", "a", 0, (-1, 0), F(1))], ("a", "b"))
     if case == "missing":
         return make_tree([a, b], [make_edge("a", "c", 0, (1, 0), 1)], ("a", "b"))
     if case == "infinite-2-valent":
@@ -156,6 +163,7 @@ class TestIndexedStructure:
     @pytest.mark.parametrize("case, message", [
         ("duplicate", "duplicate vertex ids"),
         ("parallel", "parallel edges"),
+        ("antiparallel", "parallel edges"),
         ("missing", "references missing vertex"),
         ("infinite-2-valent", "must be 1-valent"),
         ("cycle", "not connected"),
@@ -271,6 +279,21 @@ class TestBalancing:
         )
         assert is_balanced(del_pezzo, tree, "w")
 
+    def test_edge_cones_count_modulo_l(self, del_pezzo):
+        # cones 4 and 7 are cones 0 and 3 of the four-cone base, as in
+        # coords_in_cone and the ray cast
+        tree = make_tree(
+            [Vertex("b", del_pezzo.point(0, 1, F(1, 2))),
+             Vertex("w", del_pezzo.point(0, 2, 0)),
+             Vertex("a", del_pezzo.point(3, 1, 4))],
+            [make_edge("b", "w", 4, (2, -1), F(1, 2)),
+             make_edge("w", "a", 7, (1, 2), 1)],
+            ("b", "a"),
+        )
+        assert is_balanced(del_pezzo, tree, "w")
+        assert direction_sum(del_pezzo, tree, "b") == TangentVector(0, 2, -1)
+        assert validate_spine(del_pezzo, tree) == []
+
     def test_wall_vertex_unbalanced(self, del_pezzo):
         w = del_pezzo.point(0, 2, 0)
         tree = make_tree(
@@ -378,7 +401,9 @@ STEPS = range(-3, 4)
 
 class TestIntegerChecks:
     """The endpoint test and the two radial tests compare integer
-    numerators; each agrees with its `Fraction` form in `ray_oracle`."""
+    numerators; each agrees with its `Fraction` form in `ray_oracle`
+    (`_is_radial` is the edge-cone test of the two-pass reference in
+    `spine_oracle`)."""
 
     def test_endpoint_grid_matches_fraction_reference(self):
         verdicts = set()
@@ -446,3 +471,142 @@ class TestIntegerChecks:
             fraction_is_radial, base, pos, vec)
         assert outcome(is_outward_radial, base, pos, vec) == outcome(
             fraction_is_outward_radial, base, pos, vec)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass integer spine checks against the two-pass reference
+
+ORACLE_PAIRS = ((0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3))
+ARM = F(1, 4)
+
+
+def _agree(base, tree):
+    """Codes of the spine violations of the structurally sound `tree`,
+    after checking that the one-pass conditions and every direction sum
+    match the two-pass reference: equal values in the same order, or the
+    same error."""
+    tc.check_structure(base, tree, allow_unbounded=True)
+    got = outcome(_spine_conditions, base, tree)
+    assert got == outcome(two_pass_spine_conditions, base, tree), tree
+    for v in tree.vertices:
+        assert outcome(direction_sum, base, tree, v.id) == outcome(
+            vector_direction_sum, base, tree, v.id), (tree, v.id)
+    return [x.code for x in got[1]]
+
+
+def _prefixes(base, spine, steps):
+    """`spine` and the bounded spines met extending it one step at a time,
+    at an end that does not finish, for up to `steps` steps."""
+    out = [spine]
+    for _ in range(steps):
+        for end in spine.boundary:
+            longer, _, finished = tc.extend_step(base, spine, end)
+            if not finished:
+                spine = longer
+                out.append(spine)
+                break
+        else:
+            break
+    return out
+
+
+def _one_turn(k):
+    base = build_base(LooijengaPair((-2,) * (k - 1) + (-1,)))
+    return base, two_vertex_spine(base, base.point(0, 2, 1), base.point(0, 1, 1),
+                                  0, (-1, 0), 1)
+
+
+def _star(base, cone, a, b, arms):
+    """Spine with centre (a, b) of `cone` and an arm of length 1/4 per
+    (below, u, v): direction (u, v) in the centre's canonical cone, or in
+    the cone below it when `below` and the centre is on a wall.  The first
+    two arm ends are the boundary; None if an arm leaves its cone."""
+    centre = base.point(cone, a, b)
+    vertices, edges = [Vertex("c", centre)], []
+    for i, (below, u, v) in enumerate(arms):
+        home = centre.cone - 1 if below and centre.on_wall else centre.cone
+        pa, pb = base.coords_in_cone(centre, home)
+        qa, qb = pa + ARM * u, pb + ARM * v
+        if qa < 0 or qb < 0 or (u, v) == (0, 0):
+            return None
+        vertices.append(Vertex(f"p{i}", base.point(home, qa, qb)))
+        edges.append(make_edge("c", f"p{i}", home % base.l, (u, v), ARM))
+    return make_tree(vertices, edges, ("p0", "p1"))
+
+
+STAR_CENTRES = ((1, F(1), F(0)), (0, F(1), F(1)), (0, F(2), F(1)), (2, F(3, 2), F(0)))
+STAR_DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (2, 1),
+                   (1, -2), (-1, 2), (-2, -1))
+
+
+class TestOnePassSpineChecks:
+    """`_spine_conditions` reads each vertex's outgoing directions once, as
+    ints in its canonical cone; `direction_sum` adds the same ints.  Both
+    agree with the two-pass, one-`TangentVector`-per-edge reference."""
+
+    def test_family_spines(self, del_pezzo):
+        codes = set()
+        for l, m, b in product(range(1, 7), range(-3, 4), (F(1), F(3, 2))):
+            for n in range(-2, l + 3):  # n outside 0..l: inward defects
+                spine = tc.family_spine(l, m, n, b)
+                found = _agree(del_pezzo, spine)
+                codes.update(found)
+                if not found:
+                    _agree(del_pezzo, tc.extend(del_pezzo, spine).extended)
+        assert codes == {"defect-not-outward"}
+
+    def test_one_turn_spines(self):
+        for k in range(3, 17):
+            base, spine = _one_turn(k)
+            for tree in _prefixes(base, spine, k + 2):
+                assert _agree(base, tree) == [], k
+            assert _agree(base, tc.extend(base, spine).extended) == [], k
+
+    def test_spiral_prefixes(self, all_minus_two):
+        for cone in range(4):
+            spine = two_vertex_spine(all_minus_two, all_minus_two.point(cone, 2, 1),
+                                     all_minus_two.point(cone, 1, 1), cone, (-1, 0), 1)
+            prefixes = _prefixes(all_minus_two, spine, 40)
+            assert len(prefixes) == 41
+            for tree in prefixes:
+                assert _agree(all_minus_two, tree) == []
+
+    @pytest.mark.parametrize("ds", ORACLE_PAIRS)
+    def test_star_grid(self, ds):
+        # every pair of arm directions at wall and interior centres, some
+        # with a third arm: radial arms, inward and sideways defects
+        base = build_base(LooijengaPair(ds))
+        codes = set()
+        arms = [(below, *d) for below in (False, True) for d in STAR_DIRECTIONS]
+        for (cone, a, b), first, second in product(STAR_CENTRES, arms, arms):
+            if b and (first[0] or second[0]):
+                continue  # off a wall, "below" is the centre's own cone
+            for extra in ((), (arms[0],)):
+                tree = _star(base, cone, a, b, (first, second, *extra))
+                if tree is not None:
+                    codes.update(_agree(base, tree))
+        assert {"radial-direction", "defect-not-outward", "leaf-set"} <= codes
+
+    @given(ds=st.sampled_from(ORACLE_PAIRS), cone=st.integers(0, 5),
+           a=st.fractions(F(1, 2), 4, max_denominator=6),
+           on_wall=st.booleans(),
+           b=st.fractions(F(1, 2), 4, max_denominator=6),
+           arms=st.lists(st.tuples(st.booleans(), st.integers(-3, 3),
+                                   st.integers(-3, 3)), min_size=2, max_size=3),
+           radial=st.integers(-2, 2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nudged_and_subdivided(self, ds, cone, a, on_wall, b, arms, radial,
+                                   data):
+        base = build_base(LooijengaPair(ds))
+        b = F(0) if on_wall else b
+        if radial:  # the first arm along the origin ray through the centre
+            arms[0] = (False, radial * a.numerator * b.denominator,
+                       radial * b.numerator * a.denominator)
+        tree = _star(base, cone, a, b, arms)
+        if tree is None:
+            return
+        for _ in range(data.draw(st.integers(0, 3))):
+            e = data.draw(st.sampled_from(tree.edges))
+            t = F(data.draw(st.integers(1, 4)), 5)
+            tree = subdivide_edge(base, tree, (e.tail, e.head), t)
+        _agree(base, tree)
