@@ -12,7 +12,6 @@ radial multiple down to the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -36,12 +35,14 @@ from .lattice import (
     LooijengaPair,
     TangentVector,
     TropicalBase,
+    _set,
     build_base,
     develop,
     is_int,
     is_rational,
     lattice_length_of_point,
     primitive_part,
+    value_class,
 )
 from .spines import (
     CanonicalImage,
@@ -74,7 +75,7 @@ def del_pezzo_base() -> TropicalBase:
 # ray tracing
 
 
-@dataclass(frozen=True)
+@value_class("kind", "cone", "direction", "start", "wall", "point", "length")
 class RayHit:
     """Outcome of tracing a ray inside the base.
 
@@ -83,13 +84,18 @@ class RayHit:
     (the start may have been carried across a wall first).
     """
 
-    kind: str
-    cone: int
-    direction: tuple[int, int]
-    start: tuple[Fraction, Fraction]
-    wall: int | None = None
-    point: BasePoint | None = None
-    length: Fraction | None = None
+    __slots__ = ("kind", "cone", "direction", "start", "wall", "point", "length")
+
+    def __init__(self, kind: str, cone: int, direction: tuple[int, int],
+                 start: tuple[Fraction, Fraction], wall: int | None = None,
+                 point: BasePoint | None = None, length: Fraction | None = None):
+        _set(self, "kind", kind)
+        _set(self, "cone", cone)
+        _set(self, "direction", direction)
+        _set(self, "start", start)
+        _set(self, "wall", wall)
+        _set(self, "point", point)
+        _set(self, "length", length)
 
 
 def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
@@ -179,13 +185,16 @@ def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> Ra
 # extension
 
 
-@dataclass(frozen=True)
+@value_class("extended", "curve_class", "steps")
 class ExtensionResult:
     """Extended spine plus the total boundary class picked up on the way."""
 
-    extended: TropicalTree
-    curve_class: CurveClass
-    steps: int
+    __slots__ = ("extended", "curve_class", "steps")
+
+    def __init__(self, extended: TropicalTree, curve_class: CurveClass, steps: int):
+        _set(self, "extended", extended)
+        _set(self, "curve_class", curve_class)
+        _set(self, "steps", steps)
 
 
 def _unused_ids(tree: TropicalTree, prefix: str):
@@ -408,12 +417,15 @@ def _del_pezzo_cones():
     return tuple(zip((3, 0, 1, 2), walls, walls[1:]))
 
 
-@dataclass(frozen=True)
+@value_class("t", "point")
 class TracePoint:
     """One sample of the family trace: parameter value and its image."""
 
-    t: Fraction
-    point: BasePoint
+    __slots__ = ("t", "point")
+
+    def __init__(self, t: Fraction, point: BasePoint):
+        _set(self, "t", t)
+        _set(self, "point", point)
 
 
 def _family_height(l, m, n, b) -> Fraction:

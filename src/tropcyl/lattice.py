@@ -10,9 +10,9 @@ points.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import (
     InvalidArgument,
@@ -38,20 +38,72 @@ def is_rational(x) -> bool:
     return is_int(x) or isinstance(x, Fraction)
 
 
-@dataclass(frozen=True)
+# How each value class's own `__init__` fills a slot, since its
+# `__setattr__` refuses.
+_set = object.__setattr__
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def value_class(*fields):
+    """Class decorator: an immutable value over the slots `fields`.
+
+    The class declares `__slots__` and writes its own `__init__`, which
+    fills every slot with `object.__setattr__`, checks its arguments and
+    computes any derived slot (a slot not in `fields`).  The decorator adds
+    the rest of a frozen dataclass: `==` only between instances of the same
+    class, comparing the field tuples; `hash` of the field tuple; the
+    `Name(field=value, ...)` repr; and assignment and deletion raising
+    AttributeError.  Derived slots take no part in any of these.  Pickling
+    and copying rebuild through `__init__`, so derived slots are recomputed.
+    """
+    get = attrgetter(*fields)
+    key = get if len(fields) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(fields, key(self)))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        return (self.__class__, key(self))
+
+    def decorate(cls):
+        cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+        cls.__reduce__ = __reduce__
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        return cls
+
+    return decorate
+
+
+@value_class("self_intersections")
 class LooijengaPair:
     """Cyclic sequence of boundary self-intersection numbers, length >= 3."""
 
-    self_intersections: tuple[int, ...]
+    __slots__ = ("self_intersections",)
 
-    def __post_init__(self):
-        si = self.self_intersections
+    def __init__(self, self_intersections: tuple[int, ...]):
+        si = self_intersections
         if not isinstance(si, (tuple, list)) or not all(map(is_int, si)):
             raise InvalidArgument(
                 f"self-intersections must be a tuple or list of ints, got {si!r:.60}")
         if len(si) < 3:
             raise InvalidPair(f"need at least 3 boundary components, got {len(si)}")
-        object.__setattr__(self, "self_intersections", tuple(si))
+        _set(self, "self_intersections", tuple(si))
 
     def __len__(self) -> int:
         return len(self.self_intersections)
@@ -60,7 +112,7 @@ class LooijengaPair:
         return self.self_intersections[i % len(self.self_intersections)]
 
 
-@dataclass(frozen=True)
+@value_class("cone", "a", "b")
 class BasePoint:
     """Point of the base in canonical cone coordinates.
 
@@ -69,9 +121,12 @@ class BasePoint:
     this makes structural equality geometric equality.
     """
 
-    cone: int | None
-    a: Fraction = ZERO
-    b: Fraction = ZERO
+    __slots__ = ("cone", "a", "b")
+
+    def __init__(self, cone: int | None, a: Fraction = ZERO, b: Fraction = ZERO):
+        _set(self, "cone", cone)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @property
     def is_origin(self) -> bool:
@@ -85,27 +140,41 @@ class BasePoint:
 ORIGIN = BasePoint(None)
 
 
-@dataclass(frozen=True)
+@value_class("cone", "u", "v")
 class TangentVector:
-    """Integer tangent vector in the basis (e_i, e_{i+1}) of its home cone."""
+    """Integer tangent vector in the basis (e_i, e_{i+1}) of its home cone.
 
-    cone: int
-    u: int
-    v: int
+    Raises InvalidArgument unless `cone`, `u` and `v` are ints (see
+    `is_int`), so no float reaches a transport.
+    """
+
+    __slots__ = ("cone", "u", "v")
+
+    def __init__(self, cone: int, u: int, v: int):
+        if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
+                is_int(cone) and is_int(u) and is_int(v)):
+            raise InvalidArgument(
+                f"tangent vector needs int cone, u, v, got {cone!r:.60}, {u!r:.60}, {v!r:.60}")
+        _set(self, "cone", cone)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     @property
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
 
-@dataclass(frozen=True)
+@value_class("a", "b", "c", "d")
 class IntMatrix2:
     """Row-major 2x2 integer matrix."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @classmethod
     def identity(cls) -> "IntMatrix2":
@@ -144,7 +213,7 @@ class IntMatrix2:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True)
+@value_class("coeffs")
 class CurveClass:
     """Nonnegative integer combination of boundary divisor classes.
 
@@ -152,7 +221,10 @@ class CurveClass:
     multiplicities positive; an absent index means zero.
     """
 
-    coeffs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, int], ...] = ()):
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls) -> "CurveClass":
@@ -182,7 +254,7 @@ class CurveClass:
         return not self.coeffs
 
 
-@dataclass(frozen=True)
+@value_class("pair")
 class TropicalBase:
     """The fan of cones attached to a pair, with its wall-crossing rules.
 
@@ -190,11 +262,11 @@ class TropicalBase:
     in equality, hashing or repr.
     """
 
-    pair: LooijengaPair
-    l: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("pair", "l")
 
-    def __post_init__(self):
-        object.__setattr__(self, "l", len(self.pair))
+    def __init__(self, pair: LooijengaPair):
+        _set(self, "pair", pair)
+        _set(self, "l", len(pair))
 
     # -- points ----------------------------------------------------------
 

@@ -10,7 +10,6 @@ infinity have length None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -25,24 +24,29 @@ from .lattice import (
     BasePoint,
     TangentVector,
     TropicalBase,
+    _set,
     norm_sq,
     primitive_part,
+    value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class("id", "position")
 class Vertex:
     """Tree vertex; position is None for vertices at infinity."""
 
-    id: str
-    position: BasePoint | None
+    __slots__ = ("id", "position")
+
+    def __init__(self, id: str, position: BasePoint | None):
+        _set(self, "id", id)
+        _set(self, "position", position)
 
     @property
     def is_unbounded(self) -> bool:
         return self.position is None
 
 
-@dataclass(frozen=True)
+@value_class("tail", "head", "cone", "direction", "length")
 class Edge:
     """Straight edge inside cone `cone`, parametrized from `tail`.
 
@@ -50,11 +54,15 @@ class Edge:
     of None marks a ray whose head sits at infinity.
     """
 
-    tail: str
-    head: str
-    cone: int
-    direction: tuple[int, int]
-    length: Fraction | None
+    __slots__ = ("tail", "head", "cone", "direction", "length")
+
+    def __init__(self, tail: str, head: str, cone: int, direction: tuple[int, int],
+                 length: Fraction | None):
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "cone", cone)
+        _set(self, "direction", direction)
+        _set(self, "length", length)
 
     @property
     def is_ray(self) -> bool:
@@ -76,7 +84,7 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     return Edge(tail, head, int(cone), (u, v), length)
 
 
-@dataclass(frozen=True)
+@value_class("vertices", "edges", "boundary")
 class TropicalTree:
     """Tree with a marked ordered boundary pair.
 
@@ -90,25 +98,21 @@ class TropicalTree:
     goes stale; it takes no part in equality, hashing or repr.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    boundary: tuple[str, str]
-    _vertex_of: dict = field(init=False, repr=False, compare=False)
-    _incident: dict = field(init=False, repr=False, compare=False)
-    _edge_of: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "boundary", "_vertex_of", "_incident", "_edge_of")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...],
+                 boundary: tuple[str, str]):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "boundary", boundary)
         incident: dict[str, list[Edge]] = {}
-        for e in self.edges:
+        for e in edges:
             for vid in {e.tail, e.head}:
                 incident.setdefault(vid, []).append(e)
         # built from the back, so the first vertex or edge of a key wins
-        object.__setattr__(self, "_vertex_of",
-                           {v.id: v for v in reversed(self.vertices)})
-        object.__setattr__(self, "_incident",
-                           {vid: tuple(es) for vid, es in incident.items()})
-        object.__setattr__(self, "_edge_of",
-                           {(e.tail, e.head): e for e in reversed(self.edges)})
+        _set(self, "_vertex_of", {v.id: v for v in reversed(vertices)})
+        _set(self, "_incident", {vid: tuple(es) for vid, es in incident.items()})
+        _set(self, "_edge_of", {(e.tail, e.head): e for e in reversed(edges)})
 
     def __contains__(self, vid: str) -> bool:
         return vid in self._vertex_of
@@ -142,12 +146,15 @@ def make_tree(vertices, edges, boundary) -> TropicalTree:
     return TropicalTree(vs, es, (boundary[0], boundary[1]))
 
 
-@dataclass(frozen=True)
+@value_class("tree", "legs")
 class CylinderInB:
     """Cylinder body in the base: an extended spine plus legs to the origin."""
 
-    tree: TropicalTree
-    legs: tuple[tuple[str, str], ...]
+    __slots__ = ("tree", "legs")
+
+    def __init__(self, tree: TropicalTree, legs: tuple[tuple[str, str], ...]):
+        _set(self, "tree", tree)
+        _set(self, "legs", legs)
 
     def path_part(self) -> TropicalTree:
         """The tree with all legs (and their origin endpoints) removed."""
@@ -160,7 +167,7 @@ class CylinderInB:
                          self.tree.boundary)
 
 
-@dataclass(frozen=True)
+@value_class("cylinder", "slopes", "heights")
 class CylinderInBTilde:
     """Cylinder in the line-augmented base.
 
@@ -169,15 +176,16 @@ class CylinderInBTilde:
     vanish exactly on the legs.
     """
 
-    cylinder: CylinderInB
-    slopes: tuple[tuple[tuple[str, str], int], ...]
-    heights: tuple[tuple[str, Fraction], ...]
-    _slope_of: dict = field(init=False, repr=False, compare=False)
-    _height_of: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("cylinder", "slopes", "heights", "_slope_of", "_height_of")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_slope_of", dict(self.slopes))
-        object.__setattr__(self, "_height_of", dict(self.heights))
+    def __init__(self, cylinder: CylinderInB,
+                 slopes: tuple[tuple[tuple[str, str], int], ...],
+                 heights: tuple[tuple[str, Fraction], ...]):
+        _set(self, "cylinder", cylinder)
+        _set(self, "slopes", slopes)
+        _set(self, "heights", heights)
+        _set(self, "_slope_of", dict(slopes))
+        _set(self, "_height_of", dict(heights))
 
     def slope(self, key: tuple[str, str]) -> int:
         if key in self._slope_of:
@@ -361,13 +369,16 @@ def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
 # spine validation
 
 
-@dataclass(frozen=True)
+@value_class("code", "where", "message")
 class Violation:
     """One failed spine condition, tagged with a stable code."""
 
-    code: str
-    where: str
-    message: str
+    __slots__ = ("code", "where", "message")
+
+    def __init__(self, code: str, where: str, message: str):
+        _set(self, "code", code)
+        _set(self, "where", where)
+        _set(self, "message", message)
 
 
 def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
@@ -522,7 +533,7 @@ def _point_key(p: BasePoint):
     return (p.cone, p.a, p.b)
 
 
-@dataclass(frozen=True)
+@value_class("pieces")
 class CanonicalImage:
     """Canonical encoding of the image point set of a mapped tree.
 
@@ -532,7 +543,10 @@ class CanonicalImage:
     erased first, so subdivisions of the same image coincide.
     """
 
-    pieces: tuple
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple):
+        _set(self, "pieces", pieces)
 
 
 def _erasable(tree: TropicalTree, vid: str) -> bool:

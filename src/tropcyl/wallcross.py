@@ -14,17 +14,16 @@ counts against `math.comb`, which shares no code with the running binomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
 from .extension import DEL_PEZZO_PAIR
-from .lattice import is_int, is_rational
+from .lattice import _set, is_int, is_rational, value_class
 from .spines import TropicalTree, direction_at, validate_spine
 
 
-@dataclass(frozen=True)
+@value_class("terms", "trunc")
 class SparseLaurentSeries:
     """Laurent polynomial / truncated series over the rationals.
 
@@ -34,8 +33,12 @@ class SparseLaurentSeries:
     truncation of its operands.
     """
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()
-    trunc: int | None = None
+    __slots__ = ("terms", "trunc")
+
+    def __init__(self, terms: tuple[tuple[tuple[int, int], Fraction], ...] = (),
+                 trunc: int | None = None):
+        _set(self, "terms", terms)
+        _set(self, "trunc", trunc)
 
     @classmethod
     def from_dict(cls, d, trunc: int | None = None) -> "SparseLaurentSeries":
@@ -156,22 +159,22 @@ ORACLE_L_MAX = 20
 TABLE_M_VALUES = 100
 
 
-@dataclass(frozen=True)
+@value_class("l", "m", "n")
 class CountQuery:
     """Parameters of the one-wall family, all ints: winding 1 <= l <= L_MAX,
     y-offset m, and bend n.  n outside [0, l] simply yields a zero count.
     The image of x^l y^m is an exact polynomial; the cap bounds its size."""
 
-    l: int
-    m: int
-    n: int
+    __slots__ = ("l", "m", "n")
 
-    def __post_init__(self):
-        if not (is_int(self.l) and is_int(self.m) and is_int(self.n)):
-            raise InvalidQuery(
-                f"count needs int l, m, n, got {self.l!r}, {self.m!r}, {self.n!r}")
-        if not 1 <= self.l <= L_MAX:
-            raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {self.l}")
+    def __init__(self, l: int, m: int, n: int):
+        if not (is_int(l) and is_int(m) and is_int(n)):
+            raise InvalidQuery(f"count needs int l, m, n, got {l!r}, {m!r}, {n!r}")
+        if not 1 <= l <= L_MAX:
+            raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {l}")
+        _set(self, "l", l)
+        _set(self, "m", m)
+        _set(self, "n", n)
 
 
 def count(q: CountQuery) -> int:

@@ -56,6 +56,11 @@ def _trace(l, m, n, b, ts):
                for s in tc.trace_points(l, m, n, b, ts))
 
 
+def _vector(cone, u, v):
+    vec = tc.TangentVector(cone, u, v)
+    assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
+
+
 def _point(cone, a, b):
     p = tc.del_pezzo_base().point(cone, a, b)
     assert type(cone) is int and _exact(a) and _exact(b)
@@ -73,6 +78,7 @@ ENTRY_POINTS = {
     "LooijengaPair": (_pair, st.tuples(SEQUENCE)),
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
     "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
+    "TangentVector": (_vector, st.tuples(INT, INT, INT)),
     "fan_closure": (tc.fan_closure, st.tuples(SEQUENCE)),
     "intersection_matrix": (tc.intersection_matrix, st.tuples(SEQUENCE)),
     "is_positive": (tc.is_positive, st.tuples(SEQUENCE)),

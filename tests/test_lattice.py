@@ -199,6 +199,18 @@ class TestTransport:
         for i in range(4):
             assert del_pezzo.forward_matrix(i).det() == 1
 
+    @pytest.mark.parametrize("args", [(0, 0.5, 1), (0, 1, 1.0), (0.0, 1, 1), (0, True, 1),
+                                      (False, 1, 1), (0, Fraction(1), 1), (0, "1", 1),
+                                      (None, 1, 1)])
+    def test_vector_needs_int_entries(self, args):
+        # a float entry would make `transport` return a float vector
+        with pytest.raises(InvalidArgument):
+            TangentVector(*args)
+
+    def test_transport_of_int_vectors_stays_int(self, del_pezzo):
+        vec = transport(del_pezzo, TangentVector(0, 3, -2), 1)
+        assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
+
     def test_wrong_home_cone(self, del_pezzo):
         with pytest.raises(WrongHomeCone):
             transport(del_pezzo, TangentVector(1, 1, 0), 1)
