@@ -7,6 +7,11 @@ the focus-focus wall-crossing cylinder counts of the explicit degree-7
 del Pezzo family.  All arithmetic is exact (integers and rationals); all
 values are immutable and all operations pure, so everything is safe to
 share across threads.
+
+`__all__` is the supported surface: the functions the command line, the
+benchmark's library calls, the README example and the acceptance suite
+use, the value classes they take or return, and every error class.
+Helpers outside it stay importable from their submodules.
 """
 
 from .errors import (
@@ -15,12 +20,9 @@ from .errors import (
     InvalidArgument,
     InvalidPair,
     InvalidQuery,
-    MalformedCylinder,
     NotExtendable,
     NotInFamily,
-    OriginNotInChart,
     OriginVertex,
-    OutOfChart,
     StructuralError,
     TropcylError,
     UnbalancedNonRadial,
@@ -29,7 +31,6 @@ from .errors import (
     ZeroVector,
 )
 from .lattice import (
-    ORIGIN,
     BasePoint,
     CurveClass,
     IntMatrix2,
@@ -40,15 +41,8 @@ from .lattice import (
     fan_closure,
     intersection_matrix,
     is_positive,
-    lattice_length_of_point,
     monodromy,
-    norm_sq,
-    primitive_part,
-    transport,
     verify_toric_criterion,
-    wall_chart,
-    wedge_lattice_length,
-    winding_number,
 )
 from .spines import (
     CanonicalImage,
@@ -58,16 +52,11 @@ from .spines import (
     TropicalTree,
     Vertex,
     Violation,
-    a_value,
     canonical_image,
-    check_structure,
-    direction_at,
-    direction_sum,
     images_equal,
     is_balanced,
     make_edge,
     make_tree,
-    pi1_balanced,
     relabel,
     subdivide_edge,
     validate_cylinder_b,
@@ -75,20 +64,16 @@ from .spines import (
     validate_spine,
 )
 from .extension import (
-    DEL_PEZZO_PAIR,
     ExtensionResult,
-    RayHit,
+    TracePoint,
     cylinder_in_b,
     del_pezzo_base,
     extend,
     extend_step,
     family_spine,
     lift_to_tilde,
-    ray_trace,
-    TracePoint,
     trace_path_image,
     trace_points,
-    tropical_trace,
 )
 from .wallcross import (
     CountQuery,
@@ -96,12 +81,82 @@ from .wallcross import (
     backward_count,
     count,
     count_spine,
+    count_table,
     focus_focus_apply,
-    focus_focus_inverse,
-    series_add,
-    series_mul,
     symmetry_check,
     virtual_dim,
 )
+from .serialize import SchemaError
+
+__all__ = [
+    # errors
+    "DegenerateRay",
+    "HitOrigin",
+    "InvalidArgument",
+    "InvalidPair",
+    "InvalidQuery",
+    "NotExtendable",
+    "NotInFamily",
+    "OriginVertex",
+    "SchemaError",
+    "StructuralError",
+    "TropcylError",
+    "UnbalancedNonRadial",
+    "UnsupportedBase",
+    "WrongHomeCone",
+    "ZeroVector",
+    # lattice
+    "BasePoint",
+    "CurveClass",
+    "IntMatrix2",
+    "LooijengaPair",
+    "TangentVector",
+    "TropicalBase",
+    "build_base",
+    "fan_closure",
+    "intersection_matrix",
+    "is_positive",
+    "monodromy",
+    "verify_toric_criterion",
+    # spines
+    "CanonicalImage",
+    "CylinderInB",
+    "CylinderInBTilde",
+    "Edge",
+    "TropicalTree",
+    "Vertex",
+    "Violation",
+    "canonical_image",
+    "images_equal",
+    "is_balanced",
+    "make_edge",
+    "make_tree",
+    "relabel",
+    "subdivide_edge",
+    "validate_cylinder_b",
+    "validate_extended_spine",
+    "validate_spine",
+    # extension
+    "ExtensionResult",
+    "TracePoint",
+    "cylinder_in_b",
+    "del_pezzo_base",
+    "extend",
+    "extend_step",
+    "family_spine",
+    "lift_to_tilde",
+    "trace_path_image",
+    "trace_points",
+    # wall-crossing
+    "CountQuery",
+    "SparseLaurentSeries",
+    "backward_count",
+    "count",
+    "count_spine",
+    "count_table",
+    "focus_focus_apply",
+    "symmetry_check",
+    "virtual_dim",
+]
 
 __version__ = "0.1.0"

@@ -17,14 +17,6 @@ class InvalidPair(TropcylError):
     """The boundary self-intersection sequence does not define a valid pair."""
 
 
-class OutOfChart(TropcylError):
-    """Point or vector lies outside the domain of the requested wall chart."""
-
-
-class OriginNotInChart(OutOfChart):
-    """The singular origin belongs to no affine chart."""
-
-
 class WrongHomeCone(TropcylError):
     """A tangent vector's home cone does not match the requested transport."""
 
@@ -39,10 +31,6 @@ class StructuralError(TropcylError):
 
 class OriginVertex(TropcylError):
     """Balancing is undefined at the singular origin."""
-
-
-class MalformedCylinder(TropcylError):
-    """A cylinder is missing its two unbounded boundary edges."""
 
 
 class DegenerateRay(TropcylError):

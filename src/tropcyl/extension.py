@@ -33,7 +33,6 @@ from .lattice import (
     BasePoint,
     CurveClass,
     LooijengaPair,
-    TangentVector,
     TropicalBase,
     _set,
     build_base,
@@ -75,39 +74,18 @@ def del_pezzo_base() -> TropicalBase:
 # ray tracing
 
 
-@value_class("kind", "cone", "direction", "start", "wall", "point", "length")
-class RayHit:
-    """Outcome of tracing a ray inside the base.
-
-    kind is "wall", "unbounded" or "origin".  `cone`, `direction` and
-    `start` describe the traced ray in the cone it actually runs through
-    (the start may have been carried across a wall first).
-    """
-
-    __slots__ = ("kind", "cone", "direction", "start", "wall", "point", "length")
-
-    def __init__(self, kind: str, cone: int, direction: tuple[int, int],
-                 start: tuple[Fraction, Fraction], wall: int | None = None,
-                 point: BasePoint | None = None, length: Fraction | None = None):
-        _set(self, "kind", kind)
-        _set(self, "cone", cone)
-        _set(self, "direction", direction)
-        _set(self, "start", start)
-        _set(self, "wall", wall)
-        _set(self, "point", point)
-        _set(self, "length", length)
-
-
 def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
-    """The ray cast behind `ray_trace`, on plain values.
+    """Cast one straight ray inside the base, on plain values.
 
     Follows the ray from `start` with direction (u, v) in cone `cone` and
-    returns (kind, cone, u, v, a, b, wall, point, length): the kind, the
-    ray's cone, direction and start coordinates (a, b) in the cone it
-    actually runs through, then the wall hit, the hit point and the
-    parameter length, all three None unless kind is "wall".  A wall start
-    is first carried across the wall the ray enters, by the inline
-    transport of `TropicalBase.transport`.
+    returns (kind, cone, u, v, a, b, wall, point, length).  The kind is
+    "wall" for the first wall hit strictly after the start, "unbounded"
+    if the ray stays inside the open cone, or "origin" if it runs exactly
+    into the origin.  Then come the ray's cone, direction and start
+    coordinates (a, b) in the cone it actually runs through, then the wall
+    hit, the hit point and the parameter length, all three None unless
+    kind is "wall".  A wall start is first carried across the wall the ray
+    enters, by the inline transport of `TropicalBase.transport`.
 
     The wall parameters ta = a/-u and tb = b/-v are compared by their
     cross-multiplied integer numerators, and the length and the hit
@@ -165,20 +143,6 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     den = bd * -v
     hit = BasePoint(cone, Fraction(an * den + bn * u * ad, ad * den), ZERO)
     return "wall", cone, u, v, a, b, cone, hit, Fraction(bn, den)
-
-
-def ray_trace(base: TropicalBase, start: BasePoint, dirvec: TangentVector) -> RayHit:
-    """Follow the straight ray from `start` with direction `dirvec`.
-
-    Returns the first wall hit strictly after the start (with the traversed
-    parameter length), an unbounded verdict if the ray stays inside the
-    open cone, or an origin verdict if it runs exactly into the origin.
-    A wall start is first carried to the side the ray actually enters.
-    A thin wrapper: `_trace` casts the ray, this builds the `RayHit`.
-    """
-    kind, cone, u, v, a, b, wall, point, length = _trace(
-        base, start, dirvec.cone, dirvec.u, dirvec.v)
-    return RayHit(kind, cone, (u, v), (a, b), wall, point, length)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,7 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
-from .errors import (
-    InvalidArgument,
-    InvalidPair,
-    OriginNotInChart,
-    OutOfChart,
-    WrongHomeCone,
-    ZeroVector,
-)
+from .errors import InvalidArgument, InvalidPair, WrongHomeCone, ZeroVector
 
 # The one zero of every default and wall coordinate; a Fraction is
 # immutable, so sharing it is safe.
@@ -351,41 +344,6 @@ def build_base(pair: LooijengaPair) -> TropicalBase:
     return TropicalBase(_as_pair(pair))
 
 
-def wall_chart(base: TropicalBase, wall: int, p):
-    """Affine chart at wall i, defined on cones i-1 and i.
-
-    Sends e_{i-1}, e_i, e_{i+1} to (1,0), (0,1), (-1,-d_i) and extends
-    linearly on each cone.  `p` may be a BasePoint (rational output) or a
-    TangentVector with home cone i-1 or i (integer output).
-    """
-    wall %= base.l
-    d = base.pair[wall]
-    lower = (wall - 1) % base.l
-    if isinstance(p, TangentVector):
-        if p.cone == lower:
-            return (p.u, p.v)
-        if p.cone == wall:
-            return (-p.v, p.u - p.v * d)
-        raise OutOfChart(
-            f"vector home cone {p.cone} is not adjacent to wall {wall}"
-        )
-    if p.is_origin:
-        raise OriginNotInChart("the origin belongs to no wall chart")
-    hi = base.coords_in_cone(p, wall)
-    if hi is not None:
-        a, b = hi
-        return (-b, a - b * d)
-    lo = base.coords_in_cone(p, lower)
-    if lo is not None:
-        return (lo[0], lo[1])
-    raise OutOfChart(f"point {p} is not in the chart at wall {wall}")
-
-
-def transport(base: TropicalBase, vec: TangentVector, wall: int, forward: bool = True) -> TangentVector:
-    """Module-level alias of TropicalBase.transport."""
-    return base.transport(vec, wall, forward)
-
-
 def monodromy(base: TropicalBase) -> IntMatrix2:
     """Product of the l forward transports around the origin, from cone 0.
 
@@ -444,26 +402,6 @@ def fan_closure(pair: LooijengaPair):
     return None
 
 
-def winding_number(vectors) -> int:
-    """How many times a cyclic ray sequence turns counterclockwise.
-
-    Assumes consecutive rays are positively oriented (det = 1), as the fan
-    closure recurrence guarantees; a genuine fan winds exactly once.
-    """
-    vs = list(vectors)
-    n = len(vs)
-    crossings = 0
-    for i in range(n):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % n]
-        # ccw arc (a, b] shorter than a half turn; count hits of dir (1,0)
-        if by == 0 and bx > 0:
-            crossings += 1
-        elif ay < 0 and by > 0:
-            crossings += 1
-    return crossings
-
-
 def intersection_matrix(pair: LooijengaPair):
     """Symmetric l x l matrix: d_i on the diagonal, 1 for cyclic neighbours."""
     pair = _as_pair(pair)
@@ -513,37 +451,6 @@ def is_positive(pair: LooijengaPair) -> bool:
                 if j >= i:
                     target[j] = target.get(j, 0) - a * b / pivot
     return False
-
-
-def _as_int_pair(v):
-    if isinstance(v, TangentVector):
-        return (v.u, v.v)
-    u, w = v
-    return (int(u), int(w))
-
-
-def wedge_lattice_length(v, w) -> int:
-    """|det(v, w)| for integer vectors in a common cone's coordinates.
-
-    Invariant under determinant-1 transports, so the caller may transport
-    both arguments to any shared cone first.
-    """
-    vu, vv = _as_int_pair(v)
-    wu, wv = _as_int_pair(w)
-    return abs(vu * wv - vv * wu)
-
-
-def norm_sq(base: TropicalBase, vec: TangentVector) -> int:
-    """Squared norm of `vec` in the ambient coordinate embedding.
-
-    A vector (u, v) in cone i has ambient coordinates u and v on the two
-    rays of its home cone, so the squared norm is u^2 + v^2.  The value
-    depends on the home cone; comparisons of norms are comparisons of
-    these squares.
-    """
-    if vec.is_zero:
-        raise ZeroVector("the zero vector has no direction")
-    return vec.u * vec.u + vec.v * vec.v
 
 
 def primitive_part(u: int, v: int):

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import (
     InvalidArgument,
-    MalformedCylinder,
     OriginVertex,
     StructuralError,
 )
@@ -25,7 +24,8 @@ from .lattice import (
     TangentVector,
     TropicalBase,
     _set,
-    norm_sq,
+    is_int,
+    is_rational,
     primitive_part,
     value_class,
 )
@@ -73,15 +73,30 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     """Edge with the canonical tail choice (lexicographically smaller id).
 
     Rays are always stored from their bounded endpoint and are not flipped.
+    Raises InvalidArgument unless `cone` and both direction entries are
+    ints (see `is_int`) and `length` is None or rational (see
+    `is_rational`), so nothing is floored or stored inexactly.  A zero
+    direction or a nonpositive length is left to `check_structure`.
     """
-    u, v = int(direction[0]), int(direction[1])
+    try:
+        u, v = direction
+    except (TypeError, ValueError):
+        raise InvalidArgument(
+            f"edge direction must be an int pair, got {direction!r:.60}") from None
+    if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
+            is_int(cone) and is_int(u) and is_int(v)):
+        raise InvalidArgument(
+            f"edge needs int cone and direction, got {cone!r:.60}, {direction!r:.60}")
     if length is not None:
         if type(length) is not Fraction:
+            if not is_rational(length):
+                raise InvalidArgument(
+                    f"edge length must be None or rational, got {length!r:.60}")
             length = Fraction(length)
         if head < tail:
             tail, head = head, tail
             u, v = -u, -v
-    return Edge(tail, head, int(cone), (u, v), length)
+    return Edge(tail, head, cone, (u, v), length)
 
 
 @value_class("vertices", "edges", "boundary")
@@ -484,35 +499,6 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
                 out.append(Violation(
                     "unbalanced", v.id, f"vertex {v.id!r} is not balanced"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# cylinders in the line-augmented base
-
-
-def a_value(base: TropicalBase, z: CylinderInBTilde | CylinderInB):
-    """Largest squared norm of the two boundary ray directions."""
-    tree = z.cylinder.tree if isinstance(z, CylinderInBTilde) else z.tree
-    rays = []
-    for b in tree.boundary:
-        v = tree.vertex(b)
-        if not v.is_unbounded:
-            raise MalformedCylinder(f"boundary vertex {b!r} is not at infinity")
-        inc = tree.incident(b)
-        if len(inc) != 1 or not inc[0].is_ray:
-            raise MalformedCylinder(f"boundary vertex {b!r} has no ray edge")
-        rays.append(inc[0])
-    return max(norm_sq(base, TangentVector(e.cone, *e.direction)) for e in rays)
-
-
-def pi1_balanced(z: CylinderInBTilde, vid: str) -> bool:
-    """Whether the line-coordinate slopes at `vid` sum to zero."""
-    tree = z.cylinder.tree
-    total = 0
-    for e in tree.incident(vid):
-        s = z.slope((e.tail, e.head))
-        total += s if vid == e.tail else -s
-    return total == 0
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,24 @@ class SparseLaurentSeries:
         return Fraction(0)
 
     def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        return series_add(self, other)
+        """Exact coefficientwise sum; the tighter truncation wins."""
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return SparseLaurentSeries._of(acc, _combine_trunc(self.trunc, other.trunc))
 
     def __mul__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        return series_mul(self, other)
+        """Exact product; terms beyond the combined truncation are dropped."""
+        trunc = _combine_trunc(self.trunc, other.trunc)
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in self.terms:
+            for (i2, j2), c2 in other.terms:
+                j = j1 + j2
+                if trunc is not None and j > trunc:
+                    continue
+                k = (i1 + i2, j)
+                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+        return SparseLaurentSeries._of(acc, trunc)
 
 
 def _combine_trunc(a: int | None, b: int | None) -> int | None:
@@ -82,28 +96,6 @@ def _combine_trunc(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
-
-
-def series_add(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentSeries:
-    """Exact coefficientwise sum; the tighter truncation wins."""
-    acc = dict(a.terms)
-    for k, c in b.terms:
-        acc[k] = acc.get(k, Fraction(0)) + c
-    return SparseLaurentSeries._of(acc, _combine_trunc(a.trunc, b.trunc))
-
-
-def series_mul(a: SparseLaurentSeries, b: SparseLaurentSeries) -> SparseLaurentSeries:
-    """Exact product; terms beyond the combined truncation are dropped."""
-    trunc = _combine_trunc(a.trunc, b.trunc)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (i1, j1), c1 in a.terms:
-        for (i2, j2), c2 in b.terms:
-            j = j1 + j2
-            if trunc is not None and j > trunc:
-                continue
-            k = (i1 + i2, j)
-            acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-    return SparseLaurentSeries._of(acc, trunc)
 
 
 def _apply_shear(s: SparseLaurentSeries, power_sign: int,

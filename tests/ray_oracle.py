@@ -5,29 +5,29 @@ arithmetic, as the engine did before it moved to integer numerators."""
 from fractions import Fraction
 
 from tropcyl import (
-    DEL_PEZZO_PAIR,
     DegenerateRay,
-    RayHit,
     TangentVector,
     WrongHomeCone,
     del_pezzo_base,
 )
+from tropcyl.extension import DEL_PEZZO_PAIR
 from tropcyl.lattice import develop
 
 
-def fraction_ray_trace(base, start, dirvec) -> RayHit:
-    """`ray_trace`, comparing ta = a/-u with tb = b/-v as `Fraction`s."""
+def fraction_trace(base, start, cone, u, v):
+    """`extension._trace`, comparing ta = a/-u with tb = b/-v as `Fraction`s.
+
+    Returns the same (kind, cone, u, v, a, b, wall, point, length) tuple."""
     if start.is_origin:
         raise DegenerateRay("ray starts at the origin")
-    if dirvec.is_zero:
+    if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
-    cone = dirvec.cone % base.l
+    cone %= base.l
     coords = base.coords_in_cone(start, cone)
     if coords is None:
         raise WrongHomeCone(
             f"start point is not in cone {cone} of the ray direction")
     a, b = coords
-    u, v = dirvec.u, dirvec.v
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")
@@ -47,16 +47,14 @@ def fraction_ray_trace(base, start, dirvec) -> RayHit:
     ta = a / -u if u < 0 else None
     tb = b / -v if v < 0 else None
     if ta is None and tb is None:
-        return RayHit("unbounded", cone, (u, v), (a, b))
+        return "unbounded", cone, u, v, a, b, None, None, None
     if ta is not None and tb is not None and ta == tb:
-        return RayHit("origin", cone, (u, v), (a, b))
+        return "origin", cone, u, v, a, b, None, None, None
     if tb is None or (ta is not None and ta < tb):
         hit = base.point(cone, Fraction(0), b + ta * v)
-        return RayHit("wall", cone, (u, v), (a, b),
-                      wall=(cone + 1) % base.l, point=hit, length=ta)
+        return "wall", cone, u, v, a, b, (cone + 1) % base.l, hit, ta
     hit = base.point(cone, a + tb * u, Fraction(0))
-    return RayHit("wall", cone, (u, v), (a, b),
-                  wall=cone, point=hit, length=tb)
+    return "wall", cone, u, v, a, b, cone, hit, tb
 
 
 def fraction_ends_match(tc, hc, length, direction) -> bool:

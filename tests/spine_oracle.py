@@ -3,14 +3,8 @@
 two-pass spine conditions, as the engine computed them before the
 outgoing directions were read once per vertex, as plain ints."""
 
-from tropcyl import (
-    OriginVertex,
-    StructuralError,
-    TangentVector,
-    WrongHomeCone,
-    direction_at,
-)
-from tropcyl.spines import Violation, is_outward_radial
+from tropcyl import OriginVertex, StructuralError, TangentVector, WrongHomeCone
+from tropcyl.spines import Violation, direction_at, is_outward_radial
 
 
 def matrix_transport(base, vec, wall, forward=True):

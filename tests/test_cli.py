@@ -127,6 +127,27 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("tropcyl: ")
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("edges", "direction", [0, 0]),
+        ("edges", "length", "0/1"),
+        ("edges", "length", "-1/1"),
+        ("top", "boundary", ["v1", "zz"]),
+    ], ids=["zero-direction", "zero-length", "negative-length", "boundary-missing"])
+    def test_degenerate_spine_is_structural_error(self, capsys, pair_file, spine_file,
+                                                  tmp_path, where, key, value):
+        # well-typed but degenerate values parse, and the structure check
+        # reports them as a domain error
+        spine = json.loads(Path(spine_file).read_text())
+        if where == "top":
+            spine[key] = value
+        else:
+            spine[where][0][key] = value
+        path = tmp_path / "bad_spine.json"
+        path.write_text(json.dumps(spine))
+        code, report = run_json(capsys, ["validate", pair_file, str(path)])
+        assert code == 1
+        assert report["error"] == "StructuralError"
+
     def test_origin_vertex_reported(self, capsys, pair_file, tmp_path):
         bad = {
             "vertices": [

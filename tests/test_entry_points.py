@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import SparseLaurentSeries as S
+from tropcyl.extension import tropical_trace
 
 # A fixed alphabet: plain st.text() first builds a Unicode table, which
 # takes seconds in a checkout without a .hypothesis cache.
@@ -61,6 +62,13 @@ def _vector(cone, u, v):
     assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
 
 
+def _edge(tail, head, cone, direction, length):
+    e = tc.make_edge(tail, head, cone, direction, length)
+    assert type(cone) is int and all(type(x) is int for x in direction)
+    assert length is None or _exact(length)
+    assert e.length is None or type(e.length) is Fraction
+
+
 def _point(cone, a, b):
     p = tc.del_pezzo_base().point(cone, a, b)
     assert type(cone) is int and _exact(a) and _exact(b)
@@ -79,10 +87,13 @@ ENTRY_POINTS = {
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
     "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
     "TangentVector": (_vector, st.tuples(INT, INT, INT)),
+    "make_edge": (_edge, st.tuples(
+        st.sampled_from("ab"), st.sampled_from("ab"), INT,
+        _or_any(st.tuples(INT, INT) | st.lists(INT, max_size=3)), st.none() | RATIONAL)),
     "fan_closure": (tc.fan_closure, st.tuples(SEQUENCE)),
     "intersection_matrix": (tc.intersection_matrix, st.tuples(SEQUENCE)),
     "is_positive": (tc.is_positive, st.tuples(SEQUENCE)),
-    "tropical_trace": (tc.tropical_trace,
+    "tropical_trace": (tropical_trace,
                        st.tuples(INT, INT, INT, RATIONAL, RATIONAL)),
     "trace_points": (_trace, st.tuples(
         INT, INT, INT, RATIONAL, _or_any(st.lists(RATIONAL, max_size=3)))),

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tropcyl as tc
 from tropcyl import (
     CurveClass,
     InvalidArgument,
     InvalidPair,
     IntMatrix2,
     LooijengaPair,
-    OriginNotInChart,
-    OutOfChart,
     TangentVector,
     WrongHomeCone,
     ZeroVector,
@@ -22,14 +19,9 @@ from tropcyl import (
     intersection_matrix,
     is_positive,
     monodromy,
-    norm_sq,
-    transport,
     verify_toric_criterion,
-    wall_chart,
-    wedge_lattice_length,
-    winding_number,
 )
-from tropcyl.lattice import develop
+from tropcyl.lattice import ORIGIN, develop, lattice_length_of_point, primitive_part
 
 from ray_oracle import outcome
 from spine_oracle import matrix_transport
@@ -79,7 +71,7 @@ class TestPoints:
 
     def test_origin_unique(self, del_pezzo):
         assert del_pezzo.point(0, 0, 0).is_origin
-        assert del_pezzo.point(2, 0, 0) == tc.ORIGIN
+        assert del_pezzo.point(2, 0, 0) == ORIGIN
 
     def test_negative_coordinates_rejected(self, del_pezzo):
         with pytest.raises(InvalidArgument) as info:
@@ -126,74 +118,18 @@ class TestPoints:
         assert del_pezzo.coords_in_cone(interior, 1) is None
 
 
-class TestChart:
-    def test_basis_images(self, del_pezzo):
-        # chart at wall 1 with d_1 = -1
-        assert wall_chart(del_pezzo, 1, TangentVector(1, 1, 0)) == (0, 1)
-        assert wall_chart(del_pezzo, 1, TangentVector(1, 0, 1)) == (-1, 1)
-        assert wall_chart(del_pezzo, 1, TangentVector(0, 1, 0)) == (1, 0)
-
-    def test_point_formula(self, del_pezzo):
-        # cone-1 point (a, b) goes to (-b, a + b) when d = -1
-        p = del_pezzo.point(1, Fraction(2, 3), Fraction(5, 7))
-        assert wall_chart(del_pezzo, 1, p) == (Fraction(-5, 7), Fraction(2, 3) + Fraction(5, 7))
-
-    def test_wall_points_on_all_three_rays(self, square):
-        l = square.l
-        for i in range(l):
-            lower = square.point((i - 1) % l, 2, 0)
-            mid = square.point(i, 3, 0)
-            upper = square.point((i + 1) % l, 5, 0)
-            assert wall_chart(square, i, lower) == (2, 0)
-            assert wall_chart(square, i, mid) == (0, 3)
-            assert wall_chart(square, i, upper) == (-5, 0)  # d = 0
-
-    def test_origin_rejected(self, del_pezzo):
-        with pytest.raises(OriginNotInChart):
-            wall_chart(del_pezzo, 1, tc.ORIGIN)
-
-    def test_out_of_chart(self, del_pezzo):
-        far = del_pezzo.point(2, 1, 1)
-        with pytest.raises(OutOfChart):
-            wall_chart(del_pezzo, 0, far)
-        with pytest.raises(OutOfChart):
-            wall_chart(del_pezzo, 1, TangentVector(3, 1, 0))
-
-    @given(
-        a1=st.fractions(min_value=0, max_value=10),
-        b1=st.fractions(min_value=0, max_value=10),
-        a2=st.fractions(min_value=0, max_value=10),
-        b2=st.fractions(min_value=0, max_value=10),
-    )
-    @settings(max_examples=60)
-    def test_linear_on_each_cone(self, a1, b1, a2, b2):
-        # additivity of the chart restricted to a single cone
-        base = build_base(LooijengaPair((0, -1, 0, 0)))
-        if (a1 + a2 == 0 and b1 + b2 == 0):
-            return
-        pts = []
-        for (a, b) in ((a1, b1), (a2, b2), (a1 + a2, b1 + b2)):
-            if a == 0 and b == 0:
-                return
-            pts.append(base.point(1, a, b))
-        im1 = wall_chart(base, 1, pts[0])
-        im2 = wall_chart(base, 1, pts[1])
-        im3 = wall_chart(base, 1, pts[2])
-        assert (im1[0] + im2[0], im1[1] + im2[1]) == im3
-
-
 class TestTransport:
     def test_wall_direction_fixed(self, del_pezzo):
         # e_i is a basis vector on both sides of wall i
         for i in range(4):
             v = TangentVector((i - 1) % 4, 0, 1)
-            assert transport(del_pezzo, v, i) == TangentVector(i, 1, 0)
+            assert del_pezzo.transport(v, i) == TangentVector(i, 1, 0)
 
     def test_spec_values(self):
         d_minus_one = build_base(LooijengaPair((-1, -1, -1)))
-        assert transport(d_minus_one, TangentVector(0, 1, 0), 1) == TangentVector(1, 1, -1)
+        assert d_minus_one.transport(TangentVector(0, 1, 0), 1) == TangentVector(1, 1, -1)
         d_zero = build_base(LooijengaPair((0, 0, 0)))
-        assert transport(d_zero, TangentVector(0, 1, 0), 1) == TangentVector(1, 0, -1)
+        assert d_zero.transport(TangentVector(0, 1, 0), 1) == TangentVector(1, 0, -1)
 
     def test_determinant_one(self, del_pezzo):
         for i in range(4):
@@ -203,19 +139,19 @@ class TestTransport:
                                       (False, 1, 1), (0, Fraction(1), 1), (0, "1", 1),
                                       (None, 1, 1)])
     def test_vector_needs_int_entries(self, args):
-        # a float entry would make `transport` return a float vector
+        # a float entry would make `base.transport` return a float vector
         with pytest.raises(InvalidArgument):
             TangentVector(*args)
 
     def test_transport_of_int_vectors_stays_int(self, del_pezzo):
-        vec = transport(del_pezzo, TangentVector(0, 3, -2), 1)
+        vec = del_pezzo.transport(TangentVector(0, 3, -2), 1)
         assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
 
     def test_wrong_home_cone(self, del_pezzo):
         with pytest.raises(WrongHomeCone):
-            transport(del_pezzo, TangentVector(1, 1, 0), 1)
+            del_pezzo.transport(TangentVector(1, 1, 0), 1)
         with pytest.raises(WrongHomeCone):
-            transport(del_pezzo, TangentVector(0, 1, 0), 1, forward=False)
+            del_pezzo.transport(TangentVector(0, 1, 0), 1, forward=False)
 
     def test_roundtrip_exhaustive_small(self):
         # forward then backward is the identity on all small vectors
@@ -224,8 +160,8 @@ class TestTransport:
             for u in range(-10, 11):
                 for v in range(-10, 11):
                     vec = TangentVector((wall - 1) % base.l, u, v)
-                    there = transport(base, vec, wall)
-                    back = transport(base, there, wall, forward=False)
+                    there = base.transport(vec, wall)
+                    back = base.transport(there, wall, forward=False)
                     assert back == vec
 
     @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
@@ -239,7 +175,7 @@ class TestTransport:
                                            (True, False)):
             for u, v in product(range(-4, 5), repeat=2):
                 vec = TangentVector(cone, u, v)
-                got = outcome(transport, base, vec, wall, forward)
+                got = outcome(base.transport, vec, wall, forward)
                 assert got == outcome(matrix_transport, base, vec, wall,
                                       forward), (wall, vec, forward)
                 raised += got[0] == "raise"
@@ -257,26 +193,19 @@ class TestTransport:
         base = build_base(LooijengaPair((d, d, d)))
         a = TangentVector(0, u1, v1)
         b = TangentVector(0, u2, v2)
-        before = wedge_lattice_length((a.u, a.v), (b.u, b.v))
-        ta = transport(base, a, 1)
-        tb = transport(base, b, 1)
-        assert wedge_lattice_length((ta.u, ta.v), (tb.u, tb.v)) == before
+        before = a.u * b.v - a.v * b.u
+        ta = base.transport(a, 1)
+        tb = base.transport(b, 1)
+        assert ta.u * tb.v - ta.v * tb.u == before
 
 
 class TestWedgeAndNorm:
-    def test_wedge_values(self):
-        assert wedge_lattice_length((1, 0), (0, 1)) == 1
-        assert wedge_lattice_length((2, 3), (0, 1)) == 2
-        assert wedge_lattice_length((2, 4), (1, 2)) == 0
-
-    def test_norm_sq(self, del_pezzo):
-        assert norm_sq(del_pezzo, TangentVector(0, 1, 0)) == 1
-        assert norm_sq(del_pezzo, TangentVector(0, 1, -1)) == 2
-        assert norm_sq(del_pezzo, TangentVector(2, 3, 4)) == 25
-
-    def test_zero_vector_rejected(self, del_pezzo):
+    def test_zero_vector_rejected(self):
+        # the zero vector has no primitive part and no lattice length
         with pytest.raises(ZeroVector):
-            norm_sq(del_pezzo, TangentVector(0, 0, 0))
+            primitive_part(0, 0)
+        with pytest.raises(ZeroVector):
+            lattice_length_of_point(0, 0)
 
 
 class TestMonodromy:
@@ -307,6 +236,19 @@ class TestMonodromy:
         assert monodromy(del_pezzo) == expected
 
 
+def _winding_number(vectors) -> int:
+    """How many times a cyclic ray sequence turns counterclockwise, for
+    consecutive rays with det = 1, as `fan_closure` returns them: each
+    step turns by less than a half turn, so count the steps that reach
+    or pass the direction (1, 0)."""
+    vs = list(vectors)
+    turns = 0
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        if (by == 0 and bx > 0) or (ay < 0 and by > 0):
+            turns += 1
+    return turns
+
+
 class TestFanClosure:
     def test_square(self):
         assert fan_closure((0, 0, 0, 0)) == [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -320,15 +262,15 @@ class TestFanClosure:
     def test_hirzebruch(self):
         vs = fan_closure((0, 1, 0, -1))
         assert vs is not None
-        assert winding_number(vs) == 1
+        assert _winding_number(vs) == 1
 
     def test_windings(self):
-        assert winding_number(fan_closure((0, 0, 0, 0))) == 1
+        assert _winding_number(fan_closure((0, 0, 0, 0))) == 1
         # a frame that closes after two turns is still reported as closed,
         # matching trivial monodromy
         doubled = fan_closure((1, 1, 1, 1, 1, 1))
         assert doubled is not None
-        assert winding_number(doubled) == 2
+        assert _winding_number(doubled) == 2
         assert monodromy(build_base(LooijengaPair((1, 1, 1, 1, 1, 1)))).is_identity
 
     def test_matches_monodromy_on_sample(self):

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import (
+    InvalidArgument,
     LooijengaPair,
-    MalformedCylinder,
     OriginVertex,
     StructuralError,
     TangentVector,
     Vertex,
-    a_value,
     build_base,
     canonical_image,
     del_pezzo_base,
-    direction_sum,
     images_equal,
     is_balanced,
     make_edge,
@@ -26,7 +24,14 @@ from tropcyl import (
     subdivide_edge,
     validate_spine,
 )
-from tropcyl.spines import _ends_match, _spine_conditions, is_outward_radial
+from tropcyl.lattice import ORIGIN, lattice_length_of_point
+from tropcyl.spines import (
+    _ends_match,
+    _spine_conditions,
+    check_structure,
+    direction_sum,
+    is_outward_radial,
+)
 
 from ray_oracle import (
     fraction_ends_match,
@@ -53,8 +58,6 @@ def two_vertex_spine(base, p_tail, p_head, cone, direction, length):
 
 def _realize(base, image):
     """Rebuild a mapped tree whose edges are exactly the canonical pieces."""
-    from tropcyl.lattice import lattice_length_of_point
-
     points = {}
     vertices = []
     edges = []
@@ -62,7 +65,7 @@ def _realize(base, image):
 
     def point_of(key):
         cone, a, b = key
-        return tc.ORIGIN if cone == -1 else base.point(cone, a, b)
+        return ORIGIN if cone == -1 else base.point(cone, a, b)
 
     def vid_for(key):
         if key not in points:
@@ -90,6 +93,36 @@ def _realize(base, image):
             edges.append(tc.Edge(t, hid, cone, prim, None))
             boundary.append(hid)
     return make_tree(vertices, edges, (boundary[0], boundary[1]))
+
+
+class TestMakeEdge:
+    def test_canonical_tail_and_exact_values(self):
+        e = make_edge("b", "a", 1, (1, -2), 3)
+        assert e == tc.Edge("a", "b", 1, (-1, 2), F(3))
+        assert type(e.length) is Fraction
+        # rays keep their bounded tail, whatever the order of the ids
+        assert make_edge("b", "a", 1, (1, -2), None) == tc.Edge("b", "a", 1, (1, -2), None)
+
+    @pytest.mark.parametrize("cone, direction, length", [
+        (0, (1.5, -2.7), 1), (0, (1, 0.0), 1), (0, (True, 0), 1), (0, (1, False), 1),
+        (0, (F(1), 0), 1), (0, ("1", 0), 1), (0, (1, None), 1),
+        (0, (1, 0), 0.1), (0, (1, 0), 1.0), (0, (1, 0), True), (0, (1, 0), "1/2"),
+        (0, (1, 0), float("nan")), (0.0, (1, 0), 1), (True, (1, 0), 1), (None, (1, 0), 1),
+        (0, (1, 0, 0), 1), (0, (1,), 1), (0, None, 1), (0, 7, 1), (0, "10", 1),
+    ])
+    def test_inexact_values_rejected(self, cone, direction, length):
+        with pytest.raises(InvalidArgument):
+            make_edge("a", "b", cone, direction, length)
+
+    @pytest.mark.parametrize("direction, length", [((0, 0), 1), ((1, 0), 0), ((1, 0), -1)])
+    def test_degenerate_values_left_to_check_structure(self, del_pezzo, direction, length):
+        # built as given; the structure check reports them
+        e = make_edge("a", "b", 0, direction, length)
+        assert (e.direction, e.length) == (direction, length)
+        tree = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 1),
+                                del_pezzo.point(0, 2, 1), 0, direction, length)
+        with pytest.raises(StructuralError):
+            check_structure(del_pezzo, tree)
 
 
 class TestStructure:
@@ -120,7 +153,7 @@ class TestStructure:
             ("a", "b"),
         )
         with pytest.raises(StructuralError):
-            tc.check_structure(del_pezzo, bad)
+            check_structure(del_pezzo, bad)
 
     def test_disconnected_rejected(self, del_pezzo):
         bad = make_tree(
@@ -132,7 +165,7 @@ class TestStructure:
             ("a", "d"),
         )
         with pytest.raises(StructuralError):
-            tc.check_structure(del_pezzo, bad)
+            check_structure(del_pezzo, bad)
 
 
 def _malformed(base, case):
@@ -170,7 +203,7 @@ class TestIndexedStructure:
     ])
     def test_rejected_with_reason(self, del_pezzo, case, message):
         with pytest.raises(StructuralError, match=message):
-            tc.check_structure(del_pezzo, _malformed(del_pezzo, case))
+            check_structure(del_pezzo, _malformed(del_pezzo, case))
 
     def test_lookups(self, del_pezzo):
         s = tc.family_spine(2, 0, 1, 1)
@@ -195,16 +228,16 @@ class TestValidation:
         assert (sigma.cone, sigma.u, sigma.v) == (1, 1, 0)
 
     def test_origin_vertex_violates(self, del_pezzo):
-        s = two_vertex_spine(del_pezzo, tc.ORIGIN, del_pezzo.point(0, 1, 1),
+        s = two_vertex_spine(del_pezzo, ORIGIN, del_pezzo.point(0, 1, 1),
                              0, (1, 1), 1)
         codes = {v.code for v in validate_spine(del_pezzo, s)}
         assert "origin-image" in codes
 
     def test_origin_vertex_is_structurally_sound(self, del_pezzo):
         # the structure check accepts it; the spine conditions report it
-        s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 2), tc.ORIGIN,
+        s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 2), ORIGIN,
                              0, (-1, -2), 1)
-        tc.check_structure(del_pezzo, s, allow_unbounded=False)
+        check_structure(del_pezzo, s, allow_unbounded=False)
         assert [(v.code, v.where) for v in validate_spine(del_pezzo, s)
                 if v.code == "origin-image"] == [("origin-image", "b")]
 
@@ -308,7 +341,7 @@ class TestBalancing:
 
     def test_origin_rejected(self, del_pezzo):
         tree = make_tree(
-            [Vertex("o", tc.ORIGIN), Vertex("b", del_pezzo.point(0, 1, 1))],
+            [Vertex("o", ORIGIN), Vertex("b", del_pezzo.point(0, 1, 1))],
             [make_edge("o", "b", 0, (1, 1), 1)],
             ("o", "b"),
         )
@@ -380,19 +413,6 @@ class TestValidateInvariance:
         codes = {v.code for v in validate_spine(del_pezzo, invalid)}
         rel_bad = relabel(invalid, {"v0": "w", "v1": "p", "v2": "q"})
         assert {v.code for v in validate_spine(del_pezzo, rel_bad)} == codes
-
-
-class TestAValue:
-    def test_family_values(self, del_pezzo):
-        res = tc.extend(del_pezzo, tc.family_spine(2, 0, 1, 1))
-        z = tc.lift_to_tilde(del_pezzo, res.extended)
-        # boundary rays have directions (2, 0) and (2, 1)
-        assert a_value(del_pezzo, z) == 5
-
-    def test_malformed(self, del_pezzo):
-        s = tc.family_spine(1, 0, 1, 1)
-        with pytest.raises(MalformedCylinder):
-            a_value(del_pezzo, tc.CylinderInB(s, ()))
 
 
 COORDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 5))
@@ -485,7 +505,7 @@ def _agree(base, tree):
     after checking that the one-pass conditions and every direction sum
     match the two-pass reference: equal values in the same order, or the
     same error."""
-    tc.check_structure(base, tree, allow_unbounded=True)
+    check_structure(base, tree, allow_unbounded=True)
     got = outcome(_spine_conditions, base, tree)
     assert got == outcome(two_pass_spine_conditions, base, tree), tree
     for v in tree.vertices:

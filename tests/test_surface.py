@@ -1,0 +1,82 @@
+"""The supported surface: `tropcyl.__all__` is exactly what the package
+exports, it covers every name the benchmark and the acceptance suite
+import from the package, and the README library example runs as stated."""
+
+import ast
+import re
+from pathlib import Path
+from types import ModuleType
+
+import tropcyl
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_is_unique_and_resolves():
+    names = tropcyl.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(tropcyl, name)] == []
+
+
+def test_star_import_and_public_attributes_are_all():
+    namespace = {}
+    exec("from tropcyl import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(tropcyl.__all__)
+    public = {name for name, value in vars(tropcyl).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(tropcyl.__all__)
+
+
+def _package_names(path: Path) -> set[str]:
+    """Names taken from the package itself in `path`: each name of a
+    `from tropcyl import ...`, and each attribute read off an
+    `import tropcyl as <alias>`, unless it is a submodule."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tropcyl" and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == "tropcyl" and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return {name for name in names
+            if not isinstance(getattr(tropcyl, name, None), ModuleType)}
+
+
+def test_benchmark_and_acceptance_imports_are_in_all():
+    paths = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    missing = {}
+    for path in paths:
+        outside = _package_names(path) - set(tropcyl.__all__)
+        if outside:
+            missing[path.name] = sorted(outside)
+    assert missing == {}
+    # the walk found the imports it is meant to check
+    assert {"extend_step", "validate_cylinder_b"} <= _package_names(ROOT / "perfbench" / "gen.py") \
+        | _package_names(ROOT / "perfbench" / "check.py")
+    assert "count_spine" in _package_names(ROOT / "tests" / "test_acceptance.py")
+
+
+def _library_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs_as_stated():
+    # run the block statement by statement, keeping the value of each bare
+    # expression: the count and the image comparison, in that order
+    namespace, values = {}, []
+    for stmt in ast.parse(_library_example()).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [2, True]
+    assert type(values[1]) is bool

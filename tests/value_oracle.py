@@ -136,17 +136,6 @@ class CanonicalImage:
 
 
 @dataclass(frozen=True)
-class RayHit:
-    kind: str
-    cone: int
-    direction: tuple[int, int]
-    start: tuple[Fraction, Fraction]
-    wall: int | None = None
-    point: BasePoint | None = None
-    length: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     extended: TropicalTree
     curve_class: CurveClass
@@ -182,7 +171,7 @@ class CountQuery:
 REFERENCES = {cls.__name__: cls for cls in (
     LooijengaPair, BasePoint, TangentVector, IntMatrix2, CurveClass, TropicalBase,
     Vertex, Edge, TropicalTree, CylinderInB, CylinderInBTilde, Violation,
-    CanonicalImage, RayHit, ExtensionResult, TracePoint, SparseLaurentSeries,
+    CanonicalImage, ExtensionResult, TracePoint, SparseLaurentSeries,
     CountQuery)}
 
 
