@@ -27,6 +27,7 @@ from .extension import (
 from .lattice import build_base, fan_closure, intersection_matrix, is_positive, monodromy
 from .serialize import (
     SchemaError,
+    coords_to_json,
     curve_class_to_json,
     cylinder_to_json,
     frac_to_str,
@@ -158,7 +159,7 @@ def cmd_trace(args) -> int:
             points.append({
                 "t": frac_to_str(sample.t),
                 "cone": p.cone,
-                "coords": [frac_to_str(p.a), frac_to_str(p.b)],
+                "coords": coords_to_json(p),
             })
     report = {"l": args.l, "m": args.m, "n": args.n, "b": frac_to_str(b),
               "points": points}

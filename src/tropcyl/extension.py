@@ -34,12 +34,12 @@ from .lattice import (
     CurveClass,
     LooijengaPair,
     TropicalBase,
+    _base_point,
     _set,
     build_base,
     develop,
     is_int,
     is_rational,
-    lattice_length_of_point,
     primitive_part,
     value_class,
 )
@@ -58,6 +58,7 @@ from .spines import (
     make_tree,
     validate_spine,
     _point_key,
+    _tree,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -78,20 +79,21 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     """Cast one straight ray inside the base, on plain values.
 
     Follows the ray from `start` with direction (u, v) in cone `cone` and
-    returns (kind, cone, u, v, a, b, wall, point, length).  The kind is
-    "wall" for the first wall hit strictly after the start, "unbounded"
-    if the ray stays inside the open cone, or "origin" if it runs exactly
-    into the origin.  Then come the ray's cone, direction and start
-    coordinates (a, b) in the cone it actually runs through, then the wall
-    hit, the hit point and the parameter length, all three None unless
-    kind is "wall".  A wall start is first carried across the wall the ray
-    enters, by the inline transport of `TropicalBase.transport`.
+    returns (kind, cone, u, v, wall, point, length).  The kind is "wall"
+    for the first wall hit strictly after the start, "unbounded" if the
+    ray stays inside the open cone, or "origin" if it runs exactly into the
+    origin.  Then come the cone the ray actually runs through and its
+    direction there, then the wall hit, the hit point and the parameter
+    length, all three None unless kind is "wall".  A wall start is first
+    carried across the wall the ray enters, by the inline transport of
+    `TropicalBase.transport`.
 
-    The wall parameters ta = a/-u and tb = b/-v are compared by their
-    cross-multiplied integer numerators, and the length and the hit
-    coordinate are each built as one `Fraction`.  The hit lies strictly
-    inside its wall, so it is built directly as the canonical `BasePoint`
-    that `TropicalBase.point` would return.
+    The start's cone coordinates are read as integers (a/q, b/q), so the
+    wall parameters ta = a/(q*-u) and tb = b/(q*-v) are compared by the
+    cross-multiplied b*u - a*v.  The hit lies strictly inside its wall, at
+    N/D for integers N, D, so it is built directly, with one gcd, as the
+    canonical `BasePoint` (wall, N/g, 0, D/g) that `TropicalBase.point`
+    would return; the length is one `Fraction`.
     """
     if start.cone is None:
         raise DegenerateRay("ray starts at the origin")
@@ -99,11 +101,11 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
         raise DegenerateRay("ray direction is zero")
     l = base.l
     cone %= l
-    coords = base.coords_in_cone(start, cone)
+    coords = base._coords(start, cone)
     if coords is None:
         raise WrongHomeCone(
             f"start point is not in cone {cone} of the ray direction")
-    a, b = coords
+    a, b, q = coords
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")
@@ -114,35 +116,38 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
         # start on the cone's first wall, pointing across it: backward
         d = base.pair.self_intersections[cone]
         cone, u, v = (cone - 1) % l, -v, u - d * v
-        a, b = ZERO, a
+        a, b = 0, a
     elif a == 0 and u < 0:
         # start on the cone's second wall, pointing across it: forward
         cone = (cone + 1) % l
         d = base.pair.self_intersections[cone]
         u, v = v - d * u, -u
-        a, b = b, ZERO
+        a, b = b, 0
 
     if u >= 0 and v >= 0:
-        return "unbounded", cone, u, v, a, b, None, None, None
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        return "unbounded", cone, u, v, None, None, None
     if u < 0 and v < 0:
-        # ta - tb, scaled by the positive ad*(-u) * bd*(-v)
-        cross = bn * ad * u - an * bd * v
+        # ta - tb, scaled by the positive q*(-u)*(-v)
+        cross = b * u - a * v
         if cross == 0:
-            return "origin", cone, u, v, a, b, None, None, None
+            return "origin", cone, u, v, None, None, None
         ta_first = cross < 0
     else:
         ta_first = u < 0
     if ta_first:
-        # out through the second wall, at b + ta*v, stored on that wall
-        den = ad * -u
+        # out through the second wall, at b/q + ta*v, stored on that wall
+        den = q * -u
+        num = b * -u + a * v
+        g = gcd(num, den)
         wall = (cone + 1) % l
-        hit = BasePoint(wall, Fraction(bn * den + an * v * bd, bd * den), ZERO)
-        return "wall", cone, u, v, a, b, wall, hit, Fraction(an, den)
-    # out through the first wall, at a + tb*u
-    den = bd * -v
-    hit = BasePoint(cone, Fraction(an * den + bn * u * ad, ad * den), ZERO)
-    return "wall", cone, u, v, a, b, cone, hit, Fraction(bn, den)
+        return ("wall", cone, u, v, wall, _base_point(wall, num // g, 0, den // g),
+                Fraction(a, den))
+    # out through the first wall, at a/q + tb*u
+    den = q * -v
+    num = a * -v + b * u
+    g = gcd(num, den)
+    return ("wall", cone, u, v, cone, _base_point(cone, num // g, 0, den // g),
+            Fraction(b, den))
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +187,33 @@ def _end_state(tree: TropicalTree, end: str):
 def _cast(base: TropicalBase, end, fresh: str):
     """One extension move from `end` = (id, position, cone, u, v).
 
-    Returns (new vertex `fresh`, new edge, the crossing (wall, multiple)
-    or None, the new end or None); both are None once the end runs off to
-    infinity.  The edge is built with `make_edge`'s tail choice.
+    Returns (step, the crossing (wall, multiple) or None, the new end or
+    None); both are None once the end runs off to infinity.  The step is
+    the plain tuple (id, fresh, point, cone, u, v, length) of the new
+    vertex `fresh` at `point` and the edge from the old end to it, which
+    `_step_parts` builds.
     """
     vid, position, cone, u, v = end
-    kind, cone, u, v, _, _, wall, point, length = _trace(base, position,
-                                                         cone, u, v)
+    kind, cone, u, v, wall, point, length = _trace(base, position, cone, u, v)
     if kind == "origin":
         raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
-    vertex = Vertex(fresh, point)
+    step = (vid, fresh, point, cone, u, v, length)
+    if wall is None:
+        return step, None, None
+    # multiple of the wall ray picked up by the transversal crossing
+    mu = -v if wall == cone else -u
+    return step, (wall, mu), (fresh, point, cone, u, v)
+
+
+def _step_parts(step):
+    """(new vertex, new edge) of a `_cast` step; the edge gets `make_edge`'s
+    tail choice."""
+    vid, fresh, point, cone, u, v, length = step
     if length is not None and fresh < vid:
         edge = Edge(fresh, vid, cone, (-u, -v), length)
     else:
         edge = Edge(vid, fresh, cone, (u, v), length)
-    if wall is None:
-        return vertex, edge, None, None
-    # multiple of the wall ray picked up by the transversal crossing
-    mu = -v if wall == cone else -u
-    return vertex, edge, (wall, mu), (fresh, point, cone, u, v)
+    return Vertex(fresh, point), edge
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -211,10 +224,11 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     end was closed off with an unbounded edge.  The old boundary vertex
     becomes 2-valent and exactly balanced either way.
     """
-    vertex, edge, crossing, new_end = _cast(
+    step, crossing, new_end = _cast(
         base, _end_state(tree, end), next(_unused_ids(tree, "x")))
+    vertex, edge = _step_parts(step)
     boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
-    new_tree = make_tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
+    new_tree = _tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
     return new_tree, CurveClass.of([crossing] if crossing else ()), new_end is None
 
 
@@ -231,7 +245,9 @@ def extend(base: TropicalBase, spine: TropicalTree,
     step budget runs out (non-positive pairs can spiral forever), and
     InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP: a spiral's time
     and memory grow with its steps.  Each end keeps its id, position and
-    outgoing ray; the tree and the curve class are built once.
+    outgoing ray, and each step is kept as the plain tuple of `_cast`; the
+    new vertices and edges, the tree and the curve class are built once,
+    after both ends finish, so a run that raises builds none of them.
     """
     if not 1 <= max_steps <= MAX_STEPS_CAP:
         raise InvalidQuery(
@@ -244,27 +260,28 @@ def extend(base: TropicalBase, spine: TropicalTree,
     fresh = _unused_ids(spine, "x")
     ends = [_end_state(spine, end) for end in spine.boundary]
     boundary = list(spine.boundary)
-    vertices = list(spine.vertices)
-    edges = list(spine.edges)
+    taken = []
     total: dict[int, int] = {}
-    steps = 0
     side = 0
     while any(ends):
         if ends[side] is not None:
-            if steps >= max_steps:
-                raise NotExtendable(steps)
-            vertex, edge, crossing, ends[side] = _cast(base, ends[side],
-                                                       next(fresh))
-            vertices.append(vertex)
-            edges.append(edge)
-            boundary[side] = vertex.id
+            if len(taken) >= max_steps:
+                raise NotExtendable(len(taken))
+            step, crossing, ends[side] = _cast(base, ends[side], next(fresh))
+            taken.append(step)
+            boundary[side] = step[1]
             if crossing is not None:
                 wall, mu = crossing
                 total[wall] = total.get(wall, 0) + mu
-            steps += 1
         side = 1 - side
-    return ExtensionResult(make_tree(vertices, edges, boundary),
-                           CurveClass.of(total), steps)
+    vertices = list(spine.vertices)
+    edges = list(spine.edges)
+    for step in taken:
+        vertex, edge = _step_parts(step)
+        vertices.append(vertex)
+        edges.append(edge)
+    return ExtensionResult(_tree(vertices, edges, boundary),
+                           CurveClass.of(total), len(taken))
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +306,26 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     legs = []
     fresh = _unused_ids(ext, "o")
     for v in ext.vertices:
-        if v.is_unbounded or v.position.is_origin:
+        pos = v.position
+        if pos is None or pos.cone is None:
             continue
         sigma = direction_sum(base, ext, v.id)
         if sigma.is_zero:
             continue
-        if not is_outward_radial(base, v.position, sigma):
+        if not is_outward_radial(base, pos, sigma):
             raise UnbalancedNonRadial(
                 f"vertex {v.id!r} has direction sum ({sigma.u}, {sigma.v}) "
                 f"that is not an outward radial vector")
-        _, mult = primitive_part(sigma.u, sigma.v)
-        alpha, _ = lattice_length_of_point(*base.coords_in_cone(v.position, sigma.cone))
+        # sigma lives in the cone of pos; its lattice length there is
+        # gcd(A, B)/Q, and the leg's parameter length divides it by the
+        # divisibility of sigma
+        length = Fraction(gcd(pos.A, pos.B), pos.Q * gcd(sigma.u, sigma.v))
         oid = next(fresh)
         vertices.append(Vertex(oid, ORIGIN))
-        leg = make_edge(v.id, oid, sigma.cone, (-sigma.u, -sigma.v),
-                        alpha / mult)
+        leg = make_edge(v.id, oid, sigma.cone, (-sigma.u, -sigma.v), length)
         edges.append(leg)
         legs.append((leg.tail, leg.head))
-    tree = make_tree(vertices, edges, ext.boundary)
+    tree = _tree(vertices, edges, ext.boundary)
     return CylinderInB(tree, tuple(sorted(legs)))
 
 
@@ -424,7 +443,7 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     for cone, w0, w1 in _del_pezzo_cones():
         x, y = _det(p, w1), _det(w0, p)
         if x >= 0 and y >= 0:
-            return del_pezzo_base().point(cone, Fraction(x, den), Fraction(y, den))
+            return del_pezzo_base()._point(cone, x, y, den)
 
 
 def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:

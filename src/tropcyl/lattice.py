@@ -4,8 +4,11 @@ The base is a fan of `l` two-dimensional cones glued cyclically along rays
 (walls), with an integral affine structure away from the origin.  Crossing
 wall i transports tangent vectors by a determinant-1 integer matrix that
 depends on the self-intersection number of the i-th boundary component.
-All coordinates are exact: integers for tangent data, `Fraction` for
-points.  No floats anywhere.
+All coordinates are exact and integral: a tangent vector is an integer
+pair, and a point of a cone is an integer pair over one common positive
+denominator, so every test on points compares integers.  `Fraction`
+appears only where a coordinate is read out as a rational.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ def value_class(*fields):
     `Name(field=value, ...)` repr; and assignment and deletion raising
     AttributeError.  Derived slots take no part in any of these.  Pickling
     and copying rebuild through `__init__`, so derived slots are recomputed.
+    A class that defines its own `__eq__` keeps it; it must agree with the
+    field tuples.
     """
     get = attrgetter(*fields)
     key = get if len(fields) > 1 else lambda self: (get(self),)
@@ -75,7 +80,9 @@ def value_class(*fields):
         return (self.__class__, key(self))
 
     def decorate(cls):
-        cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+        if "__eq__" not in cls.__dict__:
+            cls.__eq__ = __eq__
+        cls.__hash__, cls.__repr__ = __hash__, __repr__
         cls.__reduce__ = __reduce__
         cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
         return cls
@@ -112,14 +119,45 @@ class BasePoint:
     `cone is None` encodes the origin.  A point on wall i (the shared ray
     of cones i-1 and i) is always stored in cone i with coordinates (a, 0);
     this makes structural equality geometric equality.
+
+    The coordinates are stored as integers (A, B, Q) with Q > 0 and
+    gcd(A, B, Q) = 1, so (a, b) = (A/Q, B/Q); the origin is (0, 0, 1).
+    `a` and `b` read them out as `Fraction`s, and `==` compares the
+    integers.  Raises InvalidArgument unless `cone` is None or an int (see
+    `is_int`) and `a`, `b` are rational (see `is_rational`).
     """
 
-    __slots__ = ("cone", "a", "b")
+    __slots__ = ("cone", "A", "B", "Q")
 
     def __init__(self, cone: int | None, a: Fraction = ZERO, b: Fraction = ZERO):
+        ta, tb = type(a), type(b)
+        if ((type(cone) is not int and cone is not None)
+                or (ta is not Fraction and ta is not int)
+                or (tb is not Fraction and tb is not int)) and not (
+                (cone is None or is_int(cone)) and is_rational(a) and is_rational(b)):
+            raise InvalidArgument(
+                f"base point needs an int or None cone and rational coordinates, "
+                f"got {cone!r:.60}, {a!r:.60}, {b!r:.60}")
+        ad, bd = a.denominator, b.denominator
+        q = ad if ad == bd else ad * bd // gcd(ad, bd)
         _set(self, "cone", cone)
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set(self, "A", a.numerator * (q // ad))
+        _set(self, "B", b.numerator * (q // bd))
+        _set(self, "Q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is BasePoint:
+            return (self.cone == other.cone and self.A == other.A
+                    and self.B == other.B and self.Q == other.Q)
+        return NotImplemented
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.Q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.Q)
 
     @property
     def is_origin(self) -> bool:
@@ -127,7 +165,21 @@ class BasePoint:
 
     @property
     def on_wall(self) -> bool:
-        return self.cone is not None and self.b == 0
+        return self.cone is not None and self.B == 0
+
+
+_new_point = BasePoint.__new__
+
+
+def _base_point(cone: int | None, A: int, B: int, Q: int) -> BasePoint:
+    """The `BasePoint` (cone, A/Q, B/Q), built unchecked from integers that
+    are already in its stored form: Q > 0 and gcd(A, B, Q) = 1."""
+    p = _new_point(BasePoint)
+    _set(p, "cone", cone)
+    _set(p, "A", A)
+    _set(p, "B", B)
+    _set(p, "Q", Q)
+    return p
 
 
 ORIGIN = BasePoint(None)
@@ -276,28 +328,51 @@ class TropicalBase:
                 raise InvalidArgument(
                     f"point needs rational coordinates, got ({a!r:.60}, {b!r:.60})")
             a, b = Fraction(a), Fraction(b)
-        an, bn = a.numerator, b.numerator
-        if an < 0 or bn < 0:
-            raise InvalidArgument(f"cone coordinates must be nonnegative, got ({a}, {b})")
+        ad, bd = a.denominator, b.denominator
+        q = ad if ad == bd else ad * bd // gcd(ad, bd)
+        return self._point(cone, a.numerator * (q // ad), b.numerator * (q // bd), q)
+
+    def _point(self, cone: int, A: int, B: int, Q: int) -> BasePoint:
+        """`point` of the int cone `cone` at (A/Q, B/Q), for ints A, B and
+        Q > 0: the same checks, messages and canonical wall storage, on
+        integers.  The triple need not be in lowest terms."""
+        if A < 0 or B < 0:
+            raise InvalidArgument(
+                f"cone coordinates must be nonnegative, got "
+                f"({Fraction(A, Q)}, {Fraction(B, Q)})")
+        g = gcd(A, B, Q)
+        if g != 1:
+            A, B, Q = A // g, B // g, Q // g
         cone %= self.l
-        if bn == 0:
-            return BasePoint(cone, a, b) if an else ORIGIN
-        if an == 0:
+        if B == 0:
+            return _base_point(cone, A, 0, Q) if A else ORIGIN
+        if A == 0:
             # lies on wall cone+1; store it there
-            return BasePoint((cone + 1) % self.l, b, ZERO)
-        return BasePoint(cone, a, b)
+            return _base_point((cone + 1) % self.l, B, 0, Q)
+        return _base_point(cone, A, B, Q)
+
+    def _coords(self, p: BasePoint, cone: int):
+        """Coordinates of `p` in the closed cone `cone` as integers
+        (A, B, Q), meaning (A/Q, B/Q), or None."""
+        cone %= self.l
+        pc = p.cone
+        if pc is None:
+            return (0, 0, 1)
+        if pc == cone:
+            return (p.A, p.B, p.Q)
+        if p.B == 0 and (pc - 1) % self.l == cone:
+            # wall point seen from the lower-indexed neighbour
+            return (0, p.A, p.Q)
+        return None
 
     def coords_in_cone(self, p: BasePoint, cone: int):
-        """Coordinates of `p` in the closed cone `cone`, or None."""
-        cone %= self.l
-        if p.is_origin:
-            return (ZERO, ZERO)
-        if p.cone == cone:
-            return (p.a, p.b)
-        if p.b == 0 and (p.cone - 1) % self.l == cone:
-            # wall point seen from the lower-indexed neighbour
-            return (ZERO, p.a)
-        return None
+        """Coordinates of `p` in the closed cone `cone`, as `Fraction`s, or
+        None: the rational view of `_coords`."""
+        c = self._coords(p, cone)
+        if c is None:
+            return None
+        A, B, Q = c
+        return (Fraction(A, Q), Fraction(B, Q))
 
     # -- transports ------------------------------------------------------
 

@@ -3,14 +3,21 @@
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1.  Vertices
 at infinity are implicit: they appear only as heads of edges of length
 "unbounded" and are omitted from the vertex list.
+
+A spine file is read in one pass: each coordinate string becomes an
+integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
+of its `BasePoint` with one lcm, and the vertices and edges are built
+directly, since the parse has checked every type.  The writer formats
+each coordinate from those integers with one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .lattice import LooijengaPair, TropicalBase, is_int
-from .spines import CylinderInB, TropicalTree, Vertex, make_edge, make_tree
+from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
+from .spines import CylinderInB, Edge, TropicalTree, Vertex, _tree
 
 
 class SchemaError(ValueError):
@@ -29,11 +36,9 @@ def _int_field(x, what: str) -> int:
     return x
 
 
-_NONZERO_DIGITS = frozenset("123456789")
-
-
-def parse_frac(s) -> Fraction:
-    """The rational of a string or int; SchemaError for anything else.
+def _parse_ratio(s) -> tuple[int, int]:
+    """(n, d) with d > 0 and n/d the rational of a string or int, not
+    necessarily in lowest terms; SchemaError for anything else.
 
     A canonical "p/q" (ASCII digits, at most one leading "-", q without a
     leading zero) is read with `int`; every other string goes to
@@ -41,17 +46,22 @@ def parse_frac(s) -> Fraction:
     """
     if isinstance(s, str):
         num, slash, den = s.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
         try:
-            if (slash and digits.isascii() and digits.isdigit()
-                    and den[:1] in _NONZERO_DIGITS and den.isascii() and den.isdigit()):
-                return Fraction(int(num), int(den))
-            return Fraction(s)
+            if (slash and s.isascii() and den.isdigit() and den[0] != "0"
+                    and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())):
+                return int(num), int(den)
+            x = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {s!r}") from exc
+        return x.numerator, x.denominator
     if is_int(s):
-        return Fraction(s)
+        return int(s), 1
     raise SchemaError(f"expected a rational string, got {s!r}")
+
+
+def parse_frac(s) -> Fraction:
+    """The rational of a string or int (see `_parse_ratio`)."""
+    return Fraction(*_parse_ratio(s))
 
 
 def pair_from_json(data) -> LooijengaPair:
@@ -90,16 +100,21 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(origin, bool):
             raise SchemaError(f'vertex {vid!r} "origin" must be true or false')
         if origin:
-            vertices.append(Vertex(vid, base.point(0, 0, 0)))
+            vertices.append(Vertex(vid, ORIGIN))
             continue
         if "cone" not in item or "coords" not in item:
             raise SchemaError(f"vertex {vid!r} needs cone and coords")
         coords = item["coords"]
         if not isinstance(coords, list) or len(coords) != 2:
             raise SchemaError(f"vertex {vid!r} coords must be a pair")
-        cone = _int_field(item["cone"], f"vertex {vid!r} cone")
+        cone = item["cone"]
+        if type(cone) is not int:
+            _int_field(cone, f"vertex {vid!r} cone")
         try:
-            pos = base.point(cone, parse_frac(coords[0]), parse_frac(coords[1]))
+            an, ad = _parse_ratio(coords[0])
+            bn, bd = _parse_ratio(coords[1])
+            q = ad if ad == bd else ad * bd // gcd(ad, bd)
+            pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
         except ValueError as exc:
             raise SchemaError(f"vertex {vid!r}: {exc}") from exc
         vertices.append(Vertex(vid, pos))
@@ -112,41 +127,61 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
             if key not in item:
                 raise SchemaError(f'edge entry needs "{key}"')
         direction = item["direction"]
-        if (not isinstance(direction, list) or len(direction) != 2
-                or not all(is_int(x) for x in direction)):
+        if not isinstance(direction, list) or len(direction) != 2:
+            raise SchemaError("edge direction must be an integer pair")
+        u, v = direction
+        if (type(u) is not int or type(v) is not int) and not (is_int(u) and is_int(v)):
             raise SchemaError("edge direction must be an integer pair")
         tail, head = item["tail"], item["head"]
         if not isinstance(tail, str) or not isinstance(head, str):
             raise SchemaError("edge endpoints must be vertex id strings")
-        cone = _int_field(item["cone"], "edge cone")
+        cone = item["cone"]
+        if type(cone) is not int:
+            _int_field(cone, "edge cone")
         if item["length"] == "unbounded":
             if head not in ids:
                 vertices.append(Vertex(head, None))
                 ids.add(head)
-            edges.append(make_edge(tail, head, cone, tuple(direction), None))
+            edges.append(Edge(tail, head, cone, (u, v), None))
+            continue
+        length = parse_frac(item["length"])
+        # `make_edge`'s tail choice
+        if head < tail:
+            edges.append(Edge(head, tail, cone, (-u, -v), length))
         else:
-            edges.append(make_edge(tail, head, cone, tuple(direction),
-                                   parse_frac(item["length"])))
+            edges.append(Edge(tail, head, cone, (u, v), length))
 
     boundary = data["boundary"]
     if (not isinstance(boundary, list) or len(boundary) != 2
             or not all(isinstance(b, str) for b in boundary)):
         raise SchemaError('"boundary" must be a pair of vertex ids')
-    return make_tree(vertices, edges, (boundary[0], boundary[1]))
+    return _tree(vertices, edges, boundary)
+
+
+def _ratio_to_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as "p/q"."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
+def coords_to_json(p: BasePoint) -> list[str]:
+    """The two cone coordinates of a point off the origin, as "p/q"."""
+    return [_ratio_to_str(p.A, p.Q), _ratio_to_str(p.B, p.Q)]
 
 
 def spine_to_json(tree: TropicalTree) -> dict:
     vertices = []
     for v in tree.vertices:
-        if v.is_unbounded:
+        p = v.position
+        if p is None:
             continue
-        if v.position.is_origin:
+        if p.cone is None:
             vertices.append({"id": v.id, "origin": True})
         else:
             vertices.append({
                 "id": v.id,
-                "cone": v.position.cone,
-                "coords": [frac_to_str(v.position.a), frac_to_str(v.position.b)],
+                "cone": p.cone,
+                "coords": coords_to_json(p),
             })
     edges = []
     for e in tree.edges:
@@ -155,7 +190,7 @@ def spine_to_json(tree: TropicalTree) -> dict:
             "head": e.head,
             "cone": e.cone,
             "direction": [e.direction[0], e.direction[1]],
-            "length": "unbounded" if e.is_ray else frac_to_str(e.length),
+            "length": "unbounded" if e.length is None else frac_to_str(e.length),
         })
     return {"vertices": vertices, "edges": edges,
             "boundary": [tree.boundary[0], tree.boundary[1]]}

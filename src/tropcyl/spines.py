@@ -11,6 +11,7 @@ infinity have length None.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     InvalidArgument,
@@ -33,11 +34,21 @@ from .lattice import (
 
 @value_class("id", "position")
 class Vertex:
-    """Tree vertex; position is None for vertices at infinity."""
+    """Tree vertex; position is None for vertices at infinity.
+
+    Raises InvalidArgument unless `id` is a str and `position` is None or
+    a `BasePoint`.
+    """
 
     __slots__ = ("id", "position")
 
     def __init__(self, id: str, position: BasePoint | None):
+        if (type(id) is not str or (position is not None and type(position) is not BasePoint)
+                ) and not (isinstance(id, str)
+                           and (position is None or isinstance(position, BasePoint))):
+            raise InvalidArgument(
+                f"vertex needs a str id and a BasePoint or None position, "
+                f"got {id!r:.60}, {position!r:.60}")
         _set(self, "id", id)
         _set(self, "position", position)
 
@@ -73,11 +84,15 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     """Edge with the canonical tail choice (lexicographically smaller id).
 
     Rays are always stored from their bounded endpoint and are not flipped.
-    Raises InvalidArgument unless `cone` and both direction entries are
-    ints (see `is_int`) and `length` is None or rational (see
-    `is_rational`), so nothing is floored or stored inexactly.  A zero
-    direction or a nonpositive length is left to `check_structure`.
+    Raises InvalidArgument unless `tail` and `head` are strs, `cone` and
+    both direction entries are ints (see `is_int`) and `length` is None or
+    rational (see `is_rational`), so nothing is floored or stored
+    inexactly.  A zero direction or a nonpositive length is left to
+    `check_structure`.
     """
+    if not (isinstance(tail, str) and isinstance(head, str)):
+        raise InvalidArgument(
+            f"edge endpoints must be vertex id strs, got {tail!r:.60}, {head!r:.60}")
     try:
         u, v = direction
     except (TypeError, ValueError):
@@ -122,8 +137,9 @@ class TropicalTree:
         _set(self, "boundary", boundary)
         incident: dict[str, list[Edge]] = {}
         for e in edges:
-            for vid in {e.tail, e.head}:
-                incident.setdefault(vid, []).append(e)
+            incident.setdefault(e.tail, []).append(e)
+            if e.head != e.tail:
+                incident.setdefault(e.head, []).append(e)
         # built from the back, so the first vertex or edge of a key wins
         _set(self, "_vertex_of", {v.id: v for v in reversed(vertices)})
         _set(self, "_incident", {vid: tuple(es) for vid, es in incident.items()})
@@ -155,10 +171,33 @@ class TropicalTree:
 
 
 def make_tree(vertices, edges, boundary) -> TropicalTree:
-    """Normalized tree: vertices sorted by id, edges by endpoint pair."""
-    vs = tuple(sorted(vertices, key=lambda v: v.id))
-    es = tuple(sorted(edges, key=lambda e: (e.tail, e.head)))
-    return TropicalTree(vs, es, (boundary[0], boundary[1]))
+    """Normalized tree: vertices sorted by id, edges by endpoint pair.
+
+    Raises InvalidArgument unless `vertices` and `edges` are lists or
+    tuples of `Vertex` and `Edge` values and `boundary` is a list or tuple
+    of two str ids.  A boundary that names no vertex is left to
+    `check_structure`.
+    """
+    if not (isinstance(vertices, (list, tuple)) and isinstance(edges, (list, tuple))
+            and all(isinstance(v, Vertex) for v in vertices)
+            and all(isinstance(e, Edge) for e in edges)):
+        raise InvalidArgument(
+            f"tree needs lists of vertices and edges, got {vertices!r:.60}, {edges!r:.60}")
+    if not (isinstance(boundary, (list, tuple)) and len(boundary) == 2
+            and isinstance(boundary[0], str) and isinstance(boundary[1], str)):
+        raise InvalidArgument(f"tree boundary must be two str ids, got {boundary!r:.60}")
+    return _tree(vertices, edges, boundary)
+
+
+_vertex_id = attrgetter("id")
+_edge_key = attrgetter("tail", "head")
+
+
+def _tree(vertices, edges, boundary) -> TropicalTree:
+    """`make_tree` for values the caller built itself, unchecked."""
+    return TropicalTree(tuple(sorted(vertices, key=_vertex_id)),
+                        tuple(sorted(edges, key=_edge_key)),
+                        (boundary[0], boundary[1]))
 
 
 @value_class("tree", "legs")
@@ -220,15 +259,16 @@ class CylinderInBTilde:
 def _ends_match(tc, hc, length, direction) -> bool:
     """Whether hc == tc + length * direction, coordinate by coordinate.
 
-    With length p/q, t = tn/td and h = hn/hd this is
-    q*(hn*td - tn*hd) == p*d*hd*td, all in integers.
+    The ends are integer coordinates (A, B, Q) from `TropicalBase._coords`.
+    With length p/q, tail (At/Qt, Bt/Qt) and head (Ah/Qh, Bh/Qh) this is
+    q*(Ah*Qt - At*Qh) == p*u*Qt*Qh, and the same for B with v.
     """
     p, q = length.numerator, length.denominator
-    for t, h, d in zip(tc, hc, direction):
-        tn, td, hn, hd = t.numerator, t.denominator, h.numerator, h.denominator
-        if q * (hn * td - tn * hd) != p * d * hd * td:
-            return False
-    return True
+    at, bt, qt = tc
+    ah, bh, qh = hc
+    u, v = direction
+    scale = p * qt * qh
+    return q * (ah * qt - at * qh) == scale * u and q * (bh * qt - bt * qh) == scale * v
 
 
 def check_structure(base: TropicalBase, tree: TropicalTree,
@@ -246,9 +286,10 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         if b not in tree:
             raise StructuralError(f"boundary vertex {b!r} missing")
 
-    for v in tree.vertices:
-        if v.is_unbounded and not allow_unbounded:
-            raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
+    if not allow_unbounded:
+        for v in tree.vertices:
+            if v.position is None:
+                raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
 
     seen = set()
     vertex_of = tree._vertex_of
@@ -265,27 +306,27 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         seen.add(key)
         if e.direction == (0, 0):
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) has zero direction")
-        if tail.is_unbounded:
+        if tail.position is None:
             raise StructuralError(f"edge tail {e.tail!r} is unbounded")
-        tc = base.coords_in_cone(tail.position, e.cone)
+        tc = base._coords(tail.position, e.cone)
         if tc is None:
             raise StructuralError(
                 f"vertex {e.tail!r} lies outside cone {e.cone} of its edge")
-        if e.is_ray:
-            if not head.is_unbounded:
+        if e.length is None:
+            if head.position is not None:
                 raise StructuralError(
                     f"ray ({e.tail!r}, {e.head!r}) must end at infinity")
             if e.direction[0] < 0 or e.direction[1] < 0:
                 raise StructuralError(
                     f"ray ({e.tail!r}, {e.head!r}) leaves cone {e.cone}")
         else:
-            if head.is_unbounded:
+            if head.position is None:
                 raise StructuralError(
                     f"bounded edge ({e.tail!r}, {e.head!r}) ends at infinity")
             if e.length.numerator <= 0:
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) has nonpositive length")
-            hc = base.coords_in_cone(head.position, e.cone)
+            hc = base._coords(head.position, e.cone)
             if hc is None:
                 raise StructuralError(
                     f"vertex {e.head!r} lies outside cone {e.cone} of its edge")
@@ -295,7 +336,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
                     f"its direction and length")
 
     for v in tree.vertices:
-        if v.is_unbounded and tree.valency(v.id) != 1:
+        if v.position is None and tree.valency(v.id) != 1:
             raise StructuralError(f"unbounded vertex {v.id!r} must be 1-valent")
 
     if len(tree.edges) != len(tree.vertices) - 1:
@@ -337,7 +378,7 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
     from the lower cone is carried across the wall by the inline transport
     (u, v) -> (v - d*u, -u) of `TropicalBase.transport`).
 
-    Edge cones count modulo l, as in `TropicalBase.coords_in_cone`.
+    Edge cones count modulo l, as in `TropicalBase._coords`.
     """
     target = pos.cone
     out = []
@@ -349,7 +390,7 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
             u, v = -u, -v
         if e.cone != target:
             cone = e.cone % base.l
-            if pos.b == 0 and (cone + 1) % base.l == target:
+            if pos.B == 0 and (cone + 1) % base.l == target:
                 d = base.pair.self_intersections[target]
                 u, v = v - d * u, -u
             elif cone != target:
@@ -400,12 +441,12 @@ def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) ->
     """Whether `vec` is a positive multiple of the ray from the origin
     through `pos`; `vec` lives in the canonical cone of `pos`.
 
-    Both tests are scaled by the positive ad*bd of the cone coordinates
-    (an/ad, bn/bd) of `pos`, so they compare integers.
+    With the cone coordinates (A/Q, B/Q) of `pos`, both tests are scaled
+    by the positive Q, so they compare integers.
     """
-    pa, pb = base.coords_in_cone(pos, vec.cone)
-    an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
-    return vec.u * bn * ad == vec.v * an * bd and vec.u * an * bd + vec.v * bn * ad > 0
+    A, B, _ = base._coords(pos, vec.cone)
+    u, v = vec.u, vec.v
+    return u * B == v * A and u * A + v * B > 0
 
 
 def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
@@ -413,10 +454,10 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
 
     One pass over the bounded vertices off the origin reads each vertex's
     outgoing directions once, from `_outgoing`, in its canonical cone.
-    With cone coordinates (an/ad, bn/bd) of the vertex, an edge (u, v)
-    points along the origin ray when u*bn*ad == v*an*bd, and a 2-valent
-    vertex's nonzero direction sum (su, sv) points outward when also
-    su*an*bd + sv*bn*ad > 0: transports are linear and fix the wall ray,
+    With cone coordinates (A/Q, B/Q) of the vertex, an edge (u, v) points
+    along the origin ray when u*B == v*A, and a 2-valent vertex's nonzero
+    direction sum (su, sv) points outward when also su*A + sv*B > 0:
+    transports are linear and fix the wall ray,
     so these are the radial tests in the edge's own cone.  Defects are
     held back, so every `radial-direction` violation comes before any
     `defect-not-outward` one.
@@ -436,12 +477,10 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
         pos = v.position
         if pos is None or pos.cone is None:
             continue
-        a, b = pos.a, pos.b
-        p = b.numerator * a.denominator
-        q = a.numerator * b.denominator
+        A, B = pos.A, pos.B
         outgoing = _outgoing(base, tree, v.id, pos)
         for e, du, dv in outgoing:
-            if du * p == dv * q:
+            if du * B == dv * A:
                 out.append(Violation(
                     "radial-direction", v.id,
                     f"edge ({e.tail!r}, {e.head!r}) points along the origin "
@@ -450,7 +489,7 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
             continue
         su = outgoing[0][1] + outgoing[1][1]
         sv = outgoing[0][2] + outgoing[1][2]
-        if (su or sv) and not (su * p == sv * q and su * q + sv * p > 0):
+        if (su or sv) and not (su * B == sv * A and su * A + sv * B > 0):
             defects.append(Violation(
                 "defect-not-outward", v.id,
                 f"2-valent vertex {v.id!r} has direction sum ({su}, "

@@ -239,7 +239,7 @@ def count_spine(base, spine: TropicalTree) -> int:
         raise NotInFamily("normal form has exactly one 2-valent vertex")
     center = centers[0]
     pos = center.position
-    if pos is None or pos.is_origin or not (pos.cone == 1 and pos.b == 0):
+    if pos is None or pos.is_origin or not (pos.cone == 1 and pos.B == 0):
         raise NotInFamily("central vertex must sit on the positive wall-1 ray")
     by_cone = {}
     for e in spine.incident(center.id):

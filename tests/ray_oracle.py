@@ -1,23 +1,34 @@
-"""Test-only references for the ray cast, the spine checks and the
-family trace's cone search: the same decisions made with `Fraction`
-arithmetic, as the engine did before it moved to integer numerators."""
+"""Test-only references for the ray cast, the spine checks, the extension
+loop and the family trace's cone search: the same decisions made with
+`Fraction` arithmetic, as the engine did before it moved to integer
+numerators, and the extension building its tree step by step."""
 
 from fractions import Fraction
 
+from itertools import count
+
 from tropcyl import (
+    CurveClass,
     DegenerateRay,
+    ExtensionResult,
+    HitOrigin,
+    NotExtendable,
     TangentVector,
+    Vertex,
     WrongHomeCone,
     del_pezzo_base,
+    make_edge,
+    make_tree,
 )
 from tropcyl.extension import DEL_PEZZO_PAIR
 from tropcyl.lattice import develop
+from tropcyl.spines import direction_at
 
 
 def fraction_trace(base, start, cone, u, v):
     """`extension._trace`, comparing ta = a/-u with tb = b/-v as `Fraction`s.
 
-    Returns the same (kind, cone, u, v, a, b, wall, point, length) tuple."""
+    Returns the same (kind, cone, u, v, wall, point, length) tuple."""
     if start.is_origin:
         raise DegenerateRay("ray starts at the origin")
     if u == 0 and v == 0:
@@ -47,14 +58,48 @@ def fraction_trace(base, start, cone, u, v):
     ta = a / -u if u < 0 else None
     tb = b / -v if v < 0 else None
     if ta is None and tb is None:
-        return "unbounded", cone, u, v, a, b, None, None, None
+        return "unbounded", cone, u, v, None, None, None
     if ta is not None and tb is not None and ta == tb:
-        return "origin", cone, u, v, a, b, None, None, None
+        return "origin", cone, u, v, None, None, None
     if tb is None or (ta is not None and ta < tb):
         hit = base.point(cone, Fraction(0), b + ta * v)
-        return "wall", cone, u, v, a, b, (cone + 1) % base.l, hit, ta
+        return "wall", cone, u, v, (cone + 1) % base.l, hit, ta
     hit = base.point(cone, a + tb * u, Fraction(0))
-    return "wall", cone, u, v, a, b, cone, hit, tb
+    return "wall", cone, u, v, cone, hit, tb
+
+
+def eager_extend(base, spine, max_steps):
+    """`extend` on a valid spine as it was before its steps were kept as
+    tuples: every step casts with `fraction_trace` and builds its `Vertex`
+    and its edge (through `make_edge`) at once."""
+    fresh = (f"x{k}" for k in count(1) if f"x{k}" not in spine)
+    ends = []
+    for end in spine.boundary:
+        (edge,) = spine.incident(end)
+        w = direction_at(spine, edge, end)
+        ends.append((end, spine.position(end), w.cone, -w.u, -w.v))
+    vertices, edges, boundary = list(spine.vertices), list(spine.edges), list(spine.boundary)
+    total = {}
+    steps = side = 0
+    while any(ends):
+        if ends[side] is not None:
+            if steps >= max_steps:
+                raise NotExtendable(steps)
+            vid, position, cone, u, v = ends[side]
+            kind, cone, u, v, wall, point, length = fraction_trace(base, position, cone, u, v)
+            if kind == "origin":
+                raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
+            x = next(fresh)
+            vertices.append(Vertex(x, point))
+            edges.append(make_edge(vid, x, cone, (u, v), length))
+            boundary[side] = x
+            ends[side] = None
+            if wall is not None:
+                total[wall] = total.get(wall, 0) + (-v if wall == cone else -u)
+                ends[side] = (x, point, cone, u, v)
+            steps += 1
+        side = 1 - side
+    return ExtensionResult(make_tree(vertices, edges, boundary), CurveClass.of(total), steps)
 
 
 def fraction_ends_match(tc, hc, length, direction) -> bool:

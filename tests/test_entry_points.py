@@ -29,6 +29,15 @@ def _or_any(accepted):
 INT = _or_any(st.integers(-3, 12))
 RATIONAL = _or_any(st.integers(-3, 12) | st.fractions(-5, 5, max_denominator=9))
 SEQUENCE = _or_any(st.lists(INT, max_size=5) | st.lists(INT, max_size=5).map(tuple))
+ID = _or_any(st.sampled_from("ab"))
+POINT = _or_any(st.none() | st.builds(tc.BasePoint, st.integers(0, 3),
+                                      st.fractions(0, 3, max_denominator=5)))
+VERTICES = _or_any(st.lists(st.builds(tc.Vertex, st.sampled_from("ab"), POINT.filter(
+    lambda p: p is None or type(p) is tc.BasePoint)) | ANY, max_size=2))
+EDGES = _or_any(st.lists(st.builds(tc.Edge, st.sampled_from("ab"), st.sampled_from("ab"),
+                                   st.integers(0, 3), st.just((1, 0)), st.none())
+                         | ANY, max_size=2))
+BOUNDARY = _or_any(st.tuples(ID, ID) | st.lists(ID, max_size=3))
 
 
 def _exact(x) -> bool:
@@ -64,9 +73,26 @@ def _vector(cone, u, v):
 
 def _edge(tail, head, cone, direction, length):
     e = tc.make_edge(tail, head, cone, direction, length)
+    assert type(tail) is str and type(head) is str
     assert type(cone) is int and all(type(x) is int for x in direction)
     assert length is None or _exact(length)
     assert e.length is None or type(e.length) is Fraction
+
+
+def _base_point(cone, a, b):
+    p = tc.BasePoint(cone, a, b)
+    assert (cone is None or type(cone) is int) and _exact(a) and _exact(b)
+    assert type(p.a) is Fraction and type(p.b) is Fraction
+
+
+def _vertex(vid, position):
+    v = tc.Vertex(vid, position)
+    assert type(v.id) is str and (position is None or type(position) is tc.BasePoint)
+
+
+def _tree(vertices, edges, boundary):
+    t = tc.make_tree(vertices, edges, boundary)
+    assert all(type(x) is str for x in t.boundary) and len(t.boundary) == 2
 
 
 def _point(cone, a, b):
@@ -87,8 +113,11 @@ ENTRY_POINTS = {
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
     "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
     "TangentVector": (_vector, st.tuples(INT, INT, INT)),
+    "BasePoint": (_base_point, st.tuples(st.none() | INT, RATIONAL, RATIONAL)),
+    "Vertex": (_vertex, st.tuples(ID, POINT | st.tuples(INT, INT))),
+    "make_tree": (_tree, st.tuples(VERTICES, EDGES, BOUNDARY)),
     "make_edge": (_edge, st.tuples(
-        st.sampled_from("ab"), st.sampled_from("ab"), INT,
+        ID, ID, INT,
         _or_any(st.tuples(INT, INT) | st.lists(INT, max_size=3)), st.none() | RATIONAL)),
     "fan_closure": (tc.fan_closure, st.tuples(SEQUENCE)),
     "intersection_matrix": (tc.intersection_matrix, st.tuples(SEQUENCE)),

@@ -29,7 +29,7 @@ from tropcyl import (
 from tropcyl.extension import DEL_PEZZO_PAIR, _trace, tropical_trace
 from tropcyl.lattice import ORIGIN
 
-from ray_oracle import fraction_trace, fraction_tropical_trace, outcome
+from ray_oracle import eager_extend, fraction_trace, fraction_tropical_trace, outcome
 
 F = Fraction
 
@@ -82,7 +82,7 @@ class TestRayTrace:
         assert kind == "unbounded"
 
     def test_unit_drop(self, del_pezzo):
-        kind, _, _, _, _, _, wall, point, length = _trace(
+        kind, _, _, _, wall, point, length = _trace(
             del_pezzo, del_pezzo.point(0, 1, 1), 0, 0, -1)
         assert kind == "wall"
         assert wall == 0
@@ -90,13 +90,13 @@ class TestRayTrace:
         assert length == 1
 
     def test_diagonal_to_wall(self, del_pezzo):
-        kind, _, _, _, _, _, wall, point, length = _trace(
+        kind, _, _, _, wall, point, length = _trace(
             del_pezzo, del_pezzo.point(0, 2, 1), 0, -1, -1)
         assert (kind, wall, length) == ("wall", 0, 1)
         assert point == del_pezzo.point(0, 1, 0)
 
     def test_second_wall_exit(self, del_pezzo):
-        kind, _, _, _, _, _, wall, point, length = _trace(
+        kind, _, _, _, wall, point, length = _trace(
             del_pezzo, del_pezzo.point(0, 1, 3), 0, -1, 0)
         assert (kind, wall) == ("wall", 1)
         assert point == del_pezzo.point(1, 3, 0)
@@ -110,7 +110,7 @@ class TestRayTrace:
         # from a wall-1 point, pointing across the wall into cone 0:
         # (1,-2) in cone 1 re-expresses as (2,-1) in cone 0 (d_1 = -1)
         start = del_pezzo.point(1, 2, 0)
-        kind, cone, u, v, _, _, wall, point, length = _trace(
+        kind, cone, u, v, wall, point, length = _trace(
             del_pezzo, start, 1, 1, -2)
         assert cone == 0
         assert (u, v) == (2, -1)
@@ -323,10 +323,61 @@ class TestExtendMatchesSteps:
         assert got == CurveClass.of({0: 1, 1: 1, 2: 4})
 
 
+def _one_turn_spine(k):
+    """Start spine on (-2)^(k-1), (-1): it leaves after k + 2 steps."""
+    base = build_base(LooijengaPair((-2,) * (k - 1) + (-1,)))
+    spine = make_tree(
+        [Vertex("a", base.point(0, 2, 1)), Vertex("b", base.point(0, 1, 1))],
+        [make_edge("a", "b", 0, (-1, 0), 1)],
+        ("a", "b"),
+    )
+    return base, spine
+
+
+class TestExtendBuildsOnce:
+    """`extend` keeps its steps as tuples and builds the new vertices and
+    edges once both ends finish: the result equals the step-by-step
+    `Fraction` reference, and a run that raises builds none of them."""
+
+    def test_criterion_5_spines_match_the_eager_reference(self, del_pezzo):
+        for l in range(1, 5):
+            for n, m, b in product(range(l + 1), range(-2, 3), (F(1), F(3, 2))):
+                spine = family_spine(l, m, n, b)
+                assert extend(del_pezzo, spine) == eager_extend(del_pezzo, spine, 10_000)
+
+    def test_one_turn_spines_match_the_eager_reference(self):
+        for k in range(3, 65):
+            base, spine = _one_turn_spine(k)
+            res = extend(base, spine)
+            assert res.steps == k + 2
+            assert res == eager_extend(base, spine, 10_000), k
+
+    def test_spiral_matches_the_eager_reference(self, all_minus_two):
+        _, spine = _one_turn_spine(4)
+        for budget in (1, 2, 57):
+            assert outcome(extend, all_minus_two, spine, budget) == outcome(
+                eager_extend, all_minus_two, spine, budget)
+
+    def test_vertices_and_edges_built_only_for_a_finished_run(self, monkeypatch,
+                                                             all_minus_two):
+        built = []
+        for name in ("Vertex", "Edge"):
+            cls = getattr(tc.extension, name)
+            monkeypatch.setattr(tc.extension, name,
+                                lambda *args, cls=cls: built.append(cls) or cls(*args))
+        _, spine = _one_turn_spine(4)
+        with pytest.raises(NotExtendable):
+            extend(all_minus_two, spine, 300)
+        assert built == []
+        base, spine = _one_turn_spine(9)
+        res = extend(base, spine)
+        assert len(built) == 2 * res.steps
+
+
 class TestDirectConstruction:
-    """`_cast` builds each hit point as a `BasePoint` and each edge as an
-    `Edge` directly, skipping `TropicalBase.point` and `make_edge`: both
-    must be exactly the values those constructors give."""
+    """`_trace` builds each hit point as a `BasePoint` and `_step_parts`
+    each edge as an `Edge` directly, skipping `TropicalBase.point` and
+    `make_edge`: both must be exactly the values those constructors give."""
 
     def _extended(self, del_pezzo):
         for l in range(1, 5):  # the criterion-5 grid

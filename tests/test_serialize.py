@@ -1,4 +1,8 @@
+import copy
+import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,13 @@ from tropcyl.serialize import (
     spine_from_json,
     spine_to_json,
 )
+
+from point_oracle import (
+    fraction_parse_frac,
+    fraction_spine_from_json,
+    fraction_spine_to_json,
+)
+from ray_oracle import outcome
 
 F = Fraction
 
@@ -143,3 +154,130 @@ class TestSpineFile:
         }
         with pytest.raises(SchemaError):
             spine_from_json(del_pezzo, data)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _family_json(l=3, m=-1, n=2, b=F(5, 4)):
+    return spine_to_json(tc.family_spine(l, m, n, b))
+
+
+def _with(data, path, value):
+    """A deep copy of `data` with the entry at `path` set to `value`."""
+    data = copy.deepcopy(data)
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+ODD_VALUES = (
+    "1.0", " 1 ", "1e5", "١/1", "0x1", "nan", "inf", "1_0/1", "1" * 5000 + "/1",
+    "2/4", "-1/2", "0/1", "1/0", "", True, False, 1.5, float("nan"), [1], {"a": 1},
+    None, 3, -1, 10 ** 30,
+)
+# (where in the family spine file, the values put there)
+PARSE_TABLE = (
+    (("vertices", 0, "coords", 0), ODD_VALUES),
+    (("vertices", 2, "coords", 1), ODD_VALUES),
+    (("edges", 0, "length"), ODD_VALUES + ("unbounded",)),
+    (("vertices", 1, "cone"), (10 ** 30, -7, True, 1.0, "0", None)),
+    (("edges", 1, "cone"), (10 ** 30, -7, True, 1.0, "0", None)),
+    (("edges", 0, "direction"), ([True, 1], [1.0, 0], [1], "ab", [10 ** 30, 1], [0, 0])),
+    (("edges", 0, "tail"), ("nope", 3, None, "v2")),
+    (("vertices", 0, "id"), (3, None, "v1", "w")),
+    (("vertices", 1, "origin"), ("yes", 1, True, False)),
+    (("vertices", 0), ("v0", None, {"id": "v0"}, {"id": "v0", "cone": 1})),
+    (("edges", 1), ([], {"tail": "v0"})),
+    (("boundary",), (["v1", "zz"], ["zz", "yy"], [1, 2], "ab", ["v1"], ["v2", "v1"])),
+    (("vertices",), ({}, "x")),
+)
+
+
+def _table():
+    base = _family_json()
+    for path, values in PARSE_TABLE:
+        for value in values:
+            yield path, value, _with(base, path, value)
+
+
+# the pair file each spine file under tests/data is read against
+SPINE_PAIRS = {"family": "dp.json", "spiral": "m2x4.json", "turn16": "turn16.json"}
+
+
+def _spine_files():
+    """(base, data) for every spine file under tests/data."""
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "vertices" in data:
+            pair = next(v for k, v in SPINE_PAIRS.items() if path.name.startswith(k))
+            ds = json.loads((DATA / pair).read_text())["self_intersections"]
+            out.append((tc.build_base(tuple(ds)), data))
+    assert len(out) == 6
+    return out
+
+
+def _built_trees():
+    """(base, tree) for a family-spine grid, spiral and one-turn prefixes,
+    one-turn extensions and their cylinders (whose legs end at the
+    origin)."""
+    dp = tc.del_pezzo_base()
+    for l, m, n, b in product((1, 2, 4), (-2, 0, 3), range(3), (F(1), F(3, 2), F(7, 3))):
+        yield dp, tc.family_spine(l, m, max(0, min(n, l)), b)
+    m2x4 = tc.build_base((-2,) * 4)
+    tree = tc.make_tree(
+        [tc.Vertex("a", m2x4.point(1, 2, 1)), tc.Vertex("b", m2x4.point(1, 1, 1))],
+        [tc.make_edge("a", "b", 1, (-1, 0), 1)], ("a", "b"))
+    for k in range(40):
+        tree, _, _ = tc.extend_step(m2x4, tree, tree.boundary[1])
+        if k % 13 == 0:
+            yield m2x4, tree
+    for k in (3, 7, 12):
+        base = tc.build_base((-2,) * (k - 1) + (-1,))
+        spine = tc.make_tree(
+            [tc.Vertex("a", base.point(0, F(2, 3), F(1, 5))),
+             tc.Vertex("b", base.point(0, F(1, 3), F(1, 5)))],
+            [tc.make_edge("a", "b", 0, (-1, 0), F(1, 3))], ("a", "b"))
+        prefix, finished = spine, False
+        while not finished and len(prefix.vertices) < k:
+            # the end "b" winds once round the origin before it leaves
+            prefix, _, finished = tc.extend_step(base, prefix, prefix.boundary[1])
+        yield base, prefix
+        ext = tc.extend(base, spine).extended
+        yield base, ext
+        yield base, tc.cylinder_in_b(base, ext).tree
+
+
+def _dumped(write, parse, base, data):
+    return json.dumps(write(parse(base, data)), sort_keys=True)
+
+
+class TestSpineParseParity:
+    """The one-pass integer parse gives the tree, or the exception type and
+    message, of the `Fraction` parse in `point_oracle`; and the writer
+    gives the reference's bytes."""
+
+    @pytest.mark.parametrize("s", ODD_STRINGS + ODD_VALUES,
+                             ids=range(len(ODD_STRINGS + ODD_VALUES)))
+    def test_parse_frac_matches_reference(self, s):
+        assert outcome(parse_frac, s) == outcome(fraction_parse_frac, s)
+
+    def test_malformed_and_non_canonical_files(self, del_pezzo):
+        kinds = set()
+        for path, value, data in _table():
+            got = outcome(spine_from_json, del_pezzo, data)
+            assert got == outcome(fraction_spine_from_json, del_pezzo, data), (path, value)
+            kinds.add(got[0] if got[0] == "value" else got[1])
+        assert kinds == {"value", SchemaError}
+
+    def test_round_trip_matches_reference(self):
+        cases = _spine_files() + [(base, spine_to_json(tree))
+                                  for base, tree in _built_trees()]
+        for base, data in cases:
+            got = _dumped(spine_to_json, spine_from_json, base, data)
+            assert got == _dumped(fraction_spine_to_json, fraction_spine_from_json,
+                                  base, data)

@@ -39,6 +39,7 @@ from ray_oracle import (
     fraction_is_radial,
     outcome,
 )
+from point_oracle import as_ints, split_ends_match
 from spine_oracle import (
     _is_radial,
     two_pass_spine_conditions,
@@ -121,6 +122,50 @@ class TestMakeEdge:
         assert (e.direction, e.length) == (direction, length)
         tree = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 1),
                                 del_pezzo.point(0, 2, 1), 0, direction, length)
+        with pytest.raises(StructuralError):
+            check_structure(del_pezzo, tree)
+
+
+class TestTreeBuilderRejections:
+    """`Vertex`, `make_edge` and `make_tree` raise InvalidArgument on
+    ill-typed ids, positions and containers, where they used to store them
+    or end in a bare TypeError or IndexError."""
+
+    @pytest.mark.parametrize("vid, position", [
+        (3, None), (None, None), (("a",), None), (b"a", None),
+        ("a", (1, 2)), ("a", 0), ("a", "origin"), ("a", [1, 2]),
+    ])
+    def test_vertex(self, vid, position):
+        with pytest.raises(InvalidArgument):
+            Vertex(vid, position)
+
+    def test_vertex_accepts_str_ids_and_points(self):
+        for position in (None, ORIGIN, tc.BasePoint(1, F(1, 2))):
+            assert Vertex("a", position).position is position
+
+    def test_float_coordinates_never_reach_validation(self, del_pezzo):
+        # a float coordinate used to end in a bare AttributeError there
+        with pytest.raises(InvalidArgument):
+            Vertex("a", tc.BasePoint(0, 2.0, 1))
+
+    @pytest.mark.parametrize("tail, head", [(1, "a"), ("a", 1), (None, "b"), ("a", ("b",))])
+    def test_make_edge_ids(self, tail, head):
+        with pytest.raises(InvalidArgument):
+            make_edge(tail, head, 0, (1, 0), 1)
+
+    @pytest.mark.parametrize("vertices, edges, boundary", [
+        (None, [], ("a", "b")), ([], None, ("a", "b")), ("ab", [], ("a", "b")),
+        ([1], [], ("a", "b")), ([], [Vertex("a", None)], ("a", "b")),
+        ([], [], "a"), ([], [], "ab"), ([], [], ("a",)), ([], [], ("a", "b", "c")),
+        ([], [], (1, 2)), ([], [], None), ([], [], {"a": 1, "b": 2}),
+    ])
+    def test_make_tree(self, vertices, edges, boundary):
+        with pytest.raises(InvalidArgument):
+            make_tree(vertices, edges, boundary)
+
+    def test_boundary_naming_no_vertex_left_to_check_structure(self, del_pezzo):
+        tree = make_tree([], [], ["a", "b"])
+        assert tree.boundary == ("a", "b")
         with pytest.raises(StructuralError):
             check_structure(del_pezzo, tree)
 
@@ -435,9 +480,10 @@ class TestIntegerChecks:
                 # the true endpoint, nudges of each coordinate, and the tail
                 for head in (end, (end[0] + F(1, 6), end[1]),
                              (end[0], end[1] - F(1, 3)), tail):
-                    got = _ends_match(tail, head, length, d)
+                    got = _ends_match(as_ints(tail), as_ints(head), length, d)
                     assert got == fraction_ends_match(tail, head, length, d), (
                         tail, head, length, d)
+                    assert got == split_ends_match(tail, head, length, d)
                     verdicts.add(got)
         assert verdicts == {True, False}
 
@@ -452,7 +498,9 @@ class TestIntegerChecks:
     def test_endpoint_matches_fraction_reference(self, t, h, length, d, exact):
         if exact:  # half the draws put the head where the edge ends
             h = (t[0] + length * d[0], t[1] + length * d[1])
-        assert _ends_match(t, h, length, d) == fraction_ends_match(t, h, length, d)
+        got = _ends_match(as_ints(t), as_ints(h), length, d)
+        assert got == fraction_ends_match(t, h, length, d)
+        assert got == split_ends_match(t, h, length, d)
 
     @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
     def test_radial_grid_matches_fraction_reference(self, ds):
