@@ -229,7 +229,7 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     vertex, edge = _step_parts(step)
     boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
     new_tree = _tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
-    return new_tree, CurveClass.of([crossing] if crossing else ()), new_end is None
+    return new_tree, CurveClass.of(dict([crossing] if crossing else ())), new_end is None
 
 
 MAX_STEPS = 10_000
@@ -242,13 +242,16 @@ def extend(base: TropicalBase, spine: TropicalTree,
 
     Ends are served alternately; the two sides never interact, so the
     result does not depend on the order.  Raises NotExtendable when the
-    step budget runs out (non-positive pairs can spiral forever), and
+    step budget runs out (non-positive pairs can spiral forever),
+    InvalidArgument unless max_steps is an int (see `is_int`), and
     InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP: a spiral's time
     and memory grow with its steps.  Each end keeps its id, position and
     outgoing ray, and each step is kept as the plain tuple of `_cast`; the
     new vertices and edges, the tree and the curve class are built once,
     after both ends finish, so a run that raises builds none of them.
     """
+    if not is_int(max_steps):
+        raise InvalidArgument(f"extend needs an int max_steps, got {max_steps!r:.60}")
     if not 1 <= max_steps <= MAX_STEPS_CAP:
         raise InvalidQuery(
             f"extend needs 1 <= max_steps <= {MAX_STEPS_CAP}, got {max_steps}")

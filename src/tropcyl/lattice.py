@@ -221,10 +221,6 @@ class IntMatrix2:
         _set(self, "c", c)
         _set(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "IntMatrix2":
-        return cls(1, 0, 0, 1)
-
     def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
         return IntMatrix2(
             self.a * other.a + self.b * other.c,
@@ -276,13 +272,20 @@ class CurveClass:
         return cls(())
 
     @classmethod
-    def of(cls, mapping) -> "CurveClass":
+    def of(cls, mapping: dict[int, int]) -> "CurveClass":
+        """The class of {divisor index: multiplicity}.  Raises
+        InvalidArgument unless `mapping` is a dict of ints (see `is_int`)
+        with every multiplicity >= 0."""
+        if not (isinstance(mapping, dict)
+                and all(is_int(k) and is_int(v) for k, v in mapping.items())):
+            raise InvalidArgument(
+                f"curve class needs a dict of int multiplicities, got {mapping!r:.60}")
         items = []
-        for k, v in sorted(dict(mapping).items()):
+        for k, v in sorted(mapping.items()):
             if v < 0:
                 raise InvalidArgument("curve class multiplicities must be >= 0")
             if v:
-                items.append((int(k), int(v)))
+                items.append((k, v))
         return cls(tuple(items))
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
@@ -492,40 +495,34 @@ def intersection_matrix(pair: LooijengaPair):
 def is_positive(pair: LooijengaPair) -> bool:
     """Whether the intersection matrix M is NOT negative semi-definite.
 
-    Decided exactly by symmetric (LDL^T) elimination of -M over the
-    rationals, without pivoting: -M is positive semi-definite iff every
-    pivot is >= 0 and every zero pivot has the rest of its row zero.  So a
-    negative pivot, or a zero pivot with a nonzero entry after it, makes
-    the pair positive.  A positive d_i (a positive 1x1 minor of M)
-    answers at once.
+    A positive d_i (a positive 1x1 minor of M) answers at once.  Otherwise
+    the leading principal minors of -M up to size l-1 are the continuants
+    P_{-1} = 1, P_0 = -d_0, P_k = -d_k P_{k-1} - P_{k-2}, and the answer is
+    that of symmetric (LDL^T) elimination of -M without pivoting, which
+    finds -M positive semi-definite iff every pivot is >= 0 and every zero
+    pivot has the rest of its row zero:
 
-    -M is stored as sparse upper rows: -d_i on the diagonal and -1 for
-    each cyclic neighbour.  M is cyclic tridiagonal, so fill-in stays in
-    the last row and column, and the elimination takes O(l) steps.
+    - pivot k is P_k / P_{k-1}, so the first P_k <= 0 is the first pivot
+      that is negative or zero;
+    - a zero pivot in rows 0..l-3 has its neighbour's -1 after it, so the
+      pair is positive;
+    - a zero pivot in row l-2 has the fill-in -1 - 1/P_{l-3} != 0 after
+      it, so the pair is positive;
+    - the last pivot is det(-M) / P_{l-2}, and det(-M) = tr(monodromy) - 2,
+      so with P_0..P_{l-2} > 0 the pair is positive iff the trace is < 2.
+
+    O(l) integer steps, all in the continuant and `monodromy`.
     """
-    ds = _as_pair(pair).self_intersections
+    pair = _as_pair(pair)
+    ds = pair.self_intersections
     if any(d > 0 for d in ds):
         return True
-    l = len(ds)
-    # row k of the upper triangle of -M, as {column: entry}
-    rows = [{k: Fraction(-d)} for k, d in enumerate(ds)]
-    for k in range(l - 1):
-        rows[k][k + 1] = Fraction(-1)
-    rows[0][l - 1] = Fraction(-1)
-    for k, row in enumerate(rows):
-        pivot = row.pop(k)
-        if pivot < 0:
+    prev, cur = 1, -ds[0]
+    for d in ds[1:-1]:
+        if cur <= 0:
             return True
-        if pivot == 0:
-            if any(row.values()):
-                return True
-            continue
-        for i, a in row.items():
-            target = rows[i]
-            for j, b in row.items():
-                if j >= i:
-                    target[j] = target.get(j, 0) - a * b / pivot
-    return False
+        prev, cur = cur, -d * cur - prev
+    return cur <= 0 or monodromy(TropicalBase(pair)).trace() < 2
 
 
 def primitive_part(u: int, v: int):
@@ -534,22 +531,6 @@ def primitive_part(u: int, v: int):
         raise ZeroVector("the zero vector has no primitive part")
     g = gcd(abs(u), abs(v))
     return (u // g, v // g), g
-
-
-def lattice_length_of_point(a: Fraction, b: Fraction):
-    """Length of the segment from the origin to (a, b) against the lattice.
-
-    Returns (length, primitive direction): (a, b) = length * primitive.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 and b == 0:
-        raise ZeroVector("zero point has no direction")
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    ia = int(a * den)
-    ib = int(b * den)
-    g = gcd(abs(ia), abs(ib))
-    return Fraction(g, den), (ia // g, ib // g)
 
 
 def verify_toric_criterion(l: int, lo: int, hi: int):
@@ -564,6 +545,9 @@ def verify_toric_criterion(l: int, lo: int, hi: int):
     recurrence in `develop`.  Both cross wall 0 last, so each leaf of
     the walk finishes every choice of d_0.
     """
+    if not (is_int(l) and is_int(lo) and is_int(hi)):
+        raise InvalidArgument(
+            f"toric sweep needs int l, lo, hi, got {l!r:.60}, {lo!r:.60}, {hi!r:.60}")
     if l < 3:
         raise InvalidPair(f"need at least 3 boundary components, got {l}")
     values = range(lo, hi + 1)

@@ -73,10 +73,6 @@ def pair_from_json(data) -> LooijengaPair:
     return LooijengaPair(tuple(seq))
 
 
-def pair_to_json(pair: LooijengaPair) -> dict:
-    return {"self_intersections": list(pair.self_intersections)}
-
-
 def spine_from_json(base: TropicalBase, data) -> TropicalTree:
     if not isinstance(data, dict):
         raise SchemaError("spine file must be a JSON object")

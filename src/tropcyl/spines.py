@@ -276,7 +276,8 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
     """Raise StructuralError unless `tree` is a consistent mapped tree.
 
     Vertices at the origin are allowed here; `validate_spine` reports them
-    as `origin-image` violations, and cylinders end their legs there.
+    as `origin-image` violations, and cylinders end their legs there.  A
+    vertex elsewhere must lie in its cone: A >= 0 and B >= 0.
     """
     if len(tree._vertex_of) != len(tree.vertices):
         raise StructuralError("duplicate vertex ids")
@@ -286,10 +287,13 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         if b not in tree:
             raise StructuralError(f"boundary vertex {b!r} missing")
 
-    if not allow_unbounded:
-        for v in tree.vertices:
-            if v.position is None:
+    for v in tree.vertices:
+        p = v.position
+        if p is None:
+            if not allow_unbounded:
                 raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
+        elif p.A < 0 or p.B < 0:
+            raise StructuralError(f"vertex {v.id!r} lies outside its cone {p.cone}")
 
     seen = set()
     vertex_of = tree._vertex_of

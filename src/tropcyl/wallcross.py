@@ -20,7 +20,7 @@ from math import comb, lcm
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
 from .extension import DEL_PEZZO_PAIR
 from .lattice import _set, is_int, is_rational, value_class
-from .spines import TropicalTree, direction_at, validate_spine
+from .spines import TropicalTree, _outgoing, validate_spine
 
 
 @value_class("terms", "trunc")
@@ -193,7 +193,13 @@ def symmetry_check(q: CountQuery) -> bool:
 def count_table(l_max: int, m_values) -> dict:
     """Count table rows for l = 0..l_max and each of at most TABLE_M_VALUES
     values of m, each row read off one image and checked against the row
-    of `math.comb(l, n)` (which does not depend on m)."""
+    of `math.comb(l, n)` (which does not depend on m).  Raises
+    InvalidArgument unless `l_max` is an int and `m_values` a list, tuple
+    or range of ints (see `is_int`)."""
+    if not (is_int(l_max) and isinstance(m_values, (list, tuple, range))):
+        raise InvalidArgument(
+            f"table needs an int l_max and a list, tuple or range of m values, got "
+            f"{l_max!r:.60}, {m_values!r:.60}")
     if l_max < 1:
         raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
     if l_max > ORACLE_L_MAX:
@@ -201,6 +207,8 @@ def count_table(l_max: int, m_values) -> dict:
     if not 1 <= len(m_values) <= TABLE_M_VALUES:
         raise InvalidQuery(
             f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
+    if not all(map(is_int, m_values)):
+        raise InvalidArgument(f"table needs int m values, got {m_values!r:.60}")
     expected = [[comb(l, n) for n in range(l + 1)] for l in range(l_max + 1)]
     rows = []
     for m in m_values:
@@ -219,10 +227,15 @@ def count_table(l_max: int, m_values) -> dict:
 def count_spine(base, spine: TropicalTree) -> int:
     """Count for a spine in the three-vertex one-wall normal form.
 
-    Pattern-matches the spine against the family (central vertex on the
-    positive wall-1 ray, stated integer directions into cones 0 and 1),
-    recovers (l, m, n), and counts; the answer does not depend on the
-    height of the central vertex.
+    The count is read off the broken-line bend at the central vertex, which
+    must sit on the positive wall-1 ray.  In the chart of cone 1, where the
+    wall ray is (1, 0), the two arms point away from the centre as
+    (u0, v0) and (u1, v1).  The spine is in the family iff the arms have
+    opposite wedges v0 = -v1 with the wall ray, whose size l = |v0| >= 1
+    is the exponent of the wall function (1 + z)^l, and the bend
+    u0 + u1 = n is the multiple of the wall ray picked up at the centre.
+    The count is the coefficient C(l, n) of z^n, which does not depend on
+    the height of the central vertex.
     """
     if base.pair.self_intersections != DEL_PEZZO_PAIR:
         raise UnsupportedBase(
@@ -241,20 +254,15 @@ def count_spine(base, spine: TropicalTree) -> int:
     pos = center.position
     if pos is None or pos.is_origin or not (pos.cone == 1 and pos.B == 0):
         raise NotInFamily("central vertex must sit on the positive wall-1 ray")
-    by_cone = {}
-    for e in spine.incident(center.id):
-        if e.cone in by_cone:
-            raise NotInFamily("the two arms must enter different cones")
-        by_cone[e.cone] = direction_at(spine, e, center.id)
-    if set(by_cone) != {0, 1}:
-        raise NotInFamily("the two arms must enter cones 0 and 1")
-    l, m = by_cone[0].u, by_cone[0].v
-    q1, q2 = by_cone[1].u, by_cone[1].v
-    if l < 1 or q2 != l:
+    (_, u0, v0), (_, u1, v1) = _outgoing(base, spine, center.id, pos)
+    l = abs(v0)
+    # the family's definition; on a valid spine the radial and
+    # outward-defect conditions at the centre already imply it
+    if l < 1 or v0 + v1 != 0:
         raise NotInFamily(
-            f"arm directions ({l}, {m}) and ({q1}, {q2}) are not in the family")
-    n = q1 + m + l
-    return count(CountQuery(l, m, n))
+            f"arm directions ({u0}, {v0}) and ({u1}, {v1}) in cone 1 are not "
+            f"in the family")
+    return count(CountQuery(l, 0, u0 + u1))
 
 
 def virtual_dim(g: int, dim_v: int, alpha_dot_k: int, n: int) -> int:

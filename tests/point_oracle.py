@@ -5,10 +5,12 @@ read spine files straight into that form.  `fraction_point`,
 `TropicalBase.coords_in_cone` and `spines._ends_match` as they were;
 `fraction_parse_frac`, `fraction_spine_from_json` and
 `fraction_spine_to_json` are the parse and the writer of `serialize` as
-they were, built through the public constructors."""
+they were, built through the public constructors.  `lattice_length`
+splits a segment into its lattice length and primitive direction, for
+tests that build edges between points."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from tropcyl import BasePoint, InvalidArgument, SchemaError, Vertex, make_edge, make_tree
 from tropcyl.lattice import ORIGIN, ZERO, is_int, is_rational
@@ -19,6 +21,15 @@ def as_ints(coords):
     a, b = Fraction(coords[0]), Fraction(coords[1])
     q = lcm(a.denominator, b.denominator)
     return (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q)
+
+
+def lattice_length(a, b):
+    """(length, primitive direction) of the nonzero vector (a, b), with
+    (a, b) = length * direction: gcd(A, B)/Q over the integers of
+    `as_ints`."""
+    A, B, Q = as_ints((a, b))
+    g = gcd(A, B)
+    return Fraction(g, Q), (A // g, B // g)
 
 
 def fraction_point(base, cone, a, b):

@@ -204,7 +204,7 @@ def _family_parameters(spine):
 
 def _perturb_leaf(base, spine, rng):
     from tropcyl import Vertex, make_edge, make_tree
-    from tropcyl.lattice import lattice_length_of_point
+    from point_oracle import lattice_length
 
     leaf = rng.choice(("v1", "v2"))
     edge = [e for e in spine.edges if leaf in (e.tail, e.head)][0]
@@ -222,7 +222,7 @@ def _perturb_leaf(base, spine, rng):
     delta = (a - tc0[0], b - tc0[1])
     if delta == (0, 0):
         return None
-    length, prim = lattice_length_of_point(*delta)
+    length, prim = lattice_length(*delta)
     vertices = [Vertex("v0", anchor) if v.id == "v0" else
                 (Vertex(leaf, new_pos) if v.id == leaf else v)
                 for v in spine.vertices]

@@ -15,15 +15,16 @@ from tropcyl.extension import tropical_trace
 
 # A fixed alphabet: plain st.text() first builds a Unicode table, which
 # takes seconds in a checkout without a .hypothesis cache.
-ANY = (st.integers() | st.booleans() | st.floats() | st.fractions()
-       | st.text(alphabet="1/0-x .e", max_size=4) | st.none())
+NOT_INT = (st.booleans() | st.floats() | st.fractions()
+           | st.text(alphabet="1/0-x .e", max_size=4) | st.none())
+ANY = st.integers() | NOT_INT
 
 
-def _or_any(accepted):
-    """`accepted` on half the draws and `ANY` on the others, so that both
+def _or_any(accepted, other=ANY):
+    """`accepted` on half the draws and `other` on the others, so that both
     the value and the error paths are hit (`|` would weight each branch of
-    `ANY` like `accepted`)."""
-    return st.booleans().flatmap(lambda ok: accepted if ok else ANY)
+    `other` like `accepted`)."""
+    return st.booleans().flatmap(lambda ok: accepted if ok else other)
 
 
 INT = _or_any(st.integers(-3, 12))
@@ -101,6 +102,27 @@ def _point(cone, a, b):
     assert type(p.a) is Fraction and type(p.b) is Fraction
 
 
+def _curve_class(mapping):
+    cc = tc.CurveClass.of(mapping)
+    assert all(type(k) is int and type(v) is int for k, v in mapping.items())
+    assert all(type(k) is int and type(v) is int for k, v in cc.coeffs)
+
+
+def _extend(max_steps):
+    tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), max_steps)
+    assert type(max_steps) is int
+
+
+def _table(l_max, m_values):
+    table = tc.count_table(l_max, m_values)
+    assert type(l_max) is int and all(type(m) is int for m in table["m_values"])
+
+
+def _sweep(l, lo, hi):
+    assert all(type(x) is int for x in tc.verify_toric_criterion(l, lo, hi))
+    assert type(l) is int and type(lo) is int and type(hi) is int
+
+
 ENTRY_POINTS = {
     "CountQuery": (_count, st.tuples(INT, INT, INT)),
     "from_dict": (
@@ -128,6 +150,14 @@ ENTRY_POINTS = {
         INT, INT, INT, RATIONAL, _or_any(st.lists(RATIONAL, max_size=3)))),
     "family_spine": (tc.family_spine, st.tuples(INT, INT, INT, RATIONAL)),
     "trace_path_image": (tc.trace_path_image, st.tuples(INT, INT, INT, RATIONAL)),
+    "CurveClass.of": (_curve_class, st.tuples(
+        _or_any(st.dictionaries(INT, INT, max_size=3)))),
+    "extend": (_extend, st.tuples(INT)),
+    "count_table": (_table, st.tuples(INT, SEQUENCE)),
+    # the sweep's time grows as (hi - lo + 1)^l: no unbounded ints here
+    "verify_toric_criterion": (_sweep, st.tuples(
+        _or_any(st.integers(1, 4), NOT_INT), _or_any(st.integers(-2, 0), NOT_INT),
+        _or_any(st.integers(-1, 1), NOT_INT))),
 }
 
 
@@ -144,3 +174,33 @@ def test_returns_or_raises_a_domain_error(name):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.CurveClass.of({0: 1.5}),
+    lambda: tc.CurveClass.of({"a": 1}),
+    lambda: tc.CurveClass.of([(0, 1)]),
+    lambda: tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), 5.0),
+    lambda: tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), True),
+    lambda: tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), "5"),
+    lambda: tc.count_table(5.5, [0]),
+    lambda: tc.count_table(5, 3),
+    lambda: tc.count_table(5, [0.0]),
+    lambda: tc.verify_toric_criterion("a", 0, 1),
+    lambda: tc.verify_toric_criterion(3, 0.5, 1),
+])
+def test_ill_typed_input_is_invalid_argument(call):
+    with pytest.raises(tc.InvalidArgument):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tc.CurveClass.of({0: -1}), tc.InvalidArgument),
+    (lambda: tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), 0), tc.InvalidQuery),
+    (lambda: tc.count_table(21, [0]), tc.InvalidQuery),
+    (lambda: tc.count_table(5, []), tc.InvalidQuery),
+    (lambda: tc.verify_toric_criterion(2, 0, 1), tc.InvalidPair),
+])
+def test_out_of_range_input_keeps_its_error(call, error):
+    with pytest.raises(error):
+        call()

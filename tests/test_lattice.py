@@ -21,7 +21,7 @@ from tropcyl import (
     monodromy,
     verify_toric_criterion,
 )
-from tropcyl.lattice import ORIGIN, develop, lattice_length_of_point, primitive_part
+from tropcyl.lattice import ORIGIN, develop, primitive_part
 
 from ray_oracle import outcome
 from spine_oracle import matrix_transport
@@ -201,11 +201,9 @@ class TestTransport:
 
 class TestWedgeAndNorm:
     def test_zero_vector_rejected(self):
-        # the zero vector has no primitive part and no lattice length
+        # the zero vector has no primitive part
         with pytest.raises(ZeroVector):
             primitive_part(0, 0)
-        with pytest.raises(ZeroVector):
-            lattice_length_of_point(0, 0)
 
 
 class TestMonodromy:
@@ -464,6 +462,13 @@ class TestPositivity:
     def test_matches_minor_oracle_on_grid(self, l):
         for ds in product(range(-3, 3), repeat=l):
             assert is_positive(ds) is _oracle_is_positive(ds), ds
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_monodromy_trace_is_det_plus_two_on_grid(self, l):
+        # det(-M) = tr(monodromy) - 2: the last pivot of the elimination
+        for ds in product(range(-3, 3), repeat=l):
+            neg = [[-x for x in row] for row in intersection_matrix(ds)]
+            assert _int_det(neg) == monodromy(build_base(ds)).trace() - 2, ds
 
     @settings(max_examples=60, deadline=None)
     @given(_mixed_pairs())

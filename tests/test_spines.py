@@ -24,7 +24,7 @@ from tropcyl import (
     subdivide_edge,
     validate_spine,
 )
-from tropcyl.lattice import ORIGIN, lattice_length_of_point
+from tropcyl.lattice import ORIGIN
 from tropcyl.spines import (
     _ends_match,
     _spine_conditions,
@@ -39,7 +39,7 @@ from ray_oracle import (
     fraction_is_radial,
     outcome,
 )
-from point_oracle import as_ints, split_ends_match
+from point_oracle import as_ints, lattice_length, split_ends_match
 from spine_oracle import (
     _is_radial,
     two_pass_spine_conditions,
@@ -83,7 +83,7 @@ def _realize(base, image):
             c1 = base.coords_in_cone(point_of(k1), cone)
             c2 = base.coords_in_cone(point_of(k2), cone)
             delta = (c2[0] - c1[0], c2[1] - c1[1])
-            length, prim = lattice_length_of_point(*delta)
+            length, prim = lattice_length(*delta)
             edges.append(make_edge(t, h, cone, prim, length))
         else:
             _, cone, k, prim = piece
@@ -211,6 +211,20 @@ class TestStructure:
         )
         with pytest.raises(StructuralError):
             check_structure(del_pezzo, bad)
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (F(-1, 2), 0)])
+    def test_vertex_outside_its_cone_rejected(self, del_pezzo, a, b):
+        # BasePoint takes any signs; the edge from it matches its ends
+        outside = tc.BasePoint(0, a, b)
+        bad = make_tree(
+            [Vertex("a", outside), Vertex("b", del_pezzo.point(0, a + 2, b + 2))],
+            [make_edge("a", "b", 0, (1, 1), 2)],
+            ("a", "b"),
+        )
+        with pytest.raises(StructuralError, match="outside its cone 0"):
+            check_structure(del_pezzo, bad)
+        with pytest.raises(StructuralError, match="outside its cone 0"):
+            validate_spine(del_pezzo, bad)
 
 
 def _malformed(base, case):

@@ -80,3 +80,41 @@ def test_readme_library_example_runs_as_stated():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert values == [2, True]
     assert type(values[1]) is bool
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """Functions, classes and constants that a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_definition_is_exported_or_used():
+    # a definition that is neither in __all__ nor named elsewhere in src/
+    # is dead code: delete it, or move it to tests/ as a reference
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))}
+    used = set(tropcyl.__all__)
+    for tree in modules.values():
+        used |= _referenced_names(tree)
+    unused = {name: sorted(_module_level_names(tree) - used)
+              for name, tree in modules.items()}
+    assert {name: names for name, names in unused.items() if names} == {}

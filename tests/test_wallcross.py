@@ -305,6 +305,15 @@ class TestCountSpine:
         assert count_spine(del_pezzo, tc.family_spine(2, 0, 1, F(7, 3))) == 2
         assert count_spine(del_pezzo, tc.family_spine(4, -1, 2, F(1, 2))) == 6
 
+    def test_bend_reads_the_binomial_on_the_family_grid(self, del_pezzo):
+        # (l, n) read off the bend at the centre, whatever m and the height
+        for l in range(1, 6):
+            for m in (-3, 0, 2):
+                for n in range(0, l + 1):
+                    for b in (F(1, 3), 2):
+                        assert count_spine(del_pezzo, tc.family_spine(l, m, n, b)) \
+                            == subset_count(l, n), (l, m, n, b)
+
     def test_wrong_base(self, square):
         with pytest.raises(UnsupportedBase):
             count_spine(square, tc.family_spine(2, 0, 1, 1))
