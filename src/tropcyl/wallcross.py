@@ -19,7 +19,7 @@ from math import comb, lcm
 
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
 from .extension import DEL_PEZZO_PAIR
-from .lattice import _set, is_int, is_rational, value_class
+from .lattice import L_MAX, _set, is_int, is_rational, value_class
 from .spines import TropicalTree, _outgoing, validate_spine
 
 
@@ -146,7 +146,6 @@ def focus_focus_inverse(s: SparseLaurentSeries,
     return _apply_shear(s, -1, trunc)
 
 
-L_MAX = 1000
 ORACLE_L_MAX = 20
 TABLE_M_VALUES = 100
 
@@ -266,5 +265,12 @@ def count_spine(base, spine: TropicalTree) -> int:
 
 
 def virtual_dim(g: int, dim_v: int, alpha_dot_k: int, n: int) -> int:
-    """Expected dimension (1 - g)(dim_v - 3) - alpha_dot_k + n."""
+    """Expected dimension (1 - g)(dim_v - 3) - alpha_dot_k + n.  Raises
+    InvalidArgument unless every argument is an int (see `is_int`)."""
+    if (type(g) is not int or type(dim_v) is not int or type(alpha_dot_k) is not int
+            or type(n) is not int) and not (
+            is_int(g) and is_int(dim_v) and is_int(alpha_dot_k) and is_int(n)):
+        raise InvalidArgument(
+            f"virtual dimension needs int arguments, got {g!r:.60}, {dim_v!r:.60}, "
+            f"{alpha_dot_k!r:.60}, {n!r:.60}")
     return (1 - g) * (dim_v - 3) - alpha_dot_k + n

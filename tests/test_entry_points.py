@@ -118,6 +118,20 @@ def _table(l_max, m_values):
     assert type(l_max) is int and all(type(m) is int for m in table["m_values"])
 
 
+def _monodromy(base):
+    m = tc.monodromy(base)
+    assert all(type(x) is int for x in (m.a, m.b, m.c, m.d))
+
+
+def _matrix(a, b, c, d):
+    m = tc.IntMatrix2(a, b, c, d)
+    assert all(type(x) is int for x in (m.a, m.b, m.c, m.d))
+
+
+def _virtual_dim(g, dim_v, alpha_dot_k, n):
+    assert type(tc.virtual_dim(g, dim_v, alpha_dot_k, n)) is int
+
+
 def _sweep(l, lo, hi):
     assert all(type(x) is int for x in tc.verify_toric_criterion(l, lo, hi))
     assert type(l) is int and type(lo) is int and type(hi) is int
@@ -133,6 +147,7 @@ ENTRY_POINTS = {
                  st.tuples(INT, INT, RATIONAL, st.none() | INT)),
     "LooijengaPair": (_pair, st.tuples(SEQUENCE)),
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
+    "TropicalBase": (tc.TropicalBase, st.tuples(SEQUENCE)),
     "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
     "TangentVector": (_vector, st.tuples(INT, INT, INT)),
     "BasePoint": (_base_point, st.tuples(st.none() | INT, RATIONAL, RATIONAL)),
@@ -154,10 +169,16 @@ ENTRY_POINTS = {
         _or_any(st.dictionaries(INT, INT, max_size=3)))),
     "extend": (_extend, st.tuples(INT)),
     "count_table": (_table, st.tuples(INT, SEQUENCE)),
-    # the sweep's time grows as (hi - lo + 1)^l: no unbounded ints here
+    "monodromy": (_monodromy, st.tuples(_or_any(
+        st.builds(tc.build_base, st.lists(st.integers(-3, 3), min_size=3, max_size=5))
+        | st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
+        SEQUENCE))),
+    "IntMatrix2": (_matrix, st.tuples(INT, INT, INT, INT)),
+    "virtual_dim": (_virtual_dim, st.tuples(INT, INT, INT, INT)),
+    # l and the pair count are capped, so any ints end in bounded time
     "verify_toric_criterion": (_sweep, st.tuples(
-        _or_any(st.integers(1, 4), NOT_INT), _or_any(st.integers(-2, 0), NOT_INT),
-        _or_any(st.integers(-1, 1), NOT_INT))),
+        _or_any(st.integers(), NOT_INT), _or_any(st.integers(), NOT_INT),
+        _or_any(st.integers(), NOT_INT))),
 }
 
 
@@ -188,6 +209,12 @@ def test_returns_or_raises_a_domain_error(name):
     lambda: tc.count_table(5, [0.0]),
     lambda: tc.verify_toric_criterion("a", 0, 1),
     lambda: tc.verify_toric_criterion(3, 0.5, 1),
+    lambda: tc.monodromy(None),
+    lambda: tc.TropicalBase(None),
+    lambda: tc.IntMatrix2(0.5, 0, 0, 1),
+    lambda: tc.IntMatrix2(1, 0, 0, True),
+    lambda: tc.virtual_dim(0.5, 2, 1, 1),
+    lambda: tc.virtual_dim(0, 2, 1, "1"),
 ])
 def test_ill_typed_input_is_invalid_argument(call):
     with pytest.raises(tc.InvalidArgument):
@@ -200,6 +227,7 @@ def test_ill_typed_input_is_invalid_argument(call):
     (lambda: tc.count_table(21, [0]), tc.InvalidQuery),
     (lambda: tc.count_table(5, []), tc.InvalidQuery),
     (lambda: tc.verify_toric_criterion(2, 0, 1), tc.InvalidPair),
+    (lambda: tc.monodromy((0, -1)), tc.InvalidPair),
 ])
 def test_out_of_range_input_keeps_its_error(call, error):
     with pytest.raises(error):

@@ -9,6 +9,7 @@ from tropcyl import (
     CurveClass,
     InvalidArgument,
     InvalidPair,
+    InvalidQuery,
     IntMatrix2,
     LooijengaPair,
     TangentVector,
@@ -21,7 +22,7 @@ from tropcyl import (
     monodromy,
     verify_toric_criterion,
 )
-from tropcyl.lattice import ORIGIN, develop, primitive_part
+from tropcyl.lattice import L_MAX, ORIGIN, SWEEP_PAIRS_MAX, develop, primitive_part
 
 from ray_oracle import outcome
 from spine_oracle import matrix_transport
@@ -227,6 +228,17 @@ class TestMonodromy:
         assert (m.a, m.b, m.c, m.d) == _oracle_monodromy((big, 0, 0))
         assert m == IntMatrix2(big, -1, 1, 0)
 
+    def test_takes_a_pair_or_a_sequence(self, del_pezzo):
+        expected = monodromy(del_pezzo)
+        assert monodromy(del_pezzo.pair) == expected
+        assert monodromy((0, -1, 0, 0)) == expected
+        assert monodromy([0, -1, 0, 0]) == expected
+
+    @pytest.mark.parametrize("arg", [None, 3, "0,-1,0,0", (0, 0.5, 0), {0: 1}])
+    def test_other_arguments_rejected(self, arg):
+        with pytest.raises(InvalidArgument):
+            monodromy(arg)
+
     def test_matches_explicit_product(self, del_pezzo):
         # independent recomputation: multiply the four factors directly
         mats = [del_pezzo.forward_matrix(i) for i in range(4)]
@@ -357,9 +369,45 @@ class TestToricSweep:
     def test_closure_counts(self, l, closures):
         assert verify_toric_criterion(l, -3, 3) == (7 ** l, closures, 0)
 
+    # every window [lo, hi] of these ranges with at most 20,000 pairs
+    @pytest.mark.parametrize("l, first, last", [(3, -6, 5), (4, -5, 4), (5, -3, 3), (6, -3, 2)])
+    def test_matches_oracle_on_windows(self, l, first, last):
+        for lo in range(first, last + 1):
+            for hi in range(lo, last + 1):
+                if (hi - lo + 1) ** l <= 20_000:
+                    assert verify_toric_criterion(l, lo, hi) == _oracle_sweep(l, lo, hi), (lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_windows(self, data):
+        l = data.draw(st.integers(3, 9))
+        width = data.draw(st.integers(1, int(4000 ** (1 / l))))
+        lo = data.draw(st.integers(-12, 12))
+        hi = lo + width - 1
+        assert verify_toric_criterion(l, lo, hi) == _oracle_sweep(l, lo, hi)
+
     def test_short_sequences_rejected(self):
         with pytest.raises(InvalidPair):
             verify_toric_criterion(2, -3, 3)
+
+    def test_long_walk_is_iterative(self):
+        # (0)^l is the quarter turn l times: closed when 4 divides l
+        assert verify_toric_criterion(1000, 0, 0) == (1, 1, 0)
+        assert verify_toric_criterion(999, 0, 0) == (1, 0, 0)
+
+    def test_pair_cap_is_inclusive(self):
+        assert verify_toric_criterion(7, 0, 9)[0] == SWEEP_PAIRS_MAX
+        with pytest.raises(InvalidQuery):
+            verify_toric_criterion(7, 0, 10)
+
+    @pytest.mark.parametrize("l, lo, hi", [
+        (L_MAX + 1, 0, 0), (2000, 0, 0), (30, -1, 1), (3, 1, 0), (L_MAX, 0, 10**100),
+        # past the int-to-str limit: the messages must not print these
+        pytest.param(10**5000, 0, 0, id="huge-l"), pytest.param(3, 0, 10**5000, id="huge-hi"),
+        pytest.param(3, 10**5000, 0, id="huge-lo")])
+    def test_caps(self, l, lo, hi):
+        with pytest.raises(InvalidQuery):
+            verify_toric_criterion(l, lo, hi)
 
 
 class TestIntersectionMatrix:
