@@ -227,7 +227,7 @@ def test_ill_typed_input_is_invalid_argument(call):
     (lambda: tc.count_table(21, [0]), tc.InvalidQuery),
     (lambda: tc.count_table(5, []), tc.InvalidQuery),
     (lambda: tc.verify_toric_criterion(2, 0, 1), tc.InvalidPair),
-    (lambda: tc.monodromy((0, -1)), tc.InvalidPair),
+    pytest.param(lambda: tc.monodromy((0, -1)), tc.InvalidPair, id="monodromy-InvalidPair"),
 ])
 def test_out_of_range_input_keeps_its_error(call, error):
     with pytest.raises(error):
