@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from math import comb
 
-from .errors import InvalidQuery, TropcylError
+from .errors import InvalidQuery, TropcylError, brief
 from .extension import (
     MAX_STEPS,
     MAX_STEPS_CAP,
@@ -170,7 +170,7 @@ def cmd_trace(args) -> int:
 def cmd_table(args) -> int:
     if args.m_min > args.m_max:
         raise InvalidQuery(
-            f"table needs --m-min <= --m-max, got {args.m_min} > {args.m_max}")
+            f"table needs --m-min <= --m-max, got {brief(args.m_min)} > {brief(args.m_max)}")
     report = wallcross.count_table(args.l_max, range(args.m_min, args.m_max + 1))
     text = json.dumps(report, sort_keys=True)
     if args.out:

@@ -26,6 +26,8 @@ from .errors import (
     StructuralError,
     UnbalancedNonRadial,
     WrongHomeCone,
+    brief,
+    brief_rational,
 )
 from .lattice import (
     ORIGIN,
@@ -104,13 +106,13 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     coords = base._coords(start, cone)
     if coords is None:
         raise WrongHomeCone(
-            f"start point is not in cone {cone} of the ray direction")
+            f"start point is not in cone {brief(cone)} of the ray direction")
     a, b, q = coords
 
     if b == 0 and v == 0:
-        raise DegenerateRay(f"direction runs along wall {cone}")
+        raise DegenerateRay(f"direction runs along wall {brief(cone)}")
     if a == 0 and u == 0:
-        raise DegenerateRay(f"direction runs along wall {(cone + 1) % l}")
+        raise DegenerateRay(f"direction runs along wall {brief((cone + 1) % l)}")
 
     if b == 0 and v < 0:
         # start on the cone's first wall, pointing across it: backward
@@ -251,10 +253,10 @@ def extend(base: TropicalBase, spine: TropicalTree,
     after both ends finish, so a run that raises builds none of them.
     """
     if not is_int(max_steps):
-        raise InvalidArgument(f"extend needs an int max_steps, got {max_steps!r:.60}")
+        raise InvalidArgument(f"extend needs an int max_steps, got {brief(max_steps)}")
     if not 1 <= max_steps <= MAX_STEPS_CAP:
         raise InvalidQuery(
-            f"extend needs 1 <= max_steps <= {MAX_STEPS_CAP}, got {max_steps}")
+            f"extend needs 1 <= max_steps <= {MAX_STEPS_CAP}, got {brief(max_steps)}")
     violations = validate_spine(base, spine)
     if violations:
         raise StructuralError(
@@ -317,7 +319,7 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
             continue
         if not is_outward_radial(base, pos, sigma):
             raise UnbalancedNonRadial(
-                f"vertex {v.id!r} has direction sum ({sigma.u}, {sigma.v}) "
+                f"vertex {v.id!r} has direction sum ({brief(sigma.u)}, {brief(sigma.v)}) "
                 f"that is not an outward radial vector")
         # sigma lives in the cone of pos; its lattice length there is
         # gcd(A, B)/Q, and the leg's parameter length divides it by the
@@ -418,9 +420,9 @@ def _family_height(l, m, n, b) -> Fraction:
     """`b` as a `Fraction`, once l, m, n are ints with l >= 1 and b rational."""
     if not (is_int(l) and is_int(m) and is_int(n) and is_rational(b)):
         raise InvalidArgument("family needs int l, m, n and a rational b, "
-                              f"got {l!r}, {m!r}, {n!r}, {b!r}")
+                              f"got {brief(l)}, {brief(m)}, {brief(n)}, {brief(b)}")
     if l < 1:
-        raise InvalidQuery(f"family needs l >= 1, got {l}")
+        raise InvalidQuery(f"family needs l >= 1, got {brief(l)}")
     return Fraction(b)
 
 
@@ -434,7 +436,7 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     """
     b = _family_height(l, m, n, b)
     if not is_rational(t):
-        raise InvalidArgument(f"trace needs a rational t, got {t!r}")
+        raise InvalidArgument(f"trace needs a rational t, got {brief(t)}")
     t = Fraction(t)
     # the point is P/den for the integer vector P and den = lcm of the
     # denominators of b and t, so the cone search compares integers
@@ -452,7 +454,7 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
 def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:
     """Trace samples at each parameter value in `ts`."""
     if not isinstance(ts, (list, tuple)) or not all(map(is_rational, ts)):
-        raise InvalidArgument(f"trace needs a list of rational t, got {ts!r:.60}")
+        raise InvalidArgument(f"trace needs a list of rational t, got {brief(ts)}")
     return [TracePoint(Fraction(t), tropical_trace(l, m, n, b, t)) for t in ts]
 
 
@@ -465,7 +467,7 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
     """
     b = _family_height(l, m, n, b)
     if b <= 0:
-        raise InvalidArgument(f"family needs b > 0, got {b}")
+        raise InvalidArgument(f"family needs b > 0, got {brief_rational(b)}")
     base = del_pezzo_base()
     eps = b / (2 * (1 + max(abs(m), abs(n - m - l))))
     v0 = base.point(1, b, 0)

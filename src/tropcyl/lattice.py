@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
-from .errors import InvalidArgument, InvalidPair, InvalidQuery, WrongHomeCone, ZeroVector
+from .errors import (InvalidArgument, InvalidPair, InvalidQuery, WrongHomeCone, ZeroVector,
+                     brief, brief_rational)
 
 # The one zero of every default and wall coordinate; a Fraction is
 # immutable, so sharing it is safe.
@@ -105,7 +106,7 @@ class LooijengaPair:
         si = self_intersections
         if not isinstance(si, (tuple, list)) or not all(map(is_int, si)):
             raise InvalidArgument(
-                f"self-intersections must be a tuple or list of ints, got {si!r:.60}")
+                f"self-intersections must be a tuple or list of ints, got {brief(si)}")
         if len(si) < 3:
             raise InvalidPair(f"need at least 3 boundary components, got {len(si)}")
         _set(self, "self_intersections", tuple(si))
@@ -142,7 +143,7 @@ class BasePoint:
                 (cone is None or is_int(cone)) and is_rational(a) and is_rational(b)):
             raise InvalidArgument(
                 f"base point needs an int or None cone and rational coordinates, "
-                f"got {cone!r:.60}, {a!r:.60}, {b!r:.60}")
+                f"got {brief(cone)}, {brief(a)}, {brief(b)}")
         ad, bd = a.denominator, b.denominator
         q = ad if ad == bd else ad * bd // gcd(ad, bd)
         _set(self, "cone", cone)
@@ -203,8 +204,8 @@ class TangentVector:
     def __init__(self, cone: int, u: int, v: int):
         if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
                 is_int(cone) and is_int(u) and is_int(v)):
-            raise InvalidArgument(
-                f"tangent vector needs int cone, u, v, got {cone!r:.60}, {u!r:.60}, {v!r:.60}")
+            raise InvalidArgument(f"tangent vector needs int cone, u, v, got "
+                                  f"{brief(cone)}, {brief(u)}, {brief(v)}")
         _set(self, "cone", cone)
         _set(self, "u", u)
         _set(self, "v", v)
@@ -225,8 +226,8 @@ class IntMatrix2:
         if (type(a) is not int or type(b) is not int or type(c) is not int
                 or type(d) is not int) and not (
                 is_int(a) and is_int(b) and is_int(c) and is_int(d)):
-            raise InvalidArgument(
-                f"matrix needs int entries, got {a!r:.60}, {b!r:.60}, {c!r:.60}, {d!r:.60}")
+            raise InvalidArgument(f"matrix needs int entries, got "
+                                  f"{brief(a)}, {brief(b)}, {brief(c)}, {brief(d)}")
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -255,7 +256,7 @@ class IntMatrix2:
             return IntMatrix2(self.d, -self.b, -self.c, self.a)
         if det == -1:
             return IntMatrix2(-self.d, self.b, self.c, -self.a)
-        raise ZeroVector(f"matrix with determinant {det} is not invertible over Z")
+        raise ZeroVector(f"matrix with determinant {brief(det)} is not invertible over Z")
 
     @property
     def is_identity(self) -> bool:
@@ -290,7 +291,7 @@ class CurveClass:
         if not (isinstance(mapping, dict)
                 and all(is_int(k) and is_int(v) for k, v in mapping.items())):
             raise InvalidArgument(
-                f"curve class needs a dict of int multiplicities, got {mapping!r:.60}")
+                f"curve class needs a dict of int multiplicities, got {brief(mapping)}")
         items = []
         for k, v in sorted(mapping.items()):
             if v < 0:
@@ -338,11 +339,11 @@ class TropicalBase:
         `a`, `b` are exact rationals (see `is_rational`).
         """
         if type(cone) is not int and not is_int(cone):
-            raise InvalidArgument(f"point needs an int cone, got {cone!r:.60}")
+            raise InvalidArgument(f"point needs an int cone, got {brief(cone)}")
         if type(a) is not Fraction or type(b) is not Fraction:
             if not (is_rational(a) and is_rational(b)):
                 raise InvalidArgument(
-                    f"point needs rational coordinates, got ({a!r:.60}, {b!r:.60})")
+                    f"point needs rational coordinates, got ({brief(a)}, {brief(b)})")
             a, b = Fraction(a), Fraction(b)
         ad, bd = a.denominator, b.denominator
         q = ad if ad == bd else ad * bd // gcd(ad, bd)
@@ -355,7 +356,7 @@ class TropicalBase:
         if A < 0 or B < 0:
             raise InvalidArgument(
                 f"cone coordinates must be nonnegative, got "
-                f"({Fraction(A, Q)}, {Fraction(B, Q)})")
+                f"({brief_rational(Fraction(A, Q))}, {brief_rational(Fraction(B, Q))})")
         g = gcd(A, B, Q)
         if g != 1:
             A, B, Q = A // g, B // g, Q // g
@@ -414,13 +415,13 @@ class TropicalBase:
             if vec.cone != (wall - 1) % l:
                 raise WrongHomeCone(
                     f"forward transport across wall {wall} needs home cone "
-                    f"{(wall - 1) % l}, got {vec.cone}"
+                    f"{(wall - 1) % l}, got {brief(vec.cone)}"
                 )
             return TangentVector(wall, v - d * u, -u)
         if vec.cone != wall:
             raise WrongHomeCone(
                 f"backward transport across wall {wall} needs home cone "
-                f"{wall}, got {vec.cone}"
+                f"{wall}, got {brief(vec.cone)}"
             )
         return TangentVector((wall - 1) % l, -v, u - d * v)
 
@@ -465,7 +466,7 @@ def develop(pair: LooijengaPair, lo: int, hi: int) -> list[tuple[int, int]]:
     (w, w').
     """
     if lo > hi:
-        raise InvalidArgument(f"develop needs lo <= hi, got {lo} > {hi}")
+        raise InvalidArgument(f"develop needs lo <= hi, got {brief(lo)} > {brief(hi)}")
     ds = _as_pair(pair).self_intersections
     l = len(ds)
     # forward from the frame (v_0, v_1), backward from (v_1, v_0)
@@ -585,10 +586,9 @@ def verify_toric_criterion(l: int, lo: int, hi: int):
     """
     if not (is_int(l) and is_int(lo) and is_int(hi)):
         raise InvalidArgument(
-            f"toric sweep needs int l, lo, hi, got {l!r:.60}, {lo!r:.60}, {hi!r:.60}")
+            f"toric sweep needs int l, lo, hi, got {brief(l)}, {brief(lo)}, {brief(hi)}")
     if l < 3:
-        raise InvalidPair(f"need at least 3 boundary components, got {l}")
-    # the messages print no argument that may be too long for str()
+        raise InvalidPair(f"need at least 3 boundary components, got {brief(l)}")
     if l > L_MAX:
         raise InvalidQuery(f"toric sweep is capped at l = {L_MAX}")
     if lo > hi:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import brief
 from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
 from .spines import CylinderInB, Edge, TropicalTree, Vertex, _tree
 
@@ -32,7 +33,7 @@ def frac_to_str(x) -> str:
 
 def _int_field(x, what: str) -> int:
     if not is_int(x):
-        raise SchemaError(f"{what} must be an integer, got {x!r}")
+        raise SchemaError(f"{what} must be an integer, got {brief(x)}")
     return x
 
 
@@ -56,7 +57,7 @@ def _parse_ratio(s) -> tuple[int, int]:
         return x.numerator, x.denominator
     if is_int(s):
         return int(s), 1
-    raise SchemaError(f"expected a rational string, got {s!r}")
+    raise SchemaError(f"expected a rational string, got {brief(s)}")
 
 
 def parse_frac(s) -> Fraction:

@@ -17,6 +17,7 @@ from .errors import (
     InvalidArgument,
     OriginVertex,
     StructuralError,
+    brief,
 )
 from .lattice import (
     ORIGIN,
@@ -48,7 +49,7 @@ class Vertex:
                            and (position is None or isinstance(position, BasePoint))):
             raise InvalidArgument(
                 f"vertex needs a str id and a BasePoint or None position, "
-                f"got {id!r:.60}, {position!r:.60}")
+                f"got {brief(id)}, {brief(position)}")
         _set(self, "id", id)
         _set(self, "position", position)
 
@@ -92,21 +93,21 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     """
     if not (isinstance(tail, str) and isinstance(head, str)):
         raise InvalidArgument(
-            f"edge endpoints must be vertex id strs, got {tail!r:.60}, {head!r:.60}")
+            f"edge endpoints must be vertex id strs, got {brief(tail)}, {brief(head)}")
     try:
         u, v = direction
     except (TypeError, ValueError):
         raise InvalidArgument(
-            f"edge direction must be an int pair, got {direction!r:.60}") from None
+            f"edge direction must be an int pair, got {brief(direction)}") from None
     if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
             is_int(cone) and is_int(u) and is_int(v)):
         raise InvalidArgument(
-            f"edge needs int cone and direction, got {cone!r:.60}, {direction!r:.60}")
+            f"edge needs int cone and direction, got {brief(cone)}, {brief(direction)}")
     if length is not None:
         if type(length) is not Fraction:
             if not is_rational(length):
                 raise InvalidArgument(
-                    f"edge length must be None or rational, got {length!r:.60}")
+                    f"edge length must be None or rational, got {brief(length)}")
             length = Fraction(length)
         if head < tail:
             tail, head = head, tail
@@ -182,10 +183,10 @@ def make_tree(vertices, edges, boundary) -> TropicalTree:
             and all(isinstance(v, Vertex) for v in vertices)
             and all(isinstance(e, Edge) for e in edges)):
         raise InvalidArgument(
-            f"tree needs lists of vertices and edges, got {vertices!r:.60}, {edges!r:.60}")
+            f"tree needs lists of vertices and edges, got {brief(vertices)}, {brief(edges)}")
     if not (isinstance(boundary, (list, tuple)) and len(boundary) == 2
             and isinstance(boundary[0], str) and isinstance(boundary[1], str)):
-        raise InvalidArgument(f"tree boundary must be two str ids, got {boundary!r:.60}")
+        raise InvalidArgument(f"tree boundary must be two str ids, got {brief(boundary)}")
     return _tree(vertices, edges, boundary)
 
 
@@ -293,7 +294,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             if not allow_unbounded:
                 raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
         elif p.A < 0 or p.B < 0:
-            raise StructuralError(f"vertex {v.id!r} lies outside its cone {p.cone}")
+            raise StructuralError(f"vertex {v.id!r} lies outside its cone {brief(p.cone)}")
 
     seen = set()
     vertex_of = tree._vertex_of
@@ -315,14 +316,14 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         tc = base._coords(tail.position, e.cone)
         if tc is None:
             raise StructuralError(
-                f"vertex {e.tail!r} lies outside cone {e.cone} of its edge")
+                f"vertex {e.tail!r} lies outside cone {brief(e.cone)} of its edge")
         if e.length is None:
             if head.position is not None:
                 raise StructuralError(
                     f"ray ({e.tail!r}, {e.head!r}) must end at infinity")
             if e.direction[0] < 0 or e.direction[1] < 0:
                 raise StructuralError(
-                    f"ray ({e.tail!r}, {e.head!r}) leaves cone {e.cone}")
+                    f"ray ({e.tail!r}, {e.head!r}) leaves cone {brief(e.cone)}")
         else:
             if head.position is None:
                 raise StructuralError(
@@ -333,7 +334,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             hc = base._coords(head.position, e.cone)
             if hc is None:
                 raise StructuralError(
-                    f"vertex {e.head!r} lies outside cone {e.cone} of its edge")
+                    f"vertex {e.head!r} lies outside cone {brief(e.cone)} of its edge")
             if not _ends_match(tc, hc, e.length, e.direction):
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) endpoints do not match "
@@ -399,7 +400,8 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
                 u, v = v - d * u, -u
             elif cone != target:
                 raise StructuralError(
-                    f"edge cone {e.cone} is not adjacent to the vertex in cone {target}")
+                    f"edge cone {brief(e.cone)} is not adjacent to the vertex in cone "
+                    f"{brief(target)}")
         out.append((e, u, v))
     return out
 
@@ -496,8 +498,8 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
         if (su or sv) and not (su * B == sv * A and su * A + sv * B > 0):
             defects.append(Violation(
                 "defect-not-outward", v.id,
-                f"2-valent vertex {v.id!r} has direction sum ({su}, "
-                f"{sv}) whose negative does not point to the origin"))
+                f"2-valent vertex {v.id!r} has direction sum ({brief(su)}, "
+                f"{brief(sv)}) whose negative does not point to the origin"))
     out.extend(defects)
     return out
 

@@ -1,149 +1,142 @@
-"""Exact truncated Laurent series in two variables and the focus-focus
+"""Exact Laurent polynomials in two variables and the focus-focus
 wall-crossing count engine.
 
-The shear substitution x -> x(1+y), y -> y acts on monomials by
-x^a y^b -> x^a y^b (1+y)^a: a polynomial for a >= 0; truncation in y
-applies only to the binomial series of a negative a.  The image is summed
-in integer numerators over the lcm of the input's denominators, and each
-coefficient becomes a `Fraction` once, at the end.  The count of the del
-Pezzo family L(l, m, n) is the coefficient of x^l y^{m+n} in the exact
-polynomial image of x^l y^m, the binomial coefficient C(l, n); so is the
-reversed reading off the inverse image of x^{-l} y^{-(m+n)}.  Reports check
+The shear x -> x(1+y), y -> y maps x^a y^b to x^a y^b (1+y)^a, a
+polynomial summed in plain ints with running binomials; a negative power
+of (1+y) has no polynomial image.  The count of the del Pezzo family
+L(l, m, n) is the coefficient C(l, n) of x^l y^{m+n} in the image of
+x^l y^m; so is the reversed reading off the inverse image of
+x^{-l} y^{-(m+n)}, since x^{-l} maps to x^{-l}(1+y)^l.  Reports check
 counts against `math.comb`, which shares no code with the running binomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase
+from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase, brief
 from .extension import DEL_PEZZO_PAIR
-from .lattice import L_MAX, _set, is_int, is_rational, value_class
+from .lattice import L_MAX, TropicalBase, _set, is_int, is_rational, value_class
 from .spines import TropicalTree, _outgoing, validate_spine
 
 
-@value_class("terms", "trunc")
+@value_class("terms")
 class SparseLaurentSeries:
-    """Laurent polynomial / truncated series over the rationals.
+    """Laurent polynomial in x, y over the rationals.
 
-    `terms` maps integer exponent pairs (power of x, power of y) to nonzero
-    coefficients, stored sorted.  `trunc` is the y-order beyond which terms
-    have been dropped (None = exact).  Arithmetic propagates the tighter
-    truncation of its operands.
+    Stored as integer numerators `num`, a dict from (power of x, power of y)
+    to a nonzero int, over one positive `den`, with gcd(den, *num) = 1.
+    `terms` reads them out as the sorted ((i, j), Fraction) pairs, and `==`
+    compares the integers.  The constructor sums a tuple or list of such
+    pairs (int or Fraction coefficients), and raises InvalidArgument on
+    anything else.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: tuple[tuple[tuple[int, int], Fraction], ...] = (),
-                 trunc: int | None = None):
-        _set(self, "terms", terms)
-        _set(self, "trunc", trunc)
-
-    @classmethod
-    def from_dict(cls, d, trunc: int | None = None) -> "SparseLaurentSeries":
-        if not (isinstance(d, dict) and (trunc is None or is_int(trunc)) and all(
-                isinstance(k, tuple) and len(k) == 2 and all(map(is_int, k))
-                and is_rational(c) for k, c in d.items())):
-            raise InvalidArgument("series needs (int, int): int or Fraction terms and an "
-                                  f"int or None trunc, got {d!r:.60}, {trunc!r}")
-        return cls._of({k: Fraction(c) for k, c in d.items()}, trunc)
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff=1,
-                 trunc: int | None = None) -> "SparseLaurentSeries":
-        return cls.from_dict({(i, j): coeff}, trunc)
+    def __init__(self, terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()):
+        if not (isinstance(terms, (tuple, list)) and all(
+                type(t) is tuple and len(t) == 2 and type(t[0]) is tuple
+                and len(t[0]) == 2 and is_int(t[0][0]) and is_int(t[0][1])
+                and is_rational(t[1]) for t in terms)):
+            raise InvalidArgument(
+                f"series needs ((int, int), int or Fraction) terms, got {brief(terms)}")
+        den = lcm(*(c.denominator for _, c in terms))
+        acc: dict[tuple[int, int], int] = {}
+        for k, c in terms:
+            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        _fill(self, acc, den)
 
     @classmethod
-    def _of(cls, acc: dict, trunc: int | None) -> "SparseLaurentSeries":
-        """`from_dict` of the arithmetic's own (int, int) -> Fraction dicts."""
-        return cls(tuple(sorted((k, c) for k, c in acc.items()
-                                if c and (trunc is None or k[1] <= trunc))), trunc)
+    def from_dict(cls, d) -> "SparseLaurentSeries":
+        if not isinstance(d, dict):
+            raise InvalidArgument(f"series needs a dict of terms, got {brief(d)}")
+        return cls(tuple(d.items()))
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coeff=1) -> "SparseLaurentSeries":
+        return cls((((i, j), coeff),))
+
+    def __eq__(self, other):
+        if other.__class__ is SparseLaurentSeries:
+            return self.den == other.den and self.num == other.num
+        return NotImplemented
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        den = self.den
+        return tuple((k, Fraction(v, den)) for k, v in sorted(self.num.items()))
 
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        for (k, c) in self.terms:
-            if k == (i, j):
-                return c
-        return Fraction(0)
+        return Fraction(self.num.get((i, j), 0), self.den)
 
     def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact coefficientwise sum; the tighter truncation wins."""
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return SparseLaurentSeries._of(acc, _combine_trunc(self.trunc, other.trunc))
+        """Exact coefficientwise sum."""
+        den = lcm(self.den, other.den)
+        acc = {k: v * (den // self.den) for k, v in self.num.items()}
+        for k, v in other.num.items():
+            acc[k] = acc.get(k, 0) + v * (den // other.den)
+        return _fill(_new_series(SparseLaurentSeries), acc, den)
 
     def __mul__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact product; terms beyond the combined truncation are dropped."""
-        trunc = _combine_trunc(self.trunc, other.trunc)
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                j = j1 + j2
-                if trunc is not None and j > trunc:
-                    continue
-                k = (i1 + i2, j)
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-        return SparseLaurentSeries._of(acc, trunc)
+        """Exact product."""
+        acc: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.num.items():
+            for (i2, j2), c2 in other.num.items():
+                k = (i1 + i2, j1 + j2)
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return _fill(_new_series(SparseLaurentSeries), acc, self.den * other.den)
 
 
-def _combine_trunc(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+_new_series = SparseLaurentSeries.__new__
 
 
-def _apply_shear(s: SparseLaurentSeries, power_sign: int,
-                 trunc: int | None) -> SparseLaurentSeries:
+def _fill(s: SparseLaurentSeries, acc: dict, den: int) -> SparseLaurentSeries:
+    """`s` holding the int numerators `acc` over `den` > 0, without the
+    zeros and reduced by their common factor with `den`."""
+    num = {k: v for k, v in acc.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        num = {k: v // g for k, v in num.items()}
+        den //= g
+    _set(s, "num", num)
+    _set(s, "den", den)
+    return s
+
+
+def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries:
     """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
-
-    With D the lcm of the coefficients' denominators, the integer
-    numerators c*D*C(e, k) are summed in plain ints and each output
-    coefficient becomes a `Fraction` once, at the end."""
-    eff = _combine_trunc(s.trunc, trunc)
-    den = lcm(*(c.denominator for _, c in s.terms))
+    Raises InvalidArgument unless `s` is a series, and InvalidQuery unless
+    each power of (1+y) lies in [0, L_MAX]."""
+    if type(s) is not SparseLaurentSeries:
+        raise InvalidArgument(f"shear needs a SparseLaurentSeries, got {brief(s)}")
     acc: dict[tuple[int, int], int] = {}
-    for (a, b), c in s.terms:
+    for (a, b), v in s.num.items():
         e = power_sign * a
-        if e >= 0:
-            kmax = e
-            if eff is not None:
-                kmax = min(kmax, eff - b)
-        else:
-            if eff is None:
-                raise InvalidQuery(
-                    "negative substitution powers need a finite truncation")
-            kmax = eff - b
-        # v = c*D*C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly, any e
-        v = c.numerator * (den // c.denominator)
-        for k in range(0, kmax + 1):
+        if not 0 <= e <= L_MAX:
+            raise InvalidQuery(f"shear needs powers of (1+y) in [0, {L_MAX}], got {brief(e)}")
+        # v*C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly
+        for k in range(e + 1):
             key = (a, b + k)
             acc[key] = acc.get(key, 0) + v
             v = v * (e - k) // (k + 1)
-    if den == 1:
-        return SparseLaurentSeries._of({k: Fraction(v) for k, v in acc.items()}, eff)
-    return SparseLaurentSeries._of({k: Fraction(v, den) for k, v in acc.items()}, eff)
+    return _fill(_new_series(SparseLaurentSeries), acc, s.den)
 
 
-def focus_focus_apply(s: SparseLaurentSeries,
-                      trunc: int | None = None) -> SparseLaurentSeries:
-    """The focus-focus wall-crossing substitution x -> x(1+y), y -> y.
-
-    Nonnegative x-powers expand exactly; negative x-powers use the
-    geometric/binomial series in y up to the truncation order.
-    """
-    return _apply_shear(s, 1, trunc)
+def focus_focus_apply(s: SparseLaurentSeries) -> SparseLaurentSeries:
+    """The focus-focus wall-crossing substitution x -> x(1+y), y -> y, on a
+    series whose x-powers lie in [0, L_MAX]."""
+    return _apply_shear(s, 1)
 
 
-def focus_focus_inverse(s: SparseLaurentSeries,
-                        trunc: int | None = None) -> SparseLaurentSeries:
-    """The inverse substitution x -> x(1+y)^{-1}, y -> y."""
-    return _apply_shear(s, -1, trunc)
+def focus_focus_inverse(s: SparseLaurentSeries) -> SparseLaurentSeries:
+    """The inverse substitution x -> x(1+y)^{-1}, y -> y, on a series whose
+    x-powers lie in [-L_MAX, 0]."""
+    return _apply_shear(s, -1)
 
 
 ORACLE_L_MAX = 20
@@ -160,32 +153,42 @@ class CountQuery:
 
     def __init__(self, l: int, m: int, n: int):
         if not (is_int(l) and is_int(m) and is_int(n)):
-            raise InvalidQuery(f"count needs int l, m, n, got {l!r}, {m!r}, {n!r}")
+            raise InvalidQuery(
+                f"count needs int l, m, n, got {brief(l)}, {brief(m)}, {brief(n)}")
         if not 1 <= l <= L_MAX:
-            raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {l}")
+            raise InvalidQuery(f"count needs 1 <= l <= {L_MAX}, got {brief(l)}")
         _set(self, "l", l)
         _set(self, "m", m)
         _set(self, "n", n)
 
 
+def _check_query(q) -> None:
+    if type(q) is not CountQuery:
+        raise InvalidArgument(f"count needs a CountQuery, got {brief(q)}")
+
+
 def count(q: CountQuery) -> int:
     """Cylinder count of the family: the coefficient of x^l y^{m+n} in the
-    focus-focus image of x^l y^m.  Equals C(l, n) for 0 <= n <= l, else 0."""
+    focus-focus image of x^l y^m.  Equals C(l, n) for 0 <= n <= l, else 0.
+    Raises InvalidArgument unless `q` is a CountQuery."""
+    _check_query(q)
     image = focus_focus_apply(SparseLaurentSeries.monomial(q.l, q.m))
-    c = image.coefficient(q.l, q.m + q.n)
-    assert c.denominator == 1
-    return int(c)
+    assert image.den == 1
+    return image.num.get((q.l, q.m + q.n), 0)
 
 
 def backward_count(q: CountQuery) -> Fraction:
     """The reversed reading of the count: the coefficient of x^{-l} y^{-m}
-    in the inverse substitution applied to x^{-l} y^{-(m+n)}."""
+    in the inverse substitution applied to x^{-l} y^{-(m+n)}.  Raises
+    InvalidArgument unless `q` is a CountQuery."""
+    _check_query(q)
     image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
     return image.coefficient(-q.l, -q.m)
 
 
 def symmetry_check(q: CountQuery) -> bool:
-    """Orientation symmetry of the count: both readings equal C(l, n)."""
+    """Orientation symmetry of the count: both readings equal C(l, n).
+    Raises InvalidArgument, through `count`, unless `q` is a CountQuery."""
     return count(q) == backward_count(q)
 
 
@@ -198,22 +201,23 @@ def count_table(l_max: int, m_values) -> dict:
     if not (is_int(l_max) and isinstance(m_values, (list, tuple, range))):
         raise InvalidArgument(
             f"table needs an int l_max and a list, tuple or range of m values, got "
-            f"{l_max!r:.60}, {m_values!r:.60}")
+            f"{brief(l_max)}, {brief(m_values)}")
     if l_max < 1:
-        raise InvalidQuery(f"table needs l_max >= 1, got {l_max}")
+        raise InvalidQuery(f"table needs l_max >= 1, got {brief(l_max)}")
     if l_max > ORACLE_L_MAX:
-        raise InvalidQuery(f"table is capped at l_max = {ORACLE_L_MAX}, got {l_max}")
+        raise InvalidQuery(
+            f"table is capped at l_max = {ORACLE_L_MAX}, got {brief(l_max)}")
     if not 1 <= len(m_values) <= TABLE_M_VALUES:
         raise InvalidQuery(
             f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
     if not all(map(is_int, m_values)):
-        raise InvalidArgument(f"table needs int m values, got {m_values!r:.60}")
+        raise InvalidArgument(f"table needs int m values, got {brief(m_values)}")
     expected = [[comb(l, n) for n in range(l + 1)] for l in range(l_max + 1)]
     rows = []
     for m in m_values:
         for l in range(0, l_max + 1):
-            coeffs = focus_focus_apply(SparseLaurentSeries.monomial(l, m)).as_dict()
-            counts = [int(coeffs.get((l, m + n), 0)) for n in range(l + 1)]
+            num = focus_focus_apply(SparseLaurentSeries.monomial(l, m)).num
+            counts = [num.get((l, m + n), 0) for n in range(l + 1)]
             if counts != expected[l]:
                 raise InvalidQuery(
                     f"engine/oracle mismatch at l={l}, m={m}: "
@@ -234,8 +238,13 @@ def count_spine(base, spine: TropicalTree) -> int:
     is the exponent of the wall function (1 + z)^l, and the bend
     u0 + u1 = n is the multiple of the wall ray picked up at the centre.
     The count is the coefficient C(l, n) of z^n, which does not depend on
-    the height of the central vertex.
+    the height of the central vertex.  Raises InvalidArgument unless `base`
+    is a TropicalBase and `spine` a TropicalTree.
     """
+    if type(base) is not TropicalBase or type(spine) is not TropicalTree:
+        raise InvalidArgument(
+            f"count_spine needs a TropicalBase and a TropicalTree, got "
+            f"{brief(base)}, {brief(spine)}")
     if base.pair.self_intersections != DEL_PEZZO_PAIR:
         raise UnsupportedBase(
             f"counts are implemented for the base {DEL_PEZZO_PAIR}, got "
@@ -271,6 +280,6 @@ def virtual_dim(g: int, dim_v: int, alpha_dot_k: int, n: int) -> int:
             or type(n) is not int) and not (
             is_int(g) and is_int(dim_v) and is_int(alpha_dot_k) and is_int(n)):
         raise InvalidArgument(
-            f"virtual dimension needs int arguments, got {g!r:.60}, {dim_v!r:.60}, "
-            f"{alpha_dot_k!r:.60}, {n!r:.60}")
+            f"virtual dimension needs int arguments, got {brief(g)}, {brief(dim_v)}, "
+            f"{brief(alpha_dot_k)}, {brief(n)}")
     return (1 - g) * (dim_v - 3) - alpha_dot_k + n

@@ -1,9 +1,11 @@
 """Hypothesis fuzzer of the library entry points that check the values
-entering them: on any argument each call returns a value or raises a
-`TropcylError`, never a bare `ValueError`/`TypeError`, and an accepted
-value is exact (no float is floored or stored)."""
+entering them: on any argument, ints of 5,000 digits and objects of the
+wrong class among them, each call returns a value or raises a
+`TropcylError`, never a bare `ValueError`/`TypeError`/`AttributeError`,
+and an accepted value is exact (no float is floored or stored)."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,24 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import SparseLaurentSeries as S
+from tropcyl.errors import brief
 from tropcyl.extension import tropical_trace
+from tropcyl.wallcross import focus_focus_inverse
+from shear_oracle import fraction_shear
 
 # A fixed alphabet: plain st.text() first builds a Unicode table, which
 # takes seconds in a checkout without a .hypothesis cache.
 NOT_INT = (st.booleans() | st.floats() | st.fractions()
            | st.text(alphabet="1/0-x .e", max_size=4) | st.none())
-ANY = st.integers() | NOT_INT
+# An int of 5,000 digits: past the 4,300 that `str` and `repr` accept.
+HUGE = st.integers(-9, 9).filter(bool).map(lambda d: d * 10 ** 4999)
+ANY = st.integers() | HUGE | NOT_INT
+DEL_PEZZO = tc.del_pezzo_base()
+# A value of each of several package classes, for the object slots.
+OBJECT = ANY | st.sampled_from((
+    tc.LooijengaPair((1, 1, 1)), tc.build_base((1, 1, 1)), DEL_PEZZO, tc.BasePoint(0, 1),
+    tc.TangentVector(0, 1, 0), tc.CountQuery(2, 0, 1), S.monomial(1, 0),
+    tc.family_spine(2, 0, 1, 1), tc.canonical_image(tc.family_spine(2, 0, 1, 1))))
 
 
 def _or_any(accepted, other=ANY):
@@ -32,12 +45,21 @@ RATIONAL = _or_any(st.integers(-3, 12) | st.fractions(-5, 5, max_denominator=9))
 SEQUENCE = _or_any(st.lists(INT, max_size=5) | st.lists(INT, max_size=5).map(tuple))
 ID = _or_any(st.sampled_from("ab"))
 POINT = _or_any(st.none() | st.builds(tc.BasePoint, st.integers(0, 3),
-                                      st.fractions(0, 3, max_denominator=5)))
+                                      st.fractions(0, 3, max_denominator=5)), OBJECT)
 VERTICES = _or_any(st.lists(st.builds(tc.Vertex, st.sampled_from("ab"), POINT.filter(
-    lambda p: p is None or type(p) is tc.BasePoint)) | ANY, max_size=2))
+    lambda p: p is None or type(p) is tc.BasePoint)) | OBJECT, max_size=2))
 EDGES = _or_any(st.lists(st.builds(tc.Edge, st.sampled_from("ab"), st.sampled_from("ab"),
                                    st.integers(0, 3), st.just((1, 0)), st.none())
-                         | ANY, max_size=2))
+                         | OBJECT, max_size=2))
+SERIES = _or_any(st.dictionaries(
+    st.tuples(st.integers(-3, 12) | HUGE, st.integers(-3, 3) | HUGE),
+    st.integers(-3, 3) | st.fractions(-5, 5, max_denominator=9), max_size=3).map(S.from_dict),
+    OBJECT)
+QUERY = _or_any(st.builds(tc.CountQuery, st.integers(1, 12), st.integers(-3, 3) | HUGE,
+                          st.integers(-2, 14)), OBJECT)
+SPINE = _or_any(st.builds(tc.family_spine, st.integers(1, 5), st.integers(-3, 3),
+                          st.integers(-1, 6), st.sampled_from((Fraction(1, 2), 1, 2))),
+                OBJECT)
 BOUNDARY = _or_any(st.tuples(ID, ID) | st.lists(ID, max_size=3))
 
 
@@ -56,6 +78,23 @@ def _series(build, *args):
     s = build(*args)
     assert all(type(i) is int and type(j) is int and type(c) is Fraction
                for (i, j), c in s.terms)
+
+
+def _shear(s):
+    image = tc.focus_focus_apply(s)
+    assert type(s) is S and image == fraction_shear(s, 1)
+    mirror = S.from_dict({(-i, j): c for (i, j), c in s.terms})
+    assert focus_focus_inverse(mirror) == fraction_shear(mirror, -1)
+
+
+def _backward_count(q):
+    value = tc.backward_count(q)
+    assert type(q) is tc.CountQuery and value == (comb(q.l, q.n) if q.n >= 0 else 0)
+
+
+def _count_spine(base, spine):
+    assert type(tc.count_spine(base, spine)) is int
+    assert type(base) is tc.TropicalBase and type(spine) is tc.TropicalTree
 
 
 def _pair(entries):
@@ -140,11 +179,14 @@ def _sweep(l, lo, hi):
 ENTRY_POINTS = {
     "CountQuery": (_count, st.tuples(INT, INT, INT)),
     "from_dict": (
-        lambda d, trunc: _series(S.from_dict, d, trunc),
+        lambda d: _series(S.from_dict, d),
         st.tuples(_or_any(st.dictionaries(_or_any(st.tuples(INT, INT)), RATIONAL,
-                                          max_size=3)), st.none() | INT)),
+                                          max_size=3)))),
     "monomial": (lambda *args: _series(S.monomial, *args),
-                 st.tuples(INT, INT, RATIONAL, st.none() | INT)),
+                 st.tuples(INT, INT, RATIONAL)),
+    "focus_focus_apply": (_shear, st.tuples(SERIES)),
+    "backward_count": (_backward_count, st.tuples(QUERY)),
+    "count_spine": (_count_spine, st.tuples(_or_any(st.just(DEL_PEZZO), OBJECT), SPINE)),
     "LooijengaPair": (_pair, st.tuples(SEQUENCE)),
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
     "TropicalBase": (tc.TropicalBase, st.tuples(SEQUENCE)),
@@ -172,7 +214,7 @@ ENTRY_POINTS = {
     "monodromy": (_monodromy, st.tuples(_or_any(
         st.builds(tc.build_base, st.lists(st.integers(-3, 3), min_size=3, max_size=5))
         | st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
-        SEQUENCE))),
+        SEQUENCE | OBJECT))),
     "IntMatrix2": (_matrix, st.tuples(INT, INT, INT, INT)),
     "virtual_dim": (_virtual_dim, st.tuples(INT, INT, INT, INT)),
     # l and the pair count are capped, so any ints end in bounded time
@@ -232,3 +274,42 @@ def test_ill_typed_input_is_invalid_argument(call):
 def test_out_of_range_input_keeps_its_error(call, error):
     with pytest.raises(error):
         call()
+
+
+E5000 = 10 ** 5000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.CountQuery(E5000, 0, 0),
+    lambda: S.from_dict({(0, 0): E5000, (1, 1): 0.5}),
+    lambda: tc.count_table(E5000, [0]),
+    lambda: tc.virtual_dim(E5000, 0.5, 0, 0),
+    lambda: tc.LooijengaPair([E5000, 0.5, 1]),
+    lambda: tc.TangentVector(0, E5000, 0.5),
+    lambda: tc.verify_toric_criterion(-E5000, 0, 1),
+    lambda: tc.family_spine(-E5000, 0, 0, 1),
+    lambda: tc.family_spine(1, 0, 0, -E5000),
+    lambda: tc.extend(DEL_PEZZO, tc.family_spine(2, 0, 1, 1), E5000),
+    lambda: tc.focus_focus_apply(S.monomial(E5000, 0)),
+], ids=["CountQuery", "from_dict", "count_table", "virtual_dim", "LooijengaPair",
+        "TangentVector", "verify_toric_criterion", "family_spine-l", "family_spine-b",
+        "extend", "focus_focus_apply"])
+def test_long_int_is_shown_by_its_digit_count(call):
+    # each used to end in a bare ValueError from str() of the int
+    with pytest.raises(tc.TropcylError, match="int of 5001 digits"):
+        call()
+
+
+def test_brief_is_repr_up_to_long_ints():
+    for x in (0, -7, 10 ** 40 - 1, "ab", None, 0.5, True, (1,), (), [1, (2, 3)],
+              {(0, 1): Fraction(1, 2)}, Fraction(-3, 4), range(3)):
+        assert brief(x) == repr(x)[:60]
+    for k in (40, 41, 100, 4299, 4300, 5000):
+        assert brief(10 ** k - 1) == f"<int of {k} digits>" if k > 40 else repr(10 ** k - 1)
+        assert brief(10 ** k) == f"<int of {k + 1} digits>"
+        assert brief(-10 ** k) == f"<negative int of {k + 1} digits>"
+    assert brief([Fraction(E5000, 3)]) == "[Fraction(<int of 5001 digits>, 3)]"
+    loop = []
+    loop.append(loop)
+    assert brief(loop) == "<list>"
+    assert len(brief(list(range(100)))) == 60

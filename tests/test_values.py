@@ -72,7 +72,8 @@ EXAMPLES = {
                    lambda: tc.trace_points(2, 0, 1, F(1), [1])[0]),
     "SparseLaurentSeries": (
         tc.SparseLaurentSeries,
-        lambda: tc.SparseLaurentSeries.monomial(2, 1, 3, trunc=4),
+        lambda: tc.SparseLaurentSeries.monomial(2, 1, 3),
+        lambda: tc.SparseLaurentSeries.from_dict({(0, -1): F(1, 2), (2, 0): F(-2, 3)}),
         lambda: tc.focus_focus_apply(tc.SparseLaurentSeries.monomial(3, 0))),
     "CountQuery": (lambda: tc.CountQuery(5, 0, 2), lambda: tc.CountQuery(5, 0, 3)),
 }
@@ -145,8 +146,7 @@ ARGUMENTS = {
         st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=2).map(tuple)),
     "SparseLaurentSeries": st.tuples(
         st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(0, 1)), FRACS),
-                 max_size=2).map(tuple),
-        st.none() | st.integers(0, 2)),
+                 max_size=2).map(tuple)),
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -49,18 +50,6 @@ class TestSeries:
         one_minus = S.from_dict({(0, 0): 1, (0, 1): -1})
         assert one_plus * one_minus == S.from_dict({(0, 0): 1, (0, 2): -1})
 
-    def test_truncation_drops_high_orders(self):
-        one_plus = S.from_dict({(0, 0): 1, (0, 1): 1}, trunc=1)
-        sq = one_plus * one_plus
-        assert sq.as_dict() == {(0, 0): 1, (0, 1): 2}
-        assert sq.trunc == 1
-
-    def test_truncation_propagates_min(self):
-        a = S.monomial(0, 0, trunc=5)
-        b = S.monomial(0, 0, trunc=3)
-        assert (a + b).trunc == 3
-        assert (a * S.monomial(0, 0)).trunc == 5
-
     def test_zero_coefficients_dropped(self):
         a = S.from_dict({(1, 1): F(2, 3)})
         b = S.from_dict({(1, 1): F(-2, 3)})
@@ -69,6 +58,27 @@ class TestSeries:
     def test_exact_rationals(self):
         a = S.from_dict({(0, 0): F(1, 3)})
         assert (a * a).coefficient(0, 0) == F(1, 9)
+
+    def test_integer_storage(self):
+        # numerators over one denominator, reduced, without zeros
+        s = S.from_dict({(0, 0): F(1, 2), (1, -1): F(-2, 3), (2, 2): 0})
+        assert (s.num, s.den) == ({(0, 0): 3, (1, -1): -4}, 6)
+        half = S.monomial(0, 0, F(1, 2))
+        assert ((half + half).num, (half + half).den) == ({(0, 0): 1}, 1)
+        assert S((((0, 0), F(1, 2)), ((0, 0), F(1, 2)))) == S.monomial(0, 0)
+        assert (S().num, S().den) == ({}, 1)
+        assert s.coefficient(1, -1) == F(-2, 3) and s.coefficient(5, 5) == 0
+
+    @given(st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              st.fractions(-5, 5, max_denominator=12)), max_size=6))
+    @settings(max_examples=60)
+    def test_terms_are_the_sum_in_fractions(self, pairs):
+        want: dict = {}
+        for k, c in pairs:
+            want[k] = want.get(k, F(0)) + c
+        s = S(tuple(pairs))
+        assert s.terms == tuple(sorted((k, c) for k, c in want.items() if c))
+        assert s.den > 0 and gcd(s.den, *s.num.values()) == 1 and all(s.num.values())
 
 
 class TestFocusFocus:
@@ -79,69 +89,62 @@ class TestFocusFocus:
     def test_y_fixed(self):
         assert focus_focus_apply(S.monomial(0, 1)) == S.monomial(0, 1)
 
-    def test_negative_power_geometric(self):
-        got = focus_focus_apply(S.monomial(-1, 0), 2)
-        assert got == S.from_dict({(-1, 0): 1, (-1, 1): -1, (-1, 2): 1}, trunc=2)
-
     def test_negative_power_needs_truncation(self):
+        # a negative power of (1+y) has no polynomial image, either way
         with pytest.raises(InvalidQuery):
             focus_focus_apply(S.monomial(-1, 0))
-
-    def test_inverse_composition_on_monomials(self):
-        trunc = 12
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                mono = S.monomial(a, b)
-                roundtrip = focus_focus_inverse(focus_focus_apply(mono, trunc), trunc)
-                for (i, j), c in roundtrip.terms:
-                    if (i, j) == (a, b):
-                        assert c == 1
-                    else:
-                        assert c == 0, ((a, b), (i, j), c)
+        with pytest.raises(InvalidQuery):
+            focus_focus_inverse(S.monomial(1, 0))
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
     def test_monomial_images_match_binomial_oracle(self, sign):
-        # x^a y^b -> sum_k C(sign*a, k) x^a y^(b+k), up to y-order trunc;
-        # a < 0 (for apply) is the series branch that count never takes
-        trunc = 30
+        # x^a y^b -> sum_k C(sign*a, k) x^a y^(b+k), exactly for sign*a >= 0
         shear = focus_focus_apply if sign == 1 else focus_focus_inverse
         for a in range(-25, 26):
             e = sign * a
             for b in (-3, 0, 2):
-                kmax = trunc - b if e < 0 else min(e, trunc - b)
-                expected = {(a, b + k): _binomial(e, k) for k in range(kmax + 1)}
-                got = shear(S.monomial(a, b), trunc)
-                assert got == S.from_dict(expected, trunc), (sign, a, b)
+                if e < 0:
+                    with pytest.raises(InvalidQuery):
+                        shear(S.monomial(a, b))
+                    continue
+                expected = {(a, b + k): _binomial(e, k) for k in range(e + 1)}
+                assert shear(S.monomial(a, b)) == S.from_dict(expected), (sign, a, b)
+
+    def test_power_cap(self):
+        from tropcyl.wallcross import L_MAX
+        assert len(focus_focus_apply(S.monomial(L_MAX, 0)).terms) == L_MAX + 1
+        assert len(focus_focus_inverse(S.monomial(-L_MAX, 0)).terms) == L_MAX + 1
+        for a in (L_MAX + 1, 10 ** 5000):
+            with pytest.raises(InvalidQuery):
+                focus_focus_apply(S.monomial(a, 0))
+            with pytest.raises(InvalidQuery):
+                focus_focus_inverse(S.monomial(-a, 0))
 
     @given(
         terms=st.dictionaries(
-            st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+            st.tuples(st.integers(0, 4), st.integers(-4, 4)),
             st.fractions(min_value=-5, max_value=5),
             min_size=1, max_size=4),
         terms2=st.dictionaries(
-            st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+            st.tuples(st.integers(0, 4), st.integers(-4, 4)),
             st.fractions(min_value=-5, max_value=5),
             min_size=1, max_size=4),
     )
     @settings(max_examples=40)
     def test_ring_morphism(self, terms, terms2):
-        # negative y-exponents shift the reliable order down, so compare the
-        # two routes only up to the order both compute exactly
-        trunc = 16
-        safe = trunc - 8  # exponents are bounded below by -4 on each side
-        f = S.from_dict(terms, trunc)
-        g = S.from_dict(terms2, trunc)
-        lhs = focus_focus_apply(f * g, trunc)
-        rhs = focus_focus_apply(f, trunc) * focus_focus_apply(g, trunc)
-        assert S.from_dict(lhs.as_dict(), safe) == S.from_dict(rhs.as_dict(), safe)
+        # the shear is a substitution: it respects sums and products exactly
+        f = S.from_dict(terms)
+        g = S.from_dict(terms2)
+        assert focus_focus_apply(f * g) == focus_focus_apply(f) * focus_focus_apply(g)
+        assert focus_focus_apply(f + g) == focus_focus_apply(f) + focus_focus_apply(g)
 
 
-def _shear_both_ways(s, sign, trunc):
+def _shear_both_ways(s, sign):
     """The engine's image of `s` and the `Fraction` reference's, or the
     exception type each raised; every engine coefficient is a `Fraction`."""
     shear = focus_focus_apply if sign == 1 else focus_focus_inverse
     out = []
-    for f in (lambda: shear(s, trunc), lambda: fraction_shear(s, sign, trunc)):
+    for f in (lambda: shear(s), lambda: fraction_shear(s, sign)):
         try:
             out.append(f())
         except InvalidQuery:
@@ -162,10 +165,9 @@ class TestIntegerShear:
                     for coeff_sign in (1, -1):
                         # numerator 2q - 1 is prime to q, and not 1 once q > 1
                         s = S.monomial(a, b, F(coeff_sign * (2 * q - 1), q))
-                        for trunc in (None, *range(9)):
-                            for sign in (1, -1):
-                                got, want = _shear_both_ways(s, sign, trunc)
-                                assert got == want, (a, b, q, coeff_sign, trunc, sign)
+                        for sign in (1, -1):
+                            got, want = _shear_both_ways(s, sign)
+                            assert got == want, (a, b, q, coeff_sign, sign)
 
     def test_two_denominators_share_outputs(self):
         # the two images overlap in y-degrees, so coefficients over
@@ -174,24 +176,20 @@ class TestIntegerShear:
             for q1 in range(1, 7):
                 for q2 in range(1, 7):
                     s = S.from_dict({(a, 0): F(1, q1), (a, 1): F(-1, q2)})
-                    for trunc in (None, 4):
-                        for sign in (1, -1):
-                            got, want = _shear_both_ways(s, sign, trunc)
-                            assert got == want, (a, q1, q2, trunc, sign)
+                    for sign in (1, -1):
+                        got, want = _shear_both_ways(s, sign)
+                        assert got == want, (a, q1, q2, sign)
 
     @given(
         terms=st.dictionaries(
             st.tuples(st.integers(-12, 12), st.integers(-6, 6)),
             st.fractions(min_value=-20, max_value=20, max_denominator=30),
             max_size=6),
-        own_trunc=st.none() | st.integers(-4, 14),
-        trunc=st.none() | st.integers(-4, 14),
         sign=st.sampled_from([1, -1]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_fraction_reference(self, terms, own_trunc, trunc, sign):
-        s = S.from_dict(terms, own_trunc)
-        got, want = _shear_both_ways(s, sign, trunc)
+    def test_matches_fraction_reference(self, terms, sign):
+        got, want = _shear_both_ways(S.from_dict(terms), sign)
         assert got == want
 
 
@@ -200,7 +198,7 @@ class TestSeriesInput:
         s = S.from_dict({(1, 0): 2, (0, -1): F(1, 2), (3, 3): 0})
         assert s.terms == (((0, -1), F(1, 2)), ((1, 0), F(2)))
         assert all(type(c) is F for _, c in s.terms)
-        assert S.monomial(2, -1, 3, trunc=4) == S.from_dict({(2, -1): 3}, 4)
+        assert S.monomial(2, -1, 3) == S.from_dict({(2, -1): 3})
 
     @pytest.mark.parametrize("build", [
         lambda: S.from_dict({(0.5, 1): 1}),
@@ -214,12 +212,16 @@ class TestSeriesInput:
         lambda: S.from_dict({(0, 1): "1"}),
         lambda: S.monomial(0, 0, None),
         lambda: S.monomial(0, 0, True),
-        lambda: S.from_dict({(0, 1): 1}, trunc=2.0),
-        lambda: S.monomial(0, 0, trunc="3"),
         lambda: S.from_dict([((0, 1), 1)]),
+        lambda: S(None),
+        lambda: S({(0, 1): 1}),
+        lambda: S((((0, 1), 0.5),)),
+        lambda: S(([(0, 1), 1],)),
+        lambda: S((((0, 1), 1, 2),)),
     ], ids=["exp-float", "monomial-float", "exp-str", "exp-bool", "key-triple",
             "key-int", "coeff-nan", "coeff-float", "coeff-str", "coeff-none",
-            "coeff-bool", "trunc-float", "trunc-str", "not-a-dict"])
+            "coeff-bool", "not-a-dict", "terms-none", "terms-dict", "terms-float",
+            "term-list", "term-triple"])
     def test_non_exact_input_rejected(self, build):
         # float exponents used to be floored; strings and NaN raised ValueError
         with pytest.raises(InvalidArgument):
@@ -335,6 +337,27 @@ class TestCountSpine:
         )
         with pytest.raises(NotInFamily):
             count_spine(del_pezzo, spine)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: focus_focus_apply(None),
+    lambda: focus_focus_apply({(1, 0): 1}),
+    lambda: focus_focus_inverse(None),
+    lambda: count(None),
+    lambda: count((5, 0, 2)),
+    lambda: backward_count(None),
+    lambda: symmetry_check(None),
+    lambda: count_spine(None, tc.family_spine(2, 0, 1, 1)),
+    lambda: count_spine(tc.del_pezzo_base().pair, tc.family_spine(2, 0, 1, 1)),
+    lambda: count_spine(tc.del_pezzo_base(), None),
+    lambda: count_spine(tc.del_pezzo_base(), tc.canonical_image(tc.family_spine(2, 0, 1, 1))),
+], ids=["apply-None", "apply-dict", "inverse-None", "count-None", "count-tuple",
+        "backward-None", "symmetry-None", "count_spine-None-base", "count_spine-pair",
+        "count_spine-None-spine", "count_spine-image"])
+def test_object_of_the_wrong_class_is_invalid_argument(call):
+    # each used to end in a bare AttributeError
+    with pytest.raises(InvalidArgument):
+        call()
 
 
 class TestVirtualDim:

@@ -151,7 +151,6 @@ class TracePoint:
 @dataclass(frozen=True)
 class SparseLaurentSeries:
     terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()
-    trunc: int | None = None
 
 
 @dataclass(frozen=True)
