@@ -27,12 +27,12 @@ from .extension import (
 from .lattice import build_base, fan_closure, intersection_matrix, is_positive, monodromy
 from .serialize import (
     SchemaError,
-    coords_to_json,
     curve_class_to_json,
     cylinder_to_json,
     frac_to_str,
     pair_from_json,
     parse_frac,
+    point_to_json,
     spine_from_json,
     spine_to_json,
 )
@@ -150,17 +150,8 @@ def cmd_trace(args) -> int:
     b = parse_frac(args.b)
     samples = trace_points(args.l, args.m, args.n, b,
                            [parse_frac(ts) for ts in args.t.split(",") if ts])
-    points = []
-    for sample in samples:
-        p = sample.point
-        if p.is_origin:
-            points.append({"t": frac_to_str(sample.t), "origin": True})
-        else:
-            points.append({
-                "t": frac_to_str(sample.t),
-                "cone": p.cone,
-                "coords": coords_to_json(p),
-            })
+    points = [point_to_json({"t": frac_to_str(sample.t)}, sample.point)
+              for sample in samples]
     report = {"l": args.l, "m": args.m, "n": args.n, "b": frac_to_str(b),
               "points": points}
     _emit(report)

@@ -37,6 +37,7 @@ from .lattice import (
     LooijengaPair,
     TropicalBase,
     _base_point,
+    _over_lcm,
     _set,
     build_base,
     develop,
@@ -49,7 +50,6 @@ from .spines import (
     CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
-    Edge,
     TropicalTree,
     Vertex,
     check_structure,
@@ -59,6 +59,8 @@ from .spines import (
     make_edge,
     make_tree,
     validate_spine,
+    _check_objects,
+    _edge,
     _point_key,
     _tree,
 )
@@ -208,14 +210,9 @@ def _cast(base: TropicalBase, end, fresh: str):
 
 
 def _step_parts(step):
-    """(new vertex, new edge) of a `_cast` step; the edge gets `make_edge`'s
-    tail choice."""
+    """(new vertex, new edge) of a `_cast` step."""
     vid, fresh, point, cone, u, v, length = step
-    if length is not None and fresh < vid:
-        edge = Edge(fresh, vid, cone, (-u, -v), length)
-    else:
-        edge = Edge(vid, fresh, cone, (u, v), length)
-    return Vertex(fresh, point), edge
+    return Vertex(fresh, point), _edge(vid, fresh, cone, u, v, length)
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -224,8 +221,11 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     Casts the ray opposite to the boundary edge.  Returns
     (new tree, curve class increment, finished) where finished means the
     end was closed off with an unbounded edge.  The old boundary vertex
-    becomes 2-valent and exactly balanced either way.
+    becomes 2-valent and exactly balanced either way.  Raises
+    InvalidArgument unless `base` is a `TropicalBase` and `tree` a
+    `TropicalTree`.
     """
+    _check_objects(base, tree, "extend_step")
     step, crossing, new_end = _cast(
         base, _end_state(tree, end), next(_unused_ids(tree, "x")))
     vertex, edge = _step_parts(step)
@@ -356,8 +356,7 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
     by travel direction and slope 0 on the legs.
     """
     cyl = cylinder_in_b(base, ext)
-    path = cyl.path_part()
-    order = _path_order(path)
+    order = _path_order(ext)
     heights: dict[str, Fraction] = {}
     slopes: dict[tuple[str, str], int] = {}
 
@@ -365,7 +364,7 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
     heights[order[1]] = coord
     for i in range(len(order) - 1):
         x, y = order[i], order[i + 1]
-        e = path.edge(x, y)
+        e = ext.edge(x, y)
         if e.is_ray:
             # travel toward infinity at either end of the path
             slopes[(e.tail, e.head)] = -1 if i == 0 else 1
@@ -437,13 +436,10 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     b = _family_height(l, m, n, b)
     if not is_rational(t):
         raise InvalidArgument(f"trace needs a rational t, got {brief(t)}")
-    t = Fraction(t)
     # the point is P/den for the integer vector P and den = lcm of the
     # denominators of b and t, so the cone search compares integers
-    bn, bd, tn, td = b.numerator, b.denominator, t.numerator, t.denominator
-    den = bd * td // gcd(bd, td)
-    tn *= den // td
-    p = (l * tn, bn * (den // bd) + (m - n if tn < 0 else m) * tn)
+    bn, tn, den = _over_lcm(b.numerator, b.denominator, t.numerator, t.denominator)
+    p = (l * tn, bn + (m - n if tn < 0 else m) * tn)
     # the four developed cones cover the plane
     for cone, w0, w1 in _del_pezzo_cones():
         x, y = _det(p, w1), _det(w0, p)

@@ -118,13 +118,23 @@ class LooijengaPair:
         return self.self_intersections[i % len(self.self_intersections)]
 
 
+def _over_lcm(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int]:
+    """(A, B, Q) with A/Q = an/ad and B/Q = bn/bd over Q = lcm(ad, bd),
+    for ad, bd > 0.  With both fractions in lowest terms, so is (A, B, Q)."""
+    q = ad if ad == bd else ad * bd // gcd(ad, bd)
+    return an * (q // ad), bn * (q // bd), q
+
+
 @value_class("cone", "a", "b")
 class BasePoint:
-    """Point of the base in canonical cone coordinates.
+    """Point of the base: cone `cone` at cone coordinates (a, b).
 
-    `cone is None` encodes the origin.  A point on wall i (the shared ray
-    of cones i-1 and i) is always stored in cone i with coordinates (a, 0);
-    this makes structural equality geometric equality.
+    `cone is None` encodes the origin.  The constructor stores what it is
+    given, so `BasePoint(0, 0, 1)` stays in cone 0.  `TropicalBase.point`
+    is the canonical constructor: it reduces the cone modulo l and stores
+    a point of wall i (the shared ray of cones i-1 and i) in cone i with
+    coordinates (a, 0), so that equality of its points is geometric
+    equality.
 
     The coordinates are stored as integers (A, B, Q) with Q > 0 and
     gcd(A, B, Q) = 1, so (a, b) = (A/Q, B/Q); the origin is (0, 0, 1).
@@ -136,20 +146,15 @@ class BasePoint:
     __slots__ = ("cone", "A", "B", "Q")
 
     def __init__(self, cone: int | None, a: Fraction = ZERO, b: Fraction = ZERO):
-        ta, tb = type(a), type(b)
-        if ((type(cone) is not int and cone is not None)
-                or (ta is not Fraction and ta is not int)
-                or (tb is not Fraction and tb is not int)) and not (
-                (cone is None or is_int(cone)) and is_rational(a) and is_rational(b)):
+        if not ((cone is None or is_int(cone)) and is_rational(a) and is_rational(b)):
             raise InvalidArgument(
                 f"base point needs an int or None cone and rational coordinates, "
                 f"got {brief(cone)}, {brief(a)}, {brief(b)}")
-        ad, bd = a.denominator, b.denominator
-        q = ad if ad == bd else ad * bd // gcd(ad, bd)
+        A, B, Q = _over_lcm(a.numerator, a.denominator, b.numerator, b.denominator)
         _set(self, "cone", cone)
-        _set(self, "A", a.numerator * (q // ad))
-        _set(self, "B", b.numerator * (q // bd))
-        _set(self, "Q", q)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "Q", Q)
 
     def __eq__(self, other):
         if other.__class__ is BasePoint:
@@ -202,8 +207,7 @@ class TangentVector:
     __slots__ = ("cone", "u", "v")
 
     def __init__(self, cone: int, u: int, v: int):
-        if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
-                is_int(cone) and is_int(u) and is_int(v)):
+        if not (is_int(cone) and is_int(u) and is_int(v)):
             raise InvalidArgument(f"tangent vector needs int cone, u, v, got "
                                   f"{brief(cone)}, {brief(u)}, {brief(v)}")
         _set(self, "cone", cone)
@@ -223,9 +227,7 @@ class IntMatrix2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        if (type(a) is not int or type(b) is not int or type(c) is not int
-                or type(d) is not int) and not (
-                is_int(a) and is_int(b) and is_int(c) and is_int(d)):
+        if not (is_int(a) and is_int(b) and is_int(c) and is_int(d)):
             raise InvalidArgument(f"matrix needs int entries, got "
                                   f"{brief(a)}, {brief(b)}, {brief(c)}, {brief(d)}")
         _set(self, "a", a)
@@ -301,6 +303,9 @@ class CurveClass:
         return cls(tuple(items))
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
+        """The sum of two classes; InvalidArgument unless `other` is one."""
+        if type(other) is not CurveClass:
+            raise InvalidArgument(f"curve class sum needs a CurveClass, got {brief(other)}")
         acc = dict(self.coeffs)
         for k, v in other.coeffs:
             acc[k] = acc.get(k, 0) + v
@@ -338,16 +343,13 @@ class TropicalBase:
         Raises InvalidArgument unless `cone` is an int (see `is_int`) and
         `a`, `b` are exact rationals (see `is_rational`).
         """
-        if type(cone) is not int and not is_int(cone):
+        if not is_int(cone):
             raise InvalidArgument(f"point needs an int cone, got {brief(cone)}")
-        if type(a) is not Fraction or type(b) is not Fraction:
-            if not (is_rational(a) and is_rational(b)):
-                raise InvalidArgument(
-                    f"point needs rational coordinates, got ({brief(a)}, {brief(b)})")
-            a, b = Fraction(a), Fraction(b)
-        ad, bd = a.denominator, b.denominator
-        q = ad if ad == bd else ad * bd // gcd(ad, bd)
-        return self._point(cone, a.numerator * (q // ad), b.numerator * (q // bd), q)
+        if not (is_rational(a) and is_rational(b)):
+            raise InvalidArgument(
+                f"point needs rational coordinates, got ({brief(a)}, {brief(b)})")
+        return self._point(
+            cone, *_over_lcm(a.numerator, a.denominator, b.numerator, b.denominator))
 
     def _point(self, cone: int, A: int, B: int, Q: int) -> BasePoint:
         """`point` of the int cone `cone` at (A/Q, B/Q), for ints A, B and

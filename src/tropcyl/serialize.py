@@ -6,9 +6,10 @@ at infinity are implicit: they appear only as heads of edges of length
 
 A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
-of its `BasePoint` with one lcm, and the vertices and edges are built
-directly, since the parse has checked every type.  The writer formats
-each coordinate from those integers with one gcd.
+of its `BasePoint` over their lcm (`lattice._over_lcm`), and the vertices
+and edges are built directly, since the parse has checked every type;
+edges get the tail choice of `spines._edge`.  `point_to_json` writes a
+point's report fields, each coordinate from (A, B, Q) with one gcd.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import brief
-from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
-from .spines import CylinderInB, Edge, TropicalTree, Vertex, _tree
+from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, _over_lcm, is_int
+from .spines import CylinderInB, TropicalTree, Vertex, _edge, _tree
 
 
 class SchemaError(ValueError):
@@ -26,15 +27,8 @@ class SchemaError(ValueError):
 
 
 def frac_to_str(x) -> str:
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    """An int or `Fraction` as "p/q"."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def _int_field(x, what: str) -> int:
-    if not is_int(x):
-        raise SchemaError(f"{what} must be an integer, got {brief(x)}")
-    return x
 
 
 def _parse_ratio(s) -> tuple[int, int]:
@@ -105,13 +99,11 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(coords, list) or len(coords) != 2:
             raise SchemaError(f"vertex {vid!r} coords must be a pair")
         cone = item["cone"]
-        if type(cone) is not int:
-            _int_field(cone, f"vertex {vid!r} cone")
+        if not is_int(cone):
+            raise SchemaError(f"vertex {vid!r} cone must be an integer, got {brief(cone)}")
         try:
-            an, ad = _parse_ratio(coords[0])
-            bn, bd = _parse_ratio(coords[1])
-            q = ad if ad == bd else ad * bd // gcd(ad, bd)
-            pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
+            pos = base._point(cone, *_over_lcm(*_parse_ratio(coords[0]),
+                                               *_parse_ratio(coords[1])))
         except ValueError as exc:
             raise SchemaError(f"vertex {vid!r}: {exc}") from exc
         vertices.append(Vertex(vid, pos))
@@ -127,26 +119,22 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(direction, list) or len(direction) != 2:
             raise SchemaError("edge direction must be an integer pair")
         u, v = direction
-        if (type(u) is not int or type(v) is not int) and not (is_int(u) and is_int(v)):
+        if not (is_int(u) and is_int(v)):
             raise SchemaError("edge direction must be an integer pair")
         tail, head = item["tail"], item["head"]
         if not isinstance(tail, str) or not isinstance(head, str):
             raise SchemaError("edge endpoints must be vertex id strings")
         cone = item["cone"]
-        if type(cone) is not int:
-            _int_field(cone, "edge cone")
+        if not is_int(cone):
+            raise SchemaError(f"edge cone must be an integer, got {brief(cone)}")
         if item["length"] == "unbounded":
+            length = None
             if head not in ids:
                 vertices.append(Vertex(head, None))
                 ids.add(head)
-            edges.append(Edge(tail, head, cone, (u, v), None))
-            continue
-        length = parse_frac(item["length"])
-        # `make_edge`'s tail choice
-        if head < tail:
-            edges.append(Edge(head, tail, cone, (-u, -v), length))
         else:
-            edges.append(Edge(tail, head, cone, (u, v), length))
+            length = parse_frac(item["length"])
+        edges.append(_edge(tail, head, cone, u, v, length))
 
     boundary = data["boundary"]
     if (not isinstance(boundary, list) or len(boundary) != 2
@@ -161,25 +149,20 @@ def _ratio_to_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def coords_to_json(p: BasePoint) -> list[str]:
-    """The two cone coordinates of a point off the origin, as "p/q"."""
-    return [_ratio_to_str(p.A, p.Q), _ratio_to_str(p.B, p.Q)]
+def point_to_json(entry: dict, p: BasePoint) -> dict:
+    """`entry` with the report fields of the point `p` added: "origin":
+    true, or its cone and its two cone coordinates as "p/q"."""
+    if p.is_origin:
+        entry["origin"] = True
+    else:
+        entry["cone"] = p.cone
+        entry["coords"] = [_ratio_to_str(p.A, p.Q), _ratio_to_str(p.B, p.Q)]
+    return entry
 
 
 def spine_to_json(tree: TropicalTree) -> dict:
-    vertices = []
-    for v in tree.vertices:
-        p = v.position
-        if p is None:
-            continue
-        if p.cone is None:
-            vertices.append({"id": v.id, "origin": True})
-        else:
-            vertices.append({
-                "id": v.id,
-                "cone": p.cone,
-                "coords": coords_to_json(p),
-            })
+    vertices = [point_to_json({"id": v.id}, v.position)
+                for v in tree.vertices if v.position is not None]
     edges = []
     for e in tree.edges:
         edges.append({

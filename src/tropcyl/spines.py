@@ -44,9 +44,7 @@ class Vertex:
     __slots__ = ("id", "position")
 
     def __init__(self, id: str, position: BasePoint | None):
-        if (type(id) is not str or (position is not None and type(position) is not BasePoint)
-                ) and not (isinstance(id, str)
-                           and (position is None or isinstance(position, BasePoint))):
+        if not (isinstance(id, str) and (position is None or isinstance(position, BasePoint))):
             raise InvalidArgument(
                 f"vertex needs a str id and a BasePoint or None position, "
                 f"got {brief(id)}, {brief(position)}")
@@ -81,15 +79,25 @@ class Edge:
         return self.length is None
 
 
-def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
-    """Edge with the canonical tail choice (lexicographically smaller id).
+def _edge(tail: str, head: str, cone: int, u: int, v: int,
+          length: Fraction | None) -> Edge:
+    """The edge with the canonical tail choice, built unchecked: a bounded
+    edge runs from the lexicographically smaller id, with its direction
+    (u, v) negated if it is flipped; a ray keeps its bounded endpoint as
+    tail."""
+    if length is not None and head < tail:
+        return Edge(head, tail, cone, (-u, -v), length)
+    return Edge(tail, head, cone, (u, v), length)
 
-    Rays are always stored from their bounded endpoint and are not flipped.
+
+def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
+    """Edge with the canonical tail choice of `_edge`.
+
     Raises InvalidArgument unless `tail` and `head` are strs, `cone` and
     both direction entries are ints (see `is_int`) and `length` is None or
     rational (see `is_rational`), so nothing is floored or stored
-    inexactly.  A zero direction or a nonpositive length is left to
-    `check_structure`.
+    inexactly; a length is stored as a `Fraction`.  A zero direction or a
+    nonpositive length is left to `check_structure`.
     """
     if not (isinstance(tail, str) and isinstance(head, str)):
         raise InvalidArgument(
@@ -99,20 +107,15 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     except (TypeError, ValueError):
         raise InvalidArgument(
             f"edge direction must be an int pair, got {brief(direction)}") from None
-    if (type(cone) is not int or type(u) is not int or type(v) is not int) and not (
-            is_int(cone) and is_int(u) and is_int(v)):
+    if not (is_int(cone) and is_int(u) and is_int(v)):
         raise InvalidArgument(
             f"edge needs int cone and direction, got {brief(cone)}, {brief(direction)}")
     if length is not None:
-        if type(length) is not Fraction:
-            if not is_rational(length):
-                raise InvalidArgument(
-                    f"edge length must be None or rational, got {brief(length)}")
-            length = Fraction(length)
-        if head < tail:
-            tail, head = head, tail
-            u, v = -u, -v
-    return Edge(tail, head, cone, (u, v), length)
+        if not is_rational(length):
+            raise InvalidArgument(
+                f"edge length must be None or rational, got {brief(length)}")
+        length = Fraction(length)
+    return _edge(tail, head, cone, u, v, length)
 
 
 @value_class("vertices", "edges", "boundary")
@@ -126,13 +129,20 @@ class TropicalTree:
     A tree indexes its adjacency once, when it is made: the first vertex
     with each id, the edges incident to each id (in edge order) and the
     edge of each (tail, head) key.  Trees are immutable, so the index never
-    goes stale; it takes no part in equality, hashing or repr.
+    goes stale; it takes no part in equality, hashing or repr.  The
+    constructor stores its arguments as given, after the checks of
+    `make_tree`.
     """
 
     __slots__ = ("vertices", "edges", "boundary", "_vertex_of", "_incident", "_edge_of")
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...],
                  boundary: tuple[str, str]):
+        _check_tree_parts(vertices, edges, boundary)
+        self._build(vertices, edges, boundary)
+
+    def _build(self, vertices, edges, boundary) -> "TropicalTree":
+        """Fill the slots and the index from checked parts."""
         _set(self, "vertices", vertices)
         _set(self, "edges", edges)
         _set(self, "boundary", boundary)
@@ -145,6 +155,7 @@ class TropicalTree:
         _set(self, "_vertex_of", {v.id: v for v in reversed(vertices)})
         _set(self, "_incident", {vid: tuple(es) for vid, es in incident.items()})
         _set(self, "_edge_of", {(e.tail, e.head): e for e in reversed(edges)})
+        return self
 
     def __contains__(self, vid: str) -> bool:
         return vid in self._vertex_of
@@ -152,7 +163,7 @@ class TropicalTree:
     def vertex(self, vid: str) -> Vertex:
         if vid in self._vertex_of:
             return self._vertex_of[vid]
-        raise StructuralError(f"no vertex {vid!r}")
+        raise StructuralError(f"no vertex {brief(vid)}")
 
     def position(self, vid: str) -> BasePoint | None:
         return self.vertex(vid).position
@@ -167,8 +178,19 @@ class TropicalTree:
         """The edge between `a` and `b`, whichever of them is its tail."""
         e = self._edge_of.get((a, b)) or self._edge_of.get((b, a))
         if e is None:
-            raise StructuralError(f"no edge between {a!r} and {b!r}")
+            raise StructuralError(f"no edge between {brief(a)} and {brief(b)}")
         return e
+
+
+def _check_tree_parts(vertices, edges, boundary) -> None:
+    if not (isinstance(vertices, (list, tuple)) and isinstance(edges, (list, tuple))
+            and all(isinstance(v, Vertex) for v in vertices)
+            and all(isinstance(e, Edge) for e in edges)):
+        raise InvalidArgument(
+            f"tree needs lists of vertices and edges, got {brief(vertices)}, {brief(edges)}")
+    if not (isinstance(boundary, (list, tuple)) and len(boundary) == 2
+            and isinstance(boundary[0], str) and isinstance(boundary[1], str)):
+        raise InvalidArgument(f"tree boundary must be two str ids, got {brief(boundary)}")
 
 
 def make_tree(vertices, edges, boundary) -> TropicalTree:
@@ -179,26 +201,20 @@ def make_tree(vertices, edges, boundary) -> TropicalTree:
     of two str ids.  A boundary that names no vertex is left to
     `check_structure`.
     """
-    if not (isinstance(vertices, (list, tuple)) and isinstance(edges, (list, tuple))
-            and all(isinstance(v, Vertex) for v in vertices)
-            and all(isinstance(e, Edge) for e in edges)):
-        raise InvalidArgument(
-            f"tree needs lists of vertices and edges, got {brief(vertices)}, {brief(edges)}")
-    if not (isinstance(boundary, (list, tuple)) and len(boundary) == 2
-            and isinstance(boundary[0], str) and isinstance(boundary[1], str)):
-        raise InvalidArgument(f"tree boundary must be two str ids, got {brief(boundary)}")
+    _check_tree_parts(vertices, edges, boundary)
     return _tree(vertices, edges, boundary)
 
 
 _vertex_id = attrgetter("id")
 _edge_key = attrgetter("tail", "head")
+_new_tree = TropicalTree.__new__
 
 
 def _tree(vertices, edges, boundary) -> TropicalTree:
     """`make_tree` for values the caller built itself, unchecked."""
-    return TropicalTree(tuple(sorted(vertices, key=_vertex_id)),
-                        tuple(sorted(edges, key=_edge_key)),
-                        (boundary[0], boundary[1]))
+    return _new_tree(TropicalTree)._build(tuple(sorted(vertices, key=_vertex_id)),
+                                          tuple(sorted(edges, key=_edge_key)),
+                                          (boundary[0], boundary[1]))
 
 
 @value_class("tree", "legs")
@@ -245,12 +261,12 @@ class CylinderInBTilde:
     def slope(self, key: tuple[str, str]) -> int:
         if key in self._slope_of:
             return self._slope_of[key]
-        raise StructuralError(f"no slope for edge {key}")
+        raise StructuralError(f"no slope for edge {brief(key)}")
 
     def height(self, vid: str) -> Fraction:
         if vid in self._height_of:
             return self._height_of[vid]
-        raise StructuralError(f"no height for vertex {vid!r}")
+        raise StructuralError(f"no height for vertex {brief(vid)}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +288,26 @@ def _ends_match(tc, hc, length, direction) -> bool:
     return q * (ah * qt - at * qh) == scale * u and q * (bh * qt - bt * qh) == scale * v
 
 
+def _check_objects(base, tree, what: str) -> None:
+    """Raise InvalidArgument unless `base` is a `TropicalBase` and `tree` a
+    `TropicalTree`."""
+    if type(base) is not TropicalBase or type(tree) is not TropicalTree:
+        raise InvalidArgument(f"{what} needs a TropicalBase and a TropicalTree, got "
+                              f"{brief(base)}, {brief(tree)}")
+
+
 def check_structure(base: TropicalBase, tree: TropicalTree,
                     allow_unbounded: bool = True) -> None:
     """Raise StructuralError unless `tree` is a consistent mapped tree.
 
     Vertices at the origin are allowed here; `validate_spine` reports them
     as `origin-image` violations, and cylinders end their legs there.  A
-    vertex elsewhere must lie in its cone: A >= 0 and B >= 0.
+    vertex elsewhere must lie in its cone: A >= 0 and B >= 0.  Raises
+    InvalidArgument unless `base` is a `TropicalBase` and `tree` a
+    `TropicalTree`; this is the check of every validator, of
+    `cylinder_in_b` and of `extend`.
     """
+    _check_objects(base, tree, "tree check")
     if len(tree._vertex_of) != len(tree.vertices):
         raise StructuralError("duplicate vertex ids")
     if len(tree.boundary) != 2 or tree.boundary[0] == tree.boundary[1]:
@@ -423,7 +451,10 @@ def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVe
 
 
 def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
-    """Whether the outgoing directions at `vid` sum to zero exactly."""
+    """Whether the outgoing directions at `vid` sum to zero exactly.
+    Raises InvalidArgument unless `base` is a `TropicalBase` and `tree` a
+    `TropicalTree`."""
+    _check_objects(base, tree, "is_balanced")
     return direction_sum(base, tree, vid).is_zero
 
 
@@ -523,7 +554,10 @@ def validate_extended_spine(base: TropicalBase, tree: TropicalTree) -> list[Viol
 
 
 def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]:
-    """Cylinder conditions: stray leaves at the origin, the rest balanced."""
+    """Cylinder conditions: stray leaves at the origin, the rest balanced.
+    Raises InvalidArgument unless `cyl` is a `CylinderInB`."""
+    if type(cyl) is not CylinderInB:
+        raise InvalidArgument(f"cylinder check needs a CylinderInB, got {brief(cyl)}")
     tree = cyl.tree
     check_structure(base, tree, allow_unbounded=True)
     out: list[Violation] = []
@@ -540,7 +574,7 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
                 out.append(Violation(
                     "origin-branch", v.id,
                     f"origin vertex {v.id!r} must be 1-valent"))
-            elif not is_balanced(base, tree, v.id):
+            elif not direction_sum(base, tree, v.id).is_zero:
                 out.append(Violation(
                     "unbalanced", v.id, f"vertex {v.id!r} is not balanced"))
     return out
@@ -555,7 +589,9 @@ def _tree_of(z) -> TropicalTree:
         return z.cylinder.tree
     if isinstance(z, CylinderInB):
         return z.tree
-    return z
+    if isinstance(z, TropicalTree):
+        return z
+    raise InvalidArgument(f"canonical image needs a tree or a cylinder, got {brief(z)}")
 
 
 def _point_key(p: BasePoint):
@@ -594,6 +630,8 @@ def _erasable(tree: TropicalTree, vid: str) -> bool:
 
 
 def canonical_image(z) -> CanonicalImage:
+    """The image of a `TropicalTree`, `CylinderInB` or `CylinderInBTilde`
+    (else InvalidArgument)."""
     tree = _tree_of(z)
     # Erasing a vertex leaves the cone and the exact direction of the edge
     # at each neighbour as they were, so the erasable vertices can be read
@@ -640,13 +678,15 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     """Split a bounded edge at parameter fraction t in (0, 1).
 
     The new vertex is balanced and collinear, so the image is unchanged.
+    Raises InvalidArgument unless `t` is rational (see `is_rational`).
     """
-    t = Fraction(t)
+    if not is_rational(t):
+        raise InvalidArgument(f"subdivision parameter must be rational, got {brief(t)}")
     if not 0 < t < 1:
         raise InvalidArgument("subdivision parameter must be strictly inside (0, 1)")
     target = tree._edge_of.get(key)
     if target is None or target.is_ray:
-        raise StructuralError(f"no bounded edge {key}")
+        raise StructuralError(f"no bounded edge {brief(key)}")
     if new_id is None:
         k = 0
         while f"s{k}" in tree:
@@ -667,7 +707,13 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
 
 
 def relabel(tree: TropicalTree, mapping: dict[str, str]) -> TropicalTree:
-    """Rename vertices; edge tails are re-normalized to the new order."""
+    """Rename vertices; edge tails are re-normalized to the new order.
+    Raises InvalidArgument unless `tree` is a `TropicalTree` and `mapping`
+    a dict."""
+    if type(tree) is not TropicalTree or not isinstance(mapping, dict):
+        raise InvalidArgument(f"relabel needs a TropicalTree and a dict, got "
+                              f"{brief(tree)}, {brief(mapping)}")
+
     def m(x: str) -> str:
         return mapping.get(x, x)
 

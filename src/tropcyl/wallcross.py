@@ -17,8 +17,8 @@ from math import comb, gcd, lcm
 
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase, brief
 from .extension import DEL_PEZZO_PAIR
-from .lattice import L_MAX, TropicalBase, _set, is_int, is_rational, value_class
-from .spines import TropicalTree, _outgoing, validate_spine
+from .lattice import L_MAX, _set, is_int, is_rational, value_class
+from .spines import TropicalTree, _check_objects, _outgoing, validate_spine
 
 
 @value_class("terms")
@@ -75,7 +75,9 @@ class SparseLaurentSeries:
         return Fraction(self.num.get((i, j), 0), self.den)
 
     def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact coefficientwise sum."""
+        """Exact coefficientwise sum; InvalidArgument unless `other` is a
+        series."""
+        _check_series(other, "series sum")
         den = lcm(self.den, other.den)
         acc = {k: v * (den // self.den) for k, v in self.num.items()}
         for k, v in other.num.items():
@@ -83,7 +85,8 @@ class SparseLaurentSeries:
         return _fill(_new_series(SparseLaurentSeries), acc, den)
 
     def __mul__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact product."""
+        """Exact product; InvalidArgument unless `other` is a series."""
+        _check_series(other, "series product")
         acc: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.num.items():
             for (i2, j2), c2 in other.num.items():
@@ -93,6 +96,11 @@ class SparseLaurentSeries:
 
 
 _new_series = SparseLaurentSeries.__new__
+
+
+def _check_series(s, what: str) -> None:
+    if type(s) is not SparseLaurentSeries:
+        raise InvalidArgument(f"{what} needs a SparseLaurentSeries, got {brief(s)}")
 
 
 def _fill(s: SparseLaurentSeries, acc: dict, den: int) -> SparseLaurentSeries:
@@ -112,8 +120,7 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries
     """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
     Raises InvalidArgument unless `s` is a series, and InvalidQuery unless
     each power of (1+y) lies in [0, L_MAX]."""
-    if type(s) is not SparseLaurentSeries:
-        raise InvalidArgument(f"shear needs a SparseLaurentSeries, got {brief(s)}")
+    _check_series(s, "shear")
     acc: dict[tuple[int, int], int] = {}
     for (a, b), v in s.num.items():
         e = power_sign * a
@@ -241,10 +248,7 @@ def count_spine(base, spine: TropicalTree) -> int:
     the height of the central vertex.  Raises InvalidArgument unless `base`
     is a TropicalBase and `spine` a TropicalTree.
     """
-    if type(base) is not TropicalBase or type(spine) is not TropicalTree:
-        raise InvalidArgument(
-            f"count_spine needs a TropicalBase and a TropicalTree, got "
-            f"{brief(base)}, {brief(spine)}")
+    _check_objects(base, spine, "count_spine")
     if base.pair.self_intersections != DEL_PEZZO_PAIR:
         raise UnsupportedBase(
             f"counts are implemented for the base {DEL_PEZZO_PAIR}, got "
@@ -276,9 +280,7 @@ def count_spine(base, spine: TropicalTree) -> int:
 def virtual_dim(g: int, dim_v: int, alpha_dot_k: int, n: int) -> int:
     """Expected dimension (1 - g)(dim_v - 3) - alpha_dot_k + n.  Raises
     InvalidArgument unless every argument is an int (see `is_int`)."""
-    if (type(g) is not int or type(dim_v) is not int or type(alpha_dot_k) is not int
-            or type(n) is not int) and not (
-            is_int(g) and is_int(dim_v) and is_int(alpha_dot_k) and is_int(n)):
+    if not (is_int(g) and is_int(dim_v) and is_int(alpha_dot_k) and is_int(n)):
         raise InvalidArgument(
             f"virtual dimension needs int arguments, got {brief(g)}, {brief(dim_v)}, "
             f"{brief(alpha_dot_k)}, {brief(n)}")

@@ -6,6 +6,7 @@ and an accepted value is exact (no float is floored or stored)."""
 
 from fractions import Fraction
 from math import comb
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ import tropcyl as tc
 from tropcyl import SparseLaurentSeries as S
 from tropcyl.errors import brief
 from tropcyl.extension import tropical_trace
+from tropcyl.serialize import spine_from_json
 from tropcyl.wallcross import focus_focus_inverse
 from shear_oracle import fraction_shear
 
@@ -26,11 +28,14 @@ NOT_INT = (st.booleans() | st.floats() | st.fractions()
 HUGE = st.integers(-9, 9).filter(bool).map(lambda d: d * 10 ** 4999)
 ANY = st.integers() | HUGE | NOT_INT
 DEL_PEZZO = tc.del_pezzo_base()
+EXTENDED = tc.extend(DEL_PEZZO, tc.family_spine(2, 0, 1, 1)).extended
+CYLINDER = tc.cylinder_in_b(DEL_PEZZO, EXTENDED)
 # A value of each of several package classes, for the object slots.
 OBJECT = ANY | st.sampled_from((
     tc.LooijengaPair((1, 1, 1)), tc.build_base((1, 1, 1)), DEL_PEZZO, tc.BasePoint(0, 1),
     tc.TangentVector(0, 1, 0), tc.CountQuery(2, 0, 1), S.monomial(1, 0),
-    tc.family_spine(2, 0, 1, 1), tc.canonical_image(tc.family_spine(2, 0, 1, 1))))
+    tc.family_spine(2, 0, 1, 1), tc.canonical_image(tc.family_spine(2, 0, 1, 1)),
+    EXTENDED, CYLINDER, tc.CurveClass.of({0: 1})))
 
 
 def _or_any(accepted, other=ANY):
@@ -61,6 +66,15 @@ SPINE = _or_any(st.builds(tc.family_spine, st.integers(1, 5), st.integers(-3, 3)
                           st.integers(-1, 6), st.sampled_from((Fraction(1, 2), 1, 2))),
                 OBJECT)
 BOUNDARY = _or_any(st.tuples(ID, ID) | st.lists(ID, max_size=3))
+BASE = _or_any(st.just(DEL_PEZZO), OBJECT)
+# extended spines and cylinders of the family, and of the wrong class
+VALID_SPINE = st.integers(1, 4).flatmap(lambda l: st.builds(
+    tc.family_spine, st.just(l), st.integers(-2, 2), st.integers(0, l),
+    st.sampled_from((Fraction(1, 2), 1))))
+EXTENDED_SPINE = VALID_SPINE.map(lambda s: tc.extend(DEL_PEZZO, s).extended)
+PATH = _or_any(EXTENDED_SPINE, OBJECT)
+CYLINDERS = _or_any(EXTENDED_SPINE.map(lambda e: tc.cylinder_in_b(DEL_PEZZO, e)), OBJECT)
+VID = _or_any(st.sampled_from(("v0", "v1", "v2")))
 
 
 def _exact(x) -> bool:
@@ -147,9 +161,19 @@ def _curve_class(mapping):
     assert all(type(k) is int and type(v) is int for k, v in cc.coeffs)
 
 
-def _extend(max_steps):
-    tc.extend(tc.del_pezzo_base(), tc.family_spine(2, 0, 1, 1), max_steps)
+def _extend(base, spine, max_steps):
+    tc.extend(base, spine, max_steps)
+    assert type(base) is tc.TropicalBase and type(spine) is tc.TropicalTree
     assert type(max_steps) is int
+
+
+def _objects(call, *types):
+    """`call` as a fuzzer row that checks each argument's class once the
+    call returns."""
+    def row(*args):
+        call(*args)
+        assert all(t is None or type(x) is t for x, t in zip(args, types))
+    return row
 
 
 def _table(l_max, m_values):
@@ -209,7 +233,33 @@ ENTRY_POINTS = {
     "trace_path_image": (tc.trace_path_image, st.tuples(INT, INT, INT, RATIONAL)),
     "CurveClass.of": (_curve_class, st.tuples(
         _or_any(st.dictionaries(INT, INT, max_size=3)))),
-    "extend": (_extend, st.tuples(INT)),
+    "extend": (_extend, st.tuples(BASE, SPINE, INT)),
+    "extend_step": (_objects(tc.extend_step, tc.TropicalBase, tc.TropicalTree),
+                    st.tuples(BASE, SPINE, VID)),
+    "validate_spine": (_objects(tc.validate_spine, tc.TropicalBase, tc.TropicalTree),
+                       st.tuples(BASE, SPINE)),
+    "validate_extended_spine": (
+        _objects(tc.validate_extended_spine, tc.TropicalBase, tc.TropicalTree),
+        st.tuples(BASE, PATH)),
+    "validate_cylinder_b": (_objects(tc.validate_cylinder_b, tc.TropicalBase, tc.CylinderInB),
+                            st.tuples(BASE, CYLINDERS)),
+    "cylinder_in_b": (_objects(tc.cylinder_in_b, tc.TropicalBase, tc.TropicalTree),
+                      st.tuples(BASE, PATH)),
+    "lift_to_tilde": (_objects(tc.lift_to_tilde, tc.TropicalBase, tc.TropicalTree),
+                      st.tuples(BASE, PATH)),
+    "is_balanced": (_objects(tc.is_balanced, tc.TropicalBase, tc.TropicalTree),
+                    st.tuples(BASE, SPINE | PATH, VID)),
+    "canonical_image": (tc.canonical_image, st.tuples(SPINE | PATH | CYLINDERS)),
+    "images_equal": (tc.images_equal, st.tuples(SPINE | PATH, SPINE | CYLINDERS)),
+    "relabel": (_objects(tc.relabel, tc.TropicalTree, dict), st.tuples(
+        SPINE, _or_any(st.dictionaries(VID, ID, max_size=2), OBJECT))),
+    "TropicalTree": (tc.TropicalTree, st.tuples(VERTICES, EDGES, BOUNDARY)),
+    "SparseLaurentSeries.__add__": (_objects(add, S, S), st.tuples(
+        st.just(S.monomial(1, 0)), SERIES)),
+    "SparseLaurentSeries.__mul__": (_objects(mul, S, S), st.tuples(
+        st.just(S.monomial(1, 0)), SERIES)),
+    "CurveClass.__add__": (_objects(add, tc.CurveClass, tc.CurveClass), st.tuples(
+        st.just(tc.CurveClass.of({0: 1})), _or_any(st.just(tc.CurveClass.of({1: 2})), OBJECT))),
     "count_table": (_table, st.tuples(INT, SEQUENCE)),
     "monodromy": (_monodromy, st.tuples(_or_any(
         st.builds(tc.build_base, st.lists(st.integers(-3, 3), min_size=3, max_size=5))
@@ -313,3 +363,120 @@ def test_brief_is_repr_up_to_long_ints():
     loop.append(loop)
     assert brief(loop) == "<list>"
     assert len(brief(list(range(100)))) == 60
+
+
+SPINE_2_0_1 = tc.family_spine(2, 0, 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.validate_spine(None, SPINE_2_0_1),
+    lambda: tc.validate_spine(DEL_PEZZO, None),
+    lambda: tc.extend(None, SPINE_2_0_1),
+    lambda: tc.extend(DEL_PEZZO, None),
+    lambda: tc.extend_step(None, SPINE_2_0_1, "v1"),
+    lambda: tc.cylinder_in_b(DEL_PEZZO, None),
+    lambda: tc.lift_to_tilde(DEL_PEZZO, 5),
+    lambda: tc.validate_extended_spine(DEL_PEZZO, 5),
+    lambda: tc.validate_cylinder_b(DEL_PEZZO, None),
+    lambda: tc.is_balanced(None, SPINE_2_0_1, "v0"),
+    lambda: tc.canonical_image(5),
+    lambda: tc.images_equal(1, 2),
+    lambda: tc.relabel(SPINE_2_0_1, None),
+    lambda: tc.TropicalTree(None, None, None),
+    lambda: S.monomial(1, 0) * 5,
+    lambda: S.monomial(1, 0) + 5,
+    lambda: tc.CurveClass.of({0: 1}) + 5,
+    lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ("v0", "v2"), 0.1),
+    lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ("v0", "v2"), "1/2"),
+], ids=["validate_spine-base", "validate_spine-tree", "extend-base", "extend-spine",
+        "extend_step-base", "cylinder_in_b", "lift_to_tilde", "validate_extended_spine",
+        "validate_cylinder_b", "is_balanced", "canonical_image", "images_equal", "relabel",
+        "TropicalTree", "series-mul", "series-add", "curve-class-add", "subdivide-float",
+        "subdivide-str"])
+def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
+    # each used to end in a bare AttributeError/TypeError, or (subdivide)
+    # to store an inexact length
+    with pytest.raises(tc.InvalidArgument):
+        call()
+
+
+def _spine_data(vertex_cone=0, u=1, edge_cone=0):
+    return {"vertices": [{"id": "a", "cone": vertex_cone, "coords": ["1/1", "1/1"]},
+                         {"id": "b", "cone": 0, "coords": ["2/1", "1/1"]}],
+            "edges": [{"tail": "b", "head": "a", "cone": edge_cone, "direction": [u, 0],
+                       "length": "1/1"}],
+            "boundary": ["a", "b"]}
+
+
+class Int(int):
+    """An int subclass: accepted wherever an int is."""
+
+
+class Str(str):
+    """A str subclass: accepted as a vertex id."""
+
+
+# Each argument slot whose type is checked once, by `is_int`,
+# `is_rational` or `isinstance`: the call with x in the slot, and the
+# message of a rejected x, with {} for its repr.
+MATRIX = "matrix needs int entries, got "
+POINT = "base point needs an int or None cone and rational coordinates, got "
+VECTOR = "tangent vector needs int cone, u, v, got "
+VERTEX = "vertex needs a str id and a BasePoint or None position, got "
+EDGE = "edge needs int cone and direction, got "
+DIM = "virtual dimension needs int arguments, got "
+SLOTS = {
+    "BasePoint.cone": (lambda x: tc.BasePoint(x, 1, 2), POINT + "{}, 1, 2"),
+    "BasePoint.a": (lambda x: tc.BasePoint(0, x, 2), POINT + "0, {}, 2"),
+    "BasePoint.b": (lambda x: tc.BasePoint(0, 1, x), POINT + "0, 1, {}"),
+    "TangentVector.cone": (lambda x: tc.TangentVector(x, 1, 2), VECTOR + "{}, 1, 2"),
+    "TangentVector.u": (lambda x: tc.TangentVector(0, x, 2), VECTOR + "0, {}, 2"),
+    "TangentVector.v": (lambda x: tc.TangentVector(0, 1, x), VECTOR + "0, 1, {}"),
+    "IntMatrix2.a": (lambda x: tc.IntMatrix2(x, 1, 0, 1), MATRIX + "{}, 1, 0, 1"),
+    "IntMatrix2.b": (lambda x: tc.IntMatrix2(1, x, 0, 1), MATRIX + "1, {}, 0, 1"),
+    "IntMatrix2.c": (lambda x: tc.IntMatrix2(1, 1, x, 1), MATRIX + "1, 1, {}, 1"),
+    "IntMatrix2.d": (lambda x: tc.IntMatrix2(1, 1, 0, x), MATRIX + "1, 1, 0, {}"),
+    "point.cone": (lambda x: DEL_PEZZO.point(x, 1, 2), "point needs an int cone, got {}"),
+    "point.a": (lambda x: DEL_PEZZO.point(0, x, 2),
+                "point needs rational coordinates, got ({}, 2)"),
+    "point.b": (lambda x: DEL_PEZZO.point(0, 1, x),
+                "point needs rational coordinates, got (1, {})"),
+    "Vertex.id": (lambda x: tc.Vertex(x, None), VERTEX + "{}, None"),
+    "Vertex.position": (lambda x: tc.Vertex("a", x), VERTEX + "'a', {}"),
+    "make_edge.cone": (lambda x: tc.make_edge("b", "a", x, (1, 2), 1), EDGE + "{}, (1, 2)"),
+    "make_edge.u": (lambda x: tc.make_edge("b", "a", 0, (x, 2), 1), EDGE + "0, ({}, 2)"),
+    "make_edge.v": (lambda x: tc.make_edge("b", "a", 0, (1, x), 1), EDGE + "0, (1, {})"),
+    "make_edge.length": (lambda x: tc.make_edge("b", "a", 0, (1, 2), x),
+                         "edge length must be None or rational, got {}"),
+    "spine_from_json.vertex_cone": (
+        lambda x: spine_from_json(DEL_PEZZO, _spine_data(vertex_cone=x)),
+        "vertex 'a' cone must be an integer, got {}"),
+    "spine_from_json.direction": (lambda x: spine_from_json(DEL_PEZZO, _spine_data(u=x)),
+                                  "edge direction must be an integer pair"),
+    "spine_from_json.edge_cone": (
+        lambda x: spine_from_json(DEL_PEZZO, _spine_data(edge_cone=x)),
+        "edge cone must be an integer, got {}"),
+    "virtual_dim.g": (lambda x: tc.virtual_dim(x, 2, 1, 1), DIM + "{}, 2, 1, 1"),
+    "virtual_dim.dim_v": (lambda x: tc.virtual_dim(0, x, 1, 1), DIM + "0, {}, 1, 1"),
+    "virtual_dim.alpha_dot_k": (lambda x: tc.virtual_dim(0, 2, x, 1), DIM + "0, 2, {}, 1"),
+    "virtual_dim.n": (lambda x: tc.virtual_dim(0, 2, 1, x), DIM + "0, 2, 1, {}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(SLOTS) - {"Vertex.position"}))
+def test_subclass_is_accepted_like_its_base(name):
+    call, _ = SLOTS[name]
+    sub, plain = (Str("1"), "1") if name == "Vertex.id" else (Int(1), 1)
+    assert call(sub) == call(plain)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name", sorted(SLOTS))
+def test_inexact_value_keeps_its_message(name, bad):
+    call, message = SLOTS[name]
+    if name == "Vertex.id" and bad == "1":
+        assert call(bad) == tc.Vertex("1", None)
+        return
+    with pytest.raises((tc.InvalidArgument, tc.SchemaError)) as info:
+        call(bad)
+    assert str(info.value) == message.format(repr(bad))

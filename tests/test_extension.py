@@ -361,10 +361,11 @@ class TestExtendBuildsOnce:
     def test_vertices_and_edges_built_only_for_a_finished_run(self, monkeypatch,
                                                              all_minus_two):
         built = []
-        for name in ("Vertex", "Edge"):
-            cls = getattr(tc.extension, name)
+        # the new vertex and the shared edge builder behind `make_edge`
+        for name in ("Vertex", "_edge"):
+            make = getattr(tc.extension, name)
             monkeypatch.setattr(tc.extension, name,
-                                lambda *args, cls=cls: built.append(cls) or cls(*args))
+                                lambda *args, make=make: built.append(make) or make(*args))
         _, spine = _one_turn_spine(4)
         with pytest.raises(NotExtendable):
             extend(all_minus_two, spine, 300)

@@ -35,7 +35,7 @@ class TestRationals:
     def test_lowest_terms(self):
         assert frac_to_str(F(6, 4)) == "3/2"
         assert frac_to_str(F(2, -4)) == "-1/2"
-        assert frac_to_str(3) == "3/1"  # an int is still wrapped
+        assert frac_to_str(3) == "3/1"  # an int prints over 1
 
     def test_plain_integers_accepted(self):
         assert parse_frac("7") == 7
