@@ -18,10 +18,10 @@ from .errors import InvalidQuery, TropcylError, brief
 from .extension import (
     MAX_STEPS,
     MAX_STEPS_CAP,
-    cylinder_in_b,
     del_pezzo_base,
     extend,
     family_spine,
+    spine_legs,
     trace_points,
 )
 from .lattice import build_base, fan_closure, intersection_matrix, is_positive, monodromy
@@ -93,13 +93,14 @@ def cmd_extend(args) -> int:
     base = build_base(pair)
     spine = spine_from_json(base, _load_json(args.spine_file))
     result = extend(base, spine, max_steps=args.max_steps)
-    cylinder = cylinder_in_b(base, result.extended)
+    extended = spine_to_json(result.extended)
     report = {
         "extendable": True,
         "steps": result.steps,
         "curve_class": curve_class_to_json(result.curve_class),
-        "extended_spine": spine_to_json(result.extended),
-        "cylinder": cylinder_to_json(cylinder),
+        "extended_spine": extended,
+        "cylinder": cylinder_to_json(extended,
+                                     spine_legs(base, spine, result.extended)),
     }
     _emit(report)
     return 0

@@ -5,9 +5,16 @@ Extension shoots a ray out of each spine end, opposite to the boundary
 edge.  A ray that stays inside a cone forever finishes that end with an
 unbounded edge; a ray that reaches a wall adds a new bounded vertex there,
 records a boundary-divisor multiple (the wedge of the crossing direction
-with the wall ray), and continues on the other side.  Cylinder completion
-then hangs a leg from every vertex whose direction sum is a positive
-radial multiple down to the origin.
+with the wall ray), and continues on the other side.
+
+Cylinder completion hangs a leg down to the origin from every vertex whose
+direction sum is nonzero; the sum must be a positive radial multiple
+(`_legs` is the one leg rule).  `cylinder_in_b` is the checked completion
+of an arbitrary tree: it runs `check_structure` and takes a direction sum
+at every vertex.  After `extend`, legs hang only from the input spine's
+vertices, because every vertex a cast adds is 2-valent and balanced (the
+contract of `extend_step`); `spine_legs` completes there, without a second
+structure check, and is what the command line uses.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from .spines import (
     CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
+    Edge,
     TropicalTree,
     Vertex,
     check_structure,
@@ -59,10 +67,12 @@ from .spines import (
     make_edge,
     make_tree,
     validate_spine,
+    _check_id,
     _check_objects,
     _edge,
     _point_key,
     _tree,
+    _vertex_id,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -88,16 +98,16 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     ray stays inside the open cone, or "origin" if it runs exactly into the
     origin.  Then come the cone the ray actually runs through and its
     direction there, then the wall hit, the hit point and the parameter
-    length, all three None unless kind is "wall".  A wall start is first
-    carried across the wall the ray enters, by the inline transport of
-    `TropicalBase.transport`.
+    length as the coprime integers (N, D) of `Edge.ratio`, all three None
+    unless kind is "wall".  A wall start is first carried across the wall
+    the ray enters, by the inline transport of `TropicalBase.transport`.
 
     The start's cone coordinates are read as integers (a/q, b/q), so the
     wall parameters ta = a/(q*-u) and tb = b/(q*-v) are compared by the
     cross-multiplied b*u - a*v.  The hit lies strictly inside its wall, at
     N/D for integers N, D, so it is built directly, with one gcd, as the
     canonical `BasePoint` (wall, N/g, 0, D/g) that `TropicalBase.point`
-    would return; the length is one `Fraction`.
+    would return; the length is reduced with one more gcd.
     """
     if start.cone is None:
         raise DegenerateRay("ray starts at the origin")
@@ -143,15 +153,17 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
         den = q * -u
         num = b * -u + a * v
         g = gcd(num, den)
+        h = gcd(a, den)
         wall = (cone + 1) % l
         return ("wall", cone, u, v, wall, _base_point(wall, num // g, 0, den // g),
-                Fraction(a, den))
+                (a // h, den // h))
     # out through the first wall, at a/q + tb*u
     den = q * -v
     num = a * -v + b * u
     g = gcd(num, den)
+    h = gcd(b, den)
     return ("wall", cone, u, v, cone, _base_point(cone, num // g, 0, den // g),
-            Fraction(b, den))
+            (b // h, den // h))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +172,20 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
 
 @value_class("extended", "curve_class", "steps")
 class ExtensionResult:
-    """Extended spine plus the total boundary class picked up on the way."""
+    """Extended spine plus the total boundary class picked up on the way.
+
+    Raises InvalidArgument unless `extended` is a `TropicalTree`,
+    `curve_class` a `CurveClass` and `steps` an int (see `is_int`).
+    """
 
     __slots__ = ("extended", "curve_class", "steps")
 
     def __init__(self, extended: TropicalTree, curve_class: CurveClass, steps: int):
+        if not (isinstance(extended, TropicalTree) and isinstance(curve_class, CurveClass)
+                and is_int(steps)):
+            raise InvalidArgument(
+                f"extension result needs a TropicalTree, a CurveClass and an int, got "
+                f"{brief(extended)}, {brief(curve_class)}, {brief(steps)}")
         _set(self, "extended", extended)
         _set(self, "curve_class", curve_class)
         _set(self, "steps", steps)
@@ -193,15 +214,15 @@ def _cast(base: TropicalBase, end, fresh: str):
 
     Returns (step, the crossing (wall, multiple) or None, the new end or
     None); both are None once the end runs off to infinity.  The step is
-    the plain tuple (id, fresh, point, cone, u, v, length) of the new
-    vertex `fresh` at `point` and the edge from the old end to it, which
-    `_step_parts` builds.
+    the plain tuple (id, fresh, point, cone, u, v, ratio) of the new
+    vertex `fresh` at `point` and the edge from the old end to it, with
+    `ratio` the (N, D) length of `_trace`, which `_step_parts` builds.
     """
     vid, position, cone, u, v = end
-    kind, cone, u, v, wall, point, length = _trace(base, position, cone, u, v)
+    kind, cone, u, v, wall, point, ratio = _trace(base, position, cone, u, v)
     if kind == "origin":
         raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
-    step = (vid, fresh, point, cone, u, v, length)
+    step = (vid, fresh, point, cone, u, v, ratio)
     if wall is None:
         return step, None, None
     # multiple of the wall ray picked up by the transversal crossing
@@ -211,8 +232,8 @@ def _cast(base: TropicalBase, end, fresh: str):
 
 def _step_parts(step):
     """(new vertex, new edge) of a `_cast` step."""
-    vid, fresh, point, cone, u, v, length = step
-    return Vertex(fresh, point), _edge(vid, fresh, cone, u, v, length)
+    vid, fresh, point, cone, u, v, ratio = step
+    return Vertex(fresh, point), _edge(vid, fresh, cone, u, v, ratio)
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -222,10 +243,11 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     (new tree, curve class increment, finished) where finished means the
     end was closed off with an unbounded edge.  The old boundary vertex
     becomes 2-valent and exactly balanced either way.  Raises
-    InvalidArgument unless `base` is a `TropicalBase` and `tree` a
-    `TropicalTree`.
+    InvalidArgument unless `base` is a `TropicalBase`, `tree` a
+    `TropicalTree` and `end` a str.
     """
     _check_objects(base, tree, "extend_step")
+    _check_id(end, "extend_step")
     step, crossing, new_end = _cast(
         base, _end_state(tree, end), next(_unused_ids(tree, "x")))
     vertex, edge = _step_parts(step)
@@ -293,28 +315,24 @@ def extend(base: TropicalBase, spine: TropicalTree,
 # cylinders
 
 
-def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
-    """Complete an extended spine to a cylinder body in the base.
+def _legs(base: TropicalBase, tree: TropicalTree, vertices) -> list[tuple[str, Edge]]:
+    """The leg rule: (origin id, leg) for each of `vertices` (vertices of
+    `tree`, in id order) off the origin whose direction sum in `tree` is
+    nonzero.
 
-    Every bounded vertex with a nonzero direction sum gets a leg running
-    down to the origin; the leg direction is the negated sum, and its
-    parameter length divides the radial lattice length by the sum's
-    divisibility, which balances the vertex exactly.
+    The leg direction is the negated sum, and its parameter length divides
+    the radial lattice length by the sum's divisibility, which balances
+    the vertex exactly.  The origin ids are o1, o2, ... skipping the ids
+    of `tree`, in the order of `vertices`.  Raises UnbalancedNonRadial
+    unless each nonzero sum is an outward radial vector.
     """
-    check_structure(base, ext, allow_unbounded=True)
-    for b in ext.boundary:
-        if not ext.vertex(b).is_unbounded:
-            raise StructuralError(
-                f"extended spine boundary {b!r} must run to infinity")
-    vertices = list(ext.vertices)
-    edges = list(ext.edges)
     legs = []
-    fresh = _unused_ids(ext, "o")
-    for v in ext.vertices:
+    fresh = _unused_ids(tree, "o")
+    for v in vertices:
         pos = v.position
         if pos is None or pos.cone is None:
             continue
-        sigma = direction_sum(base, ext, v.id)
+        sigma = direction_sum(base, tree, v.id)
         if sigma.is_zero:
             continue
         if not is_outward_radial(base, pos, sigma):
@@ -324,14 +342,45 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
         # sigma lives in the cone of pos; its lattice length there is
         # gcd(A, B)/Q, and the leg's parameter length divides it by the
         # divisibility of sigma
-        length = Fraction(gcd(pos.A, pos.B), pos.Q * gcd(sigma.u, sigma.v))
+        num, den = gcd(pos.A, pos.B), pos.Q * gcd(sigma.u, sigma.v)
+        g = gcd(num, den)
         oid = next(fresh)
-        vertices.append(Vertex(oid, ORIGIN))
-        leg = make_edge(v.id, oid, sigma.cone, (-sigma.u, -sigma.v), length)
-        edges.append(leg)
-        legs.append((leg.tail, leg.head))
-    tree = _tree(vertices, edges, ext.boundary)
-    return CylinderInB(tree, tuple(sorted(legs)))
+        legs.append((oid, _edge(v.id, oid, sigma.cone, -sigma.u, -sigma.v,
+                                (num // g, den // g))))
+    return legs
+
+
+def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
+    """Complete an extended spine to a cylinder body in the base.
+
+    The checked completion for an arbitrary tree: `check_structure` runs
+    first, both boundary vertices must be unbounded, and every bounded
+    vertex with a nonzero direction sum gets a leg to the origin by the
+    leg rule of `_legs`.
+    """
+    check_structure(base, ext, allow_unbounded=True)
+    for b in ext.boundary:
+        if not ext.vertex(b).is_unbounded:
+            raise StructuralError(
+                f"extended spine boundary {b!r} must run to infinity")
+    legs = _legs(base, ext, ext.vertices)
+    tree = _tree([*ext.vertices, *(Vertex(oid, ORIGIN) for oid, _ in legs)],
+                 [*ext.edges, *(leg for _, leg in legs)], ext.boundary)
+    return CylinderInB(tree, tuple(sorted((leg.tail, leg.head) for _, leg in legs)))
+
+
+def spine_legs(base: TropicalBase, spine: TropicalTree,
+               ext: TropicalTree) -> list[tuple[str, Edge]]:
+    """The legs of the cylinder of `ext`, the extended tree of
+    `extend(base, spine)`, as (origin id, leg) pairs: the legs that
+    `cylinder_in_b(base, ext)` adds, with the same ids.
+
+    `extend` has validated `spine` and built `ext` from it, and every
+    vertex its cast adds is 2-valent and balanced, so the leg rule runs
+    only at the vertices of `spine`, in id order, and the structure check
+    is not repeated.
+    """
+    return _legs(base, ext, sorted(spine.vertices, key=_vertex_id))
 
 
 def _path_order(tree: TropicalTree) -> list[str]:
@@ -406,11 +455,18 @@ def _del_pezzo_cones():
 
 @value_class("t", "point")
 class TracePoint:
-    """One sample of the family trace: parameter value and its image."""
+    """One sample of the family trace: parameter value and its image.
+
+    Raises InvalidArgument unless `t` is rational (see `is_rational`) and
+    `point` a `BasePoint`.
+    """
 
     __slots__ = ("t", "point")
 
     def __init__(self, t: Fraction, point: BasePoint):
+        if not (is_rational(t) and isinstance(point, BasePoint)):
+            raise InvalidArgument(f"trace point needs a rational t and a BasePoint, got "
+                                  f"{brief(t)}, {brief(point)}")
         _set(self, "t", t)
         _set(self, "point", point)
 

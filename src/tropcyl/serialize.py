@@ -8,18 +8,25 @@ A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
 of its `BasePoint` over their lcm (`lattice._over_lcm`), and the vertices
 and edges are built directly, since the parse has checked every type;
-edges get the tail choice of `spines._edge`.  `point_to_json` writes a
-point's report fields, each coordinate from (A, B, Q) with one gcd.
+each edge length becomes the coprime pair (N, D) of `Edge.ratio`, with one
+gcd, and edges get the tail choice of `spines._edge`.  `point_to_json`
+writes a point's report fields, each coordinate from (A, B, Q) with one
+gcd; an edge length is written from (N, D) as it is stored.
+
+The cylinder report of `tropcyl extend` repeats the extended spine's
+vertices and edges: `cylinder_to_json` shares their entries with the
+extended spine's report and merges in the legs' entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .errors import brief
 from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, _over_lcm, is_int
-from .spines import CylinderInB, TropicalTree, Vertex, _edge, _tree
+from .spines import Edge, TropicalTree, Vertex, _edge, _tree
 
 
 class SchemaError(ValueError):
@@ -128,13 +135,15 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not is_int(cone):
             raise SchemaError(f"edge cone must be an integer, got {brief(cone)}")
         if item["length"] == "unbounded":
-            length = None
+            ratio = None
             if head not in ids:
                 vertices.append(Vertex(head, None))
                 ids.add(head)
         else:
-            length = parse_frac(item["length"])
-        edges.append(_edge(tail, head, cone, u, v, length))
+            n, d = _parse_ratio(item["length"])
+            g = gcd(n, d)
+            ratio = (n // g, d // g)
+        edges.append(_edge(tail, head, cone, u, v, ratio))
 
     boundary = data["boundary"]
     if (not isinstance(boundary, list) or len(boundary) != 2
@@ -160,26 +169,45 @@ def point_to_json(entry: dict, p: BasePoint) -> dict:
     return entry
 
 
+def _edge_to_json(e: Edge) -> dict:
+    ratio = e.ratio
+    return {
+        "tail": e.tail,
+        "head": e.head,
+        "cone": e.cone,
+        "direction": [e.direction[0], e.direction[1]],
+        "length": "unbounded" if ratio is None else f"{ratio[0]}/{ratio[1]}",
+    }
+
+
 def spine_to_json(tree: TropicalTree) -> dict:
     vertices = [point_to_json({"id": v.id}, v.position)
                 for v in tree.vertices if v.position is not None]
-    edges = []
-    for e in tree.edges:
-        edges.append({
-            "tail": e.tail,
-            "head": e.head,
-            "cone": e.cone,
-            "direction": [e.direction[0], e.direction[1]],
-            "length": "unbounded" if e.length is None else frac_to_str(e.length),
-        })
-    return {"vertices": vertices, "edges": edges,
+    return {"vertices": vertices, "edges": [_edge_to_json(e) for e in tree.edges],
             "boundary": [tree.boundary[0], tree.boundary[1]]}
 
 
-def cylinder_to_json(cyl: CylinderInB) -> dict:
-    out = spine_to_json(cyl.tree)
-    out["legs"] = [[t, h] for (t, h) in cyl.legs]
-    return out
+_entry_id = itemgetter("id")
+_entry_key = itemgetter("tail", "head")
+
+
+def cylinder_to_json(extended: dict, legs) -> dict:
+    """The report of the cylinder that completes an extended spine.
+
+    `extended` is the extended spine's report from `spine_to_json`, and
+    `legs` the cylinder's legs as (origin id, leg edge) pairs, as
+    `extension.spine_legs` gives them.  The cylinder repeats the spine's
+    vertex and edge entries, which are shared with `extended`, not copied;
+    the origin vertices and the legs are merged in by id and by
+    (tail, head), the orders a tree keeps, and "legs" lists the leg keys
+    in order.
+    """
+    vertices = extended["vertices"] + [{"id": oid, "origin": True} for oid, _ in legs]
+    edges = extended["edges"] + [_edge_to_json(leg) for _, leg in legs]
+    vertices.sort(key=_entry_id)
+    edges.sort(key=_entry_key)
+    return {"vertices": vertices, "edges": edges, "boundary": extended["boundary"],
+            "legs": sorted([leg.tail, leg.head] for _, leg in legs)}
 
 
 def curve_class_to_json(cc) -> dict:

@@ -4,8 +4,8 @@ A tree is a finite set of vertices (positioned, at the origin, or at
 infinity) and edges.  Every edge lives inside a single closed cone and is
 straight there; wall crossings happen only at vertices.  An edge stores an
 integer direction vector as seen from its tail and a positive rational
-parameter length, so that head = tail + length * direction; rays to
-infinity have length None.
+parameter length, as the coprime integers (N, D), so that head = tail +
+(N/D) * direction; rays to infinity have no length.
 """
 
 from __future__ import annotations
@@ -56,48 +56,14 @@ class Vertex:
         return self.position is None
 
 
-@value_class("tail", "head", "cone", "direction", "length")
-class Edge:
-    """Straight edge inside cone `cone`, parametrized from `tail`.
-
-    For bounded edges pos(head) = pos(tail) + length * direction; a length
-    of None marks a ray whose head sits at infinity.
-    """
-
-    __slots__ = ("tail", "head", "cone", "direction", "length")
-
-    def __init__(self, tail: str, head: str, cone: int, direction: tuple[int, int],
-                 length: Fraction | None):
-        _set(self, "tail", tail)
-        _set(self, "head", head)
-        _set(self, "cone", cone)
-        _set(self, "direction", direction)
-        _set(self, "length", length)
-
-    @property
-    def is_ray(self) -> bool:
-        return self.length is None
-
-
-def _edge(tail: str, head: str, cone: int, u: int, v: int,
-          length: Fraction | None) -> Edge:
-    """The edge with the canonical tail choice, built unchecked: a bounded
-    edge runs from the lexicographically smaller id, with its direction
-    (u, v) negated if it is flipped; a ray keeps its bounded endpoint as
-    tail."""
-    if length is not None and head < tail:
-        return Edge(head, tail, cone, (-u, -v), length)
-    return Edge(tail, head, cone, (u, v), length)
-
-
-def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
-    """Edge with the canonical tail choice of `_edge`.
+def _edge_fields(tail, head, cone, direction, length):
+    """(u, v, ratio) of checked edge fields: `direction` = (u, v) and the
+    length's numerator and positive denominator (N, D), coprime, or None.
 
     Raises InvalidArgument unless `tail` and `head` are strs, `cone` and
     both direction entries are ints (see `is_int`) and `length` is None or
     rational (see `is_rational`), so nothing is floored or stored
-    inexactly; a length is stored as a `Fraction`.  A zero direction or a
-    nonpositive length is left to `check_structure`.
+    inexactly.
     """
     if not (isinstance(tail, str) and isinstance(head, str)):
         raise InvalidArgument(
@@ -110,12 +76,81 @@ def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
     if not (is_int(cone) and is_int(u) and is_int(v)):
         raise InvalidArgument(
             f"edge needs int cone and direction, got {brief(cone)}, {brief(direction)}")
-    if length is not None:
-        if not is_rational(length):
-            raise InvalidArgument(
-                f"edge length must be None or rational, got {brief(length)}")
-        length = Fraction(length)
-    return _edge(tail, head, cone, u, v, length)
+    if length is None:
+        return u, v, None
+    if not is_rational(length):
+        raise InvalidArgument(f"edge length must be None or rational, got {brief(length)}")
+    return u, v, (length.numerator, length.denominator)
+
+
+def _is_key(x) -> bool:
+    """Whether `x` is an edge key: a tuple of two str ids."""
+    return (isinstance(x, tuple) and len(x) == 2
+            and isinstance(x[0], str) and isinstance(x[1], str))
+
+
+@value_class("tail", "head", "cone", "direction", "length")
+class Edge:
+    """Straight edge inside cone `cone`, parametrized from `tail`.
+
+    For bounded edges pos(head) = pos(tail) + length * direction; a length
+    of None marks a ray whose head sits at infinity.
+
+    The length is stored as `ratio`, the integers (N, D) with D > 0 and
+    gcd(N, D) = 1, or None for a ray.  `length` reads it out as a
+    `Fraction`, as `BasePoint.a` and `b` do.  The fields are checked as
+    `make_edge` checks them and the direction is stored as a tuple, but
+    the tail is kept as given.
+    """
+
+    __slots__ = ("tail", "head", "cone", "direction", "ratio")
+
+    def __init__(self, tail: str, head: str, cone: int, direction: tuple[int, int],
+                 length: Fraction | None):
+        u, v, ratio = _edge_fields(tail, head, cone, direction, length)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "cone", cone)
+        _set(self, "direction", (u, v))
+        _set(self, "ratio", ratio)
+
+    @property
+    def length(self) -> Fraction | None:
+        ratio = self.ratio
+        return None if ratio is None else Fraction(*ratio)
+
+    @property
+    def is_ray(self) -> bool:
+        return self.ratio is None
+
+
+_new_edge = Edge.__new__
+
+
+def _edge(tail: str, head: str, cone: int, u: int, v: int,
+          ratio: tuple[int, int] | None) -> Edge:
+    """The edge with the canonical tail choice, built unchecked from its
+    stored form (`ratio` is (N, D) in lowest terms with D > 0, or None): a
+    bounded edge runs from the lexicographically smaller id, with its
+    direction (u, v) negated if it is flipped; a ray keeps its bounded
+    endpoint as tail."""
+    if ratio is not None and head < tail:
+        tail, head, u, v = head, tail, -u, -v
+    e = _new_edge(Edge)
+    _set(e, "tail", tail)
+    _set(e, "head", head)
+    _set(e, "cone", cone)
+    _set(e, "direction", (u, v))
+    _set(e, "ratio", ratio)
+    return e
+
+
+def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
+    """Edge with the canonical tail choice of `_edge`, from fields checked
+    as `Edge` checks them.  A zero direction or a nonpositive length is
+    left to `check_structure`.
+    """
+    return _edge(tail, head, cone, *_edge_fields(tail, head, cone, direction, length))
 
 
 @value_class("vertices", "edges", "boundary")
@@ -219,11 +254,20 @@ def _tree(vertices, edges, boundary) -> TropicalTree:
 
 @value_class("tree", "legs")
 class CylinderInB:
-    """Cylinder body in the base: an extended spine plus legs to the origin."""
+    """Cylinder body in the base: an extended spine plus legs to the origin.
+
+    Raises InvalidArgument unless `tree` is a `TropicalTree` and `legs` a
+    tuple of edge keys, each a tuple of two str ids.
+    """
 
     __slots__ = ("tree", "legs")
 
     def __init__(self, tree: TropicalTree, legs: tuple[tuple[str, str], ...]):
+        if not (isinstance(tree, TropicalTree) and isinstance(legs, tuple)
+                and all(map(_is_key, legs))):
+            raise InvalidArgument(
+                f"cylinder needs a TropicalTree and a tuple of (str, str) legs, got "
+                f"{brief(tree)}, {brief(legs)}")
         _set(self, "tree", tree)
         _set(self, "legs", legs)
 
@@ -244,7 +288,9 @@ class CylinderInBTilde:
 
     Adds an integer slope per edge (relative to the edge tail) and a
     rational height per vertex for the extra affine coordinate; slopes
-    vanish exactly on the legs.
+    vanish exactly on the legs.  Raises InvalidArgument unless `cylinder`
+    is a `CylinderInB`, `slopes` a tuple of (edge key, int) pairs and
+    `heights` a tuple of (str id, rational) pairs.
     """
 
     __slots__ = ("cylinder", "slopes", "heights", "_slope_of", "_height_of")
@@ -252,6 +298,16 @@ class CylinderInBTilde:
     def __init__(self, cylinder: CylinderInB,
                  slopes: tuple[tuple[tuple[str, str], int], ...],
                  heights: tuple[tuple[str, Fraction], ...]):
+        if not (isinstance(cylinder, CylinderInB)
+                and isinstance(slopes, tuple) and isinstance(heights, tuple)
+                and all(isinstance(x, tuple) and len(x) == 2 and _is_key(x[0])
+                        and is_int(x[1]) for x in slopes)
+                and all(isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str)
+                        and is_rational(x[1]) for x in heights)):
+            raise InvalidArgument(
+                f"lifted cylinder needs a CylinderInB, (edge key, int) slopes and "
+                f"(str, rational) heights, got {brief(cylinder)}, {brief(slopes)}, "
+                f"{brief(heights)}")
         _set(self, "cylinder", cylinder)
         _set(self, "slopes", slopes)
         _set(self, "heights", heights)
@@ -259,11 +315,14 @@ class CylinderInBTilde:
         _set(self, "_height_of", dict(heights))
 
     def slope(self, key: tuple[str, str]) -> int:
+        if not _is_key(key):
+            raise InvalidArgument(f"slope needs an edge key of two str ids, got {brief(key)}")
         if key in self._slope_of:
             return self._slope_of[key]
         raise StructuralError(f"no slope for edge {brief(key)}")
 
     def height(self, vid: str) -> Fraction:
+        _check_id(vid, "height")
         if vid in self._height_of:
             return self._height_of[vid]
         raise StructuralError(f"no height for vertex {brief(vid)}")
@@ -273,19 +332,26 @@ class CylinderInBTilde:
 # structural checks
 
 
-def _ends_match(tc, hc, length, direction) -> bool:
+def _ends_match(tc, hc, ratio, direction) -> bool:
     """Whether hc == tc + length * direction, coordinate by coordinate.
 
-    The ends are integer coordinates (A, B, Q) from `TropicalBase._coords`.
-    With length p/q, tail (At/Qt, Bt/Qt) and head (Ah/Qh, Bh/Qh) this is
+    The ends are integer coordinates (A, B, Q) from `TropicalBase._coords`,
+    and the length is the integer pair `ratio` = (p, q) of `Edge.ratio`.
+    With tail (At/Qt, Bt/Qt) and head (Ah/Qh, Bh/Qh) this is
     q*(Ah*Qt - At*Qh) == p*u*Qt*Qh, and the same for B with v.
     """
-    p, q = length.numerator, length.denominator
+    p, q = ratio
     at, bt, qt = tc
     ah, bh, qh = hc
     u, v = direction
     scale = p * qt * qh
     return q * (ah * qt - at * qh) == scale * u and q * (bh * qt - bt * qh) == scale * v
+
+
+def _check_id(vid, what: str) -> None:
+    """Raise InvalidArgument unless `vid` is a str vertex id."""
+    if not isinstance(vid, str):
+        raise InvalidArgument(f"{what} needs a str vertex id, got {brief(vid)}")
 
 
 def _check_objects(base, tree, what: str) -> None:
@@ -345,7 +411,8 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         if tc is None:
             raise StructuralError(
                 f"vertex {e.tail!r} lies outside cone {brief(e.cone)} of its edge")
-        if e.length is None:
+        ratio = e.ratio
+        if ratio is None:
             if head.position is not None:
                 raise StructuralError(
                     f"ray ({e.tail!r}, {e.head!r}) must end at infinity")
@@ -356,14 +423,14 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
             if head.position is None:
                 raise StructuralError(
                     f"bounded edge ({e.tail!r}, {e.head!r}) ends at infinity")
-            if e.length.numerator <= 0:
+            if ratio[0] <= 0:
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) has nonpositive length")
             hc = base._coords(head.position, e.cone)
             if hc is None:
                 raise StructuralError(
                     f"vertex {e.head!r} lies outside cone {brief(e.cone)} of its edge")
-            if not _ends_match(tc, hc, e.length, e.direction):
+            if not _ends_match(tc, hc, ratio, e.direction):
                 raise StructuralError(
                     f"edge ({e.tail!r}, {e.head!r}) endpoints do not match "
                     f"its direction and length")
@@ -452,9 +519,10 @@ def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVe
 
 def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
     """Whether the outgoing directions at `vid` sum to zero exactly.
-    Raises InvalidArgument unless `base` is a `TropicalBase` and `tree` a
-    `TropicalTree`."""
+    Raises InvalidArgument unless `base` is a `TropicalBase`, `tree` a
+    `TropicalTree` and `vid` a str."""
     _check_objects(base, tree, "is_balanced")
+    _check_id(vid, "is_balanced")
     return direction_sum(base, tree, vid).is_zero
 
 
@@ -464,11 +532,17 @@ def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
 
 @value_class("code", "where", "message")
 class Violation:
-    """One failed spine condition, tagged with a stable code."""
+    """One failed spine condition, tagged with a stable code.
+
+    Raises InvalidArgument unless all three fields are strs.
+    """
 
     __slots__ = ("code", "where", "message")
 
     def __init__(self, code: str, where: str, message: str):
+        if not (isinstance(code, str) and isinstance(where, str) and isinstance(message, str)):
+            raise InvalidArgument(f"violation needs three strs, got "
+                                  f"{brief(code)}, {brief(where)}, {brief(message)}")
         _set(self, "code", code)
         _set(self, "where", where)
         _set(self, "message", message)
@@ -607,12 +681,15 @@ class CanonicalImage:
     Sorted tuple of pieces: ("seg", cone, point key, point key) with the
     endpoint keys ordered, or ("ray", cone, base point key, primitive
     direction).  Collinear balanced 2-valent vertices inside one cone are
-    erased first, so subdivisions of the same image coincide.
+    erased first, so subdivisions of the same image coincide.  Raises
+    InvalidArgument unless `pieces` is a tuple of tuples.
     """
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: tuple):
+        if not (isinstance(pieces, tuple) and all(isinstance(x, tuple) for x in pieces)):
+            raise InvalidArgument(f"canonical image needs a tuple of pieces, got {brief(pieces)}")
         _set(self, "pieces", pieces)
 
 
@@ -678,8 +755,15 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     """Split a bounded edge at parameter fraction t in (0, 1).
 
     The new vertex is balanced and collinear, so the image is unchanged.
-    Raises InvalidArgument unless `t` is rational (see `is_rational`).
+    Raises InvalidArgument unless `base` is a `TropicalBase`, `tree` a
+    `TropicalTree`, `key` a tuple of two str ids, `t` rational (see
+    `is_rational`) and `new_id` None or a str.
     """
+    _check_objects(base, tree, "subdivide_edge")
+    if not _is_key(key):
+        raise InvalidArgument(f"edge key must be a tuple of two str ids, got {brief(key)}")
+    if new_id is not None:
+        _check_id(new_id, "subdivide_edge")
     if not is_rational(t):
         raise InvalidArgument(f"subdivision parameter must be rational, got {brief(t)}")
     if not 0 < t < 1:
@@ -692,7 +776,11 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
         while f"s{k}" in tree:
             k += 1
         new_id = f"s{k}"
-    tc = base.coords_in_cone(tree.position(target.tail), target.cone)
+    tail = tree.position(target.tail)
+    tc = None if tail is None else base.coords_in_cone(tail, target.cone)
+    if tc is None:
+        raise StructuralError(
+            f"vertex {target.tail!r} does not lie in cone {brief(target.cone)} of its edge")
     du, dv = target.direction
     mid = base.point(target.cone,
                      tc[0] + t * target.length * du,

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -573,3 +576,36 @@ class TestFuzz:
     @given(argv=query_argv())
     def test_query_exit_contract(self, argv):
         _check_exit_contract(argv)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestProcess:
+    """`python -m tropcyl.cli` run as its own process, which covers `main`,
+    `sys.exit` and the flush of stdout at exit: the stdout bytes and the
+    exit code of a success, a domain error and a malformed spine file."""
+
+    def _run(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "tropcyl.cli", *argv], cwd=DATA,
+                              env=env, capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("name, code, argv", [
+        ("extend_family_2_0_1", 0, ["extend", "dp.json", "family_2_0_1.json"]),
+        ("extend_spiral", 1,
+         ["extend", "m2x4.json", "spiral_start.json", "--max-steps", "200"]),
+    ], ids=["extend_family_2_0_1", "extend_spiral"])
+    def test_report_bytes_and_exit_code(self, name, code, argv):
+        out = self._run(argv)
+        assert out.returncode == code
+        assert out.stdout == (DATA / "golden" / f"{name}.out").read_bytes()
+        assert out.stderr == b""
+
+    def test_malformed_spine_exit_2(self, tmp_path):
+        spine = tmp_path / "spine.json"
+        spine.write_text(json.dumps({"vertices": "x", "edges": [], "boundary": []}))
+        out = self._run(["extend", "dp.json", str(spine)])
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert out.stderr.startswith(b"tropcyl: ")

@@ -30,6 +30,7 @@ ANY = st.integers() | HUGE | NOT_INT
 DEL_PEZZO = tc.del_pezzo_base()
 EXTENDED = tc.extend(DEL_PEZZO, tc.family_spine(2, 0, 1, 1)).extended
 CYLINDER = tc.cylinder_in_b(DEL_PEZZO, EXTENDED)
+CYLINDER_TILDE = tc.lift_to_tilde(DEL_PEZZO, EXTENDED)
 # A value of each of several package classes, for the object slots.
 OBJECT = ANY | st.sampled_from((
     tc.LooijengaPair((1, 1, 1)), tc.build_base((1, 1, 1)), DEL_PEZZO, tc.BasePoint(0, 1),
@@ -75,6 +76,13 @@ EXTENDED_SPINE = VALID_SPINE.map(lambda s: tc.extend(DEL_PEZZO, s).extended)
 PATH = _or_any(EXTENDED_SPINE, OBJECT)
 CYLINDERS = _or_any(EXTENDED_SPINE.map(lambda e: tc.cylinder_in_b(DEL_PEZZO, e)), OBJECT)
 VID = _or_any(st.sampled_from(("v0", "v1", "v2")))
+# ids and edge keys that cannot be hashed, beside the other wrong values
+UNHASHABLE = st.lists(st.sampled_from(("v0", "v2")), max_size=2) | st.builds(dict) | st.builds(set)
+ANY_VID = _or_any(st.sampled_from(("v0", "v1", "v2")), UNHASHABLE | ANY)
+KEY = _or_any(st.tuples(st.sampled_from(("v0", "v1", "v2")), st.sampled_from(("v0", "v1", "v2")))
+              | st.just(("v0", "v2")), UNHASHABLE | ANY | st.tuples(ANY_VID, ANY_VID))
+LEGS = _or_any(st.lists(st.tuples(ID, ID), max_size=2).map(tuple) | st.just(CYLINDER.legs),
+               OBJECT | st.lists(st.tuples(ID, ID), max_size=2) | st.tuples(KEY))
 
 
 def _exact(x) -> bool:
@@ -176,6 +184,30 @@ def _objects(call, *types):
     return row
 
 
+def _subdivide(base, tree, key, t, new_id):
+    out = tc.subdivide_edge(base, tree, key, t, new_id)
+    assert type(base) is tc.TropicalBase and type(tree) is tc.TropicalTree
+    assert _exact(t) and type(key) is tuple and all(type(x) is str for x in key)
+    if base == DEL_PEZZO:
+        assert tc.images_equal(tree, out)
+
+
+def _cylinder(tree, legs):
+    cyl = tc.CylinderInB(tree, legs)
+    tc.canonical_image(cyl)
+    cyl.path_part()
+    assert type(tree) is tc.TropicalTree and type(legs) is tuple
+
+
+def _lifted(cylinder, slopes, heights):
+    z = tc.CylinderInBTilde(cylinder, slopes, heights)
+    assert hash(z) == hash(tc.CylinderInBTilde(cylinder, slopes, heights))
+    for key, slope in slopes:
+        assert z.slope(key) == dict(slopes)[key] and type(slope) is int
+    for vid, height in heights:
+        assert z.height(vid) == dict(heights)[vid] and _exact(height)
+
+
 def _table(l_max, m_values):
     table = tc.count_table(l_max, m_values)
     assert type(l_max) is int and all(type(m) is int for m in table["m_values"])
@@ -219,6 +251,9 @@ ENTRY_POINTS = {
     "BasePoint": (_base_point, st.tuples(st.none() | INT, RATIONAL, RATIONAL)),
     "Vertex": (_vertex, st.tuples(ID, POINT | st.tuples(INT, INT))),
     "make_tree": (_tree, st.tuples(VERTICES, EDGES, BOUNDARY)),
+    "Edge": (_objects(tc.Edge, str, str, int), st.tuples(
+        ID, ID, INT,
+        _or_any(st.tuples(INT, INT) | st.lists(INT, max_size=3)), st.none() | RATIONAL)),
     "make_edge": (_edge, st.tuples(
         ID, ID, INT,
         _or_any(st.tuples(INT, INT) | st.lists(INT, max_size=3)), st.none() | RATIONAL)),
@@ -249,6 +284,30 @@ ENTRY_POINTS = {
                       st.tuples(BASE, PATH)),
     "is_balanced": (_objects(tc.is_balanced, tc.TropicalBase, tc.TropicalTree),
                     st.tuples(BASE, SPINE | PATH, VID)),
+    "is_balanced.vid": (_objects(tc.is_balanced, tc.TropicalBase, tc.TropicalTree, str),
+                        st.tuples(BASE, SPINE | PATH, ANY_VID)),
+    "extend_step.end": (_objects(tc.extend_step, tc.TropicalBase, tc.TropicalTree, str),
+                        st.tuples(BASE, SPINE, ANY_VID)),
+    "subdivide_edge": (_subdivide, st.tuples(BASE, SPINE | PATH, KEY, RATIONAL,
+                                             st.none() | ANY_VID)),
+    "CylinderInB": (_cylinder, st.tuples(PATH, LEGS)),
+    "CylinderInBTilde": (_lifted, st.tuples(
+        CYLINDERS,
+        _or_any(st.lists(st.tuples(st.tuples(ID, ID), INT), max_size=2).map(tuple),
+                OBJECT | st.tuples(st.tuples(KEY, INT))),
+        _or_any(st.lists(st.tuples(ID, RATIONAL), max_size=2).map(tuple),
+                OBJECT | st.tuples(st.tuples(ANY_VID, RATIONAL))))),
+    "CanonicalImage": (lambda pieces: hash(tc.CanonicalImage(pieces)), st.tuples(
+        _or_any(st.lists(st.tuples(st.sampled_from(("seg", "ray")), st.integers(0, 3)),
+                         max_size=2).map(tuple), OBJECT | st.lists(st.tuples(ID))))),
+    "Violation": (_objects(tc.Violation, str, str, str), st.tuples(ID, ID, ID)),
+    "ExtensionResult": (_objects(tc.ExtensionResult, tc.TropicalTree, tc.CurveClass, int),
+                        st.tuples(PATH, _or_any(st.just(tc.CurveClass.of({0: 1})), OBJECT),
+                                  INT)),
+    "TracePoint": (lambda t, point: _exact(tc.TracePoint(t, point).t),
+                   st.tuples(RATIONAL, POINT)),
+    "CylinderInBTilde.slope": (lambda key: CYLINDER_TILDE.slope(key), st.tuples(KEY)),
+    "CylinderInBTilde.height": (lambda vid: CYLINDER_TILDE.height(vid), st.tuples(ANY_VID)),
     "canonical_image": (tc.canonical_image, st.tuples(SPINE | PATH | CYLINDERS)),
     "images_equal": (tc.images_equal, st.tuples(SPINE | PATH, SPINE | CYLINDERS)),
     "relabel": (_objects(tc.relabel, tc.TropicalTree, dict), st.tuples(
@@ -396,6 +455,39 @@ SPINE_2_0_1 = tc.family_spine(2, 0, 1, 1)
 def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     # each used to end in a bare AttributeError/TypeError, or (subdivide)
     # to store an inexact length
+    with pytest.raises(tc.InvalidArgument):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.is_balanced(DEL_PEZZO, SPINE_2_0_1, []),
+    lambda: tc.extend_step(DEL_PEZZO, SPINE_2_0_1, []),
+    lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ["v0", "v2"], Fraction(1, 2)),
+    lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ("v0", "v2"), Fraction(1, 2), []),
+    lambda: tc.subdivide_edge(None, SPINE_2_0_1, ("v0", "v2"), Fraction(1, 2)),
+    lambda: tc.canonical_image(tc.CylinderInB(None, None)),
+    lambda: tc.CylinderInB(EXTENDED, [("v0", "o1")]),
+    lambda: tc.CylinderInBTilde(CYLINDER, ((["v0", "o1"], 0),), ()),
+    lambda: tc.CylinderInBTilde(CYLINDER, (), (("v0", 0.5),)),
+    lambda: tc.CanonicalImage([("seg", 0)]),
+    lambda: tc.Violation("unbalanced", None, "message"),
+    lambda: tc.ExtensionResult(EXTENDED, {0: 1}, 3),
+    lambda: tc.ExtensionResult(EXTENDED, tc.CurveClass.of({0: 1}), 3.0),
+    lambda: tc.TracePoint(0.5, tc.BasePoint(0, 1)),
+    lambda: tc.TracePoint(Fraction(1, 2), (0, 1)),
+    lambda: tc.Edge("a", "b", 0, (1, 0), 0.5),
+    lambda: tc.Edge(None, "b", 0, (1, 0), 1),
+    lambda: tc.Edge("a", "b", "0", (1, 0), 1),
+    lambda: tc.Edge("a", "b", 0, None, 1),
+], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
+        "subdivide-list-new-id", "subdivide-base", "CylinderInB-none", "CylinderInB-list",
+        "CylinderInBTilde-slope-key", "CylinderInBTilde-height", "CanonicalImage-list",
+        "Violation-where", "ExtensionResult-dict", "ExtensionResult-float",
+        "TracePoint-float", "TracePoint-tuple", "Edge-float-length", "Edge-tail",
+        "Edge-cone", "Edge-direction"])
+def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
+    # each used to end in a bare TypeError or AttributeError, or to store
+    # the value as given
     with pytest.raises(tc.InvalidArgument):
         call()
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -26,9 +27,13 @@ from tropcyl import (
     trace_path_image,
     trace_points,
 )
-from tropcyl.extension import DEL_PEZZO_PAIR, _trace, tropical_trace
+from tropcyl.cli import run
+from tropcyl.extension import DEL_PEZZO_PAIR, _trace, spine_legs, tropical_trace
 from tropcyl.lattice import ORIGIN
+from tropcyl.serialize import cylinder_to_json, spine_to_json
 
+from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
+from point_oracle import lattice_length
 from ray_oracle import eager_extend, fraction_trace, fraction_tropical_trace, outcome
 
 F = Fraction
@@ -39,9 +44,16 @@ GRID_COORDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 5))
 GRID_STEPS = range(-3, 4)
 
 
+def _ratio_trace(base, start, cone, u, v):
+    """`fraction_trace` with its `Fraction` length as the (N, D) of
+    `Edge.ratio`."""
+    *head, length = fraction_trace(base, start, cone, u, v)
+    return (*head, None if length is None else (length.numerator, length.denominator))
+
+
 def _trace_both_ways(base, start, cone, u, v):
     got = outcome(_trace, base, start, cone, u, v)
-    assert got == outcome(fraction_trace, base, start, cone, u, v), (
+    assert got == outcome(_ratio_trace, base, start, cone, u, v), (
         base.pair, start, cone, u, v)
     return got
 
@@ -49,7 +61,8 @@ def _trace_both_ways(base, start, cone, u, v):
 class TestIntegerRayTrace:
     """The cast compares cross-multiplied integer numerators; the reference
     compares `Fraction` parameters.  Every pair of calls gives an equal
-    result tuple (equal repr, so equal types too) or the same error."""
+    result tuple (equal repr, so equal types too) or the same error; the
+    cast's length (N, D) is the reference's `Fraction` in lowest terms."""
 
     def test_grid_matches_fraction_reference(self):
         kinds = set()
@@ -87,12 +100,12 @@ class TestRayTrace:
         assert kind == "wall"
         assert wall == 0
         assert point == del_pezzo.point(0, 1, 0)
-        assert length == 1
+        assert length == (1, 1)
 
     def test_diagonal_to_wall(self, del_pezzo):
         kind, _, _, _, wall, point, length = _trace(
             del_pezzo, del_pezzo.point(0, 2, 1), 0, -1, -1)
-        assert (kind, wall, length) == ("wall", 0, 1)
+        assert (kind, wall, length) == ("wall", 0, (1, 1))
         assert point == del_pezzo.point(0, 1, 0)
 
     def test_second_wall_exit(self, del_pezzo):
@@ -100,7 +113,7 @@ class TestRayTrace:
             del_pezzo, del_pezzo.point(0, 1, 3), 0, -1, 0)
         assert (kind, wall) == ("wall", 1)
         assert point == del_pezzo.point(1, 3, 0)
-        assert length == 1
+        assert length == (1, 1)
 
     def test_origin_hit(self, del_pezzo):
         kind, *_ = _trace(del_pezzo, del_pezzo.point(0, 2, 2), 0, -1, -1)
@@ -116,7 +129,7 @@ class TestRayTrace:
         assert (u, v) == (2, -1)
         assert (kind, wall) == ("wall", 0)
         assert point == del_pezzo.point(0, 4, 0)
-        assert length == 2
+        assert length == (2, 1)
 
     def test_along_wall_degenerate(self, del_pezzo):
         start = del_pezzo.point(1, 2, 0)
@@ -456,6 +469,106 @@ class TestCylinder:
             for v in cyl.tree.vertices:
                 if not v.is_unbounded and cyl.tree.valency(v.id) > 1:
                     assert tc.is_balanced(del_pezzo, cyl.tree, v.id)
+
+
+def _complete_both_ways(base, spine):
+    """The command line's completion of `extend(base, spine)` against the
+    full one: the same cylinder report, byte for byte, and the legs of the
+    public `cylinder_in_b`, as edges of its tree.  Returns the legs."""
+    ext = extend(base, spine).extended
+    legs = spine_legs(base, spine, ext)
+    got = cylinder_to_json(spine_to_json(ext), legs)
+    expected = fraction_cylinder_to_json(ext, full_cylinder_in_b(base, ext))
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    cyl = cylinder_in_b(base, ext)
+    assert tuple(sorted((leg.tail, leg.head) for _, leg in legs)) == cyl.legs
+    assert [cyl.tree.edge(leg.tail, leg.head) for _, leg in legs] == [leg for _, leg in legs]
+    return legs
+
+
+class TestCylinderFromTheCast:
+    """The command line hangs legs only at the input spine's vertices and
+    skips the second structure check (`spine_legs`); the full completion
+    of `cylinder_oracle` checks the tree and takes a sum at every vertex.
+    Both give the same cylinder report."""
+
+    def test_criterion_5_spines(self, del_pezzo):
+        with_legs = 0
+        for l in range(1, 5):
+            for n, m, b in product(range(l + 1), range(-2, 3), (F(1), F(3, 2))):
+                with_legs += bool(_complete_both_ways(del_pezzo, family_spine(l, m, n, b)))
+        assert with_legs > 20
+
+    def test_one_turn_spines(self):
+        for k in range(3, 65):
+            _complete_both_ways(*_one_turn_spine(k))
+
+    @given(l=st.integers(1, 8), m=st.integers(-4, 4), n=st.integers(0, 8),
+           b=st.fractions(F(1, 20), 10, max_denominator=20))
+    @settings(max_examples=60, deadline=None)
+    def test_family_spines(self, l, m, n, b):
+        _complete_both_ways(tc.del_pezzo_base(), family_spine(l, m, min(n, l), b))
+
+    @given(ds=st.lists(st.integers(-3, 1), min_size=3, max_size=6),
+           cone=st.integers(0, 5),
+           x=st.fractions(F(1, 9), 4, max_denominator=9),
+           y=st.fractions(F(1, 9), 4, max_denominator=9),
+           d=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+           s=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_bent_spines(self, ds, cone, x, y, d, s):
+        # a center inside a cone, with arms d and s*r - d for the primitive
+        # r of the center's ray: the defect s*r points outward, so the
+        # completion hangs a leg there unless s = 0
+        base = build_base(LooijengaPair(ds))
+        _, r = lattice_length(x, y)
+        arms = (d, (s * r[0] - d[0], s * r[1] - d[1]))
+        if (0, 0) in arms:
+            return
+        eps = min(x, y) / (2 * (1 + max(map(abs, arms[0] + arms[1]))))
+        spine = make_tree(
+            [Vertex("c", base.point(cone, x, y))]
+            + [Vertex(vid, base.point(cone, x + eps * u, y + eps * v))
+               for vid, (u, v) in zip("pq", arms)],
+            [make_edge("c", vid, cone, arm, eps) for vid, arm in zip("pq", arms)],
+            ("p", "q"))
+        if tc.validate_spine(base, spine):
+            return
+        try:
+            extend(base, spine, 300)
+        except (NotExtendable, HitOrigin):
+            return
+        assert len(_complete_both_ways(base, spine)) == (s > 0)
+
+
+class TestExtendCompletesOnce:
+    """One `tropcyl extend` run checks the structure once, of the input
+    spine, and takes direction sums only at the input spine's vertices."""
+
+    @pytest.mark.parametrize("case", ["family", "one-turn"])
+    def test_one_structure_check_and_sums_at_spine_vertices(self, monkeypatch, tmp_path,
+                                                           capsys, case):
+        if case == "family":
+            base, spine = tc.del_pezzo_base(), family_spine(2, 0, 2, 1)
+        else:
+            base, spine = _one_turn_spine(9)
+        pair_path, spine_path = tmp_path / "pair.json", tmp_path / "spine.json"
+        pair_path.write_text(json.dumps({"self_intersections": list(base.pair.self_intersections)}))
+        spine_path.write_text(json.dumps(spine_to_json(spine)))
+        checked, summed = [], []
+        for module in (tc.spines, tc.extension):
+            check, total = module.check_structure, module.direction_sum
+            monkeypatch.setattr(module, "check_structure", lambda base, tree, f=check, **kw:
+                                checked.append(tree) or f(base, tree, **kw))
+            monkeypatch.setattr(module, "direction_sum", lambda base, tree, vid, f=total:
+                                summed.append(vid) or f(base, tree, vid))
+        assert run(["extend", str(pair_path), str(spine_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert checked == [spine]
+        assert summed and set(summed) <= {v.id for v in spine.vertices}
+        assert len(summed) == len(spine.vertices)
+        assert report["cylinder"]["legs"] == [list(leg) for leg in cylinder_in_b(
+            base, extend(base, spine).extended).legs]
 
 
 class TestLift:

@@ -17,10 +17,17 @@ from tropcyl.serialize import (
     spine_to_json,
 )
 
+from tropcyl.extension import spine_legs
+from tropcyl.spines import _ends_match
+
+from cylinder_oracle import as_fraction_edge, fraction_make_edge
 from point_oracle import (
+    as_ints,
+    fraction_coords_in_cone,
     fraction_parse_frac,
     fraction_spine_from_json,
     fraction_spine_to_json,
+    split_ends_match,
 )
 from ray_oracle import outcome
 
@@ -119,10 +126,12 @@ class TestSpineFile:
         assert tc.validate_extended_spine(del_pezzo, back) == []
 
     def test_roundtrip_cylinder_body(self, del_pezzo):
-        res = tc.extend(del_pezzo, tc.family_spine(2, 0, 2, 1))
+        spine = tc.family_spine(2, 0, 2, 1)
+        res = tc.extend(del_pezzo, spine)
         cyl = tc.cylinder_in_b(del_pezzo, res.extended)
-        data = cylinder_to_json(cyl)
-        assert data["legs"]
+        data = cylinder_to_json(spine_to_json(res.extended),
+                                spine_legs(del_pezzo, spine, res.extended))
+        assert data["legs"] == [list(leg) for leg in cyl.legs] != []
         back = spine_from_json(del_pezzo, data)
         assert back == cyl.tree
 
@@ -281,3 +290,48 @@ class TestSpineParseParity:
             got = _dumped(spine_to_json, spine_from_json, base, data)
             assert got == _dumped(fraction_spine_to_json, fraction_spine_from_json,
                                   base, data)
+
+
+class TestEdgeLengthsInIntegers:
+    """An edge stores its length as the coprime integers (N, D): the parse
+    gives the `Fraction` of the reference parse in lowest terms, the
+    endpoint check on (N, D) agrees with the `Fraction` check, and the
+    writer prints the reference's "p/q"."""
+
+    def test_parse_check_and_write_match_the_fraction_form(self):
+        cases = _spine_files() + [(base, spine_to_json(tree))
+                                  for base, tree in _built_trees()]
+        cases += [(tc.del_pezzo_base(), data) for _, _, data in _table()]
+        bounded = 0
+        for base, data in cases:
+            try:
+                tree = spine_from_json(base, data)
+            except SchemaError:
+                continue
+            expected = []
+            for item in data["edges"]:
+                length = item["length"]
+                expected.append(fraction_make_edge(
+                    item["tail"], item["head"], item["cone"], tuple(item["direction"]),
+                    None if length == "unbounded" else fraction_parse_frac(length)))
+            expected.sort(key=lambda e: (e.tail, e.head))
+            assert [as_fraction_edge(e) for e in tree.edges] == expected
+            written = spine_to_json(tree)["edges"]
+            for e, entry, ref in zip(tree.edges, written, expected):
+                if e.ratio is None:
+                    assert entry["length"] == "unbounded"
+                    continue
+                n, d = e.ratio
+                assert d > 0 and F(n, d) == ref.length and (n, d) == (
+                    ref.length.numerator, ref.length.denominator)
+                assert entry["length"] == f"{ref.length.numerator}/{ref.length.denominator}"
+                ends = [tree.position(x) if x in tree else None for x in (e.tail, e.head)]
+                if None in ends:
+                    continue
+                ref_ends = [fraction_coords_in_cone(base, x, e.cone) for x in ends]
+                if None in ref_ends:
+                    continue
+                bounded += 1
+                assert _ends_match(*map(as_ints, ref_ends), e.ratio, e.direction) == \
+                    split_ends_match(*ref_ends, ref.length, e.direction)
+        assert bounded > 100

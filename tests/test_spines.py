@@ -478,6 +478,11 @@ COORDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 5))
 STEPS = range(-3, 4)
 
 
+def _ratio(length):
+    """The (N, D) of `Edge.ratio` for a `Fraction` length."""
+    return (length.numerator, length.denominator)
+
+
 class TestIntegerChecks:
     """The endpoint test and the two radial tests compare integer
     numerators; each agrees with its `Fraction` form in `ray_oracle`
@@ -494,7 +499,7 @@ class TestIntegerChecks:
                 # the true endpoint, nudges of each coordinate, and the tail
                 for head in (end, (end[0] + F(1, 6), end[1]),
                              (end[0], end[1] - F(1, 3)), tail):
-                    got = _ends_match(as_ints(tail), as_ints(head), length, d)
+                    got = _ends_match(as_ints(tail), as_ints(head), _ratio(length), d)
                     assert got == fraction_ends_match(tail, head, length, d), (
                         tail, head, length, d)
                     assert got == split_ends_match(tail, head, length, d)
@@ -512,7 +517,7 @@ class TestIntegerChecks:
     def test_endpoint_matches_fraction_reference(self, t, h, length, d, exact):
         if exact:  # half the draws put the head where the edge ends
             h = (t[0] + length * d[0], t[1] + length * d[1])
-        got = _ends_match(as_ints(t), as_ints(h), length, d)
+        got = _ends_match(as_ints(t), as_ints(h), _ratio(length), d)
         assert got == fraction_ends_match(t, h, length, d)
         assert got == split_ends_match(t, h, length, d)
 
