@@ -8,14 +8,15 @@ from math import log10
 # ValueError past 4,300 digits, and a message cuts far shorter anyway.
 _LONG = 10 ** 40
 _LOG2 = log10(2)
+_WIDTH = 60
 
 
-def brief(x, width: int = 60) -> str:
-    """`repr(x)` cut to `width` characters, for an error message.  An int of
+def brief(x) -> str:
+    """`repr(x)` cut to `_WIDTH` characters, for an error message.  An int of
     more than 40 digits, also inside a tuple, list, dict or `Fraction`,
     shows as `<int of N digits>`, so no argument makes the message raise."""
     try:
-        return _brief(x)[:width]
+        return _brief(x)[:_WIDTH]
     except RecursionError:  # a container that holds itself
         return f"<{type(x).__name__}>"
 

@@ -64,15 +64,12 @@ from .spines import (
     direction_at,
     direction_sum,
     is_outward_radial,
-    make_edge,
-    make_tree,
     validate_spine,
     _check_id,
     _check_objects,
     _edge,
     _point_key,
     _tree,
-    _vertex_id,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -253,7 +250,7 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     vertex, edge = _step_parts(step)
     boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
     new_tree = _tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
-    return new_tree, CurveClass.of(dict([crossing] if crossing else ())), new_end is None
+    return new_tree, CurveClass((crossing,) if crossing else ()), new_end is None
 
 
 MAX_STEPS = 10_000
@@ -288,7 +285,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
     ends = [_end_state(spine, end) for end in spine.boundary]
     boundary = list(spine.boundary)
     taken = []
-    total: dict[int, int] = {}
+    crossings = []
     side = 0
     while any(ends):
         if ends[side] is not None:
@@ -298,8 +295,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
             taken.append(step)
             boundary[side] = step[1]
             if crossing is not None:
-                wall, mu = crossing
-                total[wall] = total.get(wall, 0) + mu
+                crossings.append(crossing)
         side = 1 - side
     vertices = list(spine.vertices)
     edges = list(spine.edges)
@@ -308,7 +304,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
         vertices.append(vertex)
         edges.append(edge)
     return ExtensionResult(_tree(vertices, edges, boundary),
-                           CurveClass.of(total), len(taken))
+                           CurveClass(crossings), len(taken))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,7 @@ def spine_legs(base: TropicalBase, spine: TropicalTree,
     only at the vertices of `spine`, in id order, and the structure check
     is not repeated.
     """
-    return _legs(base, ext, sorted(spine.vertices, key=_vertex_id))
+    return _legs(base, ext, spine.vertices)
 
 
 def _path_order(tree: TropicalTree) -> list[str]:
@@ -525,11 +521,11 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
     v0 = base.point(1, b, 0)
     v1 = base.point(1, b + eps * (n - m - l), eps * l)
     v2 = base.point(0, eps * l, b + eps * m)
-    return make_tree(
+    return TropicalTree(
         [Vertex("v0", v0), Vertex("v1", v1), Vertex("v2", v2)],
         [
-            make_edge("v0", "v1", 1, (n - m - l, l), eps),
-            make_edge("v0", "v2", 0, (l, m), eps),
+            Edge("v0", "v1", 1, (n - m - l, l), eps),
+            Edge("v0", "v2", 0, (l, m), eps),
         ],
         ("v1", "v2"),
     )

@@ -115,6 +115,9 @@ class LooijengaPair:
         return len(self.self_intersections)
 
     def __getitem__(self, i: int) -> int:
+        """Self-intersection i, read cyclically; InvalidArgument unless i is an int."""
+        if not is_int(i):
+            raise InvalidArgument(f"pair index must be an int, got {brief(i)}")
         return self.self_intersections[i % len(self.self_intersections)]
 
 
@@ -236,6 +239,9 @@ class IntMatrix2:
         _set(self, "d", d)
 
     def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
+        """The product; InvalidArgument unless `other` is an IntMatrix2."""
+        if type(other) is not IntMatrix2:
+            raise InvalidArgument(f"matrix product needs an IntMatrix2, got {brief(other)}")
         return IntMatrix2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -243,7 +249,10 @@ class IntMatrix2:
             self.c * other.b + self.d * other.d,
         )
 
-    def apply(self, u, v):
+    def apply(self, u: int, v: int) -> tuple[int, int]:
+        """The image of (u, v); InvalidArgument unless both are ints."""
+        if not (is_int(u) and is_int(v)):
+            raise InvalidArgument(f"matrix needs an int vector, got {brief(u)}, {brief(v)}")
         return (self.a * u + self.b * v, self.c * u + self.d * v)
 
     def det(self) -> int:
@@ -272,18 +281,26 @@ class IntMatrix2:
 class CurveClass:
     """Nonnegative integer combination of boundary divisor classes.
 
-    Stored as sorted (divisor index, multiplicity) items with all
-    multiplicities positive; an absent index means zero.
+    The constructor takes (divisor index, multiplicity) pairs of ints (see
+    `is_int`) in any order and stores the canonical form: sorted by index,
+    a repeated index summed, zero totals dropped (an absent index means
+    zero; `CurveClass()` is the zero class).  Raises InvalidArgument on
+    anything else or a negative total.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[tuple[int, int], ...] = ()):
-        _set(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls) -> "CurveClass":
-        return cls(())
+        if not (isinstance(coeffs, (tuple, list)) and all(
+                type(x) is tuple and len(x) == 2 and is_int(x[0]) and is_int(x[1])
+                for x in coeffs)):
+            raise InvalidArgument(f"curve class needs (int, int) pairs, got {brief(coeffs)}")
+        acc: dict[int, int] = {}
+        for k, v in coeffs:
+            acc[k] = acc.get(k, 0) + v
+        if any(v < 0 for v in acc.values()):
+            raise InvalidArgument("curve class multiplicities must be >= 0")
+        _set(self, "coeffs", tuple(sorted((k, v) for k, v in acc.items() if v)))
 
     @classmethod
     def of(cls, mapping: dict[int, int]) -> "CurveClass":
@@ -294,22 +311,13 @@ class CurveClass:
                 and all(is_int(k) and is_int(v) for k, v in mapping.items())):
             raise InvalidArgument(
                 f"curve class needs a dict of int multiplicities, got {brief(mapping)}")
-        items = []
-        for k, v in sorted(mapping.items()):
-            if v < 0:
-                raise InvalidArgument("curve class multiplicities must be >= 0")
-            if v:
-                items.append((k, v))
-        return cls(tuple(items))
+        return cls(tuple(mapping.items()))
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         """The sum of two classes; InvalidArgument unless `other` is one."""
         if type(other) is not CurveClass:
             raise InvalidArgument(f"curve class sum needs a CurveClass, got {brief(other)}")
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs:
-            acc[k] = acc.get(k, 0) + v
-        return CurveClass.of(acc)
+        return CurveClass(self.coeffs + other.coeffs)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
@@ -386,7 +394,11 @@ class TropicalBase:
 
     def coords_in_cone(self, p: BasePoint, cone: int):
         """Coordinates of `p` in the closed cone `cone`, as `Fraction`s, or
-        None: the rational view of `_coords`."""
+        None: the rational view of `_coords`.  Raises InvalidArgument
+        unless `p` is a `BasePoint` and `cone` an int (see `is_int`)."""
+        if type(p) is not BasePoint or not is_int(cone):
+            raise InvalidArgument(f"cone coordinates need a BasePoint and an int cone, got "
+                                  f"{brief(p)}, {brief(cone)}")
         c = self._coords(p, cone)
         if c is None:
             return None
@@ -407,8 +419,12 @@ class TropicalBase:
         (u, v) -> (v - d*u, -u), the map of `forward_matrix`, with d the
         self-intersection of wall `wall`; backward is its inverse
         (u, v) -> (-v, u - d*v).  Both are applied in integers, with no
-        matrix built.  Raises WrongHomeCone if `vec` lives on the wrong side.
+        matrix built.  Raises WrongHomeCone if `vec` lives on the wrong side,
+        and InvalidArgument unless `vec` is a `TangentVector` and `wall` an int.
         """
+        if type(vec) is not TangentVector or not is_int(wall):
+            raise InvalidArgument(f"transport needs a TangentVector and an int wall, got "
+                                  f"{brief(vec)}, {brief(wall)}")
         l = self.l
         wall %= l
         d = self.pair.self_intersections[wall]

@@ -56,33 +56,6 @@ class Vertex:
         return self.position is None
 
 
-def _edge_fields(tail, head, cone, direction, length):
-    """(u, v, ratio) of checked edge fields: `direction` = (u, v) and the
-    length's numerator and positive denominator (N, D), coprime, or None.
-
-    Raises InvalidArgument unless `tail` and `head` are strs, `cone` and
-    both direction entries are ints (see `is_int`) and `length` is None or
-    rational (see `is_rational`), so nothing is floored or stored
-    inexactly.
-    """
-    if not (isinstance(tail, str) and isinstance(head, str)):
-        raise InvalidArgument(
-            f"edge endpoints must be vertex id strs, got {brief(tail)}, {brief(head)}")
-    try:
-        u, v = direction
-    except (TypeError, ValueError):
-        raise InvalidArgument(
-            f"edge direction must be an int pair, got {brief(direction)}") from None
-    if not (is_int(cone) and is_int(u) and is_int(v)):
-        raise InvalidArgument(
-            f"edge needs int cone and direction, got {brief(cone)}, {brief(direction)}")
-    if length is None:
-        return u, v, None
-    if not is_rational(length):
-        raise InvalidArgument(f"edge length must be None or rational, got {brief(length)}")
-    return u, v, (length.numerator, length.denominator)
-
-
 def _is_key(x) -> bool:
     """Whether `x` is an edge key: a tuple of two str ids."""
     return (isinstance(x, tuple) and len(x) == 2
@@ -94,25 +67,49 @@ class Edge:
     """Straight edge inside cone `cone`, parametrized from `tail`.
 
     For bounded edges pos(head) = pos(tail) + length * direction; a length
-    of None marks a ray whose head sits at infinity.
+    of None marks a ray whose head sits at infinity.  An edge has no
+    preferred orientation, so it is stored from its canonical tail: a
+    bounded edge runs from the smaller id, its direction negated if
+    flipped, and a ray keeps its bounded endpoint as tail.  The length is
+    stored as `ratio`, the coprime integers (N, D) with D > 0, or None for
+    a ray; `length` reads it out as a `Fraction`, as `BasePoint.a` does.
 
-    The length is stored as `ratio`, the integers (N, D) with D > 0 and
-    gcd(N, D) = 1, or None for a ray.  `length` reads it out as a
-    `Fraction`, as `BasePoint.a` and `b` do.  The fields are checked as
-    `make_edge` checks them and the direction is stored as a tuple, but
-    the tail is kept as given.
+    Raises InvalidArgument unless `tail` and `head` are strs, `cone` and
+    both direction entries are ints (see `is_int`) and `length` is None or
+    rational (see `is_rational`), so nothing is stored inexactly.  A zero
+    direction or a nonpositive length is left to `check_structure`.
     """
 
     __slots__ = ("tail", "head", "cone", "direction", "ratio")
 
     def __init__(self, tail: str, head: str, cone: int, direction: tuple[int, int],
                  length: Fraction | None):
-        u, v, ratio = _edge_fields(tail, head, cone, direction, length)
+        if not (isinstance(tail, str) and isinstance(head, str)):
+            raise InvalidArgument(
+                f"edge endpoints must be vertex id strs, got {brief(tail)}, {brief(head)}")
+        try:
+            u, v = direction
+        except (TypeError, ValueError):
+            raise InvalidArgument(
+                f"edge direction must be an int pair, got {brief(direction)}") from None
+        if not (is_int(cone) and is_int(u) and is_int(v)):
+            raise InvalidArgument(
+                f"edge needs int cone and direction, got {brief(cone)}, {brief(direction)}")
+        if not (length is None or is_rational(length)):
+            raise InvalidArgument(f"edge length must be None or rational, got {brief(length)}")
+        self._build(tail, head, cone, u, v,
+                    None if length is None else (length.numerator, length.denominator))
+
+    def _build(self, tail, head, cone, u, v, ratio) -> "Edge":
+        """Fill the slots from checked fields, from the canonical tail."""
+        if ratio is not None and head < tail:
+            tail, head, u, v = head, tail, -u, -v
         _set(self, "tail", tail)
         _set(self, "head", head)
         _set(self, "cone", cone)
         _set(self, "direction", (u, v))
         _set(self, "ratio", ratio)
+        return self
 
     @property
     def length(self) -> Fraction | None:
@@ -129,28 +126,12 @@ _new_edge = Edge.__new__
 
 def _edge(tail: str, head: str, cone: int, u: int, v: int,
           ratio: tuple[int, int] | None) -> Edge:
-    """The edge with the canonical tail choice, built unchecked from its
-    stored form (`ratio` is (N, D) in lowest terms with D > 0, or None): a
-    bounded edge runs from the lexicographically smaller id, with its
-    direction (u, v) negated if it is flipped; a ray keeps its bounded
-    endpoint as tail."""
-    if ratio is not None and head < tail:
-        tail, head, u, v = head, tail, -u, -v
-    e = _new_edge(Edge)
-    _set(e, "tail", tail)
-    _set(e, "head", head)
-    _set(e, "cone", cone)
-    _set(e, "direction", (u, v))
-    _set(e, "ratio", ratio)
-    return e
+    """`Edge` built unchecked from its stored form: `ratio` is (N, D) in
+    lowest terms with D > 0, or None."""
+    return _new_edge(Edge)._build(tail, head, cone, u, v, ratio)
 
 
-def make_edge(tail: str, head: str, cone: int, direction, length) -> Edge:
-    """Edge with the canonical tail choice of `_edge`, from fields checked
-    as `Edge` checks them.  A zero direction or a nonpositive length is
-    left to `check_structure`.
-    """
-    return _edge(tail, head, cone, *_edge_fields(tail, head, cone, direction, length))
+make_edge = Edge
 
 
 @value_class("vertices", "edges", "boundary")
@@ -161,83 +142,79 @@ class TropicalTree:
     boundary = the two leaves), extended spines (boundary at infinity) and
     cylinder bodies (extra legs ending at the origin).
 
-    A tree indexes its adjacency once, when it is made: the first vertex
-    with each id, the edges incident to each id (in edge order) and the
-    edge of each (tail, head) key.  Trees are immutable, so the index never
-    goes stale; it takes no part in equality, hashing or repr.  The
-    constructor stores its arguments as given, after the checks of
-    `make_tree`.
+    The constructor stores the canonical form, as tuples: vertices sorted
+    by id, edges by (tail, head).  Raises InvalidArgument unless `vertices`
+    and `edges` are lists or tuples of `Vertex` and `Edge` values and
+    `boundary` is a list or tuple of two str ids; a boundary that names no
+    vertex is left to `check_structure`.  A tree indexes, once, the first vertex of each
+    id and the edges at each id, in edge order; an edge lookup scans the
+    edges at one end.  Trees are immutable, so the index never goes stale;
+    it takes no part in equality, hashing or repr.
     """
 
-    __slots__ = ("vertices", "edges", "boundary", "_vertex_of", "_incident", "_edge_of")
+    __slots__ = ("vertices", "edges", "boundary", "_vertex_of", "_incident")
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...],
                  boundary: tuple[str, str]):
-        _check_tree_parts(vertices, edges, boundary)
+        if not (isinstance(vertices, (list, tuple)) and isinstance(edges, (list, tuple))
+                and all(isinstance(v, Vertex) for v in vertices)
+                and all(isinstance(e, Edge) for e in edges)):
+            raise InvalidArgument(
+                f"tree needs lists of vertices and edges, got {brief(vertices)}, {brief(edges)}")
+        if not (isinstance(boundary, (list, tuple)) and _is_key(tuple(boundary))):
+            raise InvalidArgument(f"tree boundary must be two str ids, got {brief(boundary)}")
         self._build(vertices, edges, boundary)
 
     def _build(self, vertices, edges, boundary) -> "TropicalTree":
-        """Fill the slots and the index from checked parts."""
+        """Fill the slots with the canonical form of checked parts, and
+        the index."""
+        vertices = tuple(sorted(vertices, key=_vertex_id))
+        edges = tuple(sorted(edges, key=_edge_key))
         _set(self, "vertices", vertices)
         _set(self, "edges", edges)
-        _set(self, "boundary", boundary)
+        _set(self, "boundary", (boundary[0], boundary[1]))
         incident: dict[str, list[Edge]] = {}
         for e in edges:
             incident.setdefault(e.tail, []).append(e)
             if e.head != e.tail:
                 incident.setdefault(e.head, []).append(e)
-        # built from the back, so the first vertex or edge of a key wins
+        # built from the back, so the first vertex of an id wins
         _set(self, "_vertex_of", {v.id: v for v in reversed(vertices)})
         _set(self, "_incident", {vid: tuple(es) for vid, es in incident.items()})
-        _set(self, "_edge_of", {(e.tail, e.head): e for e in reversed(edges)})
         return self
 
     def __contains__(self, vid: str) -> bool:
-        return vid in self._vertex_of
+        try:
+            return vid in self._vertex_of
+        except TypeError:
+            raise _bad_id(vid, "tree membership") from None
 
     def vertex(self, vid: str) -> Vertex:
-        if vid in self._vertex_of:
+        try:
             return self._vertex_of[vid]
-        raise StructuralError(f"no vertex {brief(vid)}")
+        except KeyError:
+            raise StructuralError(f"no vertex {brief(vid)}") from None
+        except TypeError:
+            raise _bad_id(vid, "vertex lookup") from None
 
     def position(self, vid: str) -> BasePoint | None:
         return self.vertex(vid).position
 
     def incident(self, vid: str) -> tuple[Edge, ...]:
-        return self._incident.get(vid, ())
+        try:
+            return self._incident.get(vid, ())
+        except TypeError:
+            raise _bad_id(vid, "edge lookup") from None
 
     def valency(self, vid: str) -> int:
         return len(self.incident(vid))
 
     def edge(self, a: str, b: str) -> Edge:
-        """The edge between `a` and `b`, whichever of them is its tail."""
-        e = self._edge_of.get((a, b)) or self._edge_of.get((b, a))
-        if e is None:
-            raise StructuralError(f"no edge between {brief(a)} and {brief(b)}")
-        return e
-
-
-def _check_tree_parts(vertices, edges, boundary) -> None:
-    if not (isinstance(vertices, (list, tuple)) and isinstance(edges, (list, tuple))
-            and all(isinstance(v, Vertex) for v in vertices)
-            and all(isinstance(e, Edge) for e in edges)):
-        raise InvalidArgument(
-            f"tree needs lists of vertices and edges, got {brief(vertices)}, {brief(edges)}")
-    if not (isinstance(boundary, (list, tuple)) and len(boundary) == 2
-            and isinstance(boundary[0], str) and isinstance(boundary[1], str)):
-        raise InvalidArgument(f"tree boundary must be two str ids, got {brief(boundary)}")
-
-
-def make_tree(vertices, edges, boundary) -> TropicalTree:
-    """Normalized tree: vertices sorted by id, edges by endpoint pair.
-
-    Raises InvalidArgument unless `vertices` and `edges` are lists or
-    tuples of `Vertex` and `Edge` values and `boundary` is a list or tuple
-    of two str ids.  A boundary that names no vertex is left to
-    `check_structure`.
-    """
-    _check_tree_parts(vertices, edges, boundary)
-    return _tree(vertices, edges, boundary)
+        """The first edge at `a` whose other end is `b`; either may be its tail."""
+        for e in self.incident(a):
+            if b == (e.head if e.tail == a else e.tail):
+                return e
+        raise StructuralError(f"no edge between {brief(a)} and {brief(b)}")
 
 
 _vertex_id = attrgetter("id")
@@ -246,10 +223,11 @@ _new_tree = TropicalTree.__new__
 
 
 def _tree(vertices, edges, boundary) -> TropicalTree:
-    """`make_tree` for values the caller built itself, unchecked."""
-    return _new_tree(TropicalTree)._build(tuple(sorted(vertices, key=_vertex_id)),
-                                          tuple(sorted(edges, key=_edge_key)),
-                                          (boundary[0], boundary[1]))
+    """`TropicalTree` for parts the caller built itself, unchecked."""
+    return _new_tree(TropicalTree)._build(vertices, edges, boundary)
+
+
+make_tree = TropicalTree
 
 
 @value_class("tree", "legs")
@@ -276,10 +254,9 @@ class CylinderInB:
         legs = set(self.legs)
         drop = {vid for leg in legs for vid in leg
                 if self.tree.position(vid) == ORIGIN}
-        return make_tree([v for v in self.tree.vertices if v.id not in drop],
-                         [e for e in self.tree.edges
-                          if (e.tail, e.head) not in legs],
-                         self.tree.boundary)
+        return _tree([v for v in self.tree.vertices if v.id not in drop],
+                     [e for e in self.tree.edges if (e.tail, e.head) not in legs],
+                     self.tree.boundary)
 
 
 @value_class("cylinder", "slopes", "heights")
@@ -348,10 +325,14 @@ def _ends_match(tc, hc, ratio, direction) -> bool:
     return q * (ah * qt - at * qh) == scale * u and q * (bh * qt - bt * qh) == scale * v
 
 
+def _bad_id(vid, what: str) -> InvalidArgument:
+    return InvalidArgument(f"{what} needs a str vertex id, got {brief(vid)}")
+
+
 def _check_id(vid, what: str) -> None:
     """Raise InvalidArgument unless `vid` is a str vertex id."""
     if not isinstance(vid, str):
-        raise InvalidArgument(f"{what} needs a str vertex id, got {brief(vid)}")
+        raise _bad_id(vid, what)
 
 
 def _check_objects(base, tree, what: str) -> None:
@@ -376,7 +357,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
     _check_objects(base, tree, "tree check")
     if len(tree._vertex_of) != len(tree.vertices):
         raise StructuralError("duplicate vertex ids")
-    if len(tree.boundary) != 2 or tree.boundary[0] == tree.boundary[1]:
+    if tree.boundary[0] == tree.boundary[1]:
         raise StructuralError("boundary must be two distinct vertices")
     for b in tree.boundary:
         if b not in tree:
@@ -399,7 +380,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree,
         head = vertex_of.get(e.head)
         if tail is None or head is None:
             raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) references missing vertex")
-        key = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
+        key = (e.tail, e.head)
         if key in seen:
             raise StructuralError(f"parallel edges between {e.tail!r} and {e.head!r}")
         seen.add(key)
@@ -768,7 +749,7 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
         raise InvalidArgument(f"subdivision parameter must be rational, got {brief(t)}")
     if not 0 < t < 1:
         raise InvalidArgument("subdivision parameter must be strictly inside (0, 1)")
-    target = tree._edge_of.get(key)
+    target = next((e for e in tree.incident(key[0]) if (e.tail, e.head) == key), None)
     if target is None or target.is_ray:
         raise StructuralError(f"no bounded edge {brief(key)}")
     if new_id is None:
@@ -787,11 +768,11 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
                      tc[1] + t * target.length * dv)
     vertices = list(tree.vertices) + [Vertex(new_id, mid)]
     edges = [e for e in tree.edges if e is not target]
-    edges.append(make_edge(target.tail, new_id, target.cone,
-                           target.direction, t * target.length))
-    edges.append(make_edge(new_id, target.head, target.cone,
-                           target.direction, (1 - t) * target.length))
-    return make_tree(vertices, edges, tree.boundary)
+    edges.append(Edge(target.tail, new_id, target.cone,
+                      target.direction, t * target.length))
+    edges.append(Edge(new_id, target.head, target.cone,
+                      target.direction, (1 - t) * target.length))
+    return TropicalTree(vertices, edges, tree.boundary)
 
 
 def relabel(tree: TropicalTree, mapping: dict[str, str]) -> TropicalTree:
@@ -806,6 +787,6 @@ def relabel(tree: TropicalTree, mapping: dict[str, str]) -> TropicalTree:
         return mapping.get(x, x)
 
     vertices = [Vertex(m(v.id), v.position) for v in tree.vertices]
-    edges = [make_edge(m(e.tail), m(e.head), e.cone, e.direction, e.length)
+    edges = [Edge(m(e.tail), m(e.head), e.cone, e.direction, e.length)
              for e in tree.edges]
-    return make_tree(vertices, edges, (m(tree.boundary[0]), m(tree.boundary[1])))
+    return TropicalTree(vertices, edges, (m(tree.boundary[0]), m(tree.boundary[1])))

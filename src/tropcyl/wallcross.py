@@ -72,6 +72,9 @@ class SparseLaurentSeries:
         return dict(self.terms)
 
     def coefficient(self, i: int, j: int) -> Fraction:
+        """The coefficient of x^i y^j; InvalidArgument unless i, j are ints."""
+        if not (is_int(i) and is_int(j)):
+            raise InvalidArgument(f"coefficient needs int powers, got {brief(i)}, {brief(j)}")
         return Fraction(self.num.get((i, j), 0), self.den)
 
     def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":

@@ -4,9 +4,10 @@ wrong class among them, each call returns a value or raises a
 `TropcylError`, never a bare `ValueError`/`TypeError`/`AttributeError`,
 and an accepted value is exact (no float is floored or stored)."""
 
+import inspect
 from fractions import Fraction
 from math import comb
-from operator import add, mul
+from operator import add, matmul, mul
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,8 @@ UNHASHABLE = st.lists(st.sampled_from(("v0", "v2")), max_size=2) | st.builds(dic
 ANY_VID = _or_any(st.sampled_from(("v0", "v1", "v2")), UNHASHABLE | ANY)
 KEY = _or_any(st.tuples(st.sampled_from(("v0", "v1", "v2")), st.sampled_from(("v0", "v1", "v2")))
               | st.just(("v0", "v2")), UNHASHABLE | ANY | st.tuples(ANY_VID, ANY_VID))
+VECTOR = _or_any(st.builds(tc.TangentVector, st.integers(0, 3), st.integers(-2, 2),
+                          st.integers(-2, 2)), OBJECT)
 LEGS = _or_any(st.lists(st.tuples(ID, ID), max_size=2).map(tuple) | st.just(CYLINDER.legs),
                OBJECT | st.lists(st.tuples(ID, ID), max_size=2) | st.tuples(KEY))
 
@@ -161,6 +164,13 @@ def _point(cone, a, b):
     p = tc.del_pezzo_base().point(cone, a, b)
     assert type(cone) is int and _exact(a) and _exact(b)
     assert type(p.a) is Fraction and type(p.b) is Fraction
+
+
+def _curve_class_pairs(coeffs):
+    cc = tc.CurveClass(coeffs)
+    assert all(type(k) is int and type(v) is int and v > 0 for k, v in cc.coeffs)
+    assert list(cc.coeffs) == sorted(cc.coeffs)
+    assert cc == tc.CurveClass(coeffs[::-1])
 
 
 def _curve_class(mapping):
@@ -266,6 +276,10 @@ ENTRY_POINTS = {
         INT, INT, INT, RATIONAL, _or_any(st.lists(RATIONAL, max_size=3)))),
     "family_spine": (tc.family_spine, st.tuples(INT, INT, INT, RATIONAL)),
     "trace_path_image": (tc.trace_path_image, st.tuples(INT, INT, INT, RATIONAL)),
+    "CurveClass": (_curve_class_pairs, st.tuples(_or_any(
+        st.lists(st.tuples(INT, INT), max_size=3).map(tuple)
+        | st.lists(st.tuples(INT, INT), max_size=3),
+        OBJECT | st.lists(INT, max_size=3)))),
     "CurveClass.of": (_curve_class, st.tuples(
         _or_any(st.dictionaries(INT, INT, max_size=3)))),
     "extend": (_extend, st.tuples(BASE, SPINE, INT)),
@@ -325,12 +339,81 @@ ENTRY_POINTS = {
         | st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
         SEQUENCE | OBJECT))),
     "IntMatrix2": (_matrix, st.tuples(INT, INT, INT, INT)),
+    "IntMatrix2.__matmul__": (_objects(matmul, tc.IntMatrix2, tc.IntMatrix2), st.tuples(
+        st.just(tc.IntMatrix2(1, 1, 0, 1)), _or_any(st.just(tc.IntMatrix2(0, 1, -1, 0)), OBJECT))),
+    "IntMatrix2.apply": (_objects(tc.IntMatrix2(1, 1, 0, 1).apply, int, int),
+                         st.tuples(INT, INT)),
+    "LooijengaPair.__getitem__": (_objects(DEL_PEZZO.pair.__getitem__, int),
+                                  st.tuples(_or_any(INT, UNHASHABLE))),
+    "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
+                                    st.tuples(POINT, INT)),
+    "TropicalBase.forward_matrix": (_objects(DEL_PEZZO.forward_matrix, int), st.tuples(INT)),
+    "TropicalBase.transport": (_objects(DEL_PEZZO.transport, tc.TangentVector, int),
+                               st.tuples(VECTOR, INT, st.booleans())),
+    "TropicalTree.__contains__": (EXTENDED.__contains__, st.tuples(ANY_VID)),
+    "TropicalTree.vertex": (EXTENDED.vertex, st.tuples(ANY_VID)),
+    "TropicalTree.position": (EXTENDED.position, st.tuples(ANY_VID)),
+    "TropicalTree.incident": (EXTENDED.incident, st.tuples(ANY_VID)),
+    "TropicalTree.valency": (EXTENDED.valency, st.tuples(ANY_VID)),
+    "TropicalTree.edge": (EXTENDED.edge, st.tuples(ANY_VID, ANY_VID)),
+    "SparseLaurentSeries": (lambda terms: _series(S, terms), st.tuples(_or_any(
+        st.lists(st.tuples(st.tuples(INT, INT), RATIONAL), max_size=3).map(tuple), OBJECT))),
+    "SparseLaurentSeries.coefficient": (_objects(S.monomial(1, 0).coefficient, int, int),
+                                        st.tuples(_or_any(INT, UNHASHABLE), INT)),
+    "count": (_objects(tc.count, tc.CountQuery), st.tuples(QUERY)),
+    "symmetry_check": (_objects(tc.symmetry_check, tc.CountQuery), st.tuples(QUERY)),
     "virtual_dim": (_virtual_dim, st.tuples(INT, INT, INT, INT)),
     # l and the pair count are capped, so any ints end in bounded time
     "verify_toric_criterion": (_sweep, st.tuples(
         _or_any(st.integers(), NOT_INT), _or_any(st.integers(), NOT_INT),
         _or_any(st.integers(), NOT_INT))),
 }
+
+
+# Public names whose row is keyed by another name.
+ALIASES = {"SparseLaurentSeries.from_dict": "from_dict",
+           "SparseLaurentSeries.monomial": "monomial"}
+# Methods every value class has: `==` answers NotImplemented for another
+# class, and assignment and deletion raise AttributeError by design.
+VALUE_PROTOCOL = {"__init__", "__eq__", "__hash__", "__repr__", "__reduce__",
+                  "__setattr__", "__delattr__"}
+
+
+def _public_entry_points() -> set[str]:
+    """Each function in `tropcyl.__all__`, each constructor of a value class
+    there, under its `__all__` name, and each public method or operator of
+    such a class, as `Class.method`: those that take an argument besides
+    `self` or `cls`.  Error classes are raised, not called with input."""
+    names = set()
+    for name in tc.__all__:
+        obj = getattr(tc, name)
+        if not isinstance(obj, type):
+            if inspect.signature(obj).parameters:
+                names.add(name)
+            continue
+        if issubclass(obj, BaseException):
+            continue
+        if len(inspect.signature(obj.__init__).parameters) > 1:
+            names.add(name)
+        for attr, member in vars(obj).items():
+            operator = attr.startswith("__") and attr.endswith("__")
+            if attr in VALUE_PROTOCOL or (attr.startswith("_") and not operator):
+                continue
+            if isinstance(member, (classmethod, staticmethod)):
+                call, bound = member.__func__, isinstance(member, classmethod)
+            elif inspect.isfunction(member):
+                call, bound = member, True
+            else:
+                continue
+            if len(inspect.signature(call).parameters) > bound:
+                names.add(f"{obj.__name__}.{attr}")
+    return names
+
+
+def test_every_public_entry_point_has_a_fuzzer_row():
+    names = _public_entry_points()
+    assert set(ALIASES) <= names
+    assert not {ALIASES.get(n, n) for n in names} - set(ENTRY_POINTS)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -479,12 +562,33 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: tc.Edge(None, "b", 0, (1, 0), 1),
     lambda: tc.Edge("a", "b", "0", (1, 0), 1),
     lambda: tc.Edge("a", "b", 0, None, 1),
+    lambda: EXTENDED.vertex([]),
+    lambda: EXTENDED.position([]),
+    lambda: EXTENDED.incident([]),
+    lambda: EXTENDED.valency([]),
+    lambda: EXTENDED.edge([], "v0"),
+    lambda: [] in EXTENDED,
+    lambda: S.monomial(1, 0).coefficient([], 0),
+    lambda: DEL_PEZZO.pair["a"],
+    lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
+    lambda: DEL_PEZZO.coords_in_cone(None, 0),
+    lambda: DEL_PEZZO.forward_matrix("a"),
+    lambda: DEL_PEZZO.transport(None, 1),
+    lambda: DEL_PEZZO.transport(tc.TangentVector(0, 1, 0), "x"),
+    lambda: tc.IntMatrix2(1, 0, 0, 1) @ 5,
+    lambda: tc.IntMatrix2(1, 0, 0, 1).apply(None, 1),
+    lambda: tc.CurveClass(None),
+    lambda: tc.CurveClass(((0, -3),)),
 ], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
         "subdivide-list-new-id", "subdivide-base", "CylinderInB-none", "CylinderInB-list",
         "CylinderInBTilde-slope-key", "CylinderInBTilde-height", "CanonicalImage-list",
         "Violation-where", "ExtensionResult-dict", "ExtensionResult-float",
         "TracePoint-float", "TracePoint-tuple", "Edge-float-length", "Edge-tail",
-        "Edge-cone", "Edge-direction"])
+        "Edge-cone", "Edge-direction", "tree-vertex", "tree-position", "tree-incident",
+        "tree-valency", "tree-edge", "tree-in", "series-coefficient", "pair-getitem",
+        "coords_in_cone-cone", "coords_in_cone-point", "forward_matrix", "transport-vector",
+        "transport-wall", "matrix-matmul", "matrix-apply", "CurveClass-none",
+        "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
     # each used to end in a bare TypeError or AttributeError, or to store
     # the value as given

@@ -218,7 +218,7 @@ class TestExtend:
         # stepping manually accumulates the same total class
         s = family_spine(4, -2, 1, 1)
         res = extend(del_pezzo, s)
-        total = CurveClass.zero()
+        total = CurveClass()
         current = s
         for side in (0, 1):
             finished = False
@@ -262,7 +262,7 @@ class TestExtend:
 
 def _extend_by_steps(base, spine):
     """extend() as alternating extend_step calls, each on the whole tree."""
-    current, total, steps = spine, CurveClass.zero(), 0
+    current, total, steps = spine, CurveClass(), 0
     finished = [False, False]
     side = 0
     while not all(finished):

@@ -109,6 +109,21 @@ class TestPoints:
         with pytest.raises(InvalidArgument):
             CurveClass.of({0: -1})
 
+    def test_curve_class_constructor_stores_the_canonical_form(self):
+        # the constructor used to store its pairs as given
+        assert CurveClass(((1, 1), (0, 1))) == CurveClass.of({0: 1, 1: 1})
+        assert CurveClass(((2, 1), (0, 3), (2, 2), (1, 0))).coeffs == ((0, 3), (2, 3))
+        assert CurveClass(((0, 2), (0, -2))) == CurveClass()
+        assert CurveClass.of({0: 1}) + CurveClass(((0, 2),)) == CurveClass(((0, 3),))
+
+    @pytest.mark.parametrize("coeffs", [
+        None, ((0, -3),), ((0, 1), (0, -2)), ((0, 1.5),), (("a", 1),), ((True, 1),),
+        ((0, 1, 2),), ([0, 1],), 5,
+    ])
+    def test_curve_class_constructor_rejects(self, coeffs):
+        with pytest.raises(InvalidArgument):
+            CurveClass(coeffs)
+
     def test_coords_in_cone(self, del_pezzo):
         p = del_pezzo.point(1, 4, 0)  # on wall 1
         assert del_pezzo.coords_in_cone(p, 1) == (4, 0)

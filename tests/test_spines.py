@@ -126,6 +126,38 @@ class TestMakeEdge:
             check_structure(del_pezzo, tree)
 
 
+class TestOneConstructorPerValue:
+    """`TropicalTree`, `Edge` and their old factory names build one
+    canonical value, whatever the order or container of the parts."""
+
+    def test_factories_are_the_classes(self):
+        assert make_tree is tc.TropicalTree and make_edge is tc.Edge
+
+    def test_edge_from_either_end_is_one_edge(self):
+        # the class constructor used to keep the tail as given
+        assert tc.Edge("v2", "v0", 0, (-2, 0), 1) == make_edge("v2", "v0", 0, (-2, 0), 1)
+        assert tc.Edge("v2", "v0", 0, (-2, 0), 1) == tc.Edge("v0", "v2", 0, (2, 0), 1)
+
+    def test_tree_from_lists_is_canonical_and_keeps_no_list(self, del_pezzo):
+        s = tc.family_spine(2, 0, 1, 1)
+        vertices, edges = list(s.vertices[::-1]), list(s.edges[::-1])
+        tree = tc.TropicalTree(vertices, edges, list(s.boundary))
+        # it used to store the lists, so hashing raised a bare TypeError
+        assert tree == s and hash(tree) == hash(s)
+        assert type(tree.vertices) is type(tree.edges) is type(tree.boundary) is tuple
+        # and its id index went stale when the caller changed a list
+        vertices.append(Vertex("zz", del_pezzo.point(0, 1, 1)))
+        edges.clear()
+        assert tree == s and validate_spine(del_pezzo, tree) == []
+
+    def test_edge_lookup_finds_a_ray_from_either_end(self, del_pezzo):
+        ext = tc.extend(del_pezzo, tc.family_spine(2, 0, 1, 1)).extended
+        rays = [e for e in ext.edges if e.is_ray]
+        assert len(rays) == 2
+        for ray in rays:
+            assert ext.edge(ray.tail, ray.head) is ray and ext.edge(ray.head, ray.tail) is ray
+
+
 class TestTreeBuilderRejections:
     """`Vertex`, `make_edge` and `make_tree` raise InvalidArgument on
     ill-typed ids, positions and containers, where they used to store them
@@ -235,6 +267,8 @@ def _malformed(base, case):
     if case == "parallel":
         return make_tree([a, b], [ab, ab], ("a", "b"))
     if case == "antiparallel":
+        # `Edge` stores an edge from its canonical tail, so this is the
+        # "parallel" tree with its second edge written from the other end
         return make_tree([a, b], [ab, tc.Edge("b", "a", 0, (-1, 0), F(1))], ("a", "b"))
     if case == "missing":
         return make_tree([a, b], [make_edge("a", "c", 0, (1, 0), 1)], ("a", "b"))

@@ -80,7 +80,7 @@ EXAMPLES = {
 
 DERIVED = {
     "TropicalBase": ("l",),
-    "TropicalTree": ("_vertex_of", "_incident", "_edge_of"),
+    "TropicalTree": ("_vertex_of", "_incident"),
     "CylinderInBTilde": ("_slope_of", "_height_of"),
 }
 

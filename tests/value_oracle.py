@@ -89,7 +89,6 @@ class TropicalTree:
     boundary: tuple[str, str]
     _vertex_of: dict = field(init=False, repr=False, compare=False)
     _incident: dict = field(init=False, repr=False, compare=False)
-    _edge_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         incident: dict[str, list[Edge]] = {}
@@ -100,8 +99,6 @@ class TropicalTree:
                            {v.id: v for v in reversed(self.vertices)})
         object.__setattr__(self, "_incident",
                            {vid: tuple(es) for vid, es in incident.items()})
-        object.__setattr__(self, "_edge_of",
-                           {(e.tail, e.head): e for e in reversed(self.edges)})
 
 
 @dataclass(frozen=True)
