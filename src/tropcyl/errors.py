@@ -68,7 +68,7 @@ class InvalidPair(TropcylError):
 
 
 class WrongHomeCone(TropcylError):
-    """A tangent vector's home cone does not match the requested transport."""
+    """A vector or a ray's start lies in neither cone a transport or cast needs."""
 
 
 class ZeroVector(TropcylError):
@@ -96,7 +96,7 @@ class NotExtendable(TropcylError):
     """Spine extension did not terminate within the step budget."""
 
     def __init__(self, steps: int):
-        super().__init__(f"extension not finished after {steps} steps")
+        super().__init__(f"extension not finished after {brief(steps)} steps")
         self.steps = steps
 
 

@@ -61,15 +61,14 @@ from .spines import (
     TropicalTree,
     Vertex,
     check_structure,
-    direction_at,
     direction_sum,
     is_outward_radial,
     validate_spine,
     _check_id,
     _check_objects,
     _edge,
+    _outgoing,
     _point_key,
-    _tree,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -193,17 +192,19 @@ def _unused_ids(tree: TropicalTree, prefix: str):
     return (f"{prefix}{k}" for k in count(1) if f"{prefix}{k}" not in tree)
 
 
-def _end_state(tree: TropicalTree, end: str):
+def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     """(id, position, cone, u, v) of the bounded 1-valent end `end`: its
-    outgoing ray is (u, v) in cone `cone`."""
-    v = tree.vertex(end)
-    if v.is_unbounded:
+    outgoing ray is (u, v), the negated edge direction of `_outgoing`, in
+    the end's canonical cone `cone`."""
+    pos = tree.position(end)
+    if pos is None:
         raise StructuralError(f"cannot extend at unbounded vertex {end!r}")
-    inc = tree.incident(end)
-    if len(inc) != 1:
+    if tree.valency(end) != 1:
         raise StructuralError(f"vertex {end!r} is not a 1-valent end")
-    w = direction_at(tree, inc[0], end)
-    return end, v.position, w.cone, -w.u, -w.v
+    if pos.is_origin:
+        raise DegenerateRay("ray starts at the origin")
+    ((_, u, v),) = _outgoing(base, tree, end, pos)
+    return end, pos, pos.cone, -u, -v
 
 
 def _cast(base: TropicalBase, end, fresh: str):
@@ -246,10 +247,10 @@ def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
     _check_objects(base, tree, "extend_step")
     _check_id(end, "extend_step")
     step, crossing, new_end = _cast(
-        base, _end_state(tree, end), next(_unused_ids(tree, "x")))
+        base, _end_state(base, tree, end), next(_unused_ids(tree, "x")))
     vertex, edge = _step_parts(step)
     boundary = tuple(vertex.id if x == end else x for x in tree.boundary)
-    new_tree = _tree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
+    new_tree = TropicalTree([*tree.vertices, vertex], [*tree.edges, edge], boundary)
     return new_tree, CurveClass((crossing,) if crossing else ()), new_end is None
 
 
@@ -282,7 +283,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
             "cannot extend an invalid spine: "
             + "; ".join(x.message for x in violations))
     fresh = _unused_ids(spine, "x")
-    ends = [_end_state(spine, end) for end in spine.boundary]
+    ends = [_end_state(base, spine, end) for end in spine.boundary]
     boundary = list(spine.boundary)
     taken = []
     crossings = []
@@ -303,7 +304,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
         vertex, edge = _step_parts(step)
         vertices.append(vertex)
         edges.append(edge)
-    return ExtensionResult(_tree(vertices, edges, boundary),
+    return ExtensionResult(TropicalTree(vertices, edges, boundary),
                            CurveClass(crossings), len(taken))
 
 
@@ -354,14 +355,14 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     vertex with a nonzero direction sum gets a leg to the origin by the
     leg rule of `_legs`.
     """
-    check_structure(base, ext, allow_unbounded=True)
+    check_structure(base, ext)
     for b in ext.boundary:
         if not ext.vertex(b).is_unbounded:
             raise StructuralError(
                 f"extended spine boundary {b!r} must run to infinity")
     legs = _legs(base, ext, ext.vertices)
-    tree = _tree([*ext.vertices, *(Vertex(oid, ORIGIN) for oid, _ in legs)],
-                 [*ext.edges, *(leg for _, leg in legs)], ext.boundary)
+    tree = TropicalTree([*ext.vertices, *(Vertex(oid, ORIGIN) for oid, _ in legs)],
+                        [*ext.edges, *(leg for _, leg in legs)], ext.boundary)
     return CylinderInB(tree, tuple(sorted((leg.tail, leg.head) for _, leg in legs)))
 
 

@@ -412,14 +412,14 @@ class TropicalBase:
         d = self.pair[wall]
         return IntMatrix2(-d, 1, -1, 0)
 
-    def transport(self, vec: TangentVector, wall: int, forward: bool = True) -> TangentVector:
-        """Re-express `vec` across wall `wall`.
+    def transport(self, vec: TangentVector, wall: int) -> TangentVector:
+        """Re-express `vec` across wall `wall`, from the side it lives on.
 
-        Forward moves from cone wall-1 into cone wall by
-        (u, v) -> (v - d*u, -u), the map of `forward_matrix`, with d the
-        self-intersection of wall `wall`; backward is its inverse
+        From cone wall-1 (l >= 3, so it is not cone wall) the map is
+        (u, v) -> (v - d*u, -u), that of `forward_matrix`, with d the
+        self-intersection of wall `wall`; from cone wall it is the inverse
         (u, v) -> (-v, u - d*v).  Both are applied in integers, with no
-        matrix built.  Raises WrongHomeCone if `vec` lives on the wrong side,
+        matrix built.  Raises WrongHomeCone if `vec` lives in neither cone,
         and InvalidArgument unless `vec` is a `TangentVector` and `wall` an int.
         """
         if type(vec) is not TangentVector or not is_int(wall):
@@ -429,19 +429,13 @@ class TropicalBase:
         wall %= l
         d = self.pair.self_intersections[wall]
         u, v = vec.u, vec.v
-        if forward:
-            if vec.cone != (wall - 1) % l:
-                raise WrongHomeCone(
-                    f"forward transport across wall {wall} needs home cone "
-                    f"{(wall - 1) % l}, got {brief(vec.cone)}"
-                )
+        if vec.cone == (wall - 1) % l:
             return TangentVector(wall, v - d * u, -u)
-        if vec.cone != wall:
-            raise WrongHomeCone(
-                f"backward transport across wall {wall} needs home cone "
-                f"{wall}, got {brief(vec.cone)}"
-            )
-        return TangentVector((wall - 1) % l, -v, u - d * v)
+        if vec.cone == wall:
+            return TangentVector((wall - 1) % l, -v, u - d * v)
+        raise WrongHomeCone(
+            f"transport across wall {wall} needs home cone {(wall - 1) % l} "
+            f"or {wall}, got {brief(vec.cone)}")
 
 
 def _as_pair(pair) -> LooijengaPair:

@@ -6,10 +6,11 @@ at infinity are implicit: they appear only as heads of edges of length
 
 A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
-of its `BasePoint` over their lcm (`lattice._over_lcm`), and the vertices
-and edges are built directly, since the parse has checked every type;
-each edge length becomes the coprime pair (N, D) of `Edge.ratio`, with one
-gcd, and edges get the tail choice of `spines._edge`.  `point_to_json`
+of its `BasePoint` over their lcm (`lattice._over_lcm`), and each edge
+length becomes the coprime pair (N, D) of `Edge.ratio`, with one gcd.
+The parse has checked every type, so the edges are built unchecked by
+`spines._edge`, with its tail choice; the tree goes through the one
+`TropicalTree` constructor, as every tree does.  `point_to_json`
 writes a point's report fields, each coordinate from (A, B, Q) with one
 gcd; an edge length is written from (N, D) as it is stored.
 
@@ -26,7 +27,7 @@ from operator import itemgetter
 
 from .errors import brief
 from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, _over_lcm, is_int
-from .spines import Edge, TropicalTree, Vertex, _edge, _tree
+from .spines import Edge, TropicalTree, Vertex, _edge
 
 
 class SchemaError(ValueError):
@@ -149,7 +150,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
     if (not isinstance(boundary, list) or len(boundary) != 2
             or not all(isinstance(b, str) for b in boundary)):
         raise SchemaError('"boundary" must be a pair of vertex ids')
-    return _tree(vertices, edges, boundary)
+    return TropicalTree(vertices, edges, boundary)
 
 
 def _ratio_to_str(n: int, d: int) -> str:

@@ -187,13 +187,14 @@ def count(q: CountQuery) -> int:
     return image.num.get((q.l, q.m + q.n), 0)
 
 
-def backward_count(q: CountQuery) -> Fraction:
-    """The reversed reading of the count: the coefficient of x^{-l} y^{-m}
-    in the inverse substitution applied to x^{-l} y^{-(m+n)}.  Raises
-    InvalidArgument unless `q` is a CountQuery."""
+def backward_count(q: CountQuery) -> int:
+    """The reversed reading of the count, an int: the coefficient of
+    x^{-l} y^{-m} in the inverse substitution applied to x^{-l} y^{-(m+n)}.
+    Raises InvalidArgument unless `q` is a CountQuery."""
     _check_query(q)
     image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
-    return image.coefficient(-q.l, -q.m)
+    assert image.den == 1
+    return image.num.get((-q.l, -q.m), 0)
 
 
 def symmetry_check(q: CountQuery) -> bool:

@@ -65,7 +65,7 @@ def full_cylinder_in_b(base, ext):
     tree `ext`: vertices as (id, position) sorted by id, with the origin
     vertices added; edges as `FractionEdge`s sorted by (tail, head), the
     legs added; legs as sorted (tail, head) keys."""
-    check_structure(base, ext, allow_unbounded=True)
+    check_structure(base, ext)
     for b in ext.boundary:
         if not ext.vertex(b).is_unbounded:
             raise StructuralError(f"extended spine boundary {b!r} must run to infinity")

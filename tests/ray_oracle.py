@@ -22,7 +22,7 @@ from tropcyl import (
 )
 from tropcyl.extension import DEL_PEZZO_PAIR
 from tropcyl.lattice import develop
-from tropcyl.spines import direction_at
+from spine_oracle import direction_at
 
 
 def fraction_trace(base, start, cone, u, v):
@@ -46,12 +46,11 @@ def fraction_trace(base, start, cone, u, v):
         raise DegenerateRay(f"direction runs along wall {(cone + 1) % base.l}")
 
     if b == 0 and v < 0:
-        vec = base.transport(TangentVector(cone, u, v), cone, forward=False)
+        vec = base.transport(TangentVector(cone, u, v), cone)
         cone, u, v = vec.cone, vec.u, vec.v
         a, b = Fraction(0), a
     elif a == 0 and u < 0:
-        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % base.l,
-                             forward=True)
+        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % base.l)
         cone, u, v = vec.cone, vec.u, vec.v
         a, b = b, Fraction(0)
 
@@ -76,7 +75,7 @@ def eager_extend(base, spine, max_steps):
     ends = []
     for end in spine.boundary:
         (edge,) = spine.incident(end)
-        w = direction_at(spine, edge, end)
+        w = direction_at(edge, end)
         ends.append((end, spine.position(end), w.cone, -w.u, -w.v))
     vertices, edges, boundary = list(spine.vertices), list(spine.edges), list(spine.boundary)
     total = {}

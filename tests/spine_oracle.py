@@ -1,30 +1,37 @@
 """Test-only references for the integer spine path: the transport through
-`forward_matrix`, the direction sum through `direction_at`, and the
+`forward_matrix`, the orientation of an edge at a vertex as one
+`TangentVector` (`direction_at`), the direction sum through it, and the
 two-pass spine conditions, as the engine computed them before the
 outgoing directions were read once per vertex, as plain ints."""
 
 from tropcyl import OriginVertex, StructuralError, TangentVector, WrongHomeCone
-from tropcyl.spines import Violation, direction_at, is_outward_radial
+from tropcyl.spines import Violation, is_outward_radial
 
 
-def matrix_transport(base, vec, wall, forward=True):
-    """`TropicalBase.transport` through `forward_matrix(wall).apply`, and
-    `.inverse()` backward."""
+def direction_at(edge, vid):
+    """Integer direction of `edge` pointing away from vertex `vid`, in the
+    edge's cone: the rule `spines._outgoing` applies before its transport."""
+    if vid == edge.tail:
+        return TangentVector(edge.cone, edge.direction[0], edge.direction[1])
+    if vid == edge.head:
+        if edge.is_ray:
+            raise StructuralError("rays have no direction at their infinite end")
+        return TangentVector(edge.cone, -edge.direction[0], -edge.direction[1])
+    raise StructuralError(f"vertex {vid!r} is not an endpoint of the edge")
+
+
+def matrix_transport(base, vec, wall):
+    """`TropicalBase.transport` through `forward_matrix(wall).apply` from
+    cone wall-1, and `.inverse()` from cone wall."""
     wall %= base.l
     m = base.forward_matrix(wall)
-    if forward:
-        if vec.cone != (wall - 1) % base.l:
-            raise WrongHomeCone(
-                f"forward transport across wall {wall} needs home cone "
-                f"{(wall - 1) % base.l}, got {vec.cone}"
-            )
+    if vec.cone == (wall - 1) % base.l:
         return TangentVector(wall, *m.apply(vec.u, vec.v))
-    if vec.cone != wall:
-        raise WrongHomeCone(
-            f"backward transport across wall {wall} needs home cone "
-            f"{wall}, got {vec.cone}"
-        )
-    return TangentVector((wall - 1) % base.l, *m.inverse().apply(vec.u, vec.v))
+    if vec.cone == wall:
+        return TangentVector((wall - 1) % base.l, *m.inverse().apply(vec.u, vec.v))
+    raise WrongHomeCone(
+        f"transport across wall {wall} needs home cone {(wall - 1) % base.l} "
+        f"or {wall}, got {vec.cone}")
 
 
 def _to_canonical_cone(base, pos, vec):
@@ -32,7 +39,7 @@ def _to_canonical_cone(base, pos, vec):
     if vec.cone == target:
         return vec
     if pos.on_wall and (vec.cone + 1) % base.l == target:
-        return matrix_transport(base, vec, target, forward=True)
+        return matrix_transport(base, vec, target)
     raise StructuralError(
         f"edge cone {vec.cone} is not adjacent to the vertex in cone {target}")
 
@@ -46,7 +53,7 @@ def vector_direction_sum(base, tree, vid):
         raise OriginVertex("direction sums are undefined at the origin")
     total_u = total_v = 0
     for e in tree.incident(vid):
-        w = _to_canonical_cone(base, pos, direction_at(tree, e, vid))
+        w = _to_canonical_cone(base, pos, direction_at(e, vid))
         total_u += w.u
         total_v += w.v
     return TangentVector(pos.cone, total_u, total_v)
@@ -78,7 +85,7 @@ def two_pass_spine_conditions(base, tree):
         if v.position is None or v.position.is_origin:
             continue
         for e in tree.incident(v.id):
-            if _is_radial(base, v.position, direction_at(tree, e, v.id)):
+            if _is_radial(base, v.position, direction_at(e, v.id)):
                 out.append(Violation(
                     "radial-direction", v.id,
                     f"edge ({e.tail!r}, {e.head!r}) points along the origin "

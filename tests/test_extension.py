@@ -171,6 +171,20 @@ class TestExtendStep:
         new_vertex = [v for v in out.vertices if v.id == "x1"][0]
         assert new_vertex.position == del_pezzo.point(0, 1, 0)
 
+    def test_end_outside_its_edge_cone_is_structural(self, del_pezzo):
+        # the ray is read in the end's cone, 0, where edge cone 2 does not
+        # reach; `extend` refuses this tree in its structure check
+        spine = make_tree(
+            [Vertex("a", del_pezzo.point(0, 1, 1)), Vertex("b", del_pezzo.point(0, 2, 1))],
+            [make_edge("a", "b", 2, (1, 0), 1)],
+            ("a", "b"),
+        )
+        with pytest.raises(tc.StructuralError,
+                           match="edge cone 2 is not adjacent to the vertex in cone 0"):
+            extend_step(del_pezzo, spine, "b")
+        with pytest.raises(tc.StructuralError):
+            extend(del_pezzo, spine)
+
     def test_old_end_becomes_balanced(self, del_pezzo):
         s = family_spine(2, -1, 1, 1)
         out, _, _ = extend_step(del_pezzo, s, "v2")

@@ -330,7 +330,7 @@ class TestValidation:
         # the structure check accepts it; the spine conditions report it
         s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 2), ORIGIN,
                              0, (-1, -2), 1)
-        check_structure(del_pezzo, s, allow_unbounded=False)
+        check_structure(del_pezzo, s)
         assert [(v.code, v.where) for v in validate_spine(del_pezzo, s)
                 if v.code == "origin-image"] == [("origin-image", "b")]
 
@@ -467,6 +467,18 @@ class TestCanonicalImage:
     def test_distinct_parameters_differ(self, del_pezzo):
         assert not images_equal(tc.family_spine(2, 0, 1, 1),
                                 tc.family_spine(2, 0, 2, 1))
+
+    def test_ray_into_a_bounded_vertex_is_structural(self, del_pezzo):
+        # the ray (c, b) ends at the bounded 2-valent vertex b, so it has no
+        # direction there: the orientation rule of `_outgoing` refuses it
+        tree = make_tree(
+            [Vertex("a", del_pezzo.point(0, 1, 1)), Vertex("b", del_pezzo.point(0, 2, 1)),
+             Vertex("c", del_pezzo.point(0, 3, 1))],
+            [make_edge("a", "b", 0, (1, 0), 1), make_edge("c", "b", 0, (-1, 0), None)],
+            ("a", "c"),
+        )
+        with pytest.raises(StructuralError, match="infinite end"):
+            canonical_image(tree)
 
     def test_idempotent_on_realization(self, del_pezzo):
         # realize the canonical pieces as a fresh tree, canonicalize again
@@ -606,7 +618,7 @@ def _agree(base, tree):
     after checking that the one-pass conditions and every direction sum
     match the two-pass reference: equal values in the same order, or the
     same error."""
-    check_structure(base, tree, allow_unbounded=True)
+    check_structure(base, tree)
     got = outcome(_spine_conditions, base, tree)
     assert got == outcome(two_pass_spine_conditions, base, tree), tree
     for v in tree.vertices:
