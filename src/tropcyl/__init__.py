@@ -65,7 +65,6 @@ from .spines import (
 )
 from .extension import (
     ExtensionResult,
-    TracePoint,
     cylinder_in_b,
     del_pezzo_base,
     extend,
@@ -73,7 +72,7 @@ from .extension import (
     family_spine,
     lift_to_tilde,
     trace_path_image,
-    trace_points,
+    tropical_trace,
 )
 from .wallcross import (
     CountQuery,
@@ -138,7 +137,6 @@ __all__ = [
     "validate_spine",
     # extension
     "ExtensionResult",
-    "TracePoint",
     "cylinder_in_b",
     "del_pezzo_base",
     "extend",
@@ -146,7 +144,7 @@ __all__ = [
     "family_spine",
     "lift_to_tilde",
     "trace_path_image",
-    "trace_points",
+    "tropical_trace",
     # wall-crossing
     "CountQuery",
     "SparseLaurentSeries",

@@ -22,7 +22,7 @@ from .extension import (
     extend,
     family_spine,
     spine_legs,
-    trace_points,
+    tropical_trace,
 )
 from .lattice import build_base, fan_closure, intersection_matrix, is_positive, monodromy
 from .serialize import (
@@ -46,8 +46,14 @@ def _emit(report: dict) -> None:
 
 
 def _load_json(path: str):
+    """The JSON value of the file at `path`.  Raises SchemaError when the
+    file is not UTF-8 JSON, nests deeper than the recursion limit, or holds
+    an integer literal longer than the interpreter converts."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(str(exc)) from None
 
 
 def cmd_base(args) -> int:
@@ -149,10 +155,10 @@ def cmd_symmetry(args) -> int:
 
 def cmd_trace(args) -> int:
     b = parse_frac(args.b)
-    samples = trace_points(args.l, args.m, args.n, b,
-                           [parse_frac(ts) for ts in args.t.split(",") if ts])
-    points = [point_to_json({"t": frac_to_str(sample.t)}, sample.point)
-              for sample in samples]
+    ts = [parse_frac(x) for x in args.t.split(",") if x]
+    points = [point_to_json({"t": frac_to_str(t)},
+                            tropical_trace(args.l, args.m, args.n, b, t))
+              for t in ts]
     report = {"l": args.l, "m": args.m, "n": args.n, "b": frac_to_str(b),
               "points": points}
     _emit(report)
@@ -242,7 +248,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"tropcyl: {exc}", file=sys.stderr)
         return 2
     except TropcylError as exc:

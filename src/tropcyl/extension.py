@@ -14,14 +14,19 @@ of an arbitrary tree: it runs `check_structure` and takes a direction sum
 at every vertex.  After `extend`, legs hang only from the input spine's
 vertices, because every vertex a cast adds is 2-valent and balanced (the
 contract of `extend_step`); `spine_legs` completes there, without a second
-structure check, and is what the command line uses.
+structure check, and is what the command line uses.  New vertices take the
+first free ids x1, x2, ... and leg ends o1, o2, ..., by the one naming rule
+`spines._unused_ids`.
+
+The trace family has two independent readings: `tropical_trace` gives the
+point of the trace at one parameter value, and `trace_path_image` clips
+the whole path into canonical pieces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from math import gcd
 
 from .errors import (
@@ -69,6 +74,7 @@ from .spines import (
     _edge,
     _outgoing,
     _point_key,
+    _unused_ids,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -185,11 +191,6 @@ class ExtensionResult:
         _set(self, "extended", extended)
         _set(self, "curve_class", curve_class)
         _set(self, "steps", steps)
-
-
-def _unused_ids(tree: TropicalTree, prefix: str):
-    """prefix1, prefix2, ... skipping the ids of `tree`, in order."""
-    return (f"{prefix}{k}" for k in count(1) if f"{prefix}{k}" not in tree)
 
 
 def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
@@ -450,24 +451,6 @@ def _del_pezzo_cones():
     return tuple(zip((3, 0, 1, 2), walls, walls[1:]))
 
 
-@value_class("t", "point")
-class TracePoint:
-    """One sample of the family trace: parameter value and its image.
-
-    Raises InvalidArgument unless `t` is rational (see `is_rational`) and
-    `point` a `BasePoint`.
-    """
-
-    __slots__ = ("t", "point")
-
-    def __init__(self, t: Fraction, point: BasePoint):
-        if not (is_rational(t) and isinstance(point, BasePoint)):
-            raise InvalidArgument(f"trace point needs a rational t and a BasePoint, got "
-                                  f"{brief(t)}, {brief(point)}")
-        _set(self, "t", t)
-        _set(self, "point", point)
-
-
 def _family_height(l, m, n, b) -> Fraction:
     """`b` as a `Fraction`, once l, m, n are ints with l >= 1 and b rational."""
     if not (is_int(l) and is_int(m) and is_int(n) and is_rational(b)):
@@ -484,7 +467,10 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
     In the developed picture the trace is (l*t, b + m*t - n*min(0, t));
     the result is converted to canonical cone coordinates in a cone that
     holds it.  This is a verification oracle on the developed walls of the
-    four-cone base from `develop`.
+    four-cone base from `develop`, and the one sampler of the trace: the
+    command line calls it once for each parameter value.  Raises
+    InvalidArgument unless l, m, n are ints and b, t rational (see
+    `is_int`, `is_rational`), and InvalidQuery unless l >= 1.
     """
     b = _family_height(l, m, n, b)
     if not is_rational(t):
@@ -498,13 +484,6 @@ def tropical_trace(l: int, m: int, n: int, b, t) -> BasePoint:
         x, y = _det(p, w1), _det(w0, p)
         if x >= 0 and y >= 0:
             return del_pezzo_base()._point(cone, x, y, den)
-
-
-def trace_points(l: int, m: int, n: int, b, ts) -> list[TracePoint]:
-    """Trace samples at each parameter value in `ts`."""
-    if not isinstance(ts, (list, tuple)) or not all(map(is_rational, ts)):
-        raise InvalidArgument(f"trace needs a list of rational t, got {brief(ts)}")
-    return [TracePoint(Fraction(t), tropical_trace(l, m, n, b, t)) for t in ts]
 
 
 def family_spine(l: int, m: int, n: int, b) -> TropicalTree:

@@ -177,10 +177,6 @@ class BasePoint:
     def is_origin(self) -> bool:
         return self.cone is None
 
-    @property
-    def on_wall(self) -> bool:
-        return self.cone is not None and self.B == 0
-
 
 _new_point = BasePoint.__new__
 
@@ -285,7 +281,10 @@ class CurveClass:
     `is_int`) in any order and stores the canonical form: sorted by index,
     a repeated index summed, zero totals dropped (an absent index means
     zero; `CurveClass()` is the zero class).  Raises InvalidArgument on
-    anything else or a negative total.
+    anything else or a negative total.  The constructor is the one way in
+    and `coeffs` the one way out: the class of a mapping `d` is
+    `CurveClass(tuple(d.items()))`, its mapping `dict(cc.coeffs)`, a sum
+    `CurveClass(a.coeffs + b.coeffs)`, and the zero class has no `coeffs`.
     """
 
     __slots__ = ("coeffs",)
@@ -301,30 +300,6 @@ class CurveClass:
         if any(v < 0 for v in acc.values()):
             raise InvalidArgument("curve class multiplicities must be >= 0")
         _set(self, "coeffs", tuple(sorted((k, v) for k, v in acc.items() if v)))
-
-    @classmethod
-    def of(cls, mapping: dict[int, int]) -> "CurveClass":
-        """The class of {divisor index: multiplicity}.  Raises
-        InvalidArgument unless `mapping` is a dict of ints (see `is_int`)
-        with every multiplicity >= 0."""
-        if not (isinstance(mapping, dict)
-                and all(is_int(k) and is_int(v) for k, v in mapping.items())):
-            raise InvalidArgument(
-                f"curve class needs a dict of int multiplicities, got {brief(mapping)}")
-        return cls(tuple(mapping.items()))
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        """The sum of two classes; InvalidArgument unless `other` is one."""
-        if type(other) is not CurveClass:
-            raise InvalidArgument(f"curve class sum needs a CurveClass, got {brief(other)}")
-        return CurveClass(self.coeffs + other.coeffs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 @value_class("pair")
@@ -419,8 +394,10 @@ class TropicalBase:
         (u, v) -> (v - d*u, -u), that of `forward_matrix`, with d the
         self-intersection of wall `wall`; from cone wall it is the inverse
         (u, v) -> (-v, u - d*v).  Both are applied in integers, with no
-        matrix built.  Raises WrongHomeCone if `vec` lives in neither cone,
-        and InvalidArgument unless `vec` is a `TangentVector` and `wall` an int.
+        matrix built.  `wall` and the cone of `vec` are both read modulo l,
+        as edge cones are.  Raises WrongHomeCone if `vec` lives in neither
+        cone, and InvalidArgument unless `vec` is a `TangentVector` and
+        `wall` an int.
         """
         if type(vec) is not TangentVector or not is_int(wall):
             raise InvalidArgument(f"transport needs a TangentVector and an int wall, got "
@@ -429,9 +406,10 @@ class TropicalBase:
         wall %= l
         d = self.pair.self_intersections[wall]
         u, v = vec.u, vec.v
-        if vec.cone == (wall - 1) % l:
+        cone = vec.cone % l
+        if cone == (wall - 1) % l:
             return TangentVector(wall, v - d * u, -u)
-        if vec.cone == wall:
+        if cone == wall:
             return TangentVector((wall - 1) % l, -v, u - d * v)
         raise WrongHomeCone(
             f"transport across wall {wall} needs home cone {(wall - 1) % l} "

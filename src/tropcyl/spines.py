@@ -11,6 +11,7 @@ parameter length, as the coprime integers (N, D), so that head = tail +
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from operator import attrgetter
 
 from .errors import (
@@ -220,6 +221,13 @@ _edge_key = attrgetter("tail", "head")
 make_tree = TropicalTree
 
 
+def _unused_ids(tree: TropicalTree, prefix: str):
+    """prefix1, prefix2, ... skipping the ids of `tree`, in order: the one
+    rule that names every fresh vertex (s for a subdivision, x for an
+    extension step, o for a leg's origin end)."""
+    return (f"{prefix}{k}" for k in count(1) if f"{prefix}{k}" not in tree)
+
+
 @value_class("tree", "legs")
 class CylinderInB:
     """Cylinder body in the base: an extended spine plus legs to the origin.
@@ -255,12 +263,14 @@ class CylinderInBTilde:
 
     Adds an integer slope per edge (relative to the edge tail) and a
     rational height per vertex for the extra affine coordinate; slopes
-    vanish exactly on the legs.  Raises InvalidArgument unless `cylinder`
-    is a `CylinderInB`, `slopes` a tuple of (edge key, int) pairs and
-    `heights` a tuple of (str id, rational) pairs.
+    vanish exactly on the legs.  `dict(z.slopes)` maps each edge key to
+    its slope and `dict(z.heights)` each vertex id to its height.  Raises
+    InvalidArgument unless `cylinder` is a `CylinderInB`, `slopes` a tuple
+    of (edge key, int) pairs and `heights` a tuple of (str id, rational)
+    pairs.
     """
 
-    __slots__ = ("cylinder", "slopes", "heights", "_slope_of", "_height_of")
+    __slots__ = ("cylinder", "slopes", "heights")
 
     def __init__(self, cylinder: CylinderInB,
                  slopes: tuple[tuple[tuple[str, str], int], ...],
@@ -278,21 +288,6 @@ class CylinderInBTilde:
         _set(self, "cylinder", cylinder)
         _set(self, "slopes", slopes)
         _set(self, "heights", heights)
-        _set(self, "_slope_of", dict(slopes))
-        _set(self, "_height_of", dict(heights))
-
-    def slope(self, key: tuple[str, str]) -> int:
-        if not _is_key(key):
-            raise InvalidArgument(f"slope needs an edge key of two str ids, got {brief(key)}")
-        if key in self._slope_of:
-            return self._slope_of[key]
-        raise StructuralError(f"no slope for edge {brief(key)}")
-
-    def height(self, vid: str) -> Fraction:
-        _check_id(vid, "height")
-        if vid in self._height_of:
-            return self._height_of[vid]
-        raise StructuralError(f"no height for vertex {brief(vid)}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +619,6 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
 # canonical images
 
 
-def _tree_of(z) -> TropicalTree:
-    if isinstance(z, CylinderInBTilde):
-        return z.cylinder.tree
-    if isinstance(z, CylinderInB):
-        return z.tree
-    if isinstance(z, TropicalTree):
-        return z
-    raise InvalidArgument(f"canonical image needs a tree or a cylinder, got {brief(z)}")
-
-
 def _point_key(p: BasePoint):
     if p.is_origin:
         return (-1, ZERO, ZERO)
@@ -680,10 +665,11 @@ def _erasable(tree: TropicalTree, vid: str) -> bool:
     return su == sv == 0
 
 
-def canonical_image(z) -> CanonicalImage:
-    """The image of a `TropicalTree`, `CylinderInB` or `CylinderInBTilde`
-    (else InvalidArgument)."""
-    tree = _tree_of(z)
+def canonical_image(tree: TropicalTree) -> CanonicalImage:
+    """The image of a `TropicalTree` (else InvalidArgument).  A cylinder's
+    image is that of `cyl.tree`, and its path's that of `cyl.path_part()`."""
+    if type(tree) is not TropicalTree:
+        raise InvalidArgument(f"canonical image needs a TropicalTree, got {brief(tree)}")
     # Erasing a vertex leaves the cone and the exact direction of the edge
     # at each neighbour as they were, so the erasable vertices can be read
     # off the tree once; each maximal run through them becomes one piece.
@@ -715,9 +701,9 @@ def canonical_image(z) -> CanonicalImage:
     return CanonicalImage(tuple(sorted(pieces)))
 
 
-def images_equal(z1, z2) -> bool:
+def images_equal(t1: TropicalTree, t2: TropicalTree) -> bool:
     """Whether two mapped trees have the same image point set."""
-    return canonical_image(z1) == canonical_image(z2)
+    return canonical_image(t1) == canonical_image(t2)
 
 
 # ---------------------------------------------------------------------------
@@ -725,19 +711,18 @@ def images_equal(z1, z2) -> bool:
 
 
 def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
-                   t: Fraction, new_id: str | None = None) -> TropicalTree:
+                   t: Fraction) -> TropicalTree:
     """Split a bounded edge at parameter fraction t in (0, 1).
 
     The new vertex is balanced and collinear, so the image is unchanged.
-    Raises InvalidArgument unless `base` is a `TropicalBase`, `tree` a
-    `TropicalTree`, `key` a tuple of two str ids, `t` rational (see
-    `is_rational`) and `new_id` None or a str.
+    It takes the first id of s1, s2, ... that `tree` does not use
+    (`_unused_ids`); `relabel` renames it.  Raises InvalidArgument unless
+    `base` is a `TropicalBase`, `tree` a `TropicalTree`, `key` a tuple of
+    two str ids and `t` rational (see `is_rational`).
     """
     _check_objects(base, tree, "subdivide_edge")
     if not _is_key(key):
         raise InvalidArgument(f"edge key must be a tuple of two str ids, got {brief(key)}")
-    if new_id is not None:
-        _check_id(new_id, "subdivide_edge")
     if not is_rational(t):
         raise InvalidArgument(f"subdivision parameter must be rational, got {brief(t)}")
     if not 0 < t < 1:
@@ -745,11 +730,7 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     target = next((e for e in tree.incident(key[0]) if (e.tail, e.head) == key), None)
     if target is None or target.is_ray:
         raise StructuralError(f"no bounded edge {brief(key)}")
-    if new_id is None:
-        k = 0
-        while f"s{k}" in tree:
-            k += 1
-        new_id = f"s{k}"
+    fresh = next(_unused_ids(tree, "s"))
     tail = tree.position(target.tail)
     tc = None if tail is None else base.coords_in_cone(tail, target.cone)
     if tc is None:
@@ -759,11 +740,11 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     mid = base.point(target.cone,
                      tc[0] + t * target.length * du,
                      tc[1] + t * target.length * dv)
-    vertices = list(tree.vertices) + [Vertex(new_id, mid)]
+    vertices = list(tree.vertices) + [Vertex(fresh, mid)]
     edges = [e for e in tree.edges if e is not target]
-    edges.append(Edge(target.tail, new_id, target.cone,
+    edges.append(Edge(target.tail, fresh, target.cone,
                       target.direction, t * target.length))
-    edges.append(Edge(new_id, target.head, target.cone,
+    edges.append(Edge(fresh, target.head, target.cone,
                       target.direction, (1 - t) * target.length))
     return TropicalTree(vertices, edges, tree.boundary)
 

@@ -27,10 +27,12 @@ class SparseLaurentSeries:
 
     Stored as integer numerators `num`, a dict from (power of x, power of y)
     to a nonzero int, over one positive `den`, with gcd(den, *num) = 1.
-    `terms` reads them out as the sorted ((i, j), Fraction) pairs, and `==`
-    compares the integers.  The constructor sums a tuple or list of such
-    pairs (int or Fraction coefficients), and raises InvalidArgument on
-    anything else.
+    A series is read through `terms`, `num` and `den`: `terms` gives the
+    sorted ((i, j), Fraction) pairs, so `dict(s.terms)` maps each power to
+    its coefficient, and `==` compares the integers.  The constructor sums
+    a tuple or list of such pairs (int or Fraction coefficients), and
+    raises InvalidArgument on anything else; `from_dict` takes a dict of
+    them and `monomial` builds x^i y^j.
     """
 
     __slots__ = ("num", "den")
@@ -55,8 +57,9 @@ class SparseLaurentSeries:
         return cls(tuple(d.items()))
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff=1) -> "SparseLaurentSeries":
-        return cls((((i, j), coeff),))
+    def monomial(cls, i: int, j: int) -> "SparseLaurentSeries":
+        """x^i y^j; InvalidArgument unless i, j are ints."""
+        return cls((((i, j), 1),))
 
     def __eq__(self, other):
         if other.__class__ is SparseLaurentSeries:
@@ -67,15 +70,6 @@ class SparseLaurentSeries:
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         den = self.den
         return tuple((k, Fraction(v, den)) for k, v in sorted(self.num.items()))
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        """The coefficient of x^i y^j; InvalidArgument unless i, j are ints."""
-        if not (is_int(i) and is_int(j)):
-            raise InvalidArgument(f"coefficient needs int powers, got {brief(i)}, {brief(j)}")
-        return Fraction(self.num.get((i, j), 0), self.den)
 
     def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
         """Exact coefficientwise sum; InvalidArgument unless `other` is a

@@ -98,7 +98,8 @@ def eager_extend(base, spine, max_steps):
                 ends[side] = (x, point, cone, u, v)
             steps += 1
         side = 1 - side
-    return ExtensionResult(make_tree(vertices, edges, boundary), CurveClass.of(total), steps)
+    return ExtensionResult(make_tree(vertices, edges, boundary),
+                           CurveClass(tuple(total.items())), steps)
 
 
 def fraction_ends_match(tc, hc, length, direction) -> bool:

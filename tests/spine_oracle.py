@@ -38,7 +38,7 @@ def _to_canonical_cone(base, pos, vec):
     target = pos.cone
     if vec.cone == target:
         return vec
-    if pos.on_wall and (vec.cone + 1) % base.l == target:
+    if pos.cone is not None and pos.B == 0 and (vec.cone + 1) % base.l == target:
         return matrix_transport(base, vec, target)
     raise StructuralError(
         f"edge cone {vec.cone} is not adjacent to the vertex in cone {target}")

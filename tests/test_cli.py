@@ -584,7 +584,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class TestProcess:
     """`python -m tropcyl.cli` run as its own process, which covers `main`,
     `sys.exit` and the flush of stdout at exit: the stdout bytes and the
-    exit code of a success, a domain error and a malformed spine file."""
+    exit code of a success, a domain error, a malformed spine file and
+    input files that are not readable JSON."""
 
     def _run(self, argv):
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -609,3 +610,19 @@ class TestProcess:
         assert out.returncode == 2
         assert out.stdout == b""
         assert out.stderr.startswith(b"tropcyl: ")
+
+    @pytest.mark.parametrize("content", [
+        b'\xff{"self_intersections": [0, -1, 0, 0]}',
+        b"[" * 100_000,
+        b'{"self_intersections": [' + b"9" * 4301 + b"]}",
+    ], ids=["not-utf-8", "deeper-than-recursion-limit", "int-of-4301-digits"])
+    @pytest.mark.parametrize("command", ["base", "validate", "extend"])
+    def test_unreadable_json_file_exit_2(self, tmp_path, command, content):
+        # each used to end in a bare traceback, with exit 1 and no report
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = self._run([command, str(bad)] if command == "base"
+                        else [command, "dp.json", str(bad)])
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert out.stderr.startswith(b"tropcyl: ") and out.stderr.count(b"\n") == 1

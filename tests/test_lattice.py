@@ -107,14 +107,15 @@ class TestPoints:
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(InvalidArgument):
-            CurveClass.of({0: -1})
+            CurveClass(((0, -1),))
 
     def test_curve_class_constructor_stores_the_canonical_form(self):
         # the constructor used to store its pairs as given
-        assert CurveClass(((1, 1), (0, 1))) == CurveClass.of({0: 1, 1: 1})
+        assert CurveClass(((1, 1), (0, 1))) == CurveClass(tuple({0: 1, 1: 1}.items()))
         assert CurveClass(((2, 1), (0, 3), (2, 2), (1, 0))).coeffs == ((0, 3), (2, 3))
         assert CurveClass(((0, 2), (0, -2))) == CurveClass()
-        assert CurveClass.of({0: 1}) + CurveClass(((0, 2),)) == CurveClass(((0, 3),))
+        a, b = CurveClass(((0, 1),)), CurveClass(((0, 2),))
+        assert CurveClass(a.coeffs + b.coeffs) == CurveClass(((0, 3),))
 
     @pytest.mark.parametrize("coeffs", [
         None, ((0, -3),), ((0, 1), (0, -2)), ((0, 1.5),), (("a", 1),), ((True, 1),),
@@ -169,6 +170,18 @@ class TestTransport:
             del_pezzo.transport(TangentVector(2, 1, 0), 1)
         with pytest.raises(WrongHomeCone, match="needs home cone 3 or 0, got 1"):
             del_pezzo.transport(TangentVector(1, 1, 0), 4)
+
+    def test_home_cone_counts_modulo_l(self, del_pezzo):
+        # edge cones count modulo l (`_coords`, `_outgoing`), and so does a
+        # vector's home cone: cone c + l transports like cone c on every wall
+        moved = 0
+        for wall, cone in product(range(4), range(4)):
+            got = outcome(del_pezzo.transport, TangentVector(cone, 2, -1), wall)
+            for shift in (4, 8, -4):
+                shifted = TangentVector(cone + shift, 2, -1)
+                assert outcome(del_pezzo.transport, shifted, wall)[:2] == got[:2]
+            moved += got[0] == "value"
+        assert moved == 8
 
     def test_roundtrip_exhaustive_small(self):
         # across a wall and back is the identity on all small vectors

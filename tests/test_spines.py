@@ -363,8 +363,8 @@ class TestBalancing:
     def test_opposite_pair(self, del_pezzo):
         s = two_vertex_spine(del_pezzo, del_pezzo.point(0, 1, 2),
                              del_pezzo.point(0, 2, 4), 0, (1, 2), 1)
-        mid = subdivide_edge(del_pezzo, s, ("a", "b"), F(1, 2), "m")
-        assert is_balanced(del_pezzo, mid, "m")
+        mid = subdivide_edge(del_pezzo, s, ("a", "b"), F(1, 2))
+        assert is_balanced(del_pezzo, mid, "s1")
 
     def test_three_way(self, del_pezzo):
         center = del_pezzo.point(0, 2, 2)
@@ -448,6 +448,14 @@ class TestCanonicalImage:
         sub = subdivide_edge(del_pezzo, s, ("v0", "v2"), F(1, 3))
         assert images_equal(s, sub)
         assert canonical_image(s) == canonical_image(sub)
+
+    def test_new_vertex_takes_the_first_free_s_id(self, del_pezzo):
+        # the naming rule of every fresh vertex: s1, s2, ... past the ids in use
+        s = relabel(tc.family_spine(3, 1, 2, 1), {"v1": "s1"})
+        once = subdivide_edge(del_pezzo, s, ("v0", "v2"), F(1, 3))
+        twice = subdivide_edge(del_pezzo, once, ("s2", "v2"), F(1, 2))
+        assert [v.id for v in twice.vertices] == ["s1", "s2", "s3", "v0", "v2"]
+        assert images_equal(s, twice)
 
     def test_relabel_invariant(self, del_pezzo):
         s = tc.family_spine(2, -1, 1, F(3, 2))
@@ -656,8 +664,9 @@ def _star(base, cone, a, b, arms):
     two arm ends are the boundary; None if an arm leaves its cone."""
     centre = base.point(cone, a, b)
     vertices, edges = [Vertex("c", centre)], []
+    on_wall = centre.cone is not None and centre.B == 0
     for i, (below, u, v) in enumerate(arms):
-        home = centre.cone - 1 if below and centre.on_wall else centre.cone
+        home = centre.cone - 1 if below and on_wall else centre.cone
         pa, pb = base.coords_in_cone(centre, home)
         qa, qb = pa + ARM * u, pb + ARM * v
         if qa < 0 or qb < 0 or (u, v) == (0, 0):

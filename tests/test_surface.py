@@ -1,11 +1,12 @@
 """The supported surface: `tropcyl.__all__` is exactly what the package
 exports, it covers every name the benchmark and the acceptance suite
-import from the package, and the README library example runs as stated."""
+import from the package, every public method of its value classes has a
+supported caller, and the README library example runs as stated."""
 
 import ast
 import re
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import tropcyl
 
@@ -118,3 +119,44 @@ def test_every_definition_is_exported_or_used():
     unused = {name: sorted(_module_level_names(tree) - used)
               for name, tree in modules.items()}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# Public methods kept only because tests compare against them: each is
+# named by a reference in tests/*oracle*.py.
+REFERENCES = {"TropicalBase.transport", "TropicalBase.forward_matrix",
+              "IntMatrix2.apply", "IntMatrix2.inverse"}
+
+
+def _attributes(source: str) -> set[str]:
+    """Every name that `source` looks up as an attribute."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def _public_methods() -> set[str]:
+    """`Class.name` for each public method, property and classmethod that a
+    class of `tropcyl.__all__`, other than an error class, defines itself.
+    Dunder operators are left out: their use is not spelled by name."""
+    classes = {value for value in map(vars(tropcyl).get, tropcyl.__all__)
+               if isinstance(value, type) and not issubclass(value, Exception)}
+    return {f"{cls.__name__}.{name}" for cls in classes
+            for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and isinstance(value, (FunctionType, property, classmethod, staticmethod))}
+
+
+def test_every_public_method_has_a_supported_caller():
+    # a public method that only its own tests call is a second way to a
+    # value: delete it, or keep it as a reference that an oracle names
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"]]
+    used = set().union(*map(_attributes, sources + [_library_example()]))
+    methods = _public_methods()
+    assert {"TropicalTree.edge", "SparseLaurentSeries.terms"} <= methods
+    assert sorted(m for m in methods - REFERENCES if m.split(".")[1] not in used) == []
+    oracles = set().union(*(_attributes(path.read_text(encoding="utf-8"))
+                            for path in (ROOT / "tests").glob("*oracle*.py")))
+    assert sorted(m for m in REFERENCES if m.split(".")[1] not in oracles) == []
+    assert REFERENCES <= methods

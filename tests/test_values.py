@@ -50,7 +50,7 @@ EXAMPLES = {
                       lambda: tc.TangentVector(0, 2, -1)),
     "IntMatrix2": (lambda: tc.IntMatrix2(1, 0, 0, 1),
                    lambda: tc.monodromy(tc.build_base((-2, -2, -2, -2)))),
-    "CurveClass": (tc.CurveClass, lambda: tc.CurveClass.of({1: 2, 3: 1})),
+    "CurveClass": (tc.CurveClass, lambda: tc.CurveClass(((3, 1), (1, 2)))),
     "TropicalBase": (_dp, lambda: tc.build_base((1, 1, 1))),
     "Vertex": (lambda: tc.Vertex("a", None), lambda: tc.Vertex("a", ORIGIN),
                lambda: tc.Vertex("b", tc.BasePoint(1, F(1, 2)))),
@@ -68,11 +68,9 @@ EXAMPLES = {
                        lambda: tc.trace_path_image(2, 0, 1, F(1))),
     "ExtensionResult": (lambda: tc.extend(_dp(), _spine(F(1))),
                         lambda: tc.extend(_dp(), _spine(F(3, 2)))),
-    "TracePoint": (lambda: tc.trace_points(2, 0, 1, F(1), [F(1, 2)])[0],
-                   lambda: tc.trace_points(2, 0, 1, F(1), [1])[0]),
     "SparseLaurentSeries": (
         tc.SparseLaurentSeries,
-        lambda: tc.SparseLaurentSeries.monomial(2, 1, 3),
+        lambda: tc.SparseLaurentSeries((((2, 1), 3),)),
         lambda: tc.SparseLaurentSeries.from_dict({(0, -1): F(1, 2), (2, 0): F(-2, 3)}),
         lambda: tc.focus_focus_apply(tc.SparseLaurentSeries.monomial(3, 0))),
     "CountQuery": (lambda: tc.CountQuery(5, 0, 2), lambda: tc.CountQuery(5, 0, 3)),
@@ -81,7 +79,6 @@ EXAMPLES = {
 DERIVED = {
     "TropicalBase": ("l",),
     "TropicalTree": ("_vertex_of", "_incident"),
-    "CylinderInBTilde": ("_slope_of", "_height_of"),
 }
 
 

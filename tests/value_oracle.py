@@ -140,12 +140,6 @@ class ExtensionResult:
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    t: Fraction
-    point: BasePoint
-
-
-@dataclass(frozen=True)
 class SparseLaurentSeries:
     terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()
 
@@ -167,7 +161,7 @@ class CountQuery:
 REFERENCES = {cls.__name__: cls for cls in (
     LooijengaPair, BasePoint, TangentVector, IntMatrix2, CurveClass, TropicalBase,
     Vertex, Edge, TropicalTree, CylinderInB, CylinderInBTilde, Violation,
-    CanonicalImage, ExtensionResult, TracePoint, SparseLaurentSeries,
+    CanonicalImage, ExtensionResult, SparseLaurentSeries,
     CountQuery)}
 
 
