@@ -153,9 +153,21 @@ def cmd_symmetry(args) -> int:
     return 0 if symmetric else 1
 
 
+# The most digits `tropcyl trace` takes in l, m, n and in the numerator and
+# denominator of --b and of each --t value.  With every input at the cap,
+# the report's integers have at most 3001 digits, within the 4300 that
+# `str` of an int writes.
+TRACE_DIGITS = 1000
+
+
 def cmd_trace(args) -> int:
     b = parse_frac(args.b)
     ts = [parse_frac(x) for x in args.t.split(",") if x]
+    cap = 10 ** TRACE_DIGITS
+    if any(abs(x) >= cap for x in (args.l, args.m, args.n, b.numerator, b.denominator,
+                                   *(y for t in ts for y in (t.numerator, t.denominator)))):
+        raise InvalidQuery(f"trace takes l, m, n and the numerators and denominators "
+                           f"of --b and --t of at most {TRACE_DIGITS} digits")
     points = [point_to_json({"t": frac_to_str(t)},
                             tropical_trace(args.l, args.m, args.n, b, t))
               for t in ts]
@@ -222,9 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", required=True, help="height p/q of the central vertex")
+    digits = f"p and q of at most {TRACE_DIGITS} digits"
+    p.add_argument("--b", required=True, help=f"height p/q of the central vertex, {digits}")
     p.add_argument("--t", required=True,
-                   help="comma-separated parameter values p/q; use the "
+                   help=f"comma-separated parameter values p/q, {digits}; use the "
                         "--t=-1,0,1/2 form for a leading negative value")
     p.set_defaults(func=cmd_trace)
 

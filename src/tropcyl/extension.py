@@ -102,7 +102,7 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     direction there, then the wall hit, the hit point and the parameter
     length as the coprime integers (N, D) of `Edge.ratio`, all three None
     unless kind is "wall".  A wall start is first carried across the wall
-    the ray enters, by the inline transport of `TropicalBase.transport`.
+    the ray enters, by `TropicalBase._cross`.
 
     The start's cone coordinates are read as integers (a/q, b/q), so the
     wall parameters ta = a/(q*-u) and tb = b/(q*-v) are compared by the
@@ -130,14 +130,11 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
 
     if b == 0 and v < 0:
         # start on the cone's first wall, pointing across it: backward
-        d = base.pair.self_intersections[cone]
-        cone, u, v = (cone - 1) % l, -v, u - d * v
+        cone, u, v = base._cross(cone, cone, u, v)
         a, b = 0, a
     elif a == 0 and u < 0:
         # start on the cone's second wall, pointing across it: forward
-        cone = (cone + 1) % l
-        d = base.pair.self_intersections[cone]
-        u, v = v - d * u, -u
+        cone, u, v = base._cross(cone + 1, cone, u, v)
         a, b = b, 0
 
     if u >= 0 and v >= 0:

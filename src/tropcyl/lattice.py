@@ -2,13 +2,14 @@
 
 The base is a fan of `l` two-dimensional cones glued cyclically along rays
 (walls), with an integral affine structure away from the origin.  Crossing
-wall i transports tangent vectors by a determinant-1 integer matrix that
-depends on the self-intersection number of the i-th boundary component.
-All coordinates are exact and integral: a tangent vector is an integer
-pair, and a point of a cone is an integer pair over one common positive
-denominator, so every test on points compares integers.  `Fraction`
-appears only where a coordinate is read out as a rational.  No floats
-anywhere.
+wall i carries tangent vectors by a determinant-1 integral linear map that
+depends on the self-intersection number of the i-th boundary component;
+`TropicalBase._cross` is that map, in integers, and `transport`, the spine
+checks and the ray cast all cross walls through it.  All coordinates are
+exact and integral: a tangent vector is an integer pair, and a point of a
+cone is an integer pair over one common positive denominator, so every
+test on points compares integers.  `Fraction` appears only where a
+coordinate is read out as a rational.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ class TangentVector:
 
 @value_class("a", "b", "c", "d")
 class IntMatrix2:
-    """Row-major 2x2 integer matrix.  Raises InvalidArgument unless every
+    """Row-major 2x2 integer matrix: the value of `monodromy`, read through
+    `trace`, `is_identity` and `rows`.  Raises InvalidArgument unless every
     entry is an int (see `is_int`)."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -234,36 +236,8 @@ class IntMatrix2:
         _set(self, "c", c)
         _set(self, "d", d)
 
-    def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        """The product; InvalidArgument unless `other` is an IntMatrix2."""
-        if type(other) is not IntMatrix2:
-            raise InvalidArgument(f"matrix product needs an IntMatrix2, got {brief(other)}")
-        return IntMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, u: int, v: int) -> tuple[int, int]:
-        """The image of (u, v); InvalidArgument unless both are ints."""
-        if not (is_int(u) and is_int(v)):
-            raise InvalidArgument(f"matrix needs an int vector, got {brief(u)}, {brief(v)}")
-        return (self.a * u + self.b * v, self.c * u + self.d * v)
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def trace(self) -> int:
         return self.a + self.d
-
-    def inverse(self) -> "IntMatrix2":
-        det = self.det()
-        if det == 1:
-            return IntMatrix2(self.d, -self.b, -self.c, self.a)
-        if det == -1:
-            return IntMatrix2(-self.d, self.b, self.c, -self.a)
-        raise ZeroVector(f"matrix with determinant {brief(det)} is not invertible over Z")
 
     @property
     def is_identity(self) -> bool:
@@ -382,38 +356,38 @@ class TropicalBase:
 
     # -- transports ------------------------------------------------------
 
-    def forward_matrix(self, wall: int) -> IntMatrix2:
-        """Transport matrix across wall i, from cone i-1 into cone i."""
-        d = self.pair[wall]
-        return IntMatrix2(-d, 1, -1, 0)
-
     def transport(self, vec: TangentVector, wall: int) -> TangentVector:
-        """Re-express `vec` across wall `wall`, from the side it lives on.
-
-        From cone wall-1 (l >= 3, so it is not cone wall) the map is
-        (u, v) -> (v - d*u, -u), that of `forward_matrix`, with d the
-        self-intersection of wall `wall`; from cone wall it is the inverse
-        (u, v) -> (-v, u - d*v).  Both are applied in integers, with no
-        matrix built.  `wall` and the cone of `vec` are both read modulo l,
-        as edge cones are.  Raises WrongHomeCone if `vec` lives in neither
-        cone, and InvalidArgument unless `vec` is a `TangentVector` and
-        `wall` an int.
+        """Re-express `vec` across wall `wall`, from the side it lives on:
+        the checked view of `_cross`.  Raises WrongHomeCone if `vec` lives
+        in neither cone of the wall, and InvalidArgument unless `vec` is a
+        `TangentVector` and `wall` an int.
         """
         if type(vec) is not TangentVector or not is_int(wall):
             raise InvalidArgument(f"transport needs a TangentVector and an int wall, got "
                                   f"{brief(vec)}, {brief(wall)}")
+        return TangentVector(*self._cross(wall, vec.cone, vec.u, vec.v))
+
+    def _cross(self, wall: int, cone: int, u: int, v: int) -> tuple[int, int, int]:
+        """(cone', u', v'): the int vector (u, v) of cone `cone` carried
+        across wall `wall` into the other cone of the wall, unchecked.
+
+        With d the self-intersection of the wall, the map from cone wall-1
+        (l >= 3, so it is not cone wall) is (u, v) -> (v - d*u, -u), of
+        determinant 1, and from cone wall its inverse (u, v) -> (-v, u - d*v).
+        `wall` and `cone` are both read modulo l, as edge cones are.
+        Raises WrongHomeCone if `cone` is neither cone of the wall.
+        """
         l = self.l
         wall %= l
         d = self.pair.self_intersections[wall]
-        u, v = vec.u, vec.v
-        cone = vec.cone % l
-        if cone == (wall - 1) % l:
-            return TangentVector(wall, v - d * u, -u)
-        if cone == wall:
-            return TangentVector((wall - 1) % l, -v, u - d * v)
+        home = cone % l
+        if home == (wall - 1) % l:
+            return wall, v - d * u, -u
+        if home == wall:
+            return (wall - 1) % l, -v, u - d * v
         raise WrongHomeCone(
             f"transport across wall {wall} needs home cone {(wall - 1) % l} "
-            f"or {wall}, got {brief(vec.cone)}")
+            f"or {wall}, got {brief(cone)}")
 
 
 def _as_pair(pair) -> LooijengaPair:
@@ -487,9 +461,12 @@ def fan_closure(pair: LooijengaPair):
 
 
 def intersection_matrix(pair: LooijengaPair):
-    """Symmetric l x l matrix: d_i on the diagonal, 1 for cyclic neighbours."""
+    """Symmetric l x l matrix: d_i on the diagonal, 1 for cyclic neighbours.
+    Raises InvalidQuery if l > L_MAX, since the matrix has l^2 entries."""
     pair = _as_pair(pair)
     l = len(pair)
+    if l > L_MAX:
+        raise InvalidQuery(f"intersection matrix is capped at l = {L_MAX}, got {l}")
     m = [[0] * l for _ in range(l)]
     for i in range(l):
         m[i][i] = pair[i]

@@ -427,8 +427,7 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
     """(edge, u, v) for each edge at `vid`, in incident order: the edge's
     direction pointing away from `vid`, as ints in the canonical cone of
     `pos` (wall points live in the higher-indexed neighbour, so an edge
-    from the lower cone is carried across the wall by the inline transport
-    (u, v) -> (v - d*u, -u) of `TropicalBase.transport`).
+    from the lower cone is carried across the wall by `TropicalBase._cross`).
 
     This is the one rule that orients an edge at a vertex: the stored
     direction at the tail, negated at the head, none at a ray's infinite
@@ -446,8 +445,7 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
         if e.cone != target:
             cone = e.cone % base.l
             if pos.B == 0 and (cone + 1) % base.l == target:
-                d = base.pair.self_intersections[target]
-                u, v = v - d * u, -u
+                _, u, v = base._cross(target, cone, u, v)
             elif cone != target:
                 raise StructuralError(
                     f"edge cone {brief(e.cone)} is not adjacent to the vertex in cone "

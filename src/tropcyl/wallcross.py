@@ -12,6 +12,7 @@ counts against `math.comb`, which shares no code with the running binomials.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -212,9 +213,10 @@ def count_table(l_max: int, m_values) -> dict:
     if l_max > ORACLE_L_MAX:
         raise InvalidQuery(
             f"table is capped at l_max = {ORACLE_L_MAX}, got {brief(l_max)}")
-    if not 1 <= len(m_values) <= TABLE_M_VALUES:
-        raise InvalidQuery(
-            f"table needs 1 to {TABLE_M_VALUES} m values, got {len(m_values)}")
+    if not m_values or m_values[TABLE_M_VALUES:]:
+        # sized by slices: len() of a range past sys.maxsize raises OverflowError
+        size = f"more than {sys.maxsize}" if m_values[sys.maxsize:] else len(m_values)
+        raise InvalidQuery(f"table needs 1 to {TABLE_M_VALUES} m values, got {size}")
     if not all(map(is_int, m_values)):
         raise InvalidArgument(f"table needs int m values, got {brief(m_values)}")
     expected = [[comb(l, n) for n in range(l + 1)] for l in range(l_max + 1)]

@@ -1,8 +1,11 @@
-"""Test-only references for the integer spine path: the transport through
-`forward_matrix`, the orientation of an edge at a vertex as one
-`TangentVector` (`direction_at`), the direction sum through it, and the
-two-pass spine conditions, as the engine computed them before the
-outgoing directions were read once per vertex, as plain ints."""
+"""Test-only references for the integer spine path: wall crossing as
+2x2 integer matrix algebra on plain int 4-tuples (the wall matrix, its
+product, inverse and action), the transport through it, the orientation
+of an edge at a vertex as one `TangentVector` (`direction_at`), the
+direction sum through it, and the two-pass spine conditions, as the
+engine computed them before the outgoing directions were read once per
+vertex, as plain ints.  The matrices share no code with
+`TropicalBase._cross`, the one wall map of the engine."""
 
 from tropcyl import OriginVertex, StructuralError, TangentVector, WrongHomeCone
 from tropcyl.spines import Violation, is_outward_radial
@@ -20,17 +23,47 @@ def direction_at(edge, vid):
     raise StructuralError(f"vertex {vid!r} is not an endpoint of the edge")
 
 
+def wall_matrix(d):
+    """Row-major (a, b, c, d) of the crossing from cone i-1 into cone i of
+    a wall of self-intersection d: [[-d, 1], [-1, 0]]."""
+    return (-d, 1, -1, 0)
+
+
+def mat_mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def mat_det(m):
+    a, b, c, d = m
+    return a * d - b * c
+
+
+def mat_inverse(m):
+    """The inverse of a determinant-1 integer matrix."""
+    a, b, c, d = m
+    assert mat_det(m) == 1
+    return (d, -b, -c, a)
+
+
+def mat_apply(m, u, v):
+    a, b, c, d = m
+    return (a * u + b * v, c * u + d * v)
+
+
 def matrix_transport(base, vec, wall):
-    """`TropicalBase.transport` through `forward_matrix(wall).apply` from
-    cone wall-1, and `.inverse()` from cone wall."""
-    wall %= base.l
-    m = base.forward_matrix(wall)
-    if vec.cone == (wall - 1) % base.l:
-        return TangentVector(wall, *m.apply(vec.u, vec.v))
-    if vec.cone == wall:
-        return TangentVector((wall - 1) % base.l, *m.inverse().apply(vec.u, vec.v))
+    """`TropicalBase.transport` through the wall matrix from cone wall-1,
+    and through its inverse from cone wall."""
+    l = base.l
+    wall %= l
+    m = wall_matrix(base.pair.self_intersections[wall])
+    if vec.cone % l == (wall - 1) % l:
+        return TangentVector(wall, *mat_apply(m, vec.u, vec.v))
+    if vec.cone % l == wall:
+        return TangentVector((wall - 1) % l, *mat_apply(mat_inverse(m), vec.u, vec.v))
     raise WrongHomeCone(
-        f"transport across wall {wall} needs home cone {(wall - 1) % base.l} "
+        f"transport across wall {wall} needs home cone {(wall - 1) % l} "
         f"or {wall}, got {vec.cone}")
 
 

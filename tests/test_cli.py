@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import wallcross
-from tropcyl.cli import _build_parser, run
+from tropcyl.cli import TRACE_DIGITS, _build_parser, run
 from tropcyl.serialize import spine_to_json
 from subset_oracle import subset_count
 
@@ -69,7 +69,8 @@ class TestBase:
         path.write_text(json.dumps({"self_intersections": [-2] * 1001}))
         code, report = run_json(capsys, ["base", str(path)])
         assert code == 1
-        assert report["error"] == "InvalidQuery"
+        assert report == {"error": "InvalidQuery",
+                          "detail": "base is capped at l = 1000, got 1001"}
 
     def test_long_semidefinite_cycle(self, capsys, tmp_path):
         # 2^30 principal minors: decided by elimination instead
@@ -316,6 +317,36 @@ class TestTrace:
         assert pts[1] == {"t": "0/1", "cone": 1, "coords": ["1/1", "0/1"]}
         assert pts[2] == {"t": "1/1", "cone": 0, "coords": ["2/1", "1/1"]}
 
+    def test_digit_cap(self, capsys):
+        # an output coordinate past 4300 digits used to end in a bare
+        # ValueError from the point writer
+        nines = "9" * 4000
+        code, report = run_json(capsys, ["trace", "--l", "3", "--m", "2", "--n", "1",
+                                         "--b", f"{nines}/7", f"--t=1/{nines}"])
+        assert code == 1
+        assert report["error"] == "InvalidQuery"
+        assert f"at most {TRACE_DIGITS} digits" in report["detail"]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_every_input_at_the_cap(self, capsys, sign):
+        top = "9" * TRACE_DIGITS
+        code, report = run_json(capsys, [
+            "trace", "--l", top, f"--m={sign}{top}", f"--n={sign}{top}",
+            f"--b={sign}{top}/{'9' * (TRACE_DIGITS - 1)}8",
+            f"--t={sign}{top}/{'9' * (TRACE_DIGITS - 1)}7,{top},-{top},1/{top}"])
+        assert code == 0
+        assert len(report["points"]) == 4
+
+    @pytest.mark.parametrize("slot", range(6))
+    def test_each_input_past_the_cap(self, capsys, slot):
+        args = ["1", "0", "1", "1/1", "0/1", "1/1"]
+        args[slot] = ("-1/1" if slot == 4 else "1") + "0" * TRACE_DIGITS
+        l, m, n, b, t0, t1 = args
+        code, report = run_json(capsys, ["trace", "--l", l, f"--m={m}", f"--n={n}",
+                                         f"--b={b}", f"--t={t0},{t1}"])
+        assert code == 1
+        assert report["error"] == "InvalidQuery"
+
 
 class TestTable:
     def test_rows(self, capsys):
@@ -339,7 +370,9 @@ class TestTable:
         assert report["error"] == "InvalidQuery"
 
     @pytest.mark.parametrize("m_min, m_max, code", [
-        (-50, 49, 0), (-50, 50, 1), (0, 10**9, 1), (1, 0, 1), (5, 5, 0)])
+        (-50, 49, 0), (-50, 50, 1), (0, 10**9, 1), (1, 0, 1), (5, 5, 0),
+        # len() of a range past sys.maxsize raised a bare OverflowError
+        (-10**22, 10**22, 1)])
     def test_m_range_cap(self, capsys, m_min, m_max, code):
         got, report = run_json(capsys, ["table", "--l-max", "1",
                                         f"--m-min={m_min}", f"--m-max={m_max}"])

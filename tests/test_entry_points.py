@@ -7,7 +7,7 @@ and an accepted value is exact (no float is floored or stored)."""
 import inspect
 from fractions import Fraction
 from math import comb
-from operator import add, matmul, mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -317,15 +317,10 @@ ENTRY_POINTS = {
         | st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
         SEQUENCE | OBJECT))),
     "IntMatrix2": (_matrix, st.tuples(INT, INT, INT, INT)),
-    "IntMatrix2.__matmul__": (_objects(matmul, tc.IntMatrix2, tc.IntMatrix2), st.tuples(
-        st.just(tc.IntMatrix2(1, 1, 0, 1)), _or_any(st.just(tc.IntMatrix2(0, 1, -1, 0)), OBJECT))),
-    "IntMatrix2.apply": (_objects(tc.IntMatrix2(1, 1, 0, 1).apply, int, int),
-                         st.tuples(INT, INT)),
     "LooijengaPair.__getitem__": (_objects(DEL_PEZZO.pair.__getitem__, int),
                                   st.tuples(_or_any(INT, UNHASHABLE))),
     "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
                                     st.tuples(POINT, INT)),
-    "TropicalBase.forward_matrix": (_objects(DEL_PEZZO.forward_matrix, int), st.tuples(INT)),
     "TropicalBase.transport": (_objects(DEL_PEZZO.transport, tc.TangentVector, int),
                                st.tuples(VECTOR, INT)),
     "TropicalTree.__contains__": (EXTENDED.__contains__, st.tuples(ANY_VID)),
@@ -562,11 +557,8 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: DEL_PEZZO.pair["a"],
     lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
     lambda: DEL_PEZZO.coords_in_cone(None, 0),
-    lambda: DEL_PEZZO.forward_matrix("a"),
     lambda: DEL_PEZZO.transport(None, 1),
     lambda: DEL_PEZZO.transport(tc.TangentVector(0, 1, 0), "x"),
-    lambda: tc.IntMatrix2(1, 0, 0, 1) @ 5,
-    lambda: tc.IntMatrix2(1, 0, 0, 1).apply(None, 1),
     lambda: tc.CurveClass(None),
     lambda: tc.CurveClass(((0, -3),)),
 ], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
@@ -576,8 +568,8 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
         "Edge-float-length", "Edge-tail",
         "Edge-cone", "Edge-direction", "tree-vertex", "tree-position", "tree-incident",
         "tree-valency", "tree-edge", "tree-in", "pair-getitem",
-        "coords_in_cone-cone", "coords_in_cone-point", "forward_matrix", "transport-vector",
-        "transport-wall", "matrix-matmul", "matrix-apply", "CurveClass-none",
+        "coords_in_cone-cone", "coords_in_cone-point", "transport-vector",
+        "transport-wall", "CurveClass-none",
         "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
     # each used to end in a bare TypeError or AttributeError, or to store

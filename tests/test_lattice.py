@@ -25,7 +25,7 @@ from tropcyl import (
 from tropcyl.lattice import L_MAX, ORIGIN, SWEEP_PAIRS_MAX, develop, primitive_part
 
 from ray_oracle import outcome
-from spine_oracle import matrix_transport
+from spine_oracle import mat_det, mat_mul, matrix_transport, wall_matrix
 
 
 class TestPair:
@@ -149,8 +149,14 @@ class TestTransport:
         assert d_zero.transport(TangentVector(0, 1, 0), 1) == TangentVector(1, 0, -1)
 
     def test_determinant_one(self, del_pezzo):
+        # the images of the basis vectors of cone i-1 across wall i are the
+        # columns of the wall matrix, of determinant 1
         for i in range(4):
-            assert del_pezzo.forward_matrix(i).det() == 1
+            e1, e2 = (del_pezzo.transport(TangentVector(i - 1, u, v), i)
+                      for u, v in ((1, 0), (0, 1)))
+            a, b, c, d = e1.u, e2.u, e1.v, e2.v
+            assert (a, b, c, d) == wall_matrix(del_pezzo.pair[i])
+            assert mat_det((a, b, c, d)) == 1
 
     @pytest.mark.parametrize("args", [(0, 0.5, 1), (0, 1, 1.0), (0.0, 1, 1), (0, True, 1),
                                       (False, 1, 1), (0, Fraction(1), 1), (0, "1", 1),
@@ -196,7 +202,7 @@ class TestTransport:
 
     @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
     def test_inline_matches_matrix_form(self, ds):
-        # the inline maps agree with forward_matrix(w).apply and .inverse()
+        # transport agrees with the tests-only wall matrix and its inverse
         # on every wall, from every home cone: equal vectors or the same
         # WrongHomeCone message
         base = build_base(LooijengaPair(ds))
@@ -245,7 +251,7 @@ class TestMonodromy:
         m = monodromy(del_pezzo)
         assert not m.is_identity
         assert m.trace() == 2
-        assert m.det() == 1
+        assert mat_det((m.a, m.b, m.c, m.d)) == 1
         assert m == IntMatrix2(1, 0, 1, 1)
 
     def test_huge_entries_exact(self):
@@ -268,9 +274,9 @@ class TestMonodromy:
 
     def test_matches_explicit_product(self, del_pezzo):
         # independent recomputation: multiply the four factors directly
-        mats = [del_pezzo.forward_matrix(i) for i in range(4)]
-        expected = mats[0] @ mats[3] @ mats[2] @ mats[1]
-        assert monodromy(del_pezzo) == expected
+        mats = [wall_matrix(del_pezzo.pair[i]) for i in range(4)]
+        expected = mat_mul(mat_mul(mats[0], mats[3]), mat_mul(mats[2], mats[1]))
+        assert monodromy(del_pezzo) == IntMatrix2(*expected)
 
 
 def _winding_number(vectors) -> int:
@@ -454,6 +460,13 @@ class TestIntersectionMatrix:
 
     def test_triangle(self):
         assert intersection_matrix((1, 1, 1)) == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+
+    def test_capped_at_l_max(self):
+        # the matrix has l^2 entries, so l is capped as `tropcyl base` caps it
+        m = intersection_matrix((-2,) * L_MAX)
+        assert len(m) == L_MAX and all(len(row) == L_MAX for row in m)
+        with pytest.raises(InvalidQuery, match=f"capped at l = {L_MAX}, got {L_MAX + 1}"):
+            intersection_matrix((-2,) * (L_MAX + 1))
 
 
 def _int_det(rows) -> int:

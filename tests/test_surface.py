@@ -123,26 +123,38 @@ def test_every_definition_is_exported_or_used():
 
 # Public methods kept only because tests compare against them: each is
 # named by a reference in tests/*oracle*.py.
-REFERENCES = {"TropicalBase.transport", "TropicalBase.forward_matrix",
-              "IntMatrix2.apply", "IntMatrix2.inverse"}
+REFERENCES = {"TropicalBase.transport"}
 
 
-def _attributes(source: str) -> set[str]:
-    """Every name that `source` looks up as an attribute."""
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute)}
+def _attributes(source: str) -> tuple[set[str], set[str]]:
+    """(every name that `source` looks up as an attribute, every name that
+    it calls as one, `x.name(...)`)."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    return read, called
 
 
-def _public_methods() -> set[str]:
+def _public_methods() -> dict[str, bool]:
     """`Class.name` for each public method, property and classmethod that a
-    class of `tropcyl.__all__`, other than an error class, defines itself.
-    Dunder operators are left out: their use is not spelled by name."""
+    class of `tropcyl.__all__`, other than an error class, defines itself,
+    mapped to whether it is a property (used where it is read; the others
+    are used only where they are called).  Dunder operators are left out:
+    their use is not spelled by name."""
     classes = {value for value in map(vars(tropcyl).get, tropcyl.__all__)
                if isinstance(value, type) and not issubclass(value, Exception)}
-    return {f"{cls.__name__}.{name}" for cls in classes
+    return {f"{cls.__name__}.{name}": isinstance(value, property) for cls in classes
             for name, value in vars(cls).items()
             if not name.startswith("_")
             and isinstance(value, (FunctionType, property, classmethod, staticmethod))}
+
+
+def test_public_method_names_are_unique():
+    # the caller guard matches by name, so a second class defining the same
+    # name would pass on the strength of the first one's callers
+    names = sorted(m.split(".")[1] for m in _public_methods())
+    assert sorted({name for name in names if names.count(name) > 1}) == []
 
 
 def test_every_public_method_has_a_supported_caller():
@@ -152,11 +164,15 @@ def test_every_public_method_has_a_supported_caller():
                for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py"))
                + [ROOT / "tests" / "test_acceptance.py"]]
-    used = set().union(*map(_attributes, sources + [_library_example()]))
+    uses = list(map(_attributes, sources + [_library_example()]))
+    read = set().union(*(r for r, _ in uses))
+    called = set().union(*(c for _, c in uses))
     methods = _public_methods()
-    assert {"TropicalTree.edge", "SparseLaurentSeries.terms"} <= methods
-    assert sorted(m for m in methods - REFERENCES if m.split(".")[1] not in used) == []
-    oracles = set().union(*(_attributes(path.read_text(encoding="utf-8"))
-                            for path in (ROOT / "tests").glob("*oracle*.py")))
-    assert sorted(m for m in REFERENCES if m.split(".")[1] not in oracles) == []
-    assert REFERENCES <= methods
+    assert {"TropicalTree.edge", "SparseLaurentSeries.terms"} <= set(methods)
+    assert sorted(m for m, is_property in methods.items() if m not in REFERENCES
+                  and m.split(".")[1] not in (read if is_property else called)) == []
+    oracles = [_attributes(path.read_text(encoding="utf-8"))
+               for path in (ROOT / "tests").glob("*oracle*.py")]
+    oracle_calls = set().union(*(c for _, c in oracles))
+    assert sorted(m for m in REFERENCES if m.split(".")[1] not in oracle_calls) == []
+    assert REFERENCES <= set(methods)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -256,6 +257,16 @@ class TestCounts:
             count_table(21, [1])
         with pytest.raises(InvalidQuery):
             count_table(0, [0])
+
+    @pytest.mark.parametrize("m_values, got", [
+        (range(-10**22, 10**22), f"more than {sys.maxsize}"),
+        (range(0, -10**30, -1), f"more than {sys.maxsize}"),
+        (range(101), "101"), ([0] * 101, "101"), ((), "0"), (range(5, 5), "0")])
+    def test_m_values_cap(self, m_values, got):
+        # len() of a range past sys.maxsize raised a bare OverflowError
+        from tropcyl.wallcross import count_table
+        with pytest.raises(InvalidQuery, match=f"needs 1 to 100 m values, got {got}$"):
+            count_table(3, m_values)
 
     def test_oracle_values(self):
         assert subset_count(2, 1) == 2
