@@ -10,7 +10,8 @@ share across threads.
 
 `__all__` is the supported surface: the functions the command line, the
 benchmark's library calls, the README example and the acceptance suite
-use, the value classes they take or return, and every error class.
+use (`spine_to_json` writes the benchmark's spine files), the value
+classes they take or return, and every error class.
 Helpers outside it stay importable from their submodules.
 """
 
@@ -85,7 +86,7 @@ from .wallcross import (
     symmetry_check,
     virtual_dim,
 )
-from .serialize import SchemaError
+from .serialize import SchemaError, spine_to_json
 
 __all__ = [
     # errors
@@ -155,6 +156,8 @@ __all__ = [
     "focus_focus_apply",
     "symmetry_check",
     "virtual_dim",
+    # serialize
+    "spine_to_json",
 ]
 
 __version__ = "0.1.0"

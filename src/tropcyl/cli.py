@@ -27,14 +27,12 @@ from .extension import (
 from .lattice import build_base, fan_closure, intersection_matrix, is_positive, monodromy
 from .serialize import (
     SchemaError,
-    curve_class_to_json,
-    cylinder_to_json,
+    extend_report,
     frac_to_str,
     pair_from_json,
     parse_frac,
     point_to_json,
     spine_from_json,
-    spine_to_json,
 )
 from .wallcross import CountQuery, backward_count, count, count_spine
 from . import wallcross
@@ -99,16 +97,7 @@ def cmd_extend(args) -> int:
     base = build_base(pair)
     spine = spine_from_json(base, _load_json(args.spine_file))
     result = extend(base, spine, max_steps=args.max_steps)
-    extended = spine_to_json(result.extended)
-    report = {
-        "extendable": True,
-        "steps": result.steps,
-        "curve_class": curve_class_to_json(result.curve_class),
-        "extended_spine": extended,
-        "cylinder": cylinder_to_json(extended,
-                                     spine_legs(base, spine, result.extended)),
-    }
-    _emit(report)
+    print(extend_report(result, spine_legs(base, spine, result.extended)))
     return 0
 
 

@@ -286,15 +286,19 @@ def extend(base: TropicalBase, spine: TropicalTree,
     taken = []
     crossings = []
     side = 0
-    while any(ends):
-        if ends[side] is not None:
-            if len(taken) >= max_steps:
-                raise NotExtendable(len(taken))
-            step, crossing, ends[side] = _cast(base, ends[side], next(fresh))
-            taken.append(step)
-            boundary[side] = step[1]
-            if crossing is not None:
-                crossings.append(crossing)
+    while True:
+        if ends[side] is None:
+            # once one end has finished, the other is served on every step
+            side = 1 - side
+            if ends[side] is None:
+                break
+        if len(taken) >= max_steps:
+            raise NotExtendable(len(taken))
+        step, crossing, ends[side] = _cast(base, ends[side], next(fresh))
+        taken.append(step)
+        boundary[side] = step[1]
+        if crossing is not None:
+            crossings.append(crossing)
         side = 1 - side
     vertices = list(spine.vertices)
     edges = list(spine.edges)

@@ -1,4 +1,5 @@
-"""JSON input/output: pair files, spine files, and report fragments.
+"""JSON input/output: pair files, spine files, and the `tropcyl extend`
+report.
 
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1.  Vertices
 at infinity are implicit: they appear only as heads of edges of length
@@ -6,28 +7,35 @@ at infinity are implicit: they appear only as heads of edges of length
 
 A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
-of its `BasePoint` over their lcm (`lattice._over_lcm`), and each edge
-length becomes the coprime pair (N, D) of `Edge.ratio`, with one gcd.
-The parse has checked every type, so the edges are built unchecked by
-`spines._edge`, with its tail choice; the tree goes through the one
-`TropicalTree` constructor, as every tree does.  `point_to_json`
-writes a point's report fields, each coordinate from (A, B, Q) with one
-gcd; an edge length is written from (N, D) as it is stored.
+of its `BasePoint` over their lcm, and each edge length becomes the
+coprime pair (N, D) of `Edge.ratio`, with one gcd.  The parse has checked
+every type, so the vertices and edges are built unchecked by
+`spines._vertex` and `spines._edge`, the latter with its tail choice; the
+tree goes through the one `TropicalTree` constructor, as every tree does.
 
-The cylinder report of `tropcyl extend` repeats the extended spine's
-vertices and edges: `cylinder_to_json` shares their entries with the
-extended spine's report and merges in the legs' entries.
+The writer formats each vertex and edge entry once, straight from the
+tree, as the text `json.dumps(entry, sort_keys=True)` gives: keys in
+sorted order, ids through `json.encoder.encode_basestring_ascii`, ints
+through `%d` (the digits `int.__repr__` writes), each coordinate from
+(A, B, Q) with one gcd (`_ratio_to_str`, which `point_to_json` also uses)
+and an edge length from (N, D) as it is stored.  `spine_text` joins a
+tree's entries into its spine file; `extend_report` reuses the extended
+spine's entries in the cylinder's arrays and merges in the legs' entries.
+`spine_to_json` is the dict view of the writer.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_right
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 from math import gcd
-from operator import itemgetter
 
-from .errors import brief
-from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, _over_lcm, is_int
-from .spines import Edge, TropicalTree, Vertex, _edge
+from .errors import InvalidArgument, brief
+from .extension import ExtensionResult
+from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
+from .spines import Edge, TropicalTree, _edge, _edge_key, _vertex, _vertex_id
 
 
 class SchemaError(ValueError):
@@ -55,7 +63,7 @@ def _parse_ratio(s) -> tuple[int, int]:
                 return int(num), int(den)
             x = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {s!r}") from exc
+            raise SchemaError(f"bad rational {brief(s)}") from exc
         return x.numerator, x.denominator
     if is_int(s):
         return int(s), 1
@@ -76,6 +84,10 @@ def pair_from_json(data) -> LooijengaPair:
     return LooijengaPair(tuple(seq))
 
 
+# the keys of an edge entry, in the order a missing one is reported
+_EDGE_KEYS = ("tail", "head", "cone", "direction", "length")
+
+
 def spine_from_json(base: TropicalBase, data) -> TropicalTree:
     if not isinstance(data, dict):
         raise SchemaError("spine file must be a JSON object")
@@ -88,7 +100,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
     ids = set()
     for item in data["vertices"]:
         if not isinstance(item, dict) or "id" not in item:
-            raise SchemaError(f"bad vertex entry {item!r}")
+            raise SchemaError(f"bad vertex entry {brief(item)}")
         vid = item["id"]
         if not isinstance(vid, str):
             raise SchemaError("vertex ids must be strings")
@@ -99,7 +111,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(origin, bool):
             raise SchemaError(f'vertex {vid!r} "origin" must be true or false')
         if origin:
-            vertices.append(Vertex(vid, ORIGIN))
+            vertices.append(_vertex(vid, ORIGIN))
             continue
         if "cone" not in item or "coords" not in item:
             raise SchemaError(f"vertex {vid!r} needs cone and coords")
@@ -107,41 +119,43 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(coords, list) or len(coords) != 2:
             raise SchemaError(f"vertex {vid!r} coords must be a pair")
         cone = item["cone"]
-        if not is_int(cone):
+        if not (cone.__class__ is int or is_int(cone)):
             raise SchemaError(f"vertex {vid!r} cone must be an integer, got {brief(cone)}")
         try:
-            pos = base._point(cone, *_over_lcm(*_parse_ratio(coords[0]),
-                                               *_parse_ratio(coords[1])))
+            an, ad = _parse_ratio(coords[0])
+            bn, bd = _parse_ratio(coords[1])
+            q = ad if ad == bd else ad * bd // gcd(ad, bd)
+            pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
         except ValueError as exc:
             raise SchemaError(f"vertex {vid!r}: {exc}") from exc
-        vertices.append(Vertex(vid, pos))
+        vertices.append(_vertex(vid, pos))
 
     edges = []
     for item in data["edges"]:
         if not isinstance(item, dict):
-            raise SchemaError(f"bad edge entry {item!r}")
-        for key in ("tail", "head", "cone", "direction", "length"):
-            if key not in item:
-                raise SchemaError(f'edge entry needs "{key}"')
-        direction = item["direction"]
+            raise SchemaError(f"bad edge entry {brief(item)}")
+        try:
+            tail, head, cone, direction, length = (
+                item["tail"], item["head"], item["cone"], item["direction"], item["length"])
+        except KeyError:
+            missing = next(key for key in _EDGE_KEYS if key not in item)
+            raise SchemaError(f'edge entry needs "{missing}"') from None
         if not isinstance(direction, list) or len(direction) != 2:
             raise SchemaError("edge direction must be an integer pair")
         u, v = direction
-        if not (is_int(u) and is_int(v)):
+        if not ((u.__class__ is int or is_int(u)) and (v.__class__ is int or is_int(v))):
             raise SchemaError("edge direction must be an integer pair")
-        tail, head = item["tail"], item["head"]
         if not isinstance(tail, str) or not isinstance(head, str):
             raise SchemaError("edge endpoints must be vertex id strings")
-        cone = item["cone"]
-        if not is_int(cone):
+        if not (cone.__class__ is int or is_int(cone)):
             raise SchemaError(f"edge cone must be an integer, got {brief(cone)}")
-        if item["length"] == "unbounded":
+        if length == "unbounded":
             ratio = None
             if head not in ids:
-                vertices.append(Vertex(head, None))
+                vertices.append(_vertex(head, None))
                 ids.add(head)
         else:
-            n, d = _parse_ratio(item["length"])
+            n, d = _parse_ratio(length)
             g = gcd(n, d)
             ratio = (n // g, d // g)
         edges.append(_edge(tail, head, cone, u, v, ratio))
@@ -154,7 +168,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
 
 
 def _ratio_to_str(n: int, d: int) -> str:
-    """n/d in lowest terms, as "p/q"."""
+    """n/d in lowest terms, as "p/q": the one writer of a coordinate."""
     g = gcd(n, d)
     return f"{n // g}/{d // g}"
 
@@ -170,45 +184,89 @@ def point_to_json(entry: dict, p: BasePoint) -> dict:
     return entry
 
 
-def _edge_to_json(e: Edge) -> dict:
+def _vertex_entry(vid: str, p: BasePoint | None) -> str | None:
+    """The text of a vertex entry, None for a vertex at infinity."""
+    if p is None:
+        return None
+    if p.cone is None:
+        return '{"id": %s, "origin": true}' % _ascii(vid)
+    Q = p.Q
+    return '{"cone": %d, "coords": ["%s", "%s"], "id": %s}' % (
+        p.cone, _ratio_to_str(p.A, Q), _ratio_to_str(p.B, Q), _ascii(vid))
+
+
+def _edge_entry(e: Edge) -> str:
+    """The text of an edge entry; a length is written from (N, D) as it
+    is stored."""
+    u, v = e.direction
     ratio = e.ratio
-    return {
-        "tail": e.tail,
-        "head": e.head,
-        "cone": e.cone,
-        "direction": [e.direction[0], e.direction[1]],
-        "length": "unbounded" if ratio is None else f"{ratio[0]}/{ratio[1]}",
-    }
+    return '{"cone": %d, "direction": [%d, %d], "head": %s, "length": %s, "tail": %s}' % (
+        e.cone, u, v, _ascii(e.head),
+        '"unbounded"' if ratio is None else '"%d/%d"' % ratio, _ascii(e.tail))
+
+
+def _entries(tree: TropicalTree) -> tuple[list, list[str]]:
+    """The vertex entries of `tree` in its vertex order, None for each
+    vertex at infinity, and its edge entries in its edge order."""
+    return ([_vertex_entry(v.id, v.position) for v in tree.vertices],
+            list(map(_edge_entry, tree.edges)))
+
+
+def _boundary(tree: TropicalTree) -> str:
+    return "[%s, %s]" % (_ascii(tree.boundary[0]), _ascii(tree.boundary[1]))
+
+
+def _spine(boundary: str, vertices: list, edges: list[str]) -> str:
+    return '{"boundary": %s, "edges": [%s], "vertices": [%s]}' % (
+        boundary, ", ".join(edges), ", ".join(filter(None, vertices)))
+
+
+def spine_text(tree: TropicalTree) -> str:
+    """The spine file of `tree`, as `json.dumps(..., sort_keys=True)`
+    writes its dict: vertices at infinity are left out."""
+    return _spine(_boundary(tree), *_entries(tree))
 
 
 def spine_to_json(tree: TropicalTree) -> dict:
-    vertices = [point_to_json({"id": v.id}, v.position)
-                for v in tree.vertices if v.position is not None]
-    return {"vertices": vertices, "edges": [_edge_to_json(e) for e in tree.edges],
-            "boundary": [tree.boundary[0], tree.boundary[1]]}
+    """The spine file of `tree` as a dict: the view
+    `json.loads(spine_text(tree))` of the writer.  Raises InvalidArgument
+    unless `tree` is a `TropicalTree`."""
+    if not isinstance(tree, TropicalTree):
+        raise InvalidArgument(f"spine_to_json needs a TropicalTree, got {brief(tree)}")
+    return json.loads(spine_text(tree))
 
 
-_entry_id = itemgetter("id")
-_entry_key = itemgetter("tail", "head")
+def extend_report(result: ExtensionResult, legs) -> str:
+    """The `tropcyl extend` report of `result`, as
+    `json.dumps(report, sort_keys=True)` writes it.
 
-
-def cylinder_to_json(extended: dict, legs) -> dict:
-    """The report of the cylinder that completes an extended spine.
-
-    `extended` is the extended spine's report from `spine_to_json`, and
-    `legs` the cylinder's legs as (origin id, leg edge) pairs, as
-    `extension.spine_legs` gives them.  The cylinder repeats the spine's
-    vertex and edge entries, which are shared with `extended`, not copied;
-    the origin vertices and the legs are merged in by id and by
-    (tail, head), the orders a tree keeps, and "legs" lists the leg keys
-    in order.
+    `legs` are the cylinder's legs as (origin id, leg edge) pairs, as
+    `extension.spine_legs` gives them.  The cylinder repeats the extended
+    spine's vertex and edge entries, formatted once for both; the origin
+    vertices and the legs are inserted by id and by (tail, head), the
+    orders a tree keeps, and "legs" lists the leg keys in order.
     """
-    vertices = extended["vertices"] + [{"id": oid, "origin": True} for oid, _ in legs]
-    edges = extended["edges"] + [_edge_to_json(leg) for _, leg in legs]
-    vertices.sort(key=_entry_id)
-    edges.sort(key=_entry_key)
-    return {"vertices": vertices, "edges": edges, "boundary": extended["boundary"],
-            "legs": sorted([leg.tail, leg.head] for _, leg in legs)}
+    ext = result.extended
+    vertices, edges = _entries(ext)
+    boundary = _boundary(ext)
+    spine = _spine(boundary, vertices, edges)
+    # the spine's text is written, so its lists take the cylinder's
+    # entries; from the last key down, so that each insertion leaves the
+    # earlier positions, found in the extended tree, in place
+    for oid in sorted((oid for oid, _ in legs), reverse=True):
+        vertices.insert(bisect_right(ext.vertices, oid, key=_vertex_id),
+                        _vertex_entry(oid, ORIGIN))
+    legs = sorted((leg for _, leg in legs), key=_edge_key)
+    for leg in reversed(legs):
+        edges.insert(bisect_right(ext.edges, _edge_key(leg), key=_edge_key), _edge_entry(leg))
+    cylinder = '{"boundary": %s, "edges": [%s], "legs": [%s], "vertices": [%s]}' % (
+        boundary, ", ".join(edges),
+        ", ".join("[%s, %s]" % (_ascii(leg.tail), _ascii(leg.head)) for leg in legs),
+        ", ".join(filter(None, vertices)))
+    return ('{"curve_class": %s, "cylinder": %s, "extendable": true, '
+            '"extended_spine": %s, "steps": %d}' % (
+                json.dumps(curve_class_to_json(result.curve_class), sort_keys=True),
+                cylinder, spine, result.steps))
 
 
 def curve_class_to_json(cc) -> dict:

@@ -57,6 +57,18 @@ class Vertex:
         return self.position is None
 
 
+_new_vertex = Vertex.__new__
+
+
+def _vertex(id: str, position: BasePoint | None) -> Vertex:
+    """`Vertex` built unchecked, for the parse, which has checked that
+    `id` is a str and built `position` itself."""
+    v = _new_vertex(Vertex)
+    _set(v, "id", id)
+    _set(v, "position", position)
+    return v
+
+
 def _is_key(x) -> bool:
     """Whether `x` is an edge key: a tuple of two str ids."""
     return (isinstance(x, tuple) and len(x) == 2
@@ -225,7 +237,11 @@ def _unused_ids(tree: TropicalTree, prefix: str):
     """prefix1, prefix2, ... skipping the ids of `tree`, in order: the one
     rule that names every fresh vertex (s for a subdivision, x for an
     extension step, o for a leg's origin end)."""
-    return (f"{prefix}{k}" for k in count(1) if f"{prefix}{k}" not in tree)
+    taken = tree._vertex_of
+    for k in count(1):
+        vid = f"{prefix}{k}"
+        if vid not in taken:
+            yield vid
 
 
 @value_class("tree", "legs")

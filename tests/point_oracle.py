@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from tropcyl import BasePoint, InvalidArgument, SchemaError, Vertex, make_edge, make_tree
+from tropcyl.errors import brief
 from tropcyl.lattice import ORIGIN, ZERO, is_int, is_rational
 
 
@@ -86,7 +87,7 @@ def fraction_parse_frac(s) -> Fraction:
                 return Fraction(int(num), int(den))
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {s!r}") from exc
+            raise SchemaError(f"bad rational {brief(s)}") from exc
     if is_int(s):
         return Fraction(s)
     raise SchemaError(f"expected a rational string, got {s!r}")
@@ -111,7 +112,7 @@ def fraction_spine_from_json(base, data):
     ids = set()
     for item in data["vertices"]:
         if not isinstance(item, dict) or "id" not in item:
-            raise SchemaError(f"bad vertex entry {item!r}")
+            raise SchemaError(f"bad vertex entry {brief(item)}")
         vid = item["id"]
         if not isinstance(vid, str):
             raise SchemaError("vertex ids must be strings")
@@ -140,7 +141,7 @@ def fraction_spine_from_json(base, data):
     edges = []
     for item in data["edges"]:
         if not isinstance(item, dict):
-            raise SchemaError(f"bad edge entry {item!r}")
+            raise SchemaError(f"bad edge entry {brief(item)}")
         for key in ("tail", "head", "cone", "direction", "length"):
             if key not in item:
                 raise SchemaError(f'edge entry needs "{key}"')

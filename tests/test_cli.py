@@ -131,6 +131,19 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("tropcyl: ")
 
+    @pytest.mark.parametrize("where, entry", [("vertices", "vertex"), ("edges", "edge")])
+    def test_long_bad_entry_keeps_the_message_short(self, capsys, pair_file, spine_file,
+                                                   tmp_path, where, entry):
+        spine = json.loads(Path(spine_file).read_text())
+        spine[where][0] = list(range(200_000))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spine))
+        assert run(["validate", pair_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"tropcyl: bad {entry} entry [0, 1, 2, ")
+        assert len(captured.err) < 100
+
     @pytest.mark.parametrize("where, key, value", [
         ("edges", "direction", [0, 0]),
         ("edges", "length", "0/1"),

@@ -228,6 +228,12 @@ def _virtual_dim(g, dim_v, alpha_dot_k, n):
     assert type(tc.virtual_dim(g, dim_v, alpha_dot_k, n)) is int
 
 
+def _spine_to_json(tree):
+    data = tc.spine_to_json(tree)
+    assert type(tree) is tc.TropicalTree
+    assert spine_from_json(DEL_PEZZO, data) == tree
+
+
 def _sweep(l, lo, hi):
     assert all(type(x) is int for x in tc.verify_toric_criterion(l, lo, hi))
     assert type(l) is int and type(lo) is int and type(hi) is int
@@ -307,6 +313,7 @@ ENTRY_POINTS = {
     "relabel": (_objects(tc.relabel, tc.TropicalTree, dict), st.tuples(
         SPINE, _or_any(st.dictionaries(VID, ID, max_size=2), OBJECT))),
     "TropicalTree": (tc.TropicalTree, st.tuples(VERTICES, EDGES, BOUNDARY)),
+    "spine_to_json": (_spine_to_json, st.tuples(SPINE | PATH)),
     "SparseLaurentSeries.__add__": (_objects(add, S, S), st.tuples(
         st.just(S.monomial(1, 0)), SERIES)),
     "SparseLaurentSeries.__mul__": (_objects(mul, S, S), st.tuples(
@@ -420,6 +427,7 @@ def test_returns_or_raises_a_domain_error(name):
     lambda: tc.IntMatrix2(1, 0, 0, True),
     lambda: tc.virtual_dim(0.5, 2, 1, 1),
     lambda: tc.virtual_dim(0, 2, 1, "1"),
+    lambda: tc.spine_to_json(CYLINDER),
 ])
 def test_ill_typed_input_is_invalid_argument(call):
     with pytest.raises(tc.InvalidArgument):

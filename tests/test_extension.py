@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
@@ -30,9 +32,10 @@ from tropcyl import (
 from tropcyl.cli import run
 from tropcyl.extension import DEL_PEZZO_PAIR, _trace, spine_legs
 from tropcyl.lattice import ORIGIN
-from tropcyl.serialize import cylinder_to_json, spine_to_json
+from tropcyl.serialize import extend_report, spine_text, spine_to_json
 
 from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
+from report_oracle import oracle_report
 from point_oracle import lattice_length
 from ray_oracle import eager_extend, fraction_trace, fraction_tropical_trace, outcome
 
@@ -489,9 +492,10 @@ def _complete_both_ways(base, spine):
     """The command line's completion of `extend(base, spine)` against the
     full one: the same cylinder report, byte for byte, and the legs of the
     public `cylinder_in_b`, as edges of its tree.  Returns the legs."""
-    ext = extend(base, spine).extended
+    result = extend(base, spine)
+    ext = result.extended
     legs = spine_legs(base, spine, ext)
-    got = cylinder_to_json(spine_to_json(ext), legs)
+    got = json.loads(extend_report(result, legs))["cylinder"]
     expected = fraction_cylinder_to_json(ext, full_cylinder_in_b(base, ext))
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
     cyl = cylinder_in_b(base, ext)
@@ -553,6 +557,78 @@ class TestCylinderFromTheCast:
         except (NotExtendable, HitOrigin):
             return
         assert len(_complete_both_ways(base, spine)) == (s > 0)
+
+
+def _extend_stdout(tmp_path, base, spine):
+    """The stdout of `tropcyl extend` on `spine`, and the oracle report's
+    `json.dumps(..., sort_keys=True)` line."""
+    pair_path, spine_path = tmp_path / "pair.json", tmp_path / "spine.json"
+    pair_path.write_text(json.dumps({"self_intersections": list(base.pair.self_intersections)}))
+    spine_path.write_text(spine_text(spine))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["extend", str(pair_path), str(spine_path)]) == 0
+    expected = json.dumps(oracle_report(base, spine, extend(base, spine)), sort_keys=True)
+    return out.getvalue(), expected + "\n"
+
+
+# ids that `json.dumps` escapes: quotes, backslashes, control, non-ASCII
+# and astral characters, and the fresh-id letters and digits, so that a
+# drawn id can take the name of a fresh vertex
+ESCAPED = st.text(alphabet='"\\\x00\x1f\n\t\x7f\u00e9\u2028\u20ac\ud800'
+                           '\U0001f600\U0001d538xo1', min_size=1, max_size=4)
+
+
+def _two_bend_spine(ids):
+    """A spine a - c1 - c2 - b in cone 0 of the degree-7 del Pezzo base,
+    bent at c1 and at c2 with outward radial defects: its cylinder has a
+    leg at each of c1 and c2."""
+    a, c1, c2, b = ids
+    eps = F(1, 4)
+    point = tc.del_pezzo_base().point
+    return make_tree(
+        [Vertex(a, point(0, 2 + eps, 1 - eps)), Vertex(c1, point(0, 2, 1)),
+         Vertex(c2, point(0, 3, 3)), Vertex(b, point(0, 3 + 2 * eps, 3 + 3 * eps))],
+        [make_edge(c1, a, 0, (1, -1), eps), make_edge(c1, c2, 0, (1, 2), 1),
+         make_edge(c2, b, 0, (2, 3), eps)],
+        (a, b))
+
+
+class TestExtendReportWriter:
+    """`tropcyl extend` writes its report as text, each spine entry
+    formatted once for the spine and the cylinder; its stdout is the
+    `json.dumps(..., sort_keys=True)` line of the dict report the command
+    line built before (`report_oracle`)."""
+
+    def test_criterion_5_spines(self, tmp_path, del_pezzo):
+        for l in range(1, 5):
+            for n, m, b in product(range(l + 1), range(-2, 3), (F(1), F(3, 2))):
+                got, expected = _extend_stdout(tmp_path, del_pezzo,
+                                               family_spine(l, m, n, b))
+                assert got == expected, (l, m, n, b)
+
+    def test_one_turn_spines(self, tmp_path):
+        for k in range(3, 65):
+            got, expected = _extend_stdout(tmp_path, *_one_turn_spine(k))
+            assert got == expected, k
+
+    # ids between o1 and o2, or below o1, so that the origin vertices and
+    # the legs go to different places among the spine's entries
+    @pytest.mark.parametrize("ids", [("a", "c1", "c2", "b"), ("a", "o1a", "o1b", "z"),
+                                     ("o1b", "o1a", "a", "z"), ("p", "o", "o11", "o1")])
+    def test_two_legs(self, tmp_path, ids):
+        spine = _two_bend_spine(ids)
+        assert len(spine_legs(tc.del_pezzo_base(), spine,
+                              extend(tc.del_pezzo_base(), spine).extended)) == 2
+        got, expected = _extend_stdout(tmp_path, tc.del_pezzo_base(), spine)
+        assert got == expected
+
+    @given(ids=st.lists(ESCAPED, min_size=4, max_size=4, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_escaped_ids(self, tmp_path_factory, ids):
+        got, expected = _extend_stdout(tmp_path_factory.mktemp("ids"), tc.del_pezzo_base(),
+                                       _two_bend_spine(ids))
+        assert got == expected
 
 
 class TestExtendCompletesOnce:

@@ -1,19 +1,21 @@
 import copy
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import tropcyl as tc
+from tropcyl.errors import brief
 from tropcyl.serialize import (
     SchemaError,
-    cylinder_to_json,
+    extend_report,
     frac_to_str,
     pair_from_json,
     parse_frac,
     spine_from_json,
+    spine_text,
     spine_to_json,
 )
 
@@ -30,6 +32,7 @@ from point_oracle import (
     split_ends_match,
 )
 from ray_oracle import outcome
+from report_oracle import dict_spine_to_json
 
 F = Fraction
 
@@ -62,7 +65,7 @@ def _fraction_parse(s):
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r}") from exc
+        raise SchemaError(f"bad rational {brief(s)}") from exc
 
 
 def _parse_outcome(parse, s):
@@ -129,8 +132,8 @@ class TestSpineFile:
         spine = tc.family_spine(2, 0, 2, 1)
         res = tc.extend(del_pezzo, spine)
         cyl = tc.cylinder_in_b(del_pezzo, res.extended)
-        data = cylinder_to_json(spine_to_json(res.extended),
-                                spine_legs(del_pezzo, spine, res.extended))
+        data = json.loads(extend_report(
+            res, spine_legs(del_pezzo, spine, res.extended)))["cylinder"]
         assert data["legs"] == [list(leg) for leg in cyl.legs] != []
         back = spine_from_json(del_pezzo, data)
         assert back == cyl.tree
@@ -283,6 +286,12 @@ class TestSpineParseParity:
             kinds.add(got[0] if got[0] == "value" else got[1])
         assert kinds == {"value", SchemaError}
 
+    def test_text_writer_matches_dict_writer(self):
+        trees = ([spine_from_json(base, data) for base, data in _spine_files()]
+                 + [tree for _, tree in _built_trees()])
+        for tree in trees:
+            assert spine_text(tree) == json.dumps(dict_spine_to_json(tree), sort_keys=True)
+
     def test_round_trip_matches_reference(self):
         cases = _spine_files() + [(base, spine_to_json(tree))
                                   for base, tree in _built_trees()]
@@ -335,3 +344,64 @@ class TestEdgeLengthsInIntegers:
                 assert _ends_match(*map(as_ints, ref_ends), e.ratio, e.direction) == \
                     split_ends_match(*ref_ends, ref.length, e.direction)
         assert bounded > 100
+
+
+EDGE_KEYS = ("tail", "head", "cone", "direction", "length")
+
+
+class TestEdgeKeyRead:
+    """The five keys of an edge entry are read at once; a missing one is
+    named as the check of one key at a time named it, the first in
+    tail, head, cone, direction, length order, and a `bool` stays no
+    integer."""
+
+    @pytest.mark.parametrize("missing", [(k,) for k in EDGE_KEYS]
+                             + list(combinations(EDGE_KEYS, 2)),
+                             ids=lambda keys: "-".join(keys))
+    def test_missing_keys_name_the_first(self, del_pezzo, missing):
+        data = _family_json()
+        for key in missing:
+            del data["edges"][1][key]
+        got = outcome(spine_from_json, del_pezzo, data)
+        assert got == outcome(fraction_spine_from_json, del_pezzo, data)
+        assert got == ("raise", SchemaError, f'edge entry needs "{missing[0]}"')
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("path", [("cone",), ("direction", 0), ("direction", 1)],
+                             ids=lambda path: "-".join(map(str, path)))
+    def test_bool_cone_or_direction_is_rejected(self, del_pezzo, path, flag):
+        data = _with(_family_json(), ("edges", 0, *path), flag)
+        got = outcome(spine_from_json, del_pezzo, data)
+        assert got == outcome(fraction_spine_from_json, del_pezzo, data)
+        assert got[:2] == ("raise", SchemaError)
+
+
+E5000 = 10 ** 5000
+
+
+class TestBadEntriesAreBrief:
+    """A bad entry, a long int among them, is shown by `brief` in the
+    message: it stays short, and formatting it cannot raise."""
+
+    @pytest.mark.parametrize("data, message", [
+        ({"vertices": [E5000], "edges": [], "boundary": ["a", "b"]},
+         "bad vertex entry <int of 5001 digits>"),
+        ({"vertices": [], "edges": [E5000], "boundary": ["a", "b"]},
+         "bad edge entry <int of 5001 digits>"),
+        ({"vertices": [[E5000, 1]], "edges": [], "boundary": ["a", "b"]},
+         "bad vertex entry [<int of 5001 digits>, 1]"),
+    ], ids=["vertex", "edge", "nested"])
+    def test_long_int_entry(self, del_pezzo, data, message):
+        with pytest.raises(SchemaError) as info:
+            spine_from_json(del_pezzo, data)
+        assert str(info.value) == message
+
+    def test_long_entry_and_rational(self, del_pezzo):
+        data = {"vertices": [list(range(200_000))], "edges": [], "boundary": ["a", "b"]}
+        with pytest.raises(SchemaError, match="^bad vertex entry ") as info:
+            spine_from_json(del_pezzo, data)
+        assert len(str(info.value)) < 100
+        data = _with(_family_json(), ("vertices", 0, "coords", 0), "1/" + "7" * 5000)
+        with pytest.raises(SchemaError, match="^vertex 'v0': bad rational '1/777") as info:
+            spine_from_json(del_pezzo, data)
+        assert len(str(info.value)) < 100
