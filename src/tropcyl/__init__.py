@@ -36,7 +36,6 @@ from .lattice import (
     CurveClass,
     IntMatrix2,
     LooijengaPair,
-    TangentVector,
     TropicalBase,
     build_base,
     fan_closure,
@@ -110,7 +109,6 @@ __all__ = [
     "CurveClass",
     "IntMatrix2",
     "LooijengaPair",
-    "TangentVector",
     "TropicalBase",
     "build_base",
     "fan_closure",

@@ -54,10 +54,24 @@ def _load_json(path: str):
             raise SchemaError(str(exc)) from None
 
 
+# The most bits `tropcyl base` takes in a pair: the sum over its entries d
+# of the bit length of |d| + 1.  Each wall factor [[-d, 1], [-1, 0]] has
+# row-sum norm |d| + 1, so every report integer (a monodromy entry, a
+# closure ray, a matrix entry) is at most the product of the |d| + 1 in
+# absolute value, and the trace at most twice it: under 2^(BASE_BITS + 1),
+# which has at most 4215 digits, within the 4300 that `str` of an int
+# writes.  The check reads each entry once, before any lattice work.
+BASE_BITS = 14_000
+
+
 def cmd_base(args) -> int:
     pair = pair_from_json(_load_json(args.pair_file))
     if len(pair) > wallcross.L_MAX:
         raise InvalidQuery(f"base is capped at l = {wallcross.L_MAX}, got {len(pair)}")
+    bits = sum((abs(d) + 1).bit_length() for d in pair.self_intersections)
+    if bits > BASE_BITS:
+        raise InvalidQuery(
+            f"base is capped at {BASE_BITS} bits of |d| + 1 over the entries d, got {bits}")
     base = build_base(pair)
     mono = monodromy(base)
     closure = fan_closure(pair)
@@ -97,7 +111,15 @@ def cmd_extend(args) -> int:
     base = build_base(pair)
     spine = spine_from_json(base, _load_json(args.spine_file))
     result = extend(base, spine, max_steps=args.max_steps)
-    print(extend_report(result, spine_legs(base, spine, result.extended)))
+    legs = spine_legs(base, spine, result.extended)
+    try:
+        report = extend_report(result, legs)
+    except ValueError:
+        # a report integer past the digits that `%d` writes; the package
+        # built every input of the writer, so no other ValueError is hidden
+        raise InvalidQuery(f"the extend report has an integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+    print(report)
     return 0
 
 

@@ -68,7 +68,8 @@ class InvalidPair(TropcylError):
 
 
 class WrongHomeCone(TropcylError):
-    """A vector or a ray's start lies in neither cone a transport or cast needs."""
+    """A direction or a ray's start lies in neither cone a wall crossing or
+    cast needs."""
 
 
 class ZeroVector(TropcylError):

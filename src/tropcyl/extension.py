@@ -196,9 +196,9 @@ def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     the end's canonical cone `cone`."""
     pos = tree.position(end)
     if pos is None:
-        raise StructuralError(f"cannot extend at unbounded vertex {end!r}")
+        raise StructuralError(f"cannot extend at unbounded vertex {brief(end)}")
     if tree.valency(end) != 1:
-        raise StructuralError(f"vertex {end!r} is not a 1-valent end")
+        raise StructuralError(f"vertex {brief(end)} is not a 1-valent end")
     if pos.is_origin:
         raise DegenerateRay("ray starts at the origin")
     ((_, u, v),) = _outgoing(base, tree, end, pos)
@@ -217,7 +217,7 @@ def _cast(base: TropicalBase, end, fresh: str):
     vid, position, cone, u, v = end
     kind, cone, u, v, wall, point, ratio = _trace(base, position, cone, u, v)
     if kind == "origin":
-        raise HitOrigin(f"extension ray from {vid!r} runs into the origin")
+        raise HitOrigin(f"extension ray from {brief(vid)} runs into the origin")
     step = (vid, fresh, point, cone, u, v, ratio)
     if wall is None:
         return step, None, None
@@ -331,21 +331,20 @@ def _legs(base: TropicalBase, tree: TropicalTree, vertices) -> list[tuple[str, E
         pos = v.position
         if pos is None or pos.cone is None:
             continue
-        sigma = direction_sum(base, tree, v.id)
-        if sigma.is_zero:
+        su, sv = direction_sum(base, tree, v.id)
+        if not (su or sv):
             continue
-        if not is_outward_radial(base, pos, sigma):
+        if not is_outward_radial(pos, su, sv):
             raise UnbalancedNonRadial(
-                f"vertex {v.id!r} has direction sum ({brief(sigma.u)}, {brief(sigma.v)}) "
+                f"vertex {brief(v.id)} has direction sum ({brief(su)}, {brief(sv)}) "
                 f"that is not an outward radial vector")
-        # sigma lives in the cone of pos; its lattice length there is
-        # gcd(A, B)/Q, and the leg's parameter length divides it by the
-        # divisibility of sigma
-        num, den = gcd(pos.A, pos.B), pos.Q * gcd(sigma.u, sigma.v)
+        # the sum lives in the cone of pos; the lattice length of pos there
+        # is gcd(A, B)/Q, and the leg's parameter length divides it by the
+        # divisibility of the sum
+        num, den = gcd(pos.A, pos.B), pos.Q * gcd(su, sv)
         g = gcd(num, den)
         oid = next(fresh)
-        legs.append((oid, _edge(v.id, oid, sigma.cone, -sigma.u, -sigma.v,
-                                (num // g, den // g))))
+        legs.append((oid, _edge(v.id, oid, pos.cone, -su, -sv, (num // g, den // g))))
     return legs
 
 
@@ -361,7 +360,7 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     for b in ext.boundary:
         if not ext.vertex(b).is_unbounded:
             raise StructuralError(
-                f"extended spine boundary {b!r} must run to infinity")
+                f"extended spine boundary {brief(b)} must run to infinity")
     legs = _legs(base, ext, ext.vertices)
     tree = TropicalTree([*ext.vertices, *(Vertex(oid, ORIGIN) for oid, _ in legs)],
                         [*ext.edges, *(leg for _, leg in legs)], ext.boundary)

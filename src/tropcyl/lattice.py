@@ -4,12 +4,13 @@ The base is a fan of `l` two-dimensional cones glued cyclically along rays
 (walls), with an integral affine structure away from the origin.  Crossing
 wall i carries tangent vectors by a determinant-1 integral linear map that
 depends on the self-intersection number of the i-th boundary component;
-`TropicalBase._cross` is that map, in integers, and `transport`, the spine
-checks and the ray cast all cross walls through it.  All coordinates are
-exact and integral: a tangent vector is an integer pair, and a point of a
-cone is an integer pair over one common positive denominator, so every
-test on points compares integers.  `Fraction` appears only where a
-coordinate is read out as a rational.  No floats anywhere.
+`TropicalBase._cross` is that map, in integers, and the spine checks and
+the ray cast both cross walls through it.  All coordinates are exact and
+integral: a tangent vector is a plain int pair (u, v) in the basis of a
+cone, and a point of a cone is an integer pair over one common positive
+denominator, so every test on points compares integers.  `Fraction`
+appears only where a coordinate is read out as a rational.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ _set = object.__setattr__
 
 
 def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+    raise AttributeError(f"cannot assign to field {brief(name)}")
 
 
 def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+    raise AttributeError(f"cannot delete field {brief(name)}")
 
 
 def value_class(*fields):
@@ -196,29 +197,6 @@ def _base_point(cone: int | None, A: int, B: int, Q: int) -> BasePoint:
 ORIGIN = BasePoint(None)
 
 
-@value_class("cone", "u", "v")
-class TangentVector:
-    """Integer tangent vector in the basis (e_i, e_{i+1}) of its home cone.
-
-    Raises InvalidArgument unless `cone`, `u` and `v` are ints (see
-    `is_int`), so no float reaches a transport.
-    """
-
-    __slots__ = ("cone", "u", "v")
-
-    def __init__(self, cone: int, u: int, v: int):
-        if not (is_int(cone) and is_int(u) and is_int(v)):
-            raise InvalidArgument(f"tangent vector needs int cone, u, v, got "
-                                  f"{brief(cone)}, {brief(u)}, {brief(v)}")
-        _set(self, "cone", cone)
-        _set(self, "u", u)
-        _set(self, "v", v)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-
 @value_class("a", "b", "c", "d")
 class IntMatrix2:
     """Row-major 2x2 integer matrix: the value of `monodromy`, read through
@@ -354,18 +332,7 @@ class TropicalBase:
         A, B, Q = c
         return (Fraction(A, Q), Fraction(B, Q))
 
-    # -- transports ------------------------------------------------------
-
-    def transport(self, vec: TangentVector, wall: int) -> TangentVector:
-        """Re-express `vec` across wall `wall`, from the side it lives on:
-        the checked view of `_cross`.  Raises WrongHomeCone if `vec` lives
-        in neither cone of the wall, and InvalidArgument unless `vec` is a
-        `TangentVector` and `wall` an int.
-        """
-        if type(vec) is not TangentVector or not is_int(wall):
-            raise InvalidArgument(f"transport needs a TangentVector and an int wall, got "
-                                  f"{brief(vec)}, {brief(wall)}")
-        return TangentVector(*self._cross(wall, vec.cone, vec.u, vec.v))
+    # -- wall crossing ---------------------------------------------------
 
     def _cross(self, wall: int, cone: int, u: int, v: int) -> tuple[int, int, int]:
         """(cone', u', v'): the int vector (u, v) of cone `cone` carried

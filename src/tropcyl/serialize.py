@@ -105,29 +105,29 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(vid, str):
             raise SchemaError("vertex ids must be strings")
         if vid in ids:
-            raise SchemaError(f"duplicate vertex id {vid!r}")
+            raise SchemaError(f"duplicate vertex id {brief(vid)}")
         ids.add(vid)
         origin = item.get("origin", False)
         if not isinstance(origin, bool):
-            raise SchemaError(f'vertex {vid!r} "origin" must be true or false')
+            raise SchemaError(f'vertex {brief(vid)} "origin" must be true or false')
         if origin:
             vertices.append(_vertex(vid, ORIGIN))
             continue
         if "cone" not in item or "coords" not in item:
-            raise SchemaError(f"vertex {vid!r} needs cone and coords")
+            raise SchemaError(f"vertex {brief(vid)} needs cone and coords")
         coords = item["coords"]
         if not isinstance(coords, list) or len(coords) != 2:
-            raise SchemaError(f"vertex {vid!r} coords must be a pair")
+            raise SchemaError(f"vertex {brief(vid)} coords must be a pair")
         cone = item["cone"]
         if not (cone.__class__ is int or is_int(cone)):
-            raise SchemaError(f"vertex {vid!r} cone must be an integer, got {brief(cone)}")
+            raise SchemaError(f"vertex {brief(vid)} cone must be an integer, got {brief(cone)}")
         try:
             an, ad = _parse_ratio(coords[0])
             bn, bd = _parse_ratio(coords[1])
             q = ad if ad == bd else ad * bd // gcd(ad, bd)
             pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
         except ValueError as exc:
-            raise SchemaError(f"vertex {vid!r}: {exc}") from exc
+            raise SchemaError(f"vertex {brief(vid)}: {exc}") from exc
         vertices.append(_vertex(vid, pos))
 
     edges = []

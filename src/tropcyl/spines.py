@@ -24,7 +24,6 @@ from .lattice import (
     ORIGIN,
     ZERO,
     BasePoint,
-    TangentVector,
     TropicalBase,
     _set,
     is_int,
@@ -362,12 +361,12 @@ def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
         raise StructuralError("boundary must be two distinct vertices")
     for b in tree.boundary:
         if b not in tree:
-            raise StructuralError(f"boundary vertex {b!r} missing")
+            raise StructuralError(f"boundary vertex {brief(b)} missing")
 
     for v in tree.vertices:
         p = v.position
         if p is not None and (p.A < 0 or p.B < 0):
-            raise StructuralError(f"vertex {v.id!r} lies outside its cone {brief(p.cone)}")
+            raise StructuralError(f"vertex {brief(v.id)} lies outside its cone {brief(p.cone)}")
 
     seen = set()
     vertex_of = tree._vertex_of
@@ -377,46 +376,47 @@ def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
         tail = vertex_of.get(e.tail)
         head = vertex_of.get(e.head)
         if tail is None or head is None:
-            raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) references missing vertex")
+            raise StructuralError(
+                f"edge ({brief(e.tail)}, {brief(e.head)}) references missing vertex")
         key = (e.tail, e.head)
         if key in seen:
-            raise StructuralError(f"parallel edges between {e.tail!r} and {e.head!r}")
+            raise StructuralError(f"parallel edges between {brief(e.tail)} and {brief(e.head)}")
         seen.add(key)
         if e.direction == (0, 0):
-            raise StructuralError(f"edge ({e.tail!r}, {e.head!r}) has zero direction")
+            raise StructuralError(f"edge ({brief(e.tail)}, {brief(e.head)}) has zero direction")
         if tail.position is None:
-            raise StructuralError(f"edge tail {e.tail!r} is unbounded")
+            raise StructuralError(f"edge tail {brief(e.tail)} is unbounded")
         tc = base._coords(tail.position, e.cone)
         if tc is None:
             raise StructuralError(
-                f"vertex {e.tail!r} lies outside cone {brief(e.cone)} of its edge")
+                f"vertex {brief(e.tail)} lies outside cone {brief(e.cone)} of its edge")
         ratio = e.ratio
         if ratio is None:
             if head.position is not None:
                 raise StructuralError(
-                    f"ray ({e.tail!r}, {e.head!r}) must end at infinity")
+                    f"ray ({brief(e.tail)}, {brief(e.head)}) must end at infinity")
             if e.direction[0] < 0 or e.direction[1] < 0:
                 raise StructuralError(
-                    f"ray ({e.tail!r}, {e.head!r}) leaves cone {brief(e.cone)}")
+                    f"ray ({brief(e.tail)}, {brief(e.head)}) leaves cone {brief(e.cone)}")
         else:
             if head.position is None:
                 raise StructuralError(
-                    f"bounded edge ({e.tail!r}, {e.head!r}) ends at infinity")
+                    f"bounded edge ({brief(e.tail)}, {brief(e.head)}) ends at infinity")
             if ratio[0] <= 0:
                 raise StructuralError(
-                    f"edge ({e.tail!r}, {e.head!r}) has nonpositive length")
+                    f"edge ({brief(e.tail)}, {brief(e.head)}) has nonpositive length")
             hc = base._coords(head.position, e.cone)
             if hc is None:
                 raise StructuralError(
-                    f"vertex {e.head!r} lies outside cone {brief(e.cone)} of its edge")
+                    f"vertex {brief(e.head)} lies outside cone {brief(e.cone)} of its edge")
             if not _ends_match(tc, hc, ratio, e.direction):
                 raise StructuralError(
-                    f"edge ({e.tail!r}, {e.head!r}) endpoints do not match "
+                    f"edge ({brief(e.tail)}, {brief(e.head)}) endpoints do not match "
                     f"its direction and length")
 
     for v in tree.vertices:
         if v.position is None and tree.valency(v.id) != 1:
-            raise StructuralError(f"unbounded vertex {v.id!r} must be 1-valent")
+            raise StructuralError(f"unbounded vertex {brief(v.id)} must be 1-valent")
 
     if len(tree.edges) != len(tree.vertices) - 1:
         raise StructuralError("edge count does not match a tree")
@@ -470,12 +470,13 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
     return out
 
 
-def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVector:
-    """Sum of outgoing edge directions at `vid`, in its canonical cone,
-    added as ints from `_outgoing`."""
+def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> tuple[int, int]:
+    """The sum (u, v) of the outgoing edge directions at `vid`, as ints in
+    the canonical cone of its position, added from `_outgoing`: the one
+    quantity balancing, the outward defect and the leg rule read."""
     pos = tree.position(vid)
     if pos is None:
-        raise StructuralError(f"vertex {vid!r} is unbounded")
+        raise StructuralError(f"vertex {brief(vid)} is unbounded")
     if pos.is_origin:
         raise OriginVertex("direction sums are undefined at the origin")
     total_u = 0
@@ -483,7 +484,7 @@ def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> TangentVe
     for _, u, v in _outgoing(base, tree, vid, pos):
         total_u += u
         total_v += v
-    return TangentVector(pos.cone, total_u, total_v)
+    return total_u, total_v
 
 
 def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
@@ -492,7 +493,7 @@ def is_balanced(base: TropicalBase, tree: TropicalTree, vid: str) -> bool:
     `TropicalTree` and `vid` a str."""
     _check_objects(base, tree, "is_balanced")
     _check_id(vid, "is_balanced")
-    return direction_sum(base, tree, vid).is_zero
+    return direction_sum(base, tree, vid) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +518,15 @@ class Violation:
         _set(self, "message", message)
 
 
-def is_outward_radial(base: TropicalBase, pos: BasePoint, vec: TangentVector) -> bool:
-    """Whether `vec` is a positive multiple of the ray from the origin
-    through `pos`; `vec` lives in the canonical cone of `pos`.
+def is_outward_radial(pos: BasePoint, u: int, v: int) -> bool:
+    """Whether the int vector (u, v) of the canonical cone of `pos`, a
+    point off the origin, is a positive multiple of the ray from the origin
+    through `pos`.
 
     With the cone coordinates (A/Q, B/Q) of `pos`, both tests are scaled
     by the positive Q, so they compare integers.
     """
-    A, B, _ = base._coords(pos, vec.cone)
-    u, v = vec.u, vec.v
+    A, B = pos.A, pos.B
     return u * B == v * A and u * A + v * B > 0
 
 
@@ -536,11 +537,10 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
     outgoing directions once, from `_outgoing`, in its canonical cone.
     With cone coordinates (A/Q, B/Q) of the vertex, an edge (u, v) points
     along the origin ray when u*B == v*A, and a 2-valent vertex's nonzero
-    direction sum (su, sv) points outward when also su*A + sv*B > 0:
-    transports are linear and fix the wall ray,
-    so these are the radial tests in the edge's own cone.  Defects are
-    held back, so every `radial-direction` violation comes before any
-    `defect-not-outward` one.
+    direction sum must pass `is_outward_radial`: wall crossings are linear
+    and fix the wall ray, so these are the radial tests in the edge's own
+    cone.  Defects are held back, so every `radial-direction` violation
+    comes before any `defect-not-outward` one.
     """
     out: list[Violation] = []
     for v in tree.vertices:
@@ -569,7 +569,7 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
             continue
         su = outgoing[0][1] + outgoing[1][1]
         sv = outgoing[0][2] + outgoing[1][2]
-        if (su or sv) and not (su * B == sv * A and su * A + sv * B > 0):
+        if (su or sv) and not is_outward_radial(pos, su, sv):
             defects.append(Violation(
                 "defect-not-outward", v.id,
                 f"2-valent vertex {v.id!r} has direction sum ({brief(su)}, "
@@ -585,7 +585,7 @@ def validate_spine(base: TropicalBase, tree: TropicalTree) -> list[Violation]:
     _check_objects(base, tree, "tree check")
     for v in tree.vertices:
         if v.position is None:
-            raise StructuralError(f"unbounded vertex {v.id!r} not allowed here")
+            raise StructuralError(f"unbounded vertex {brief(v.id)} not allowed here")
     check_structure(base, tree)
     return _spine_conditions(base, tree)
 
@@ -623,7 +623,7 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
                 out.append(Violation(
                     "origin-branch", v.id,
                     f"origin vertex {v.id!r} must be 1-valent"))
-            elif not direction_sum(base, tree, v.id).is_zero:
+            elif direction_sum(base, tree, v.id) != (0, 0):
                 out.append(Violation(
                     "unbalanced", v.id, f"vertex {v.id!r} is not balanced"))
     return out
@@ -661,7 +661,7 @@ class CanonicalImage:
 def _erasable(tree: TropicalTree, vid: str) -> bool:
     """Whether `vid` is a balanced 2-valent inner vertex whose two edges
     run straight on inside one cone, so erasing it keeps the image; the
-    edges are oriented by the rule of `_outgoing`, with no transport."""
+    edges are oriented by the rule of `_outgoing`, with no wall crossing."""
     inc = tree.incident(vid)
     if len(inc) != 2 or vid in tree.boundary:
         return False
@@ -749,7 +749,8 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     tc = None if tail is None else base.coords_in_cone(tail, target.cone)
     if tc is None:
         raise StructuralError(
-            f"vertex {target.tail!r} does not lie in cone {brief(target.cone)} of its edge")
+            f"vertex {brief(target.tail)} does not lie in cone {brief(target.cone)} of its "
+            f"edge")
     du, dv = target.direction
     mid = base.point(target.cone,
                      tc[0] + t * target.length * du,

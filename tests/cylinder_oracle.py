@@ -6,7 +6,10 @@ from the cast and before an edge stored its length as integers (N, D).
 as they were: the length is stored as a `Fraction`.  `full_cylinder_in_b`
 is `extension.cylinder_in_b` as the command line ran it: the structure
 check, then a leg from every bounded vertex off the origin whose direction
-sum is nonzero, each leg a `FractionEdge`.  `fraction_cylinder_to_json`
+sum is nonzero, each leg a `FractionEdge`; the sum is the wall-matrix one
+of `spine_oracle` and the radial test the `Fraction` one of
+`point_oracle`, so the reference shares neither input of the leg rule with
+the engine.  `fraction_cylinder_to_json`
 writes that cylinder as the report did, the whole tree in the spine format
 plus the legs, each length from its `Fraction`."""
 
@@ -15,7 +18,10 @@ from math import gcd
 
 from tropcyl import InvalidArgument, StructuralError, UnbalancedNonRadial
 from tropcyl.lattice import is_int, is_rational
-from tropcyl.spines import check_structure, direction_sum, is_outward_radial
+from tropcyl.spines import check_structure
+
+from point_oracle import fraction_is_outward_radial
+from spine_oracle import vector_direction_sum
 
 
 class FractionEdge:
@@ -77,17 +83,17 @@ def full_cylinder_in_b(base, ext):
         pos = v.position
         if pos is None or pos.is_origin:
             continue
-        sigma = direction_sum(base, ext, v.id)
-        if sigma.is_zero:
+        su, sv = vector_direction_sum(base, ext, v.id)
+        if (su, sv) == (0, 0):
             continue
-        if not is_outward_radial(base, pos, sigma):
+        if not fraction_is_outward_radial(base, pos, pos.cone, su, sv):
             raise UnbalancedNonRadial(f"vertex {v.id!r} is not balanced radially")
-        length = Fraction(gcd(pos.A, pos.B), pos.Q * gcd(sigma.u, sigma.v))
+        length = Fraction(gcd(pos.A, pos.B), pos.Q * gcd(su, sv))
         k += 1
         while f"o{k}" in ext:
             k += 1
         vertices.append((f"o{k}", None))
-        leg = fraction_make_edge(v.id, f"o{k}", sigma.cone, (-sigma.u, -sigma.v), length)
+        leg = fraction_make_edge(v.id, f"o{k}", pos.cone, (-su, -sv), length)
         edges.append(leg)
         legs.append((leg.tail, leg.head))
     return (sorted(vertices, key=lambda x: x[0]),

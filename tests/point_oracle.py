@@ -5,9 +5,11 @@ read spine files straight into that form.  `fraction_point`,
 `TropicalBase.coords_in_cone` and `spines._ends_match` as they were;
 `fraction_parse_frac`, `fraction_spine_from_json` and
 `fraction_spine_to_json` are the parse and the writer of `serialize` as
-they were, built through the public constructors.  `lattice_length`
-splits a segment into its lattice length and primitive direction, for
-tests that build edges between points."""
+they were, built through the public constructors.  `fraction_is_radial`
+and `fraction_is_outward_radial` are the radial tests of the spine checks
+and the leg rule on those coordinates, for the spine, ray and cylinder
+oracles alike.  `lattice_length` splits a segment into its lattice length
+and primitive direction, for tests that build edges between points."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -61,6 +63,20 @@ def fraction_coords_in_cone(base, p, cone):
     if p.b == 0 and (p.cone - 1) % base.l == cone:
         return (ZERO, p.a)
     return None
+
+
+def fraction_is_radial(base, pos, cone, u, v) -> bool:
+    """Whether +-(u, v), a vector of cone `cone`, points along the ray from
+    the origin through `pos`, on `Fraction` coordinates."""
+    pa, pb = fraction_coords_in_cone(base, pos, cone)
+    return u * pb == v * pa
+
+
+def fraction_is_outward_radial(base, pos, cone, u, v) -> bool:
+    """`spines.is_outward_radial` for a vector (u, v) of cone `cone`, on
+    `Fraction` coordinates: a positive multiple of the ray through `pos`."""
+    pa, pb = fraction_coords_in_cone(base, pos, cone)
+    return u * pb == v * pa and u * pa + v * pb > 0
 
 
 def split_ends_match(tc, hc, length, direction) -> bool:

@@ -1,7 +1,9 @@
 """Test-only references for the ray cast, the spine checks, the extension
 loop and the family trace's cone search: the same decisions made with
 `Fraction` arithmetic, as the engine did before it moved to integer
-numerators, and the extension building its tree step by step."""
+numerators, and the extension building its tree step by step.  The cast
+crosses walls through the wall matrices of `spine_oracle`, so it shares no
+code with the engine's wall map."""
 
 from fractions import Fraction
 
@@ -13,7 +15,6 @@ from tropcyl import (
     ExtensionResult,
     HitOrigin,
     NotExtendable,
-    TangentVector,
     Vertex,
     WrongHomeCone,
     del_pezzo_base,
@@ -22,7 +23,7 @@ from tropcyl import (
 )
 from tropcyl.extension import DEL_PEZZO_PAIR
 from tropcyl.lattice import develop
-from spine_oracle import direction_at
+from spine_oracle import direction_at, matrix_transport
 
 
 def fraction_trace(base, start, cone, u, v):
@@ -46,12 +47,10 @@ def fraction_trace(base, start, cone, u, v):
         raise DegenerateRay(f"direction runs along wall {(cone + 1) % base.l}")
 
     if b == 0 and v < 0:
-        vec = base.transport(TangentVector(cone, u, v), cone)
-        cone, u, v = vec.cone, vec.u, vec.v
+        cone, u, v = matrix_transport(base, cone, cone, u, v)
         a, b = Fraction(0), a
     elif a == 0 and u < 0:
-        vec = base.transport(TangentVector(cone, u, v), (cone + 1) % base.l)
-        cone, u, v = vec.cone, vec.u, vec.v
+        cone, u, v = matrix_transport(base, cone + 1, cone, u, v)
         a, b = b, Fraction(0)
 
     ta = a / -u if u < 0 else None
@@ -75,8 +74,8 @@ def eager_extend(base, spine, max_steps):
     ends = []
     for end in spine.boundary:
         (edge,) = spine.incident(end)
-        w = direction_at(edge, end)
-        ends.append((end, spine.position(end), w.cone, -w.u, -w.v))
+        cone, u, v = direction_at(base, edge, end)
+        ends.append((end, spine.position(end), cone, -u, -v))
     vertices, edges, boundary = list(spine.vertices), list(spine.edges), list(spine.boundary)
     total = {}
     steps = side = 0
@@ -106,16 +105,6 @@ def fraction_ends_match(tc, hc, length, direction) -> bool:
     """The endpoint test of `check_structure`: hc == tc + length * direction."""
     du, dv = direction
     return (tc[0] + length * du, tc[1] + length * dv) == tuple(hc)
-
-
-def fraction_is_radial(base, pos, vec) -> bool:
-    pa, pb = base.coords_in_cone(pos, vec.cone)
-    return vec.u * pb == vec.v * pa
-
-
-def fraction_is_outward_radial(base, pos, vec) -> bool:
-    pa, pb = base.coords_in_cone(pos, vec.cone)
-    return vec.u * pb == vec.v * pa and vec.u * pa + vec.v * pb > 0
 
 
 # walls -1..3 of the four-cone base, bounding its cones 3, 0, 1, 2

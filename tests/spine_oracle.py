@@ -1,25 +1,31 @@
 """Test-only references for the integer spine path: wall crossing as
 2x2 integer matrix algebra on plain int 4-tuples (the wall matrix, its
-product, inverse and action), the transport through it, the orientation
-of an edge at a vertex as one `TangentVector` (`direction_at`), the
-direction sum through it, and the two-pass spine conditions, as the
-engine computed them before the outgoing directions were read once per
-vertex, as plain ints.  The matrices share no code with
-`TropicalBase._cross`, the one wall map of the engine."""
+product, inverse and action), the crossing through it
+(`matrix_transport`), the orientation of an edge at a vertex as one
+(cone, u, v) triple (`direction_at`), the direction sum through it, and
+the two-pass spine conditions, as the engine computed them before the
+outgoing directions were read once per vertex, as plain ints.  The
+matrices share no code with `TropicalBase._cross`, the one wall map of the
+engine, and the outward test is the `Fraction` one of `point_oracle`."""
 
-from tropcyl import OriginVertex, StructuralError, TangentVector, WrongHomeCone
-from tropcyl.spines import Violation, is_outward_radial
+from tropcyl import OriginVertex, StructuralError, WrongHomeCone
+from tropcyl.errors import brief
+from tropcyl.spines import Violation
+
+from point_oracle import fraction_is_outward_radial
 
 
-def direction_at(edge, vid):
-    """Integer direction of `edge` pointing away from vertex `vid`, in the
-    edge's cone: the rule `spines._outgoing` applies before its transport."""
+def direction_at(base, edge, vid):
+    """(cone, u, v): the integer direction of `edge` pointing away from
+    vertex `vid`, in the edge's cone read modulo l, the rule
+    `spines._outgoing` applies before it crosses a wall."""
+    u, v = edge.direction
     if vid == edge.tail:
-        return TangentVector(edge.cone, edge.direction[0], edge.direction[1])
+        return edge.cone % base.l, u, v
     if vid == edge.head:
         if edge.is_ray:
             raise StructuralError("rays have no direction at their infinite end")
-        return TangentVector(edge.cone, -edge.direction[0], -edge.direction[1])
+        return edge.cone % base.l, -u, -v
     raise StructuralError(f"vertex {vid!r} is not an endpoint of the edge")
 
 
@@ -52,53 +58,51 @@ def mat_apply(m, u, v):
     return (a * u + b * v, c * u + d * v)
 
 
-def matrix_transport(base, vec, wall):
-    """`TropicalBase.transport` through the wall matrix from cone wall-1,
-    and through its inverse from cone wall."""
+def matrix_transport(base, wall, cone, u, v):
+    """`TropicalBase._cross(wall, cone, u, v)` through the wall matrix from
+    cone wall-1, and through its inverse from cone wall; both cones are
+    read modulo l."""
     l = base.l
     wall %= l
     m = wall_matrix(base.pair.self_intersections[wall])
-    if vec.cone % l == (wall - 1) % l:
-        return TangentVector(wall, *mat_apply(m, vec.u, vec.v))
-    if vec.cone % l == wall:
-        return TangentVector((wall - 1) % l, *mat_apply(mat_inverse(m), vec.u, vec.v))
+    if cone % l == (wall - 1) % l:
+        return (wall, *mat_apply(m, u, v))
+    if cone % l == wall:
+        return ((wall - 1) % l, *mat_apply(mat_inverse(m), u, v))
     raise WrongHomeCone(
         f"transport across wall {wall} needs home cone {(wall - 1) % l} "
-        f"or {wall}, got {vec.cone}")
-
-
-def _to_canonical_cone(base, pos, vec):
-    target = pos.cone
-    if vec.cone == target:
-        return vec
-    if pos.cone is not None and pos.B == 0 and (vec.cone + 1) % base.l == target:
-        return matrix_transport(base, vec, target)
-    raise StructuralError(
-        f"edge cone {vec.cone} is not adjacent to the vertex in cone {target}")
+        f"or {wall}, got {brief(cone)}")
 
 
 def vector_direction_sum(base, tree, vid):
-    """`direction_sum`, one `TangentVector` per edge through `direction_at`."""
+    """`direction_sum`: each edge's `direction_at` carried into the
+    vertex's canonical cone by `matrix_transport`, then added."""
     pos = tree.position(vid)
     if pos is None:
         raise StructuralError(f"vertex {vid!r} is unbounded")
     if pos.is_origin:
         raise OriginVertex("direction sums are undefined at the origin")
+    target = pos.cone
     total_u = total_v = 0
     for e in tree.incident(vid):
-        w = _to_canonical_cone(base, pos, direction_at(e, vid))
-        total_u += w.u
-        total_v += w.v
-    return TangentVector(pos.cone, total_u, total_v)
+        cone, u, v = direction_at(base, e, vid)
+        if cone != target:
+            if not (pos.B == 0 and (cone + 1) % base.l == target):
+                raise StructuralError(
+                    f"edge cone {e.cone} is not adjacent to the vertex in cone {target}")
+            _, u, v = matrix_transport(base, target, cone, u, v)
+        total_u += u
+        total_v += v
+    return total_u, total_v
 
 
-def _is_radial(base, pos, vec) -> bool:
-    """Whether +-vec points along the ray from the origin through `pos`:
-    u*bn*ad == v*an*bd for the cone coordinates (an/ad, bn/bd) of `pos`
-    in the home cone of `vec`."""
-    pa, pb = base.coords_in_cone(pos, vec.cone)
+def _is_radial(base, pos, cone, u, v) -> bool:
+    """Whether +-(u, v), a vector of cone `cone`, points along the ray from
+    the origin through `pos`: u*bn*ad == v*an*bd for the cone coordinates
+    (an/ad, bn/bd) of `pos` in that cone."""
+    pa, pb = base.coords_in_cone(pos, cone)
     an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
-    return vec.u * bn * ad == vec.v * an * bd
+    return u * bn * ad == v * an * bd
 
 
 def two_pass_spine_conditions(base, tree):
@@ -118,7 +122,7 @@ def two_pass_spine_conditions(base, tree):
         if v.position is None or v.position.is_origin:
             continue
         for e in tree.incident(v.id):
-            if _is_radial(base, v.position, direction_at(e, v.id)):
+            if _is_radial(base, v.position, *direction_at(base, e, v.id)):
                 out.append(Violation(
                     "radial-direction", v.id,
                     f"edge ({e.tail!r}, {e.head!r}) points along the origin "
@@ -128,12 +132,12 @@ def two_pass_spine_conditions(base, tree):
             continue
         if tree.valency(v.id) != 2:
             continue
-        sigma = vector_direction_sum(base, tree, v.id)
-        if sigma.is_zero:
+        su, sv = vector_direction_sum(base, tree, v.id)
+        if (su, sv) == (0, 0):
             continue
-        if not is_outward_radial(base, v.position, sigma):
+        if not fraction_is_outward_radial(base, v.position, v.position.cone, su, sv):
             out.append(Violation(
                 "defect-not-outward", v.id,
-                f"2-valent vertex {v.id!r} has direction sum ({sigma.u}, "
-                f"{sigma.v}) whose negative does not point to the origin"))
+                f"2-valent vertex {v.id!r} has direction sum ({su}, "
+                f"{sv}) whose negative does not point to the origin"))
     return out

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import wallcross
-from tropcyl.cli import TRACE_DIGITS, _build_parser, run
+from tropcyl.cli import BASE_BITS, TRACE_DIGITS, _build_parser, run
+from tropcyl.errors import brief
 from tropcyl.serialize import spine_to_json
 from subset_oracle import subset_count
 
@@ -71,6 +73,39 @@ class TestBase:
         assert code == 1
         assert report == {"error": "InvalidQuery",
                           "detail": "base is capped at l = 1000, got 1001"}
+
+    @pytest.mark.parametrize("entries, bits", [
+        ([-10 ** 100] * 50, 50 * 333),
+        ([-10 ** 3999 - 7] * 1000, 1000 * 13285),
+    ], ids=["50-entries-of-101-digits", "1000-entries-of-4000-digits"])
+    def test_bit_cap(self, capsys, tmp_path, entries, bits):
+        # the first used to end in a bare ValueError from `str` of a report
+        # integer, the second to run for minutes; both now stop before any
+        # lattice work
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"self_intersections": entries}))
+        start = time.perf_counter()
+        code, report = run_json(capsys, ["base", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert report == {"error": "InvalidQuery", "detail": (
+            f"base is capped at {BASE_BITS} bits of |d| + 1 over the entries d, got {bits}")}
+
+    def test_bit_cap_admits_a_pair_at_the_cap(self, capsys, tmp_path):
+        # four entries -2^3499 have 4 * 3500 bits, the cap; one more bit is refused
+        at_cap = [-2 ** 3499] * 4
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"self_intersections": at_cap}))
+        code, report = run_json(capsys, ["base", str(path)])
+        assert code == 0
+        pair = tc.LooijengaPair(at_cap)
+        assert report["monodromy"] == tc.monodromy(pair).rows()
+        assert report["monodromy_trace"] == tc.monodromy(pair).trace()
+        assert report["positive"] is tc.is_positive(pair)
+        path.write_text(json.dumps({"self_intersections": at_cap[1:] + [-2 ** 3500]}))
+        code, report = run_json(capsys, ["base", str(path)])
+        assert code == 1
+        assert report["detail"].endswith(f"got {BASE_BITS + 1}")
 
     def test_long_semidefinite_cycle(self, capsys, tmp_path):
         # 2^30 principal minors: decided by elimination instead
@@ -229,6 +264,49 @@ class TestExtend:
         else:
             expected = "NotExtendable" if max_steps == "1" else "InvalidQuery"
             assert report["error"] == expected
+
+    def test_report_integer_past_the_str_limit(self, capsys, tmp_path):
+        # used to end in a bare ValueError traceback from `%d` in the writer
+        pair = tmp_path / "p.json"
+        pair.write_text(json.dumps({"self_intersections": [0, -10 ** 2200, -10 ** 2200, 0]}))
+        code, report = run_json(capsys, ["extend", str(pair), str(DATA / "spiral_start.json"),
+                                         "--max-steps", "20"])
+        assert code == 1
+        assert report == {"error": "InvalidQuery", "detail": (
+            f"the extend report has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits")}
+
+
+class TestLongIds:
+    """A vertex id of 200,000 characters is shown cut to 60 in a message;
+    each of these used to repeat it in full."""
+
+    LONG = "v" * 200_000
+
+    def _spine(self, tmp_path, vertex_ids, edges):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": vid, "cone": 0, "coords": [f"{k}/1", "1/1"]}
+                         for k, vid in enumerate(vertex_ids, 1)],
+            "edges": edges, "boundary": ["a", "b"]}))
+        return str(path)
+
+    def test_duplicate_id(self, capsys, tmp_path):
+        spine = self._spine(tmp_path, [self.LONG, self.LONG], [])
+        assert run(["validate", str(DATA / "dp.json"), spine]) == 2
+        err = capsys.readouterr().err
+        assert err == f"tropcyl: duplicate vertex id {brief(self.LONG)}\n"
+        assert len(err) < 100
+
+    def test_missing_head(self, capsys, tmp_path):
+        spine = self._spine(tmp_path, ["a", "b"], [
+            {"tail": "a", "head": self.LONG, "cone": 0, "direction": [1, 0],
+             "length": "1/1"}])
+        code, report = run_json(capsys, ["validate", str(DATA / "dp.json"), spine])
+        assert code == 1
+        assert report == {"error": "StructuralError",
+                          "detail": f"edge ('a', {brief(self.LONG)}) references missing vertex"}
+        assert len(report["detail"]) < 100
 
 
 class TestCount:

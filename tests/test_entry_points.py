@@ -33,7 +33,7 @@ CYLINDER = tc.cylinder_in_b(DEL_PEZZO, EXTENDED)
 # A value of each of several package classes, for the object slots.
 OBJECT = ANY | st.sampled_from((
     tc.LooijengaPair((1, 1, 1)), tc.build_base((1, 1, 1)), DEL_PEZZO, tc.BasePoint(0, 1),
-    tc.TangentVector(0, 1, 0), tc.CountQuery(2, 0, 1), S.monomial(1, 0),
+    tc.CountQuery(2, 0, 1), S.monomial(1, 0),
     tc.family_spine(2, 0, 1, 1), tc.canonical_image(tc.family_spine(2, 0, 1, 1)),
     EXTENDED, CYLINDER, tc.CurveClass(((0, 1),))))
 
@@ -80,8 +80,6 @@ UNHASHABLE = st.lists(st.sampled_from(("v0", "v2")), max_size=2) | st.builds(dic
 ANY_VID = _or_any(st.sampled_from(("v0", "v1", "v2")), UNHASHABLE | ANY)
 KEY = _or_any(st.tuples(st.sampled_from(("v0", "v1", "v2")), st.sampled_from(("v0", "v1", "v2")))
               | st.just(("v0", "v2")), UNHASHABLE | ANY | st.tuples(ANY_VID, ANY_VID))
-VECTOR = _or_any(st.builds(tc.TangentVector, st.integers(0, 3), st.integers(-2, 2),
-                          st.integers(-2, 2)), OBJECT)
 LEGS = _or_any(st.lists(st.tuples(ID, ID), max_size=2).map(tuple) | st.just(CYLINDER.legs),
                OBJECT | st.lists(st.tuples(ID, ID), max_size=2) | st.tuples(KEY))
 
@@ -128,11 +126,6 @@ def _pair(entries):
 def _trace(l, m, n, b, t):
     p = tc.tropical_trace(l, m, n, b, t)
     assert _exact(b) and _exact(t) and type(p.a) is Fraction and type(p.b) is Fraction
-
-
-def _vector(cone, u, v):
-    vec = tc.TangentVector(cone, u, v)
-    assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
 
 
 def _edge(tail, head, cone, direction, length):
@@ -253,7 +246,6 @@ ENTRY_POINTS = {
     "build_base": (tc.build_base, st.tuples(SEQUENCE)),
     "TropicalBase": (tc.TropicalBase, st.tuples(SEQUENCE)),
     "TropicalBase.point": (_point, st.tuples(INT, RATIONAL, RATIONAL)),
-    "TangentVector": (_vector, st.tuples(INT, INT, INT)),
     "BasePoint": (_base_point, st.tuples(st.none() | INT, RATIONAL, RATIONAL)),
     "Vertex": (_vertex, st.tuples(ID, POINT | st.tuples(INT, INT))),
     "make_tree": (_tree, st.tuples(VERTICES, EDGES, BOUNDARY)),
@@ -328,8 +320,6 @@ ENTRY_POINTS = {
                                   st.tuples(_or_any(INT, UNHASHABLE))),
     "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
                                     st.tuples(POINT, INT)),
-    "TropicalBase.transport": (_objects(DEL_PEZZO.transport, tc.TangentVector, int),
-                               st.tuples(VECTOR, INT)),
     "TropicalTree.__contains__": (EXTENDED.__contains__, st.tuples(ANY_VID)),
     "TropicalTree.vertex": (EXTENDED.vertex, st.tuples(ANY_VID)),
     "TropicalTree.position": (EXTENDED.position, st.tuples(ANY_VID)),
@@ -463,7 +453,6 @@ LONG_INT_CASES = {
     "count_table": lambda: tc.count_table(E5000, [0]),
     "virtual_dim": lambda: tc.virtual_dim(E5000, 0.5, 0, 0),
     "LooijengaPair": lambda: tc.LooijengaPair([E5000, 0.5, 1]),
-    "TangentVector": lambda: tc.TangentVector(0, E5000, 0.5),
     "verify_toric_criterion": lambda: tc.verify_toric_criterion(-E5000, 0, 1),
     "family_spine-l": lambda: tc.family_spine(-E5000, 0, 0, 1),
     "family_spine-b": lambda: tc.family_spine(1, 0, 0, -E5000),
@@ -565,8 +554,6 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: DEL_PEZZO.pair["a"],
     lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
     lambda: DEL_PEZZO.coords_in_cone(None, 0),
-    lambda: DEL_PEZZO.transport(None, 1),
-    lambda: DEL_PEZZO.transport(tc.TangentVector(0, 1, 0), "x"),
     lambda: tc.CurveClass(None),
     lambda: tc.CurveClass(((0, -3),)),
 ], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
@@ -576,8 +563,7 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
         "Edge-float-length", "Edge-tail",
         "Edge-cone", "Edge-direction", "tree-vertex", "tree-position", "tree-incident",
         "tree-valency", "tree-edge", "tree-in", "pair-getitem",
-        "coords_in_cone-cone", "coords_in_cone-point", "transport-vector",
-        "transport-wall", "CurveClass-none",
+        "coords_in_cone-cone", "coords_in_cone-point", "CurveClass-none",
         "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
     # each used to end in a bare TypeError or AttributeError, or to store
@@ -607,7 +593,6 @@ class Str(str):
 # message of a rejected x, with {} for its repr.
 MATRIX = "matrix needs int entries, got "
 POINT_MESSAGE = "base point needs an int or None cone and rational coordinates, got "
-VECTOR_MESSAGE = "tangent vector needs int cone, u, v, got "
 VERTEX = "vertex needs a str id and a BasePoint or None position, got "
 EDGE = "edge needs int cone and direction, got "
 DIM = "virtual dimension needs int arguments, got "
@@ -615,9 +600,6 @@ SLOTS = {
     "BasePoint.cone": (lambda x: tc.BasePoint(x, 1, 2), POINT_MESSAGE + "{}, 1, 2"),
     "BasePoint.a": (lambda x: tc.BasePoint(0, x, 2), POINT_MESSAGE + "0, {}, 2"),
     "BasePoint.b": (lambda x: tc.BasePoint(0, 1, x), POINT_MESSAGE + "0, 1, {}"),
-    "TangentVector.cone": (lambda x: tc.TangentVector(x, 1, 2), VECTOR_MESSAGE + "{}, 1, 2"),
-    "TangentVector.u": (lambda x: tc.TangentVector(0, x, 2), VECTOR_MESSAGE + "0, {}, 2"),
-    "TangentVector.v": (lambda x: tc.TangentVector(0, 1, x), VECTOR_MESSAGE + "0, 1, {}"),
     "IntMatrix2.a": (lambda x: tc.IntMatrix2(x, 1, 0, 1), MATRIX + "{}, 1, 0, 1"),
     "IntMatrix2.b": (lambda x: tc.IntMatrix2(1, x, 0, 1), MATRIX + "1, {}, 0, 1"),
     "IntMatrix2.c": (lambda x: tc.IntMatrix2(1, 1, x, 1), MATRIX + "1, 1, {}, 1"),

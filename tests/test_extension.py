@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tropcyl as tc
@@ -533,6 +533,8 @@ class TestCylinderFromTheCast:
            y=st.fractions(F(1, 9), 4, max_denominator=9),
            d=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
            s=st.integers(0, 3))
+    # an edge cone of l: the cylinder oracle reads it modulo l, as the engine does
+    @example(ds=[0, 0, 0], cone=3, x=F(1), y=F(2), d=(1, 0), s=1)
     @settings(max_examples=80, deadline=None)
     def test_bent_spines(self, ds, cone, x, y, d, s):
         # a center inside a cone, with arms d and s*r - d for the primitive

@@ -12,13 +12,13 @@ from tropcyl import (
     InvalidQuery,
     IntMatrix2,
     LooijengaPair,
-    TangentVector,
     WrongHomeCone,
     ZeroVector,
     build_base,
     fan_closure,
     intersection_matrix,
     is_positive,
+    make_edge,
     monodromy,
     verify_toric_criterion,
 )
@@ -136,25 +136,26 @@ class TestPoints:
 
 
 class TestTransport:
+    """`TropicalBase._cross`, the one wall map, on ints, against the wall
+    matrices of `spine_oracle`: equal triples or the same WrongHomeCone."""
+
     def test_wall_direction_fixed(self, del_pezzo):
         # e_i is a basis vector on both sides of wall i
         for i in range(4):
-            v = TangentVector((i - 1) % 4, 0, 1)
-            assert del_pezzo.transport(v, i) == TangentVector(i, 1, 0)
+            assert del_pezzo._cross(i, (i - 1) % 4, 0, 1) == (i, 1, 0)
 
     def test_spec_values(self):
         d_minus_one = build_base(LooijengaPair((-1, -1, -1)))
-        assert d_minus_one.transport(TangentVector(0, 1, 0), 1) == TangentVector(1, 1, -1)
+        assert d_minus_one._cross(1, 0, 1, 0) == (1, 1, -1)
         d_zero = build_base(LooijengaPair((0, 0, 0)))
-        assert d_zero.transport(TangentVector(0, 1, 0), 1) == TangentVector(1, 0, -1)
+        assert d_zero._cross(1, 0, 1, 0) == (1, 0, -1)
 
     def test_determinant_one(self, del_pezzo):
         # the images of the basis vectors of cone i-1 across wall i are the
         # columns of the wall matrix, of determinant 1
         for i in range(4):
-            e1, e2 = (del_pezzo.transport(TangentVector(i - 1, u, v), i)
-                      for u, v in ((1, 0), (0, 1)))
-            a, b, c, d = e1.u, e2.u, e1.v, e2.v
+            (_, a, c), (_, b, d) = (del_pezzo._cross(i, i - 1, u, v)
+                                    for u, v in ((1, 0), (0, 1)))
             assert (a, b, c, d) == wall_matrix(del_pezzo.pair[i])
             assert mat_det((a, b, c, d)) == 1
 
@@ -162,30 +163,31 @@ class TestTransport:
                                       (False, 1, 1), (0, Fraction(1), 1), (0, "1", 1),
                                       (None, 1, 1)])
     def test_vector_needs_int_entries(self, args):
-        # a float entry would make `base.transport` return a float vector
+        # a float entry would make a wall crossing return a float vector;
+        # the directions `_cross` carries come from edges, and an edge
+        # refuses any (cone, u, v) that is not three ints
+        cone, u, v = args
         with pytest.raises(InvalidArgument):
-            TangentVector(*args)
+            make_edge("a", "b", cone, (u, v), 1)
 
     def test_transport_of_int_vectors_stays_int(self, del_pezzo):
-        vec = del_pezzo.transport(TangentVector(0, 3, -2), 1)
-        assert all(type(x) is int for x in (vec.cone, vec.u, vec.v))
+        assert all(type(x) is int for x in del_pezzo._cross(1, 0, 3, -2))
 
     def test_wrong_home_cone(self, del_pezzo):
         # wall 1 joins cones 0 and 1; a vector of any other cone is refused
         with pytest.raises(WrongHomeCone, match="needs home cone 0 or 1, got 2"):
-            del_pezzo.transport(TangentVector(2, 1, 0), 1)
+            del_pezzo._cross(1, 2, 1, 0)
         with pytest.raises(WrongHomeCone, match="needs home cone 3 or 0, got 1"):
-            del_pezzo.transport(TangentVector(1, 1, 0), 4)
+            del_pezzo._cross(4, 1, 1, 0)
 
     def test_home_cone_counts_modulo_l(self, del_pezzo):
         # edge cones count modulo l (`_coords`, `_outgoing`), and so does a
-        # vector's home cone: cone c + l transports like cone c on every wall
+        # vector's home cone: cone c + l crosses like cone c on every wall
         moved = 0
         for wall, cone in product(range(4), range(4)):
-            got = outcome(del_pezzo.transport, TangentVector(cone, 2, -1), wall)
+            got = outcome(del_pezzo._cross, wall, cone, 2, -1)
             for shift in (4, 8, -4):
-                shifted = TangentVector(cone + shift, 2, -1)
-                assert outcome(del_pezzo.transport, shifted, wall)[:2] == got[:2]
+                assert outcome(del_pezzo._cross, wall, cone + shift, 2, -1)[:2] == got[:2]
             moved += got[0] == "value"
         assert moved == 8
 
@@ -195,25 +197,38 @@ class TestTransport:
         for wall in range(base.l):
             for u in range(-10, 11):
                 for v in range(-10, 11):
-                    vec = TangentVector((wall - 1) % base.l, u, v)
-                    there = base.transport(vec, wall)
-                    back = base.transport(there, wall)
-                    assert back == vec
+                    there = base._cross(wall, wall - 1, u, v)
+                    assert base._cross(wall, *there) == ((wall - 1) % base.l, u, v)
 
     @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
     def test_inline_matches_matrix_form(self, ds):
-        # transport agrees with the tests-only wall matrix and its inverse
-        # on every wall, from every home cone: equal vectors or the same
-        # WrongHomeCone message
+        # on every wall, from every home cone, cones also read modulo l
         base = build_base(LooijengaPair(ds))
+        cones = range(-base.l, 2 * base.l)
         raised = 0
-        for wall, cone in product(range(-1, base.l + 1), range(base.l)):
+        for wall, cone in product(range(-1, base.l + 1), cones):
             for u, v in product(range(-4, 5), repeat=2):
-                vec = TangentVector(cone, u, v)
-                got = outcome(base.transport, vec, wall)
-                assert got == outcome(matrix_transport, base, vec, wall), (wall, vec)
+                got = outcome(base._cross, wall, cone, u, v)
+                assert got == outcome(matrix_transport, base, wall, cone, u, v), (
+                    wall, cone, u, v)
                 raised += got[0] == "raise"
-        assert 0 < raised < (base.l + 2) * base.l * 81
+        assert 0 < raised < (base.l + 2) * len(cones) * 81
+
+    @given(ds=st.lists(st.integers(-10 ** 60, 10 ** 60), min_size=3, max_size=6),
+           wall=st.integers(-10 ** 50, 10 ** 50), cone=st.integers(-10 ** 50, 10 ** 50),
+           u=st.integers(-10 ** 80, 10 ** 80), v=st.integers(-10 ** 80, 10 ** 80),
+           near=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_long_ints_match_matrix_form(self, ds, wall, cone, u, v, near):
+        # long entries, vectors and indices; half the draws put the home
+        # cone beside the wall, the others mostly raise WrongHomeCone, with
+        # the long cone shown by its digit count
+        base = build_base(LooijengaPair(ds))
+        if near:
+            cone = wall - 1 + (cone % 2) + base.l * (cone // 2)
+        got = outcome(base._cross, wall, cone, u, v)
+        assert got == outcome(matrix_transport, base, wall, cone, u, v)
+        assert near <= (got[0] == "value")
 
     @given(
         d=st.integers(min_value=-6, max_value=6),
@@ -225,12 +240,10 @@ class TestTransport:
     @settings(max_examples=80)
     def test_wedge_invariant_under_transport(self, d, u1, v1, u2, v2):
         base = build_base(LooijengaPair((d, d, d)))
-        a = TangentVector(0, u1, v1)
-        b = TangentVector(0, u2, v2)
-        before = a.u * b.v - a.v * b.u
-        ta = base.transport(a, 1)
-        tb = base.transport(b, 1)
-        assert ta.u * tb.v - ta.v * tb.u == before
+        before = u1 * v2 - v1 * u2
+        _, ua, va = base._cross(1, 0, u1, v1)
+        _, ub, vb = base._cross(1, 0, u2, v2)
+        assert ua * vb - va * ub == before
 
 
 class TestWedgeAndNorm:

@@ -11,7 +11,6 @@ from tropcyl import (
     LooijengaPair,
     OriginVertex,
     StructuralError,
-    TangentVector,
     Vertex,
     build_base,
     canonical_image,
@@ -33,13 +32,14 @@ from tropcyl.spines import (
     is_outward_radial,
 )
 
-from ray_oracle import (
-    fraction_ends_match,
+from ray_oracle import fraction_ends_match, outcome
+from point_oracle import (
+    as_ints,
     fraction_is_outward_radial,
     fraction_is_radial,
-    outcome,
+    lattice_length,
+    split_ends_match,
 )
-from point_oracle import as_ints, lattice_length, split_ends_match
 from spine_oracle import (
     _is_radial,
     two_pass_spine_conditions,
@@ -317,8 +317,8 @@ class TestValidation:
         s = tc.family_spine(2, 0, 1, 1)
         assert validate_spine(del_pezzo, s) == []
         # the 2-valent defect points outward along the wall
-        sigma = direction_sum(del_pezzo, s, "v0")
-        assert (sigma.cone, sigma.u, sigma.v) == (1, 1, 0)
+        assert s.position("v0").cone == 1
+        assert direction_sum(del_pezzo, s, "v0") == (1, 0)
 
     def test_origin_vertex_violates(self, del_pezzo):
         s = two_vertex_spine(del_pezzo, ORIGIN, del_pezzo.point(0, 1, 1),
@@ -417,7 +417,7 @@ class TestBalancing:
             ("b", "a"),
         )
         assert is_balanced(del_pezzo, tree, "w")
-        assert direction_sum(del_pezzo, tree, "b") == TangentVector(0, 2, -1)
+        assert direction_sum(del_pezzo, tree, "b") == (2, -1)
         assert validate_spine(del_pezzo, tree) == []
 
     def test_wall_vertex_unbalanced(self, del_pezzo):
@@ -539,9 +539,10 @@ def _ratio(length):
 
 class TestIntegerChecks:
     """The endpoint test and the two radial tests compare integer
-    numerators; each agrees with its `Fraction` form in `ray_oracle`
-    (`_is_radial` is the edge-cone test of the two-pass reference in
-    `spine_oracle`)."""
+    numerators; each agrees with its `Fraction` form in `ray_oracle` and
+    `point_oracle` (`_is_radial` is the edge-cone test of the two-pass
+    reference in `spine_oracle`; `is_outward_radial` reads a vector of the
+    point's canonical cone)."""
 
     def test_endpoint_grid_matches_fraction_reference(self):
         verdicts = set()
@@ -581,15 +582,20 @@ class TestIntegerChecks:
         verdicts = set()
         for cone, a, b in product(range(base.l), COORDS, COORDS):
             pos = base.point(cone, a, b)
-            # vectors homed in the point's cone and the one before it,
-            # which sees only wall points (other starts raise alike)
-            for home, u, v in product((cone - 1, cone), STEPS, STEPS):
-                vec = TangentVector(home, u, v)
-                for engine, reference in ((_is_radial, fraction_is_radial),
-                                          (is_outward_radial,
-                                           fraction_is_outward_radial)):
-                    got = outcome(engine, base, pos, vec)
-                    assert got == outcome(reference, base, pos, vec), (pos, vec)
+            canonical = cone if pos.is_origin else pos.cone
+            for u, v in product(STEPS, STEPS):
+                # the outward test reads a vector of the point's canonical cone
+                got = outcome(is_outward_radial, pos, u, v)
+                assert got == outcome(fraction_is_outward_radial, base, pos, canonical,
+                                      u, v), (pos, u, v)
+                verdicts.add(got[1])
+                # the edge test, homed in the point's cone and the one
+                # before it, which sees only wall points (other starts
+                # raise alike)
+                for home in (cone - 1, cone):
+                    got = outcome(_is_radial, base, pos, home, u, v)
+                    assert got == outcome(fraction_is_radial, base, pos, home, u, v), (
+                        pos, home, u, v)
                     verdicts.add(got[1])
         assert {True, False, TypeError} <= verdicts
 
@@ -602,16 +608,16 @@ class TestIntegerChecks:
     def test_radial_matches_fraction_reference(self, ds, cone, a, b, u, v, radial):
         base = build_base(LooijengaPair(ds))
         pos = base.point(cone, a, b)
+        home = cone if pos.is_origin else pos.cone
         if radial and not pos.is_origin:
             # a multiple of the point's own coordinates, to hit the equality
-            pa, pb = base.coords_in_cone(pos, cone)
+            pa, pb = base.coords_in_cone(pos, home)
             g = pa.denominator * pb.denominator
             u, v = int(pa * g) * u, int(pb * g) * u
-        vec = TangentVector(cone, u, v)
-        assert outcome(_is_radial, base, pos, vec) == outcome(
-            fraction_is_radial, base, pos, vec)
-        assert outcome(is_outward_radial, base, pos, vec) == outcome(
-            fraction_is_outward_radial, base, pos, vec)
+        assert outcome(_is_radial, base, pos, cone, u, v) == outcome(
+            fraction_is_radial, base, pos, cone, u, v)
+        assert outcome(is_outward_radial, pos, u, v) == outcome(
+            fraction_is_outward_radial, base, pos, home, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +690,8 @@ STAR_DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (2, 1),
 class TestOnePassSpineChecks:
     """`_spine_conditions` reads each vertex's outgoing directions once, as
     ints in its canonical cone; `direction_sum` adds the same ints.  Both
-    agree with the two-pass, one-`TangentVector`-per-edge reference."""
+    agree with the two-pass reference, which orients each edge on its own
+    and crosses walls through the wall matrices."""
 
     def test_family_spines(self, del_pezzo):
         codes = set()

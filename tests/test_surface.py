@@ -1,9 +1,11 @@
 """The supported surface: `tropcyl.__all__` is exactly what the package
 exports, it covers every name the benchmark and the acceptance suite
 import from the package, every public method of its value classes has a
-supported caller, and the README library example runs as stated."""
+supported caller, the README library example runs as stated, and no error
+message writes a value at full length with `!r`."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -121,11 +123,6 @@ def test_every_definition_is_exported_or_used():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-# Public methods kept only because tests compare against them: each is
-# named by a reference in tests/*oracle*.py.
-REFERENCES = {"TropicalBase.transport"}
-
-
 def _attributes(source: str) -> tuple[set[str], set[str]]:
     """(every name that `source` looks up as an attribute, every name that
     it calls as one, `x.name(...)`)."""
@@ -159,7 +156,7 @@ def test_public_method_names_are_unique():
 
 def test_every_public_method_has_a_supported_caller():
     # a public method that only its own tests call is a second way to a
-    # value: delete it, or keep it as a reference that an oracle names
+    # value: delete it, or move it to tests/ as a reference
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py"))
@@ -169,10 +166,50 @@ def test_every_public_method_has_a_supported_caller():
     called = set().union(*(c for _, c in uses))
     methods = _public_methods()
     assert {"TropicalTree.edge", "SparseLaurentSeries.terms"} <= set(methods)
-    assert sorted(m for m, is_property in methods.items() if m not in REFERENCES
-                  and m.split(".")[1] not in (read if is_property else called)) == []
-    oracles = [_attributes(path.read_text(encoding="utf-8"))
-               for path in (ROOT / "tests").glob("*oracle*.py")]
-    oracle_calls = set().union(*(c for _, c in oracles))
-    assert sorted(m for m in REFERENCES if m.split(".")[1] not in oracle_calls) == []
-    assert REFERENCES <= set(methods)
+    assert sorted(m for m, is_property in methods.items()
+                  if m.split(".")[1] not in (read if is_property else called)) == []
+
+
+def _exception_names() -> set[str]:
+    """The names of the builtin exception classes and of those the package
+    defines."""
+    spaces = [vars(builtins)] + [vars(module) for module in vars(tropcyl).values()
+                                 if isinstance(module, ModuleType)]
+    return {name for space in spaces for name, value in space.items()
+            if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def _repr_in_error_messages(tree: ast.Module, errors: set[str]) -> list[int]:
+    """Lines where an exception class is called with an f-string that
+    formats a value with `!r` (a `{x!r}` field)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in errors:
+            continue
+        for arg in [*node.args, *(k.value for k in node.keywords)]:
+            lines.extend(part.lineno for part in ast.walk(arg)
+                         if isinstance(part, ast.FormattedValue) and part.conversion == ord("r"))
+    return lines
+
+
+def test_error_messages_format_values_with_brief():
+    # `repr` writes a value at full length, so a 200,000-character id gave
+    # a 200,000-character message; `errors.brief` cuts it to 60 characters
+    errors = _exception_names()
+    assert {"ValueError", "AttributeError", "StructuralError", "SchemaError"} <= errors
+    found = {path.name: lines for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))
+             if (lines := _repr_in_error_messages(
+                 ast.parse(path.read_text(encoding="utf-8")), errors))}
+    assert found == {}
+    # the walk finds a field in a raised error, in a returned one and in a
+    # message built from parts, but not in a value that is no error
+    sample = ast.parse('def f(x):\n'
+                       '    raise KeyError(f"{x!r}")\n'
+                       '    return ValueError("a " + f"b {x!r}")\n'
+                       '    y = Violation("c", x, f"{x!r}")\n'
+                       '    raise KeyError(f"{brief(x)}")\n')
+    assert _repr_in_error_messages(sample, errors) == [2, 3]

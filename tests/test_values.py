@@ -45,9 +45,6 @@ EXAMPLES = {
                       lambda: tc.LooijengaPair([1, 1, 1])),
     "BasePoint": (lambda: tc.BasePoint(None), lambda: tc.BasePoint(1, F(1, 2)),
                   lambda: tc.BasePoint(2, F(1), F(3, 4))),
-    "TangentVector": (lambda: tc.TangentVector(0, 1, -2),
-                      lambda: tc.TangentVector(1, 1, -2),
-                      lambda: tc.TangentVector(0, 2, -1)),
     "IntMatrix2": (lambda: tc.IntMatrix2(1, 0, 0, 1),
                    lambda: tc.monodromy(tc.build_base((-2, -2, -2, -2)))),
     "CurveClass": (tc.CurveClass, lambda: tc.CurveClass(((3, 1), (1, 2)))),

@@ -39,13 +39,6 @@ class BasePoint:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    cone: int
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
 class IntMatrix2:
     a: int
     b: int
@@ -159,7 +152,7 @@ class CountQuery:
 
 
 REFERENCES = {cls.__name__: cls for cls in (
-    LooijengaPair, BasePoint, TangentVector, IntMatrix2, CurveClass, TropicalBase,
+    LooijengaPair, BasePoint, IntMatrix2, CurveClass, TropicalBase,
     Vertex, Edge, TropicalTree, CylinderInB, CylinderInBTilde, Violation,
     CanonicalImage, ExtensionResult, SparseLaurentSeries,
     CountQuery)}
