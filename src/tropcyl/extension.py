@@ -49,6 +49,8 @@ from .lattice import (
     LooijengaPair,
     TropicalBase,
     _base_point,
+    _curve_class,
+    _endless_rays,
     _over_lcm,
     _set,
     build_base,
@@ -75,6 +77,7 @@ from .spines import (
     _outgoing,
     _point_key,
     _unused_ids,
+    _vertex,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -229,7 +232,7 @@ def _cast(base: TropicalBase, end, fresh: str):
 def _step_parts(step):
     """(new vertex, new edge) of a `_cast` step."""
     vid, fresh, point, cone, u, v, ratio = step
-    return Vertex(fresh, point), _edge(vid, fresh, cone, u, v, ratio)
+    return _vertex(fresh, point), _edge(vid, fresh, cone, u, v, ratio)
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -262,13 +265,22 @@ def extend(base: TropicalBase, spine: TropicalTree,
 
     Ends are served alternately; the two sides never interact, so the
     result does not depend on the order.  Raises NotExtendable when the
-    step budget runs out (non-positive pairs can spiral forever),
-    InvalidArgument unless max_steps is an int (see `is_int`), and
-    InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP: a spiral's time
-    and memory grow with its steps.  Each end keeps its id, position and
-    outgoing ray, and each step is kept as the plain tuple of `_cast`; the
-    new vertices and edges, the tree and the curve class are built once,
-    after both ends finish, so a run that raises builds none of them.
+    step budget runs out, InvalidArgument unless max_steps is an int (see
+    `is_int`), and InvalidQuery unless 1 <= max_steps <= MAX_STEPS_CAP.
+
+    On a non-positive pair an end can cross walls forever.  An end that
+    has cast l rays without finishing is decided once by `_endless_rays`,
+    and if it is endless, NotExtendable(max_steps) is raised at once: the
+    report the full cast gives when its budget runs out.  Nothing else can
+    end that cast first: both ends have cast their first ray, the only one
+    that can meet a degenerate start, and the end of a valid spine is not
+    radial, so its ray never runs into the origin.  So `max_steps` bounds
+    only the casts of ends that finish.
+
+    Each end keeps its id, position and outgoing ray, and each step is
+    kept as the plain tuple of `_cast`; the new vertices and edges, the
+    tree and the curve class are built once, after both ends finish, so a
+    run that raises builds none of them.
     """
     if not is_int(max_steps):
         raise InvalidArgument(f"extend needs an int max_steps, got {brief(max_steps)}")
@@ -285,6 +297,8 @@ def extend(base: TropicalBase, spine: TropicalTree,
     boundary = list(spine.boundary)
     taken = []
     crossings = []
+    casts = [0, 0]
+    endless_ray = False  # the test of `_endless_rays`, built on first need
     side = 0
     while True:
         if ends[side] is None:
@@ -299,6 +313,12 @@ def extend(base: TropicalBase, spine: TropicalTree,
         boundary[side] = step[1]
         if crossing is not None:
             crossings.append(crossing)
+        casts[side] += 1
+        if casts[side] == base.l and ends[side] is not None:
+            if endless_ray is False:
+                endless_ray = _endless_rays(base.pair)
+            if endless_ray is not None and endless_ray(*ends[side][2:]):
+                raise NotExtendable(max_steps)
         side = 1 - side
     vertices = list(spine.vertices)
     edges = list(spine.edges)
@@ -307,7 +327,7 @@ def extend(base: TropicalBase, spine: TropicalTree,
         vertices.append(vertex)
         edges.append(edge)
     return ExtensionResult(TropicalTree(vertices, edges, boundary),
-                           CurveClass(crossings), len(taken))
+                           _curve_class(crossings), len(taken))
 
 
 # ---------------------------------------------------------------------------

@@ -246,12 +246,30 @@ class CurveClass:
                 type(x) is tuple and len(x) == 2 and is_int(x[0]) and is_int(x[1])
                 for x in coeffs)):
             raise InvalidArgument(f"curve class needs (int, int) pairs, got {brief(coeffs)}")
-        acc: dict[int, int] = {}
-        for k, v in coeffs:
-            acc[k] = acc.get(k, 0) + v
-        if any(v < 0 for v in acc.values()):
+        coeffs = _summed(coeffs)
+        if any(v < 0 for _, v in coeffs):
             raise InvalidArgument("curve class multiplicities must be >= 0")
-        _set(self, "coeffs", tuple(sorted((k, v) for k, v in acc.items() if v)))
+        _set(self, "coeffs", coeffs)
+
+
+def _summed(pairs) -> tuple[tuple[int, int], ...]:
+    """The canonical form of (index, multiple) pairs: summed per index,
+    zero totals dropped, sorted by index."""
+    acc: dict[int, int] = {}
+    for k, v in pairs:
+        acc[k] = acc.get(k, 0) + v
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
+
+
+_new_class = CurveClass.__new__
+
+
+def _curve_class(pairs) -> CurveClass:
+    """`CurveClass(pairs)` built unchecked, for the package's own
+    (wall, multiple >= 0) int pairs."""
+    c = _new_class(CurveClass)
+    _set(c, "coeffs", _summed(pairs))
+    return c
 
 
 @value_class("pair")
@@ -409,6 +427,82 @@ def develop(pair: LooijengaPair, lo: int, hi: int) -> list[tuple[int, int]]:
             frame.append((-x0 - d * x1, -y0 - d * y1))
     first = min(lo, 0)
     return (down[:0:-1] + up[1:])[lo - first:hi - first + 1]
+
+
+def _sign(a: int, b: int, delta: int) -> int:
+    """Sign of a + b*sqrt(delta), by integer tests: delta >= 0, and b = 0
+    unless delta is not a square, so the two terms never cancel."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > b * b * delta else sb
+
+
+def _endless_rays(pair):
+    """The test `endless(cone, u, v)` of whether the straight ray of int
+    direction (u, v) in cone `cone`, 0 <= cone < l, crosses infinitely
+    many walls; None when no ray is decided.
+
+    With walls = develop(pair, 0, l + 1), cone c has the frame (walls[c],
+    walls[c+1]), so the ray develops to the constant direction
+    w = u*walls[c] + v*walls[c+1], and one turn is the map
+    P = [walls[l] | walls[l+1]] (the inverse of `monodromy`), of trace t.
+    When t >= 2 and P != I, P has eigenvalues
+    lambda+- = (t +- sqrt(delta))/2 > 0 with delta = t^2 - 4 (not a square
+    for t > 2), and walls[k + l] = P walls[k].  If the l walls of one turn
+    all lie in both open half-planes det(x, D+) > 0 and det(D-, x) > 0,
+    for eigenvectors D+- of lambda+- (for t = 2, D+ = -D- spans the image
+    of P - I), then so does every wall, since det(P x, D) = det(x, D) /
+    lambda, and the walls turn monotonically up to D+ and back down to D-:
+    the developed cones fill the convex open sector between them.  A ray
+    stays in that sector and crosses finitely many walls exactly when w is
+    strictly inside it; otherwise it leaves through D+ or D- (or runs into
+    the origin, which the inward radial direction does).  Crossing a wall
+    keeps w, and leaving a turn multiplies det(w, D) by the positive
+    lambda, so the verdict holds at every step of the ray.  Otherwise (t <
+    2, P = I, or no such sector) the walls turn without bound, and a
+    straight ray, which sweeps less than pi, crosses finitely many walls.
+
+    D+- have entries in Z[sqrt(delta)], only the second one irrational:
+    (2b, d - a +- sqrt(delta)) for P = [[a, b], [c, d]], where b != 0
+    since t > 2.  Each is stored oriented as a normal (x0, x1, y1), meaning
+    (x0, x1 + y1*sqrt(delta)), with det(x, normal) > 0 on the sector side
+    of it, and every test is one `_sign`.
+    """
+    l = len(_as_pair(pair))
+    walls = develop(pair, 0, l + 1)
+    (a, c), (b, d) = walls[l], walls[l + 1]
+    t = a + d
+    if t < 2:
+        return None
+    delta = t * t - 4
+    if t > 2:
+        candidates = ((2 * b, d - a, 1), (2 * b, d - a, -1))
+    else:
+        # P - I has square zero, so a nonzero column spans its image,
+        # unless P = I
+        n = (a - 1, c) if (a - 1, c) != (0, 0) else (b, d - 1)
+        if n == (0, 0):
+            return None
+        candidates = ((*n, 0),)
+    normals = []
+    for x0, x1, y1 in candidates:
+        sides = {_sign(x * x1 - y * x0, x * y1, delta) for x, y in walls[:l]}
+        if sides == {1}:
+            normals.append((x0, x1, y1))
+        elif sides == {-1}:
+            normals.append((-x0, -x1, -y1))
+        else:
+            return None
+
+    def endless(cone: int, u: int, v: int) -> bool:
+        (p, q), (r, s) = walls[cone], walls[cone + 1]
+        x, y = u * p + v * r, u * q + v * s
+        return not all(_sign(x * x1 - y * x0, x * y1, delta) > 0 for x0, x1, y1 in normals)
+
+    return endless
 
 
 def fan_closure(pair: LooijengaPair):

@@ -276,6 +276,21 @@ class TestExtend:
             f"the extend report has an integer of more than "
             f"{sys.get_int_max_str_digits()} digits")}
 
+    @pytest.mark.parametrize("entry, max_steps", [(-4, 100_000), (-10 ** 1000, 100)])
+    def test_hyperbolic_spiral_ends_at_once(self, capsys, tmp_path, entry, max_steps):
+        # the cast used to run for its whole budget: an estimated 40 minutes for
+        # (-4)^4 at 100,000 steps, and 13.5 s for (-10^1000)^4 at 100
+        pair = tmp_path / "p.json"
+        pair.write_text(json.dumps({"self_intersections": [entry] * 4}))
+        start = time.perf_counter()
+        code = run(["extend", str(pair), str(DATA / "spiral_start.json"),
+                    "--max-steps", str(max_steps)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert capsys.readouterr().out == (
+            f'{{"detail": "extension not finished after {max_steps} steps", '
+            f'"error": "NotExtendable"}}\n')
+
 
 class TestLongIds:
     """A vertex id of 200,000 characters is shown cut to 60 in a message;

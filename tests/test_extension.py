@@ -1,8 +1,9 @@
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from tropcyl import (
 )
 from tropcyl.cli import run
 from tropcyl.extension import DEL_PEZZO_PAIR, _trace, spine_legs
-from tropcyl.lattice import ORIGIN
+from tropcyl.lattice import ORIGIN, _curve_class, _endless_rays, monodromy
 from tropcyl.serialize import extend_report, spine_text, spine_to_json
 
 from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
@@ -391,8 +392,8 @@ class TestExtendBuildsOnce:
     def test_vertices_and_edges_built_only_for_a_finished_run(self, monkeypatch,
                                                              all_minus_two):
         built = []
-        # the new vertex and the shared edge builder behind `make_edge`
-        for name in ("Vertex", "_edge"):
+        # the unchecked vertex and edge builders of `_step_parts`
+        for name in ("_vertex", "_edge"):
             make = getattr(tc.extension, name)
             monkeypatch.setattr(tc.extension, name,
                                 lambda *args, make=make: built.append(make) or make(*args))
@@ -403,6 +404,125 @@ class TestExtendBuildsOnce:
         base, spine = _one_turn_spine(9)
         res = extend(base, spine)
         assert len(built) == 2 * res.steps
+
+
+def _two_vertex_spine(base, cone, du, dv):
+    """Spine (3, 3) -> (3 + du, 3 + dv) in `cone`, valid for du != dv: its
+    ends cast the rays (-du, -dv) and (du, dv)."""
+    return make_tree(
+        [Vertex("a", base.point(cone, 3, 3)), Vertex("b", base.point(cone, 3 + du, 3 + dv))],
+        [make_edge("a", "b", cone, (du, dv), 1)],
+        ("a", "b"))
+
+
+def _casts_to_infinity(base, start, cone, u, v, budget):
+    """Casts of `_trace` until the ray from `start` runs off to infinity,
+    None if it is still crossing walls after `budget` casts, or "origin"."""
+    for casts in range(1, budget + 1):
+        kind, cone, u, v, _, start, _ = _trace(base, start, cone, u, v)
+        if kind != "wall":
+            return "origin" if kind == "origin" else casts
+    return None
+
+
+# every pair with l = 3..4 and entries in [-3, 1]
+ENDLESS_GRID = [ds for l in (3, 4) for ds in product(range(-3, 2), repeat=l)]
+
+
+class TestEndlessRays:
+    """`lattice._endless_rays` against the budgeted cast of `_trace`: a ray
+    it finds endless is still crossing walls after the budget, and every
+    other ray runs off to infinity within it.  Rays into the origin (the
+    inward radial ones, which no valid spine casts) are skipped."""
+
+    def _check(self, ds, cone, starts, directions, budget):
+        base = build_base(LooijengaPair(ds))
+        endless = _endless_rays(ds)
+        verdicts = set()
+        for (a, b), (u, v) in product(starts, directions):
+            if (u, v) == (0, 0) or (b == 0 and v == 0):
+                continue  # no ray, or one along its start wall
+            casts = _casts_to_infinity(base, base.point(cone, a, b), cone, u, v, budget)
+            if casts == "origin":
+                continue
+            verdict = endless is not None and endless(cone, u, v)
+            assert verdict == (casts is None), (ds, cone, a, b, u, v, casts)
+            verdicts.add(verdict)
+        return verdicts
+
+    def test_grid_matches_the_budgeted_cast(self):
+        # interior and wall starts, directions in [-2, 2]^2; the grid holds
+        # every rotation of a pair, so cone 0 stands for every cone
+        directions = tuple(product(range(-2, 3), repeat=2))
+        verdicts = set()
+        for ds in ENDLESS_GRID:
+            verdicts |= self._check(ds, 0, ((2, 1), (1, 0)), directions, 60)
+        assert verdicts == {False, True}
+
+    @given(ds=st.lists(st.integers(-6, 2), min_size=3, max_size=8),
+           cone=st.integers(0, 7), a=st.integers(1, 4), b=st.integers(0, 4),
+           u=st.integers(-3, 3), v=st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_budgeted_cast(self, ds, cone, a, b, u, v):
+        self._check(tuple(ds), cone % len(ds), ((a, b),), ((u, v),), 100)
+
+    @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-1, 0, 0, 0)])
+    def test_trace_two_and_no_sector_decides_nothing(self, ds):
+        # tr M >= 2 and M != I, yet the walls turn without bound: walls 4,
+        # 8 and 12 of (-1, 0, 0, 0) are all (1, 0)
+        m = monodromy(ds)
+        assert m.trace() >= 2 and not m.is_identity
+        assert _endless_rays(ds) is None
+
+
+class TestExtendStopsEndlessEnds:
+    """An end that `_endless_rays` finds endless is cast no more: the
+    outcome, step count and winning error stay those of the full cast."""
+
+    def test_start_spines_match_the_eager_reference(self):
+        # as above, cone 0 stands for every cone; the two edge directions
+        # take turns over the grid
+        for ds, (du, dv) in zip(ENDLESS_GRID, cycle(((-1, 0), (1, -2)))):
+            base = build_base(LooijengaPair(ds))
+            spine = _two_vertex_spine(base, 0, du, dv)
+            for budget in (1, 2, 3, 9, 57):
+                assert outcome(extend, base, spine, budget) == outcome(
+                    eager_extend, base, spine, budget), (ds, du, dv, budget)
+
+    def test_spiral_casts_at_most_one_turn_and_one_ray(self, monkeypatch, all_minus_two):
+        casts = []
+        monkeypatch.setattr(tc.extension, "_trace",
+                            lambda *args: casts.append(args) or _trace(*args))
+        _, spine = _one_turn_spine(4)
+        with pytest.raises(NotExtendable) as err:
+            extend(all_minus_two, spine, 100_000)
+        assert err.value.steps == 100_000
+        assert len(casts) <= all_minus_two.l + 1
+
+
+class TestUncheckedCurveClass:
+    """`_curve_class`, which `extend` builds its class with, is the checked
+    `CurveClass` of the same pairs."""
+
+    def test_one_turn_crossings(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(tc.extension, "_curve_class",
+                            lambda pairs: seen.append(list(pairs)) or _curve_class(pairs))
+        for k in range(3, 65):
+            extend(*_one_turn_spine(k))
+        assert len(seen) == 62
+        for pairs in seen:
+            assert _curve_class(pairs) == CurveClass(pairs)
+
+    @given(st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 10 ** 30))))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_pairs(self, pairs):
+        got = _curve_class(pairs)
+        assert got == CurveClass(pairs)
+        totals = Counter()
+        for wall, multiple in pairs:
+            totals[wall] += multiple
+        assert got.coeffs == tuple(sorted((k, v) for k, v in totals.items() if v))
 
 
 class TestDirectConstruction:
