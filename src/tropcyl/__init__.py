@@ -11,8 +11,12 @@ share across threads.
 `__all__` is the supported surface: the functions the command line, the
 benchmark's library calls, the README example and the acceptance suite
 use (`spine_to_json` writes the benchmark's spine files), the value
-classes they take or return, and every error class.
-Helpers outside it stay importable from their submodules.
+classes they take or return, and every error class.  Each value has one
+name and one way in: the monodromy is its int rows ((a, b), (c, d)), a
+canonical image the sorted tuple of its pieces, and a series is built by
+its constructor.  `make_edge` and `make_tree` are the one exception,
+second names of `Edge` and `TropicalTree` that the benchmark's generator
+still imports.  Helpers outside it stay importable from their submodules.
 """
 
 from .errors import (
@@ -34,7 +38,6 @@ from .errors import (
 from .lattice import (
     BasePoint,
     CurveClass,
-    IntMatrix2,
     LooijengaPair,
     TropicalBase,
     build_base,
@@ -45,7 +48,6 @@ from .lattice import (
     verify_toric_criterion,
 )
 from .spines import (
-    CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
     Edge,
@@ -53,7 +55,6 @@ from .spines import (
     Vertex,
     Violation,
     canonical_image,
-    images_equal,
     is_balanced,
     make_edge,
     make_tree,
@@ -82,7 +83,6 @@ from .wallcross import (
     count_spine,
     count_table,
     focus_focus_apply,
-    symmetry_check,
     virtual_dim,
 )
 from .serialize import SchemaError, spine_to_json
@@ -107,7 +107,6 @@ __all__ = [
     # lattice
     "BasePoint",
     "CurveClass",
-    "IntMatrix2",
     "LooijengaPair",
     "TropicalBase",
     "build_base",
@@ -117,7 +116,6 @@ __all__ = [
     "monodromy",
     "verify_toric_criterion",
     # spines
-    "CanonicalImage",
     "CylinderInB",
     "CylinderInBTilde",
     "Edge",
@@ -125,7 +123,6 @@ __all__ = [
     "Vertex",
     "Violation",
     "canonical_image",
-    "images_equal",
     "is_balanced",
     "make_edge",
     "make_tree",
@@ -152,7 +149,6 @@ __all__ = [
     "count_spine",
     "count_table",
     "focus_focus_apply",
-    "symmetry_check",
     "virtual_dim",
     # serialize
     "spine_to_json",

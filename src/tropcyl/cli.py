@@ -73,15 +73,16 @@ def cmd_base(args) -> int:
         raise InvalidQuery(
             f"base is capped at {BASE_BITS} bits of |d| + 1 over the entries d, got {bits}")
     base = build_base(pair)
-    mono = monodromy(base)
+    mono = monodromy(pair)
+    (a, _), (_, d) = mono
     closure = fan_closure(pair)
     report = {
         "pair": list(pair.self_intersections),
         "cones": base.l,
         "walls": base.l,
-        "monodromy": mono.rows(),
-        "monodromy_is_identity": mono.is_identity,
-        "monodromy_trace": mono.trace(),
+        "monodromy": [list(r) for r in mono],
+        "monodromy_is_identity": mono == ((1, 0), (0, 1)),
+        "monodromy_trace": a + d,
         "fan_closure": None if closure is None else [list(v) for v in closure],
         "intersection_matrix": intersection_matrix(pair),
         "positive": is_positive(pair),

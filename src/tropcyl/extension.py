@@ -61,7 +61,6 @@ from .lattice import (
     value_class,
 )
 from .spines import (
-    CanonicalImage,
     CylinderInB,
     CylinderInBTilde,
     Edge,
@@ -532,7 +531,8 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
 
 
 def trace_path_image(l: int, m: int, n: int, b):
-    """Canonical image of the whole trace path, computed by exact clipping.
+    """Canonical image of the whole trace path, computed by exact clipping:
+    the sorted tuple of pieces that `canonical_image` gives.
 
     Clips the two developed rays of the trace, from (0, b) in directions
     (l, m) and (-l, n - m), against each cone between the developed walls
@@ -565,4 +565,4 @@ def trace_path_image(l: int, m: int, n: int, b):
                 end = base.point(cone, p[0] + hi * dp[0], p[1] + hi * dp[1])
                 pieces.append(("seg", cone, *sorted((_point_key(start),
                                                      _point_key(end)))))
-    return CanonicalImage(tuple(sorted(pieces)))
+    return tuple(sorted(pieces))

@@ -116,12 +116,6 @@ class LooijengaPair:
     def __len__(self) -> int:
         return len(self.self_intersections)
 
-    def __getitem__(self, i: int) -> int:
-        """Self-intersection i, read cyclically; InvalidArgument unless i is an int."""
-        if not is_int(i):
-            raise InvalidArgument(f"pair index must be an int, got {brief(i)}")
-        return self.self_intersections[i % len(self.self_intersections)]
-
 
 def _over_lcm(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int]:
     """(A, B, Q) with A/Q = an/ad and B/Q = bn/bd over Q = lcm(ad, bd),
@@ -195,34 +189,6 @@ def _base_point(cone: int | None, A: int, B: int, Q: int) -> BasePoint:
 
 
 ORIGIN = BasePoint(None)
-
-
-@value_class("a", "b", "c", "d")
-class IntMatrix2:
-    """Row-major 2x2 integer matrix: the value of `monodromy`, read through
-    `trace`, `is_identity` and `rows`.  Raises InvalidArgument unless every
-    entry is an int (see `is_int`)."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if not (is_int(a) and is_int(b) and is_int(c) and is_int(d)):
-            raise InvalidArgument(f"matrix needs int entries, got "
-                                  f"{brief(a)}, {brief(b)}, {brief(c)}, {brief(d)}")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-
-    def trace(self) -> int:
-        return self.a + self.d
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
-    def rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
 
 
 @value_class("coeffs")
@@ -385,23 +351,24 @@ def build_base(pair: LooijengaPair) -> TropicalBase:
     return TropicalBase(pair)
 
 
-def monodromy(base) -> IntMatrix2:
-    """Product of the l forward transports around the origin, from cone 0.
+def monodromy(pair: LooijengaPair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Product of the l forward transports around the origin, from cone 0,
+    as the int rows ((a, b), (c, d)).
 
-    The identity exactly when the fan closure exists; the pair is toric in
-    that case.  Walls are crossed counterclockwise in the order
-    1, 2, ..., l-1, 0, each by its matrix [[-d, 1], [-1, 0]].  `base` is a
-    `TropicalBase`, or a pair as `fan_closure` takes it.
+    The identity ((1, 0), (0, 1)) exactly when the fan closure exists; the
+    pair is toric in that case.  Walls are crossed counterclockwise in the
+    order 1, 2, ..., l-1, 0, each by its matrix [[-d, 1], [-1, 0]].  `pair`
+    is a `LooijengaPair` or a tuple or list it is built from, as
+    `fan_closure` takes it.
     """
-    pair = base.pair if isinstance(base, TropicalBase) else _as_pair(base)
-    ds = pair.self_intersections
+    ds = _as_pair(pair).self_intersections
     l = len(ds)
     a, b, c, d = 1, 0, 0, 1
     for k in range(1, l + 1):
         dk = ds[k % l]
         # left-multiply by [[-dk, 1], [-1, 0]]
         a, b, c, d = -dk * a + c, -dk * b + d, -a, -b
-    return IntMatrix2(a, b, c, d)
+    return (a, b), (c, d)
 
 
 def develop(pair: LooijengaPair, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -524,13 +491,13 @@ def fan_closure(pair: LooijengaPair):
 def intersection_matrix(pair: LooijengaPair):
     """Symmetric l x l matrix: d_i on the diagonal, 1 for cyclic neighbours.
     Raises InvalidQuery if l > L_MAX, since the matrix has l^2 entries."""
-    pair = _as_pair(pair)
-    l = len(pair)
+    ds = _as_pair(pair).self_intersections
+    l = len(ds)
     if l > L_MAX:
         raise InvalidQuery(f"intersection matrix is capped at l = {L_MAX}, got {l}")
     m = [[0] * l for _ in range(l)]
     for i in range(l):
-        m[i][i] = pair[i]
+        m[i][i] = ds[i]
         m[i][(i + 1) % l] = 1
         m[(i + 1) % l][i] = 1
     return m
@@ -566,7 +533,10 @@ def is_positive(pair: LooijengaPair) -> bool:
         if cur <= 0:
             return True
         prev, cur = cur, -d * cur - prev
-    return cur <= 0 or monodromy(pair).trace() < 2
+    if cur <= 0:
+        return True
+    (a, _), (_, d) = monodromy(pair)
+    return a + d < 2
 
 
 def primitive_part(u: int, v: int):

@@ -639,25 +639,6 @@ def _point_key(p: BasePoint):
     return (p.cone, p.a, p.b)
 
 
-@value_class("pieces")
-class CanonicalImage:
-    """Canonical encoding of the image point set of a mapped tree.
-
-    Sorted tuple of pieces: ("seg", cone, point key, point key) with the
-    endpoint keys ordered, or ("ray", cone, base point key, primitive
-    direction).  Collinear balanced 2-valent vertices inside one cone are
-    erased first, so subdivisions of the same image coincide.  Raises
-    InvalidArgument unless `pieces` is a tuple of tuples.
-    """
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: tuple):
-        if not (isinstance(pieces, tuple) and all(isinstance(x, tuple) for x in pieces)):
-            raise InvalidArgument(f"canonical image needs a tuple of pieces, got {brief(pieces)}")
-        _set(self, "pieces", pieces)
-
-
 def _erasable(tree: TropicalTree, vid: str) -> bool:
     """Whether `vid` is a balanced 2-valent inner vertex whose two edges
     run straight on inside one cone, so erasing it keeps the image; the
@@ -679,9 +660,15 @@ def _erasable(tree: TropicalTree, vid: str) -> bool:
     return su == sv == 0
 
 
-def canonical_image(tree: TropicalTree) -> CanonicalImage:
-    """The image of a `TropicalTree` (else InvalidArgument).  A cylinder's
-    image is that of `cyl.tree`, and its path's that of `cyl.path_part()`."""
+def canonical_image(tree: TropicalTree) -> tuple:
+    """The image point set of a `TropicalTree` (else InvalidArgument), as
+    the sorted tuple of its pieces; two images are compared with `==`.
+
+    A piece is ("seg", cone, point key, point key) with the endpoint keys
+    ordered, or ("ray", cone, base point key, primitive direction).
+    Collinear balanced 2-valent vertices inside one cone are erased first,
+    so subdivisions of the same image coincide.  A cylinder's image is that
+    of `cyl.tree`, and its path's that of `cyl.path_part()`."""
     if type(tree) is not TropicalTree:
         raise InvalidArgument(f"canonical image needs a TropicalTree, got {brief(tree)}")
     # Erasing a vertex leaves the cone and the exact direction of the edge
@@ -712,12 +699,7 @@ def canonical_image(tree: TropicalTree) -> CanonicalImage:
                 k1, k2 = sorted((_point_key(v.position),
                                  _point_key(tree.position(end))))
                 pieces.append(("seg", last.cone, k1, k2))
-    return CanonicalImage(tuple(sorted(pieces)))
-
-
-def images_equal(t1: TropicalTree, t2: TropicalTree) -> bool:
-    """Whether two mapped trees have the same image point set."""
-    return canonical_image(t1) == canonical_image(t2)
+    return tuple(sorted(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ class SparseLaurentSeries:
     sorted ((i, j), Fraction) pairs, so `dict(s.terms)` maps each power to
     its coefficient, and `==` compares the integers.  The constructor sums
     a tuple or list of such pairs (int or Fraction coefficients), and
-    raises InvalidArgument on anything else; `from_dict` takes a dict of
-    them and `monomial` builds x^i y^j.
+    raises InvalidArgument on anything else, so the series of a dict `d`
+    is `SparseLaurentSeries(tuple(d.items()))`; `monomial` builds x^i y^j.
     """
 
     __slots__ = ("num", "den")
@@ -52,12 +52,6 @@ class SparseLaurentSeries:
         _fill(self, acc, den)
 
     @classmethod
-    def from_dict(cls, d) -> "SparseLaurentSeries":
-        if not isinstance(d, dict):
-            raise InvalidArgument(f"series needs a dict of terms, got {brief(d)}")
-        return cls(tuple(d.items()))
-
-    @classmethod
     def monomial(cls, i: int, j: int) -> "SparseLaurentSeries":
         """x^i y^j; InvalidArgument unless i, j are ints."""
         return cls((((i, j), 1),))
@@ -72,33 +66,8 @@ class SparseLaurentSeries:
         den = self.den
         return tuple((k, Fraction(v, den)) for k, v in sorted(self.num.items()))
 
-    def __add__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact coefficientwise sum; InvalidArgument unless `other` is a
-        series."""
-        _check_series(other, "series sum")
-        den = lcm(self.den, other.den)
-        acc = {k: v * (den // self.den) for k, v in self.num.items()}
-        for k, v in other.num.items():
-            acc[k] = acc.get(k, 0) + v * (den // other.den)
-        return _fill(_new_series(SparseLaurentSeries), acc, den)
-
-    def __mul__(self, other: "SparseLaurentSeries") -> "SparseLaurentSeries":
-        """Exact product; InvalidArgument unless `other` is a series."""
-        _check_series(other, "series product")
-        acc: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.num.items():
-            for (i2, j2), c2 in other.num.items():
-                k = (i1 + i2, j1 + j2)
-                acc[k] = acc.get(k, 0) + c1 * c2
-        return _fill(_new_series(SparseLaurentSeries), acc, self.den * other.den)
-
 
 _new_series = SparseLaurentSeries.__new__
-
-
-def _check_series(s, what: str) -> None:
-    if type(s) is not SparseLaurentSeries:
-        raise InvalidArgument(f"{what} needs a SparseLaurentSeries, got {brief(s)}")
 
 
 def _fill(s: SparseLaurentSeries, acc: dict, den: int) -> SparseLaurentSeries:
@@ -118,7 +87,8 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries
     """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
     Raises InvalidArgument unless `s` is a series, and InvalidQuery unless
     each power of (1+y) lies in [0, L_MAX]."""
-    _check_series(s, "shear")
+    if type(s) is not SparseLaurentSeries:
+        raise InvalidArgument(f"shear needs a SparseLaurentSeries, got {brief(s)}")
     acc: dict[tuple[int, int], int] = {}
     for (a, b), v in s.num.items():
         e = power_sign * a
@@ -190,12 +160,6 @@ def backward_count(q: CountQuery) -> int:
     image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
     assert image.den == 1
     return image.num.get((-q.l, -q.m), 0)
-
-
-def symmetry_check(q: CountQuery) -> bool:
-    """Orientation symmetry of the count: both readings equal C(l, n).
-    Raises InvalidArgument, through `count`, unless `q` is a CountQuery."""
-    return count(q) == backward_count(q)
 
 
 def count_table(l_max: int, m_values) -> dict:

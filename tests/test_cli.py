@@ -99,8 +99,9 @@ class TestBase:
         code, report = run_json(capsys, ["base", str(path)])
         assert code == 0
         pair = tc.LooijengaPair(at_cap)
-        assert report["monodromy"] == tc.monodromy(pair).rows()
-        assert report["monodromy_trace"] == tc.monodromy(pair).trace()
+        (a, b), (c, d) = tc.monodromy(pair)
+        assert report["monodromy"] == [[a, b], [c, d]]
+        assert report["monodromy_trace"] == a + d
         assert report["positive"] is tc.is_positive(pair)
         path.write_text(json.dumps({"self_intersections": at_cap[1:] + [-2 ** 3500]}))
         code, report = run_json(capsys, ["base", str(path)])

@@ -7,7 +7,6 @@ and an accepted value is exact (no float is floored or stored)."""
 import inspect
 from fractions import Fraction
 from math import comb
-from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +57,8 @@ EDGES = _or_any(st.lists(st.builds(tc.Edge, st.sampled_from("ab"), st.sampled_fr
                          | OBJECT, max_size=2))
 SERIES = _or_any(st.dictionaries(
     st.tuples(st.integers(-3, 12) | HUGE, st.integers(-3, 3) | HUGE),
-    st.integers(-3, 3) | st.fractions(-5, 5, max_denominator=9), max_size=3).map(S.from_dict),
+    st.integers(-3, 3) | st.fractions(-5, 5, max_denominator=9), max_size=3).map(
+        lambda d: S(tuple(d.items()))),
     OBJECT)
 QUERY = _or_any(st.builds(tc.CountQuery, st.integers(1, 12), st.integers(-3, 3) | HUGE,
                           st.integers(-2, 14)), OBJECT)
@@ -92,7 +92,7 @@ def _count(l, m, n):
     q = tc.CountQuery(l, m, n)
     value = tc.count(q)
     assert type(value) is int
-    assert tc.symmetry_check(q)
+    assert value == tc.backward_count(q)
 
 
 def _series(build, *args):
@@ -104,7 +104,7 @@ def _series(build, *args):
 def _shear(s):
     image = tc.focus_focus_apply(s)
     assert type(s) is S and image == fraction_shear(s, 1)
-    mirror = S.from_dict({(-i, j): c for (i, j), c in s.terms})
+    mirror = S(tuple(((-i, j), c) for (i, j), c in s.terms))
     assert focus_focus_inverse(mirror) == fraction_shear(mirror, -1)
 
 
@@ -185,7 +185,7 @@ def _subdivide(base, tree, key, t):
     assert type(base) is tc.TropicalBase and type(tree) is tc.TropicalTree
     assert _exact(t) and type(key) is tuple and all(type(x) is str for x in key)
     if base == DEL_PEZZO:
-        assert tc.images_equal(tree, out)
+        assert tc.canonical_image(tree) == tc.canonical_image(out)
 
 
 def _cylinder(tree, legs):
@@ -207,14 +207,9 @@ def _table(l_max, m_values):
     assert type(l_max) is int and all(type(m) is int for m in table["m_values"])
 
 
-def _monodromy(base):
-    m = tc.monodromy(base)
-    assert all(type(x) is int for x in (m.a, m.b, m.c, m.d))
-
-
-def _matrix(a, b, c, d):
-    m = tc.IntMatrix2(a, b, c, d)
-    assert all(type(x) is int for x in (m.a, m.b, m.c, m.d))
+def _monodromy(pair):
+    (a, b), (c, d) = tc.monodromy(pair)
+    assert all(type(x) is int for x in (a, b, c, d))
 
 
 def _virtual_dim(g, dim_v, alpha_dot_k, n):
@@ -234,10 +229,6 @@ def _sweep(l, lo, hi):
 
 ENTRY_POINTS = {
     "CountQuery": (_count, st.tuples(INT, INT, INT)),
-    "from_dict": (
-        lambda d: _series(S.from_dict, d),
-        st.tuples(_or_any(st.dictionaries(_or_any(st.tuples(INT, INT)), RATIONAL,
-                                          max_size=3)))),
     "monomial": (lambda *args: _series(S.monomial, *args), st.tuples(INT, INT)),
     "focus_focus_apply": (_shear, st.tuples(SERIES)),
     "backward_count": (_backward_count, st.tuples(QUERY)),
@@ -293,31 +284,19 @@ ENTRY_POINTS = {
                 OBJECT | st.tuples(st.tuples(KEY, INT))),
         _or_any(st.lists(st.tuples(ID, RATIONAL), max_size=2).map(tuple),
                 OBJECT | st.tuples(st.tuples(ANY_VID, RATIONAL))))),
-    "CanonicalImage": (lambda pieces: hash(tc.CanonicalImage(pieces)), st.tuples(
-        _or_any(st.lists(st.tuples(st.sampled_from(("seg", "ray")), st.integers(0, 3)),
-                         max_size=2).map(tuple), OBJECT | st.lists(st.tuples(ID))))),
     "Violation": (_objects(tc.Violation, str, str, str), st.tuples(ID, ID, ID)),
     "ExtensionResult": (_objects(tc.ExtensionResult, tc.TropicalTree, tc.CurveClass, int),
                         st.tuples(PATH, _or_any(st.just(tc.CurveClass(((0, 1),))), OBJECT),
                                   INT)),
     "canonical_image": (tc.canonical_image, st.tuples(SPINE | PATH)),
-    "images_equal": (tc.images_equal, st.tuples(SPINE | PATH, SPINE | PATH)),
     "relabel": (_objects(tc.relabel, tc.TropicalTree, dict), st.tuples(
         SPINE, _or_any(st.dictionaries(VID, ID, max_size=2), OBJECT))),
     "TropicalTree": (tc.TropicalTree, st.tuples(VERTICES, EDGES, BOUNDARY)),
     "spine_to_json": (_spine_to_json, st.tuples(SPINE | PATH)),
-    "SparseLaurentSeries.__add__": (_objects(add, S, S), st.tuples(
-        st.just(S.monomial(1, 0)), SERIES)),
-    "SparseLaurentSeries.__mul__": (_objects(mul, S, S), st.tuples(
-        st.just(S.monomial(1, 0)), SERIES)),
     "count_table": (_table, st.tuples(INT, SEQUENCE)),
     "monodromy": (_monodromy, st.tuples(_or_any(
-        st.builds(tc.build_base, st.lists(st.integers(-3, 3), min_size=3, max_size=5))
-        | st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
+        st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
         SEQUENCE | OBJECT))),
-    "IntMatrix2": (_matrix, st.tuples(INT, INT, INT, INT)),
-    "LooijengaPair.__getitem__": (_objects(DEL_PEZZO.pair.__getitem__, int),
-                                  st.tuples(_or_any(INT, UNHASHABLE))),
     "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
                                     st.tuples(POINT, INT)),
     "TropicalTree.__contains__": (EXTENDED.__contains__, st.tuples(ANY_VID)),
@@ -329,7 +308,6 @@ ENTRY_POINTS = {
     "SparseLaurentSeries": (lambda terms: _series(S, terms), st.tuples(_or_any(
         st.lists(st.tuples(st.tuples(INT, INT), RATIONAL), max_size=3).map(tuple), OBJECT))),
     "count": (_objects(tc.count, tc.CountQuery), st.tuples(QUERY)),
-    "symmetry_check": (_objects(tc.symmetry_check, tc.CountQuery), st.tuples(QUERY)),
     "virtual_dim": (_virtual_dim, st.tuples(INT, INT, INT, INT)),
     # l and the pair count are capped, so any ints end in bounded time
     "verify_toric_criterion": (_sweep, st.tuples(
@@ -339,8 +317,7 @@ ENTRY_POINTS = {
 
 
 # Public names whose row is keyed by another name.
-ALIASES = {"SparseLaurentSeries.from_dict": "from_dict",
-           "SparseLaurentSeries.monomial": "monomial"}
+ALIASES = {"SparseLaurentSeries.monomial": "monomial"}
 # Methods every value class has: `==` answers NotImplemented for another
 # class, and assignment and deletion raise AttributeError by design.
 VALUE_PROTOCOL = {"__init__", "__eq__", "__hash__", "__repr__", "__reduce__",
@@ -413,8 +390,8 @@ def test_returns_or_raises_a_domain_error(name):
     lambda: tc.verify_toric_criterion(3, 0.5, 1),
     lambda: tc.monodromy(None),
     lambda: tc.TropicalBase(None),
-    lambda: tc.IntMatrix2(0.5, 0, 0, 1),
-    lambda: tc.IntMatrix2(1, 0, 0, True),
+    lambda: tc.monodromy(DEL_PEZZO),
+    lambda: tc.is_positive(DEL_PEZZO),
     lambda: tc.virtual_dim(0.5, 2, 1, 1),
     lambda: tc.virtual_dim(0, 2, 1, "1"),
     lambda: tc.spine_to_json(CYLINDER),
@@ -449,7 +426,7 @@ def _raise(error):
 # that formats its own message has a case here (see the test after).
 LONG_INT_CASES = {
     "CountQuery": lambda: tc.CountQuery(E5000, 0, 0),
-    "from_dict": lambda: S.from_dict({(0, 0): E5000, (1, 1): 0.5}),
+    "SparseLaurentSeries": lambda: S((((0, 0), E5000), ((1, 1), 0.5))),
     "count_table": lambda: tc.count_table(E5000, [0]),
     "virtual_dim": lambda: tc.virtual_dim(E5000, 0.5, 0, 0),
     "LooijengaPair": lambda: tc.LooijengaPair([E5000, 0.5, 1]),
@@ -508,18 +485,14 @@ SPINE_2_0_1 = tc.family_spine(2, 0, 1, 1)
     lambda: tc.is_balanced(None, SPINE_2_0_1, "v0"),
     lambda: tc.canonical_image(5),
     lambda: tc.canonical_image(CYLINDER),
-    lambda: tc.images_equal(1, 2),
     lambda: tc.relabel(SPINE_2_0_1, None),
     lambda: tc.TropicalTree(None, None, None),
-    lambda: S.monomial(1, 0) * 5,
-    lambda: S.monomial(1, 0) + 5,
     lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ("v0", "v2"), 0.1),
     lambda: tc.subdivide_edge(DEL_PEZZO, SPINE_2_0_1, ("v0", "v2"), "1/2"),
 ], ids=["validate_spine-base", "validate_spine-tree", "extend-base", "extend-spine",
         "extend_step-base", "cylinder_in_b", "lift_to_tilde", "validate_extended_spine",
         "validate_cylinder_b", "is_balanced", "canonical_image", "canonical_image-cylinder",
-        "images_equal", "relabel",
-        "TropicalTree", "series-mul", "series-add", "subdivide-float",
+        "relabel", "TropicalTree", "subdivide-float",
         "subdivide-str"])
 def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     # each used to end in a bare AttributeError/TypeError, or (subdivide)
@@ -537,7 +510,6 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: tc.CylinderInB(EXTENDED, [("v0", "o1")]),
     lambda: tc.CylinderInBTilde(CYLINDER, ((["v0", "o1"], 0),), ()),
     lambda: tc.CylinderInBTilde(CYLINDER, (), (("v0", 0.5),)),
-    lambda: tc.CanonicalImage([("seg", 0)]),
     lambda: tc.Violation("unbalanced", None, "message"),
     lambda: tc.ExtensionResult(EXTENDED, {0: 1}, 3),
     lambda: tc.ExtensionResult(EXTENDED, tc.CurveClass(((0, 1),)), 3.0),
@@ -551,18 +523,17 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: EXTENDED.valency([]),
     lambda: EXTENDED.edge([], "v0"),
     lambda: [] in EXTENDED,
-    lambda: DEL_PEZZO.pair["a"],
     lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
     lambda: DEL_PEZZO.coords_in_cone(None, 0),
     lambda: tc.CurveClass(None),
     lambda: tc.CurveClass(((0, -3),)),
 ], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
         "subdivide-base", "CylinderInB-none", "CylinderInB-list",
-        "CylinderInBTilde-slope-key", "CylinderInBTilde-height", "CanonicalImage-list",
+        "CylinderInBTilde-slope-key", "CylinderInBTilde-height",
         "Violation-where", "ExtensionResult-dict", "ExtensionResult-float",
         "Edge-float-length", "Edge-tail",
         "Edge-cone", "Edge-direction", "tree-vertex", "tree-position", "tree-incident",
-        "tree-valency", "tree-edge", "tree-in", "pair-getitem",
+        "tree-valency", "tree-edge", "tree-in",
         "coords_in_cone-cone", "coords_in_cone-point", "CurveClass-none",
         "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
@@ -591,7 +562,6 @@ class Str(str):
 # Each argument slot whose type is checked once, by `is_int`,
 # `is_rational` or `isinstance`: the call with x in the slot, and the
 # message of a rejected x, with {} for its repr.
-MATRIX = "matrix needs int entries, got "
 POINT_MESSAGE = "base point needs an int or None cone and rational coordinates, got "
 VERTEX = "vertex needs a str id and a BasePoint or None position, got "
 EDGE = "edge needs int cone and direction, got "
@@ -600,10 +570,6 @@ SLOTS = {
     "BasePoint.cone": (lambda x: tc.BasePoint(x, 1, 2), POINT_MESSAGE + "{}, 1, 2"),
     "BasePoint.a": (lambda x: tc.BasePoint(0, x, 2), POINT_MESSAGE + "0, {}, 2"),
     "BasePoint.b": (lambda x: tc.BasePoint(0, 1, x), POINT_MESSAGE + "0, 1, {}"),
-    "IntMatrix2.a": (lambda x: tc.IntMatrix2(x, 1, 0, 1), MATRIX + "{}, 1, 0, 1"),
-    "IntMatrix2.b": (lambda x: tc.IntMatrix2(1, x, 0, 1), MATRIX + "1, {}, 0, 1"),
-    "IntMatrix2.c": (lambda x: tc.IntMatrix2(1, 1, x, 1), MATRIX + "1, 1, {}, 1"),
-    "IntMatrix2.d": (lambda x: tc.IntMatrix2(1, 1, 0, x), MATRIX + "1, 1, 0, {}"),
     "point.cone": (lambda x: DEL_PEZZO.point(x, 1, 2), "point needs an int cone, got {}"),
     "point.a": (lambda x: DEL_PEZZO.point(0, x, 2),
                 "point needs rational coordinates, got ({}, 2)"),

@@ -230,7 +230,7 @@ class TestExtend:
         res2 = extend(del_pezzo, flipped)
         assert res.curve_class == res2.curve_class
         assert res.steps == res2.steps
-        assert tc.images_equal(res.extended, res2.extended)
+        assert tc.canonical_image(res.extended) == tc.canonical_image(res2.extended)
 
     def test_two_stage_additivity(self, del_pezzo):
         # stepping manually accumulates the same total class
@@ -470,8 +470,8 @@ class TestEndlessRays:
     def test_trace_two_and_no_sector_decides_nothing(self, ds):
         # tr M >= 2 and M != I, yet the walls turn without bound: walls 4,
         # 8 and 12 of (-1, 0, 0, 0) are all (1, 0)
-        m = monodromy(ds)
-        assert m.trace() >= 2 and not m.is_identity
+        (a, b), (c, d) = monodromy(ds)
+        assert a + d >= 2 and (a, b, c, d) != (1, 0, 0, 1)
         assert _endless_rays(ds) is None
 
 

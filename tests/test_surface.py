@@ -1,8 +1,10 @@
 """The supported surface: `tropcyl.__all__` is exactly what the package
 exports, it covers every name the benchmark and the acceptance suite
-import from the package, every public method of its value classes has a
-supported caller, the README library example runs as stated, and no error
-message writes a value at full length with `!r`."""
+import from the package, its only aliases are the two the benchmark
+imports, every public method of its value classes has a supported caller
+and their only operators are `len` and `in`, the README library example
+runs as stated, and no error message writes a value at full length with
+`!r`."""
 
 import ast
 import builtins
@@ -29,6 +31,20 @@ def test_star_import_and_public_attributes_are_all():
     public = {name for name, value in vars(tropcyl).items()
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == set(tropcyl.__all__)
+
+
+def test_the_only_aliases_are_the_two_the_benchmark_imports():
+    # two names of __all__ bound to one object are two ways to one value;
+    # `make_edge` and `make_tree` stay only because perfbench/gen.py
+    # imports them, and both go in the benchmark change that edits gen.py
+    names_of = {}
+    for name in tropcyl.__all__:
+        names_of.setdefault(id(getattr(tropcyl, name)), []).append(name)
+    aliases = {name: getattr(tropcyl, name).__name__
+               for names in names_of.values() if len(names) > 1 for name in names
+               if name != getattr(tropcyl, name).__name__}
+    assert aliases == {"make_edge": "Edge", "make_tree": "TropicalTree"}
+    assert set(aliases) <= _package_names(ROOT / "perfbench" / "gen.py")
 
 
 def _package_names(path: Path) -> set[str]:
@@ -145,6 +161,21 @@ def _public_methods() -> dict[str, bool]:
             for name, value in vars(cls).items()
             if not name.startswith("_")
             and isinstance(value, (FunctionType, property, classmethod, staticmethod))}
+
+
+def test_the_only_operators_are_those_src_uses():
+    # `_public_methods` leaves dunder methods out, so an operator that only
+    # tests use, such as a series `+` or `*`, is pinned here instead; the
+    # two left are `len(pair)` and `b not in tree`
+    from test_entry_points import VALUE_PROTOCOL
+
+    classes = {value for value in map(vars(tropcyl).get, tropcyl.__all__)
+               if isinstance(value, type) and not issubclass(value, Exception)}
+    operators = {f"{cls.__name__}.{name}" for cls in classes
+                 for name, value in vars(cls).items()
+                 if name.startswith("__") and name.endswith("__") and callable(value)
+                 and name not in VALUE_PROTOCOL}
+    assert operators == {"LooijengaPair.__len__", "TropicalTree.__contains__"}
 
 
 def test_public_method_names_are_unique():

@@ -45,8 +45,6 @@ EXAMPLES = {
                       lambda: tc.LooijengaPair([1, 1, 1])),
     "BasePoint": (lambda: tc.BasePoint(None), lambda: tc.BasePoint(1, F(1, 2)),
                   lambda: tc.BasePoint(2, F(1), F(3, 4))),
-    "IntMatrix2": (lambda: tc.IntMatrix2(1, 0, 0, 1),
-                   lambda: tc.monodromy(tc.build_base((-2, -2, -2, -2)))),
     "CurveClass": (tc.CurveClass, lambda: tc.CurveClass(((3, 1), (1, 2)))),
     "TropicalBase": (_dp, lambda: tc.build_base((1, 1, 1))),
     "Vertex": (lambda: tc.Vertex("a", None), lambda: tc.Vertex("a", ORIGIN),
@@ -61,14 +59,12 @@ EXAMPLES = {
                          lambda: tc.lift_to_tilde(_dp(), _extended(F(3, 2)))),
     "Violation": (lambda: tc.Violation("unbalanced", "v1", "sum (1, 0)"),
                   lambda: tc.Violation("unbalanced", "v2", "sum (1, 0)")),
-    "CanonicalImage": (lambda: tc.canonical_image(_spine(F(1))),
-                       lambda: tc.trace_path_image(2, 0, 1, F(1))),
     "ExtensionResult": (lambda: tc.extend(_dp(), _spine(F(1))),
                         lambda: tc.extend(_dp(), _spine(F(3, 2)))),
     "SparseLaurentSeries": (
         tc.SparseLaurentSeries,
         lambda: tc.SparseLaurentSeries((((2, 1), 3),)),
-        lambda: tc.SparseLaurentSeries.from_dict({(0, -1): F(1, 2), (2, 0): F(-2, 3)}),
+        lambda: tc.SparseLaurentSeries((((0, -1), F(1, 2)), ((2, 0), F(-2, 3)))),
         lambda: tc.focus_focus_apply(tc.SparseLaurentSeries.monomial(3, 0))),
     "CountQuery": (lambda: tc.CountQuery(5, 0, 2), lambda: tc.CountQuery(5, 0, 3)),
 }

@@ -39,14 +39,6 @@ class BasePoint:
 
 
 @dataclass(frozen=True)
-class IntMatrix2:
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-@dataclass(frozen=True)
 class CurveClass:
     coeffs: tuple[tuple[int, int], ...] = ()
 
@@ -121,11 +113,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class CanonicalImage:
-    pieces: tuple
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     extended: TropicalTree
     curve_class: CurveClass
@@ -152,10 +139,9 @@ class CountQuery:
 
 
 REFERENCES = {cls.__name__: cls for cls in (
-    LooijengaPair, BasePoint, IntMatrix2, CurveClass, TropicalBase,
+    LooijengaPair, BasePoint, CurveClass, TropicalBase,
     Vertex, Edge, TropicalTree, CylinderInB, CylinderInBTilde, Violation,
-    CanonicalImage, ExtensionResult, SparseLaurentSeries,
-    CountQuery)}
+    ExtensionResult, SparseLaurentSeries, CountQuery)}
 
 
 def init_fields(ref) -> tuple[str, ...]:
