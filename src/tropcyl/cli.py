@@ -202,83 +202,128 @@ def cmd_table(args) -> int:
     return 0
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later `run`."""
-    parser = argparse.ArgumentParser(
-        prog="tropcyl",
-        description="Tropical bases, spines, extensions and wall-crossing counts.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("base", help="analyze a pair: monodromy, fan closure, positivity")
+def _base_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("pair_file",
                    help=f"pair of at most {wallcross.L_MAX} boundary components")
-    p.set_defaults(func=cmd_base)
 
-    p = sub.add_parser("validate", help="check the spine conditions")
+
+def _spine_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("pair_file")
     p.add_argument("spine_file")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("extend", help="extend a spine and build its cylinder")
-    p.add_argument("pair_file")
-    p.add_argument("spine_file")
+
+def _extend_arguments(p: argparse.ArgumentParser) -> None:
+    _spine_arguments(p)
     p.add_argument("--max-steps", type=int, default=MAX_STEPS,
                    help=f"step budget, 1 to {MAX_STEPS_CAP} (default {MAX_STEPS})")
-    p.set_defaults(func=cmd_extend)
 
-    l_help = f"boundary winding, 1 <= l <= {wallcross.L_MAX}"
-    p = sub.add_parser("count", help="cylinder count of the family L(l, m, n)")
+
+def _family_arguments(p: argparse.ArgumentParser,
+                      l_help: str | None = f"boundary winding, 1 <= l <= {wallcross.L_MAX}",
+                      ) -> None:
     p.add_argument("--l", type=int, required=True, help=l_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    _family_arguments(p)
     p.add_argument("--b", default=None,
                    help="optional height p/q: count through the spine matcher")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("symmetry", help="orientation symmetry of a count")
-    p.add_argument("--l", type=int, required=True, help=l_help)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_symmetry)
 
-    p = sub.add_parser("trace", help="points of the explicit family trace")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+def _trace_arguments(p: argparse.ArgumentParser) -> None:
+    _family_arguments(p, l_help=None)
     digits = f"p and q of at most {TRACE_DIGITS} digits"
     p.add_argument("--b", required=True, help=f"height p/q of the central vertex, {digits}")
     p.add_argument("--t", required=True,
                    help=f"comma-separated parameter values p/q, {digits}; use the "
                         "--t=-1,0,1/2 form for a leading negative value")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("table", help="binomial count table with oracle cross-check")
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l-max", type=int, required=True)
     m_help = ("m-range bound; --m-min <= --m-max, at most "
               f"{wallcross.TABLE_M_VALUES} values")
     p.add_argument("--m-min", type=int, default=0, help=m_help)
     p.add_argument("--m-max", type=int, default=0, help=m_help)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_table)
 
+
+# name -> (help, argument builder, command): the one list of subcommands,
+# in the order of the top-level help.
+COMMANDS = {
+    "base": ("analyze a pair: monodromy, fan closure, positivity", _base_arguments, cmd_base),
+    "validate": ("check the spine conditions", _spine_arguments, cmd_validate),
+    "extend": ("extend a spine and build its cylinder", _extend_arguments, cmd_extend),
+    "count": ("cylinder count of the family L(l, m, n)", _count_arguments, cmd_count),
+    "symmetry": ("orientation symmetry of a count", _family_arguments, cmd_symmetry),
+    "trace": ("points of the explicit family trace", _trace_arguments, cmd_trace),
+    "table": ("binomial count table with oracle cross-check", _table_arguments, cmd_table),
+}
+
+
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand `name`, built on first use and shared
+    by every later `run`.  It is built as the subparser that `_top_parser`
+    adds for `name`, so its usage, help and error text are the same."""
+    parser = argparse.ArgumentParser(prog=f"tropcyl {name}")
+    COMMANDS[name][1](parser)
     return parser
 
 
-def run(argv=None) -> int:
-    parser = _build_parser()
+@cache
+def _top_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for each command, built on
+    first use: for the top-level help, for an argv that does not start
+    with a command, and for the error on arguments left over."""
+    parser = argparse.ArgumentParser(
+        prog="tropcyl",
+        description="Tropical bases, spines, extensions and wall-crossing counts.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_))
+    return parser
+
+
+def _parse(argv: list[str]):
+    """(command, arguments) of `argv`; exits through argparse on a usage
+    error or help.  An argv that starts with a command name is parsed by
+    that command's parser alone, in one pass; the top-level parser would
+    hand it the same arguments, and it reports any left over, as the
+    top-level parser does."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        args, extras = _command_parser(name).parse_known_args(argv[1:])
+        if extras:
+            _top_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = _top_parser().parse_args(argv)
+        name = args.command
+    return COMMANDS[name][2], args
+
+
+def _call(command, args) -> int:
+    """Exit code of `command` on the parsed `args`: its own, 1 with a JSON
+    report of a domain error, or 2 with one `tropcyl:` line on stderr for
+    an unreadable or malformed input file."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        return command(args)
     except (SchemaError, OSError) as exc:
         print(f"tropcyl: {exc}", file=sys.stderr)
         return 2
     except TropcylError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 1
+
+
+def run(argv=None) -> int:
+    try:
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return _call(command, args)
 
 
 def main() -> None:

@@ -515,17 +515,20 @@ def family_spine(l: int, m: int, n: int, b) -> TropicalTree:
     b = _family_height(l, m, n, b)
     if b <= 0:
         raise InvalidArgument(f"family needs b > 0, got {brief_rational(b)}")
+    # the arms have length eps = b/k = p/(qk); every coordinate is an
+    # integer over qk, and the length p/(qk) is reduced by gcd(p, k), as
+    # p and q are coprime
+    p, q = b.numerator, b.denominator
+    k = 2 * (1 + max(abs(m), abs(n - m - l)))
+    g = gcd(p, k)
+    eps = (p // g, q * k // g)
     base = del_pezzo_base()
-    eps = b / (2 * (1 + max(abs(m), abs(n - m - l))))
-    v0 = base.point(1, b, 0)
-    v1 = base.point(1, b + eps * (n - m - l), eps * l)
-    v2 = base.point(0, eps * l, b + eps * m)
     return TropicalTree(
-        [Vertex("v0", v0), Vertex("v1", v1), Vertex("v2", v2)],
-        [
-            Edge("v0", "v1", 1, (n - m - l, l), eps),
-            Edge("v0", "v2", 0, (l, m), eps),
-        ],
+        [Vertex("v0", base._point(1, p, 0, q)),
+         Vertex("v1", base._point(1, p * k + p * (n - m - l), p * l, q * k)),
+         Vertex("v2", base._point(0, p * l, p * k + p * m, q * k))],
+        [_edge("v0", "v1", 1, n - m - l, l, eps),
+         _edge("v0", "v2", 0, l, m, eps)],
         ("v1", "v2"),
     )
 

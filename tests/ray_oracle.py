@@ -1,7 +1,8 @@
 """Test-only references for the ray cast, the spine checks, the extension
-loop and the family trace's cone search: the same decisions made with
-`Fraction` arithmetic, as the engine did before it moved to integer
-numerators, and the extension building its tree step by step.  The cast
+loop, the family trace's cone search and the family spine: the same
+decisions made with `Fraction` arithmetic, as the engine did before it
+moved to integer numerators, and the extension building its tree step by
+step.  The cast
 crosses walls through the wall matrices of `spine_oracle`, so it shares no
 code with the engine's wall map."""
 
@@ -21,7 +22,8 @@ from tropcyl import (
     make_edge,
     make_tree,
 )
-from tropcyl.extension import DEL_PEZZO_PAIR
+from tropcyl.errors import InvalidArgument, brief_rational
+from tropcyl.extension import DEL_PEZZO_PAIR, _family_height
 from tropcyl.lattice import develop
 from spine_oracle import direction_at, matrix_transport
 
@@ -120,6 +122,26 @@ def fraction_tropical_trace(l, m, n, b, t):
         y = w0[0] * p[1] - w0[1] * p[0]
         if x >= 0 and y >= 0:
             return del_pezzo_base().point(cone, x, y)
+
+
+def fraction_family_spine(l, m, n, b):
+    """`family_spine` with its arm length eps = b/k and the three points
+    computed as `Fraction`s, through the checked point, vertex and edge
+    constructors."""
+    b = _family_height(l, m, n, b)
+    if b <= 0:
+        raise InvalidArgument(f"family needs b > 0, got {brief_rational(b)}")
+    base = del_pezzo_base()
+    eps = b / (2 * (1 + max(abs(m), abs(n - m - l))))
+    v0 = base.point(1, b, 0)
+    v1 = base.point(1, b + eps * (n - m - l), eps * l)
+    v2 = base.point(0, eps * l, b + eps * m)
+    return make_tree(
+        [Vertex("v0", v0), Vertex("v1", v1), Vertex("v2", v2)],
+        [make_edge("v0", "v1", 1, (n - m - l, l), eps),
+         make_edge("v0", "v2", 0, (l, m), eps)],
+        ("v1", "v2"),
+    )
 
 
 def outcome(f, *args):

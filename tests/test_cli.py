@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import wallcross
-from tropcyl.cli import BASE_BITS, TRACE_DIGITS, _build_parser, run
+from tropcyl.cli import BASE_BITS, COMMANDS, TRACE_DIGITS, _command_parser, _top_parser, run
 from tropcyl.errors import brief
 from tropcyl.serialize import spine_to_json
 from subset_oracle import subset_count
+import argv_oracle
 
 
 @pytest.fixture
@@ -573,20 +575,66 @@ class TestGolden:
 
 
 class TestCachedParser:
-    """`run` parses with one parser built on first use; no call may leave
-    state in it that changes a later call."""
+    """`run` parses a command with that command's parser alone, built on
+    first use and reused by every later `run`; no call may build a parser
+    again or leave state in one that changes a later call."""
 
-    def test_no_state_between_calls(self, capsys):
-        assert _build_parser() is _build_parser()
+    def test_first_call_builds_only_its_own_parser(self, capsys):
+        _command_parser.cache_clear()
+        _top_parser.cache_clear()
+        assert run(["count", "--l", "5", "--m", "3", "--n", "2"]) == 0
+        capsys.readouterr()
+        assert _command_parser.cache_info().currsize == 1
+        assert _top_parser.cache_info().currsize == 0
+
+    def test_no_state_between_calls(self, capsys, monkeypatch):
+        parsers = {name: _command_parser(name) for name in COMMANDS}
+        top = _top_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for case in GOLDEN:
+            _check_golden(capsys, *case)
         assert run(["count", "--l", "x", "--m", "0", "--n", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid int value" in captured.err
+        assert run(["count", "--l", "0", "--m", "0", "--n", "0", "extra"]) == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
         assert run(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: tropcyl")
         assert run(["count", "--l", "0", "--m", "0", "--n", "0"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidQuery"
-        for case in [*GOLDEN, *reversed(GOLDEN)]:
+        for case in reversed(GOLDEN):
             _check_golden(capsys, *case)
+        assert built == []
+        assert all(_command_parser(name) is parsers[name] for name in COMMANDS)
+        assert _top_parser() is top
+
+
+class TestHelp:
+    """The top-level help lists exactly the commands of `cli.COMMANDS`, in
+    order and with their help, and each command has help of its own."""
+
+    def test_top_level_help_lists_the_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "120")
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"usage: tropcyl [-h] {{{','.join(COMMANDS)}}} ..."
+        listed = [line.split(None, 1) for line in out.splitlines()
+                  if line.startswith("    ") and not line.startswith("     ")]
+        assert listed == [[name, help_] for name, (help_, _, _) in COMMANDS.items()]
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help(self, capsys, name):
+        assert run([name, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: tropcyl {name} ")
+        assert captured.err == ""
 
 
 # Integers and strings that mean something somewhere in a pair or spine
@@ -716,6 +764,95 @@ class TestFuzz:
     @given(argv=query_argv())
     def test_query_exit_contract(self, argv):
         _check_exit_contract(argv)
+
+
+def _outcome(run_, argv):
+    """(exit code, stdout, stderr) of `run_(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_COUNT = ["count", "--l", "5", "--m", "3", "--n", "2"]
+_EXTEND = ["extend", "dp.json", "family_2_0_1.json"]
+ORACLE_ARGV = [
+    # --opt=value and --opt value, negative values
+    ["count", "--l=5", "--m=-3", "--n=2"],
+    ["count", "--l", "5", "--m", "-3", "--n", "-1"],
+    ["count", "--l", "2", "--m=0", "--n", "1", "--b=7/3"],
+    ["count", "--l", "2", "--m", "0", "--n", "1", "--b", "-1/2"],
+    ["symmetry", "--n", "2", "--m", "-1", "--l", "4"],
+    ["table", "--l-max", "3", "--m-min", "-2", "--m-max", "-1"],
+    ["trace", "--l", "2", "--m", "0", "--n", "1", "--b", "1", "--t=-1,0,1/2"],
+    [*_EXTEND, "--max-steps", "2"],
+    [*_EXTEND, "--max-steps=-1"],
+    # abbreviations and repeated options
+    [*_EXTEND, "--max", "5"],
+    [*_EXTEND, "--max-s=5"],
+    ["table", "--l-m", "3"],
+    ["table", "--l-max", "3", "--m-m", "0"],
+    [*_COUNT, "--l", "6"],
+    [*_COUNT, "--b", "1", "--b", "7/3"],
+    [*_EXTEND, "--max-steps", "1", "--max-steps", "50"],
+    # usage errors
+    ["count", "--l", "5", "--m", "3"],
+    ["count"],
+    ["base"],
+    ["validate", "dp.json"],
+    ["extend"],
+    [*_COUNT, "extra"],
+    [*_COUNT, "extra", "--more"],
+    ["base", "dp.json", "dp.json"],
+    [*_COUNT, "--", "x"],
+    ["count", "--", "--l", "5"],
+    ["count", "--l", "x", "--m", "0", "--n", "0"],
+    ["count", "--l", "5.0", "--m", "0", "--n", "0"],
+    ["table", "--l-max", "1", "--m-min", "1e3"],
+    [*_EXTEND, "--max-steps", "ten"],
+    ["trace", "--l", "2", "--m", "0", "--n", "1", "--b", "1", "--t", "-1,0"],
+    [*_COUNT, "--b"],
+    [*_COUNT, "--b="],
+    [*_COUNT, "--x", "1"],
+    [*_COUNT, "-x"],
+    # the top-level parser
+    [],
+    ["--help"],
+    ["-h"],
+    ["--he"],
+    ["-h", "count"],
+    ["nope"],
+    ["nope", "--l", "1"],
+    ["Count", "--l", "1"],
+    ["--version"],
+    ["--version", *_COUNT],
+    ["-x", "base", "dp.json"],
+    ["-x", "count"],
+    ["--"],
+    ["--", "count"],
+    ["--", *_COUNT],
+    *([name, "--help"] for name in COMMANDS),
+    *([name, "-h", "--l", "x"] for name in COMMANDS),
+    *([name, "--he"] for name in COMMANDS),
+]
+
+
+class TestParserOracle:
+    """`run` and the two-pass parse of `argv_oracle` give the same exit
+    code, stdout and stderr, byte for byte, on well-formed argv, usage
+    errors and help."""
+
+    @pytest.mark.parametrize("argv", [case[2] for case in GOLDEN] + ORACLE_ARGV,
+                             ids=[case[0] for case in GOLDEN]
+                             + [" ".join(argv) or "empty" for argv in ORACLE_ARGV])
+    def test_same_bytes(self, monkeypatch, argv):
+        monkeypatch.chdir(DATA)
+        assert _outcome(run, argv) == _outcome(argv_oracle.run, argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=query_argv())
+    def test_same_bytes_on_queries(self, argv):
+        assert _outcome(run, argv) == _outcome(argv_oracle.run, argv)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -16,6 +16,7 @@ from tropcyl import (
     ExtensionResult,
     HitOrigin,
     InvalidArgument,
+    InvalidQuery,
     LooijengaPair,
     NotExtendable,
     Vertex,
@@ -38,7 +39,13 @@ from tropcyl.serialize import extend_report, spine_text, spine_to_json
 from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
 from report_oracle import oracle_report
 from point_oracle import lattice_length
-from ray_oracle import eager_extend, fraction_trace, fraction_tropical_trace, outcome
+from ray_oracle import (
+    eager_extend,
+    fraction_family_spine,
+    fraction_trace,
+    fraction_tropical_trace,
+    outcome,
+)
 
 F = Fraction
 
@@ -851,6 +858,53 @@ class TestIntegerTrace:
     def test_matches_fraction_reference(self, l, m, n, b, t):
         assert outcome(tropical_trace, l, m, n, b, t) == outcome(
             fraction_tropical_trace, l, m, n, b, t)
+
+
+# the heights of the benchmark's family spines (`HEIGHTS` in perfbench/gen.py)
+BENCH_HEIGHTS = (F(1, 2), F(1), F(3, 2), F(7, 3), F(5, 2), F(3), F(11, 4), F(5))
+
+
+def _family_text(f, *args):
+    """`spine_text` of the family spine that `f` builds."""
+    return spine_text(f(*args))
+
+
+class TestIntegerFamilySpine:
+    """`family_spine` builds its points and arm lengths as integers over
+    qk for b = p/q; the reference computes them in `Fraction`s through the
+    checked constructors."""
+
+    def test_grid_matches_fraction_reference(self):
+        for l in range(1, 9):
+            for m, b in product(range(-4, 5), BENCH_HEIGHTS):
+                for n in range(-1, l + 2):
+                    got = outcome(_family_text, family_spine, l, m, n, b)
+                    assert got[0] == "value"
+                    assert got == outcome(_family_text, fraction_family_spine, l, m, n, b), (
+                        l, m, n, b)
+                    assert family_spine(l, m, n, b) == fraction_family_spine(l, m, n, b)
+
+    @given(l=st.integers(-1, 10 ** 6), m=st.integers(-10 ** 6, 10 ** 6),
+           n=st.integers(-10 ** 6, 10 ** 6),
+           b=st.integers(-2, 10 ** 60 // 7)
+           | st.fractions(F(-1, 7), F(10 ** 60, 7), max_denominator=10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, l, m, n, b):
+        assert outcome(_family_text, family_spine, l, m, n, b) == outcome(
+            _family_text, fraction_family_spine, l, m, n, b)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((2, 0, 1, 0), InvalidArgument, "family needs b > 0, got 0"),
+        ((2, 0, 1, F(-7, 3)), InvalidArgument, "family needs b > 0, got -7/3"),
+        ((0, 0, 1, 1), InvalidQuery, "family needs l >= 1, got 0"),
+        ((True, 0, 1, 1), InvalidArgument,
+         "family needs int l, m, n and a rational b, got True, 0, 1, 1"),
+        ((2, 0, 1, 0.5), InvalidArgument,
+         "family needs int l, m, n and a rational b, got 2, 0, 1, 0.5"),
+    ], ids=["b-zero", "b-negative", "l-zero", "l-bool", "b-float"])
+    def test_errors_match_fraction_reference(self, args, error, message):
+        assert outcome(family_spine, *args) == ("raise", error, message)
+        assert outcome(fraction_family_spine, *args) == ("raise", error, message)
 
 
 class TestTrace:
