@@ -32,7 +32,6 @@ from .errors import (
     TropcylError,
     UnbalancedNonRadial,
     UnsupportedBase,
-    WrongHomeCone,
     ZeroVector,
 )
 from .lattice import (
@@ -102,7 +101,6 @@ __all__ = [
     "TropcylError",
     "UnbalancedNonRadial",
     "UnsupportedBase",
-    "WrongHomeCone",
     "ZeroVector",
     # lattice
     "BasePoint",

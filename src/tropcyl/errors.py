@@ -67,11 +67,6 @@ class InvalidPair(TropcylError):
     """The boundary self-intersection sequence does not define a valid pair."""
 
 
-class WrongHomeCone(TropcylError):
-    """A direction or a ray's start lies in neither cone a wall crossing or
-    cast needs."""
-
-
 class ZeroVector(TropcylError):
     """A nonzero tangent vector was required."""
 

@@ -37,7 +37,6 @@ from .errors import (
     NotExtendable,
     StructuralError,
     UnbalancedNonRadial,
-    WrongHomeCone,
     brief,
     brief_rational,
 )
@@ -112,18 +111,18 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     N/D for integers N, D, so it is built directly, with one gcd, as the
     canonical `BasePoint` (wall, N/g, 0, D/g) that `TropicalBase.point`
     would return; the length is reduced with one more gcd.
+
+    Precondition: `start` is off the origin and lies in the closed cone
+    `cone`.  `_cast`, the one caller, starts from `_end_state`, which
+    refuses an origin end and gives the end's own cone, or from the last
+    hit, which is never the origin and lies on a wall of the cone the ray
+    ran through.
     """
-    if start.cone is None:
-        raise DegenerateRay("ray starts at the origin")
     if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
     l = base.l
     cone %= l
-    coords = base._coords(start, cone)
-    if coords is None:
-        raise WrongHomeCone(
-            f"start point is not in cone {brief(cone)} of the ray direction")
-    a, b, q = coords
+    a, b, q = base._coords(start, cone)
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {brief(cone)}")
@@ -195,7 +194,11 @@ class ExtensionResult:
 def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     """(id, position, cone, u, v) of the bounded 1-valent end `end`: its
     outgoing ray is (u, v), the negated edge direction of `_outgoing`, in
-    the end's canonical cone `cone`."""
+    the end's canonical cone `cone`.
+
+    A `BasePoint` built by hand may name a cone outside 0..l-1, which no
+    cone holds; that end is refused as `check_structure` refuses it, so
+    the start of every cast lies in its cone."""
     pos = tree.position(end)
     if pos is None:
         raise StructuralError(f"cannot extend at unbounded vertex {brief(end)}")
@@ -203,7 +206,10 @@ def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
         raise StructuralError(f"vertex {brief(end)} is not a 1-valent end")
     if pos.is_origin:
         raise DegenerateRay("ray starts at the origin")
-    ((_, u, v),) = _outgoing(base, tree, end, pos)
+    ((edge, u, v),) = _outgoing(base, tree, end, pos)
+    if not 0 <= pos.cone < base.l:
+        raise StructuralError(
+            f"vertex {brief(end)} lies outside cone {brief(edge.cone)} of its edge")
     return end, pos, pos.cone, -u, -v
 
 
@@ -562,8 +568,7 @@ def trace_path_image(l: int, m: int, n: int, b):
                 continue
             start = base.point(cone, p[0] + lo * dp[0], p[1] + lo * dp[1])
             if hi is None:
-                prim, _ = primitive_part(*dp)
-                pieces.append(("ray", cone, _point_key(start), prim))
+                pieces.append(("ray", cone, _point_key(start), primitive_part(*dp)))
             else:
                 end = base.point(cone, p[0] + hi * dp[0], p[1] + hi * dp[1])
                 pieces.append(("seg", cone, *sorted((_point_key(start),

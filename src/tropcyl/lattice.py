@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
-from .errors import (InvalidArgument, InvalidPair, InvalidQuery, WrongHomeCone, ZeroVector,
-                     brief, brief_rational)
+from .errors import (InvalidArgument, InvalidPair, InvalidQuery, ZeroVector, brief,
+                     brief_rational)
 
 # The one zero of every default and wall coordinate; a Fraction is
 # immutable, so sharing it is safe.
@@ -326,19 +326,19 @@ class TropicalBase:
         (l >= 3, so it is not cone wall) is (u, v) -> (v - d*u, -u), of
         determinant 1, and from cone wall its inverse (u, v) -> (-v, u - d*v).
         `wall` and `cone` are both read modulo l, as edge cones are.
-        Raises WrongHomeCone if `cone` is neither cone of the wall.
+
+        Precondition: `cone` is one of the wall's two cones.  Every caller
+        holds it: `spines._outgoing` crosses only from the lower neighbour
+        of the vertex's cone, and `extension._trace` only as
+        `_cross(cone, cone, ...)` or `_cross(cone + 1, cone, ...)`.  Any
+        other cone is read as cone `wall`.
         """
         l = self.l
         wall %= l
         d = self.pair.self_intersections[wall]
-        home = cone % l
-        if home == (wall - 1) % l:
+        if cone % l == (wall - 1) % l:
             return wall, v - d * u, -u
-        if home == wall:
-            return (wall - 1) % l, -v, u - d * v
-        raise WrongHomeCone(
-            f"transport across wall {wall} needs home cone {(wall - 1) % l} "
-            f"or {wall}, got {brief(cone)}")
+        return (wall - 1) % l, -v, u - d * v
 
 
 def _as_pair(pair) -> LooijengaPair:
@@ -434,9 +434,16 @@ def _endless_rays(pair):
 
     D+- have entries in Z[sqrt(delta)], only the second one irrational:
     (2b, d - a +- sqrt(delta)) for P = [[a, b], [c, d]], where b != 0
-    since t > 2.  Each is stored oriented as a normal (x0, x1, y1), meaning
-    (x0, x1 + y1*sqrt(delta)), with det(x, normal) > 0 on the sector side
-    of it, and every test is one `_sign`.
+    since t > 2.  Each is stored as a normal (x0, x1, y1), meaning
+    (x0, x1 + y1*sqrt(delta)), and every test is one `_sign`.
+
+    No normal needs turning round: det(x, normal) > 0 on the sector side
+    of each.  The sector holds walls 0 and 1, (1, 0) and (0, 1), spans at
+    most pi, and consecutive walls turn counterclockwise inside it (their
+    determinant is 1), so walls[l+1] = (b, d) lies strictly between (0, 1)
+    and D+: b < 0.  For t = 2 the same argument gives c > 0 in walls[l] =
+    (a, c), or b < 0 where that column vanishes.  P = I gives the normal
+    (0, 0), on which every side test is 0, so no ray is decided.
     """
     l = len(_as_pair(pair))
     walls = develop(pair, 0, l + 1)
@@ -446,22 +453,12 @@ def _endless_rays(pair):
         return None
     delta = t * t - 4
     if t > 2:
-        candidates = ((2 * b, d - a, 1), (2 * b, d - a, -1))
+        normals = ((2 * b, d - a, 1), (2 * b, d - a, -1))
     else:
-        # P - I has square zero, so a nonzero column spans its image,
-        # unless P = I
-        n = (a - 1, c) if (a - 1, c) != (0, 0) else (b, d - 1)
-        if n == (0, 0):
-            return None
-        candidates = ((*n, 0),)
-    normals = []
-    for x0, x1, y1 in candidates:
-        sides = {_sign(x * x1 - y * x0, x * y1, delta) for x, y in walls[:l]}
-        if sides == {1}:
-            normals.append((x0, x1, y1))
-        elif sides == {-1}:
-            normals.append((-x0, -x1, -y1))
-        else:
+        # P - I has square zero, so a nonzero column spans its image
+        normals = ((a - 1, c, 0) if (a - 1, c) != (0, 0) else (b, d - 1, 0),)
+    for x0, x1, y1 in normals:
+        if any(_sign(x * x1 - y * x0, x * y1, delta) <= 0 for x, y in walls[:l]):
             return None
 
     def endless(cone: int, u: int, v: int) -> bool:
@@ -539,12 +536,12 @@ def is_positive(pair: LooijengaPair) -> bool:
     return a + d < 2
 
 
-def primitive_part(u: int, v: int):
-    """(primitive vector, multiplicity) with (u, v) = m * primitive."""
+def primitive_part(u: int, v: int) -> tuple[int, int]:
+    """The primitive vector of which (u, v) is a positive multiple."""
     if u == 0 and v == 0:
         raise ZeroVector("the zero vector has no primitive part")
-    g = gcd(abs(u), abs(v))
-    return (u // g, v // g), g
+    g = gcd(u, v)
+    return u // g, v // g
 
 
 def verify_toric_criterion(l: int, lo: int, hi: int):

@@ -693,8 +693,8 @@ def canonical_image(tree: TropicalTree) -> tuple:
                 e1, e2 = tree.incident(end)
                 last = e2 if e1 is last else e1
             if last.is_ray:
-                prim, _ = primitive_part(*last.direction)
-                pieces.append(("ray", last.cone, _point_key(v.position), prim))
+                pieces.append(("ray", last.cone, _point_key(v.position),
+                               primitive_part(*last.direction)))
             else:
                 k1, k2 = sorted((_point_key(v.position),
                                  _point_key(tree.position(end))))

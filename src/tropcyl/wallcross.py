@@ -211,6 +211,12 @@ def count_spine(base, spine: TropicalTree) -> int:
     The count is the coefficient C(l, n) of z^n, which does not depend on
     the height of the central vertex.  Raises InvalidArgument unless `base`
     is a TropicalBase and `spine` a TropicalTree.
+
+    `validate_spine` settles the rest of the normal form.  Its two leaves
+    are the boundary, so the third vertex is the 2-valent centre, and it is
+    bounded and off the origin.  At a wall-1 point (A, 0) an arm is radial
+    exactly when v = 0, so non-radial arms have v0, v1 != 0, and a zero or
+    radial defect has v0 + v1 = 0.
     """
     _check_objects(base, spine, "count_spine")
     if base.pair.self_intersections != DEL_PEZZO_PAIR:
@@ -223,22 +229,12 @@ def count_spine(base, spine: TropicalTree) -> int:
             "not a valid spine: " + "; ".join(v.message for v in violations))
     if len(spine.vertices) != 3:
         raise NotInFamily("normal form has exactly three vertices")
-    centers = [v for v in spine.vertices if spine.valency(v.id) == 2]
-    if len(centers) != 1:
-        raise NotInFamily("normal form has exactly one 2-valent vertex")
-    center = centers[0]
+    (center,) = [v for v in spine.vertices if v.id not in spine.boundary]
     pos = center.position
-    if pos is None or pos.is_origin or not (pos.cone == 1 and pos.B == 0):
+    if not (pos.cone == 1 and pos.B == 0):
         raise NotInFamily("central vertex must sit on the positive wall-1 ray")
     (_, u0, v0), (_, u1, v1) = _outgoing(base, spine, center.id, pos)
-    l = abs(v0)
-    # the family's definition; on a valid spine the radial and
-    # outward-defect conditions at the centre already imply it
-    if l < 1 or v0 + v1 != 0:
-        raise NotInFamily(
-            f"arm directions ({u0}, {v0}) and ({u1}, {v1}) in cone 1 are not "
-            f"in the family")
-    return count(CountQuery(l, 0, u0 + u1))
+    return count(CountQuery(abs(v0), 0, u0 + u1))
 
 
 def virtual_dim(g: int, dim_v: int, alpha_dot_k: int, n: int) -> int:

@@ -17,7 +17,6 @@ from tropcyl import (
     HitOrigin,
     NotExtendable,
     Vertex,
-    WrongHomeCone,
     del_pezzo_base,
     make_edge,
     make_tree,
@@ -31,17 +30,12 @@ from spine_oracle import direction_at, matrix_transport
 def fraction_trace(base, start, cone, u, v):
     """`extension._trace`, comparing ta = a/-u with tb = b/-v as `Fraction`s.
 
-    Returns the same (kind, cone, u, v, wall, point, length) tuple."""
-    if start.is_origin:
-        raise DegenerateRay("ray starts at the origin")
+    Returns the same (kind, cone, u, v, wall, point, length) tuple, under
+    the same precondition: `start` is off the origin and in cone `cone`."""
     if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
     cone %= base.l
-    coords = base.coords_in_cone(start, cone)
-    if coords is None:
-        raise WrongHomeCone(
-            f"start point is not in cone {cone} of the ray direction")
-    a, b = coords
+    a, b = base.coords_in_cone(start, cone)
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")

@@ -8,8 +8,7 @@ outgoing directions were read once per vertex, as plain ints.  The
 matrices share no code with `TropicalBase._cross`, the one wall map of the
 engine, and the outward test is the `Fraction` one of `point_oracle`."""
 
-from tropcyl import OriginVertex, StructuralError, WrongHomeCone
-from tropcyl.errors import brief
+from tropcyl import OriginVertex, StructuralError
 from tropcyl.spines import Violation
 
 from point_oracle import fraction_is_outward_radial
@@ -61,17 +60,14 @@ def mat_apply(m, u, v):
 def matrix_transport(base, wall, cone, u, v):
     """`TropicalBase._cross(wall, cone, u, v)` through the wall matrix from
     cone wall-1, and through its inverse from cone wall; both cones are
-    read modulo l."""
+    read modulo l, and `cone` must be one of the two."""
     l = base.l
     wall %= l
     m = wall_matrix(base.pair.self_intersections[wall])
     if cone % l == (wall - 1) % l:
         return (wall, *mat_apply(m, u, v))
-    if cone % l == wall:
-        return ((wall - 1) % l, *mat_apply(mat_inverse(m), u, v))
-    raise WrongHomeCone(
-        f"transport across wall {wall} needs home cone {(wall - 1) % l} "
-        f"or {wall}, got {brief(cone)}")
+    assert cone % l == wall, (wall, cone)
+    return ((wall - 1) % l, *mat_apply(mat_inverse(m), u, v))
 
 
 def vector_direction_sum(base, tree, vid):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import cycle, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tropcyl as tc
@@ -73,21 +73,25 @@ class TestIntegerRayTrace:
     """The cast compares cross-multiplied integer numerators; the reference
     compares `Fraction` parameters.  Every pair of calls gives an equal
     result tuple (equal repr, so equal types too) or the same error; the
-    cast's length (N, D) is the reference's `Fraction` in lowest terms."""
+    cast's length (N, D) is the reference's `Fraction` in lowest terms.
+    Starts are off the origin and in the direction's cone, as `_cast`
+    gives them."""
 
     def test_grid_matches_fraction_reference(self):
         kinds = set()
         for ds in GRID_PAIRS:
             base = build_base(LooijengaPair(ds))
             for cone, a, b in product(range(base.l), GRID_COORDS, GRID_COORDS):
+                if a == b == 0:
+                    continue
                 start = base.point(cone, a, b)
-                # a direction homed in the start's cone, and one in the next
-                # cone, which holds only starts on their shared wall
-                for home, u, v in product((cone, cone + 1), GRID_STEPS, GRID_STEPS):
+                # a direction homed in the start's cone, and for a start on
+                # wall cone+1 also one homed in the next cone
+                homes = (cone, cone + 1) if a == 0 else (cone,)
+                for home, u, v in product(homes, GRID_STEPS, GRID_STEPS):
                     got = _trace_both_ways(base, start, home, u, v)
                     kinds.add(got[1][0] if got[0] == "value" else got[1].__name__)
-        assert kinds == {"wall", "unbounded", "origin", "DegenerateRay",
-                         "WrongHomeCone"}
+        assert kinds == {"wall", "unbounded", "origin", "DegenerateRay"}
 
     @given(ds=st.lists(st.integers(-3, 1), min_size=3, max_size=6),
            cone=st.integers(0, 5),
@@ -96,6 +100,7 @@ class TestIntegerRayTrace:
            u=st.integers(-12, 12), v=st.integers(-12, 12))
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_reference(self, ds, cone, a, b, u, v):
+        assume(a or b)
         base = build_base(LooijengaPair(ds))
         _trace_both_ways(base, base.point(cone, a, b), cone, u, v)
 
@@ -147,10 +152,6 @@ class TestRayTrace:
         with pytest.raises(DegenerateRay):
             _trace(del_pezzo, start, 1, 1, 0)
 
-    def test_origin_start_degenerate(self, del_pezzo):
-        with pytest.raises(DegenerateRay):
-            _trace(del_pezzo, ORIGIN, 0, 1, 0)
-
 
 class TestExtendStep:
     def test_unbounded_end(self, del_pezzo):
@@ -200,6 +201,33 @@ class TestExtendStep:
         s = family_spine(2, -1, 1, 1)
         out, _, _ = extend_step(del_pezzo, s, "v2")
         assert tc.is_balanced(del_pezzo, out, "v2")
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("unbounded", tc.StructuralError, "cannot extend at unbounded vertex 'x2'"),
+        ("origin", DegenerateRay, "ray starts at the origin"),
+        ("zero-direction", DegenerateRay, "ray direction is zero"),
+        ("along-wall", DegenerateRay, "direction runs along wall 1"),
+        ("cone-5", tc.StructuralError, "vertex 'b' lies outside cone 5 of its edge"),
+    ], ids=["unbounded", "origin", "zero-direction", "along-wall", "cone-5"])
+    def test_refused_end(self, del_pezzo, case, error, message):
+        # `extend` validates the spine first; `extend_step` meets these ends
+        # itself, and refuses each before its ray is cast
+        point = del_pezzo.point
+        if case == "unbounded":
+            tree, end = extend(del_pezzo, family_spine(2, 0, 1, 1)).extended, "x2"
+        else:
+            a, b, cone, direction = {
+                "origin": (point(0, 1, 1), ORIGIN, 0, (-1, -1)),
+                "zero-direction": (point(0, 1, 1), point(0, 2, 1), 0, (0, 0)),
+                "along-wall": (point(1, 1, 0), point(1, 2, 0), 1, (1, 0)),
+                # a hand-built point may name a cone that no cone of the base is
+                "cone-5": (tc.BasePoint(5, 1, 1), tc.BasePoint(5, 2, 1), 5, (1, 0)),
+            }[case]
+            tree, end = make_tree([Vertex("a", a), Vertex("b", b)],
+                                  [make_edge("a", "b", cone, direction, 1)], ("a", "b")), "b"
+        with pytest.raises(error) as err:
+            extend_step(del_pezzo, tree, end)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestExtend:
@@ -606,6 +634,47 @@ class TestCylinder:
         with pytest.raises(tc.StructuralError):
             cylinder_in_b(del_pezzo, s)
 
+    def test_violations(self, del_pezzo):
+        # one edit of the cylinder of L(2, 0, 1) per violation code; its one
+        # leg runs from o1 at the origin to v0 = (1, 0) on wall 1
+        ext = extend(del_pezzo, family_spine(2, 0, 1, 1)).extended
+        cyl = cylinder_in_b(del_pezzo, ext)
+        assert cyl.legs == (("o1", "v0"),)
+        assert tc.validate_cylinder_b(del_pezzo, cyl) == []
+        assert tc.validate_extended_spine(del_pezzo, ext) == []
+        tree = cyl.tree
+        keep = [e for e in tree.edges if (e.tail, e.head) != ("o1", "v0")]
+        others = [v for v in tree.vertices if v.id != "o1"]
+
+        def check(vertices, edges):
+            return tc.validate_cylinder_b(
+                del_pezzo, tc.CylinderInB(make_tree(vertices, edges, tree.boundary),
+                                          cyl.legs))
+
+        # the leg's end moved halfway up the leg
+        half = [*others, Vertex("o1", del_pezzo.point(1, F(1, 2), 0))]
+        assert check(half, [*keep, make_edge("o1", "v0", 1, (1, 0), F(1, 2))]) == [
+            tc.Violation("leaf-off-origin", "o1",
+                         "non-boundary leaf 'o1' does not map to the origin")]
+        # a second edge hung on the origin vertex ends in a second stray leaf
+        hung = [*tree.vertices, Vertex("y", del_pezzo.point(1, 1, 1))]
+        assert check(hung, [*tree.edges, make_edge("o1", "y", 1, (1, 1), 1)]) == [
+            tc.Violation("origin-branch", "o1", "origin vertex 'o1' must be 1-valent"),
+            tc.Violation("leaf-off-origin", "y",
+                         "non-boundary leaf 'y' does not map to the origin")]
+        # the leg dropped
+        assert check(others, keep) == [
+            tc.Violation("unbalanced", "v0", "vertex 'v0' is not balanced")]
+        # the boundary vertex x2 bounded: its ray becomes an edge of length 1
+        x2 = Vertex("x2", del_pezzo.point(0, F(5, 2), 1))
+        bounded = make_tree([v for v in ext.vertices if v.id != "x2"] + [x2],
+                            [e for e in ext.edges if e.head != "x2"]
+                            + [make_edge("v2", "x2", 0, (2, 0), 1)],
+                            ext.boundary)
+        assert tc.validate_extended_spine(del_pezzo, bounded) == [
+            tc.Violation("unbounded-boundary", "x3",
+                         "the unbounded vertices must be exactly the boundary pair")]
+
     def test_all_branch_vertices_balanced(self, del_pezzo):
         for (l, m, n) in [(1, 0, 1), (2, -1, 2), (3, 2, 0), (4, -2, 3)]:
             res = extend(del_pezzo, family_spine(l, m, n, 1))
@@ -836,6 +905,32 @@ class TestLift:
         slope = dict(z.slopes)
         for key in z.cylinder.legs:
             assert slope[key] == 0
+
+    def test_ids_before_o1(self, del_pezzo):
+        # with v0 renamed c0, the leg runs from its path vertex to o1, and
+        # o1 takes the height of c0 as it took that of v0
+        ext = extend(del_pezzo, family_spine(2, 0, 1, 1)).extended
+        names = {"v0": "c0", "v1": "c1", "v2": "c2"}
+        z = lift_to_tilde(del_pezzo, tc.relabel(ext, names))
+        assert z.cylinder.legs == (("c0", "o1"),)
+        expected = lift_to_tilde(del_pezzo, ext)
+        assert dict(z.heights) == {names.get(k, k): h for k, h in expected.heights}
+        assert dict(z.slopes) == {tuple(sorted(names.get(x, x) for x in key)): s
+                                  for key, s in expected.slopes}
+
+    def test_branched_tree_is_structural(self, del_pezzo):
+        # a balanced star: the rays to p and q and an edge to r, whose leg
+        # makes a valid cylinder body that is not a path
+        tree = make_tree(
+            [Vertex("c", del_pezzo.point(0, 2, 2)), Vertex("r", del_pezzo.point(0, 1, 1)),
+             Vertex("p", None), Vertex("q", None)],
+            [tc.Edge("c", "p", 0, (1, 0), None), tc.Edge("c", "q", 0, (0, 1), None),
+             make_edge("c", "r", 0, (-1, -1), 1)],
+            ("p", "q"))
+        assert len(cylinder_in_b(del_pezzo, tree).legs) == 1
+        with pytest.raises(tc.StructuralError,
+                           match="^tree is not a path between its boundary$"):
+            lift_to_tilde(del_pezzo, tree)
 
 
 class TestIntegerTrace:

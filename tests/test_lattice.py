@@ -11,7 +11,6 @@ from tropcyl import (
     InvalidPair,
     InvalidQuery,
     LooijengaPair,
-    WrongHomeCone,
     ZeroVector,
     build_base,
     fan_closure,
@@ -23,7 +22,6 @@ from tropcyl import (
 )
 from tropcyl.lattice import L_MAX, ORIGIN, SWEEP_PAIRS_MAX, develop, primitive_part
 
-from ray_oracle import outcome
 from spine_oracle import mat_det, mat_mul, matrix_transport, wall_matrix
 
 
@@ -139,7 +137,8 @@ class TestPoints:
 
 class TestTransport:
     """`TropicalBase._cross`, the one wall map, on ints, against the wall
-    matrices of `spine_oracle`: equal triples or the same WrongHomeCone."""
+    matrices of `spine_oracle`, from the two cones of the wall, the only
+    cones its callers cross from."""
 
     def test_wall_direction_fixed(self, del_pezzo):
         # e_i is a basis vector on both sides of wall i
@@ -175,23 +174,15 @@ class TestTransport:
     def test_transport_of_int_vectors_stays_int(self, del_pezzo):
         assert all(type(x) is int for x in del_pezzo._cross(1, 0, 3, -2))
 
-    def test_wrong_home_cone(self, del_pezzo):
-        # wall 1 joins cones 0 and 1; a vector of any other cone is refused
-        with pytest.raises(WrongHomeCone, match="needs home cone 0 or 1, got 2"):
-            del_pezzo._cross(1, 2, 1, 0)
-        with pytest.raises(WrongHomeCone, match="needs home cone 3 or 0, got 1"):
-            del_pezzo._cross(4, 1, 1, 0)
-
     def test_home_cone_counts_modulo_l(self, del_pezzo):
         # edge cones count modulo l (`_coords`, `_outgoing`), and so does a
         # vector's home cone: cone c + l crosses like cone c on every wall
-        moved = 0
-        for wall, cone in product(range(4), range(4)):
-            got = outcome(del_pezzo._cross, wall, cone, 2, -1)
+        for wall, side in product(range(4), (-1, 0)):
+            cone = (wall + side) % 4
+            got = del_pezzo._cross(wall, cone, 2, -1)
+            assert got[0] == (wall - 1 - side) % 4
             for shift in (4, 8, -4):
-                assert outcome(del_pezzo._cross, wall, cone + shift, 2, -1)[:2] == got[:2]
-            moved += got[0] == "value"
-        assert moved == 8
+                assert del_pezzo._cross(wall, cone + shift, 2, -1) == got
 
     def test_roundtrip_exhaustive_small(self):
         # across a wall and back is the identity on all small vectors
@@ -204,33 +195,25 @@ class TestTransport:
 
     @pytest.mark.parametrize("ds", [(0, -1, 0, 0), (-2, -2, -2, -2), (-1, -2, -3)])
     def test_inline_matches_matrix_form(self, ds):
-        # on every wall, from every home cone, cones also read modulo l
+        # on every wall, from both of its cones, walls and cones also read
+        # modulo l
         base = build_base(LooijengaPair(ds))
-        cones = range(-base.l, 2 * base.l)
-        raised = 0
-        for wall, cone in product(range(-1, base.l + 1), cones):
+        for wall, side, shift in product(range(-1, base.l + 1), (-1, 0), (-1, 0, 1)):
+            cone = wall + side + shift * base.l
             for u, v in product(range(-4, 5), repeat=2):
-                got = outcome(base._cross, wall, cone, u, v)
-                assert got == outcome(matrix_transport, base, wall, cone, u, v), (
-                    wall, cone, u, v)
-                raised += got[0] == "raise"
-        assert 0 < raised < (base.l + 2) * len(cones) * 81
+                assert base._cross(wall, cone, u, v) == matrix_transport(
+                    base, wall, cone, u, v), (wall, cone, u, v)
 
     @given(ds=st.lists(st.integers(-10 ** 60, 10 ** 60), min_size=3, max_size=6),
            wall=st.integers(-10 ** 50, 10 ** 50), cone=st.integers(-10 ** 50, 10 ** 50),
-           u=st.integers(-10 ** 80, 10 ** 80), v=st.integers(-10 ** 80, 10 ** 80),
-           near=st.booleans())
+           u=st.integers(-10 ** 80, 10 ** 80), v=st.integers(-10 ** 80, 10 ** 80))
     @settings(max_examples=100, deadline=None)
-    def test_long_ints_match_matrix_form(self, ds, wall, cone, u, v, near):
-        # long entries, vectors and indices; half the draws put the home
-        # cone beside the wall, the others mostly raise WrongHomeCone, with
-        # the long cone shown by its digit count
+    def test_long_ints_match_matrix_form(self, ds, wall, cone, u, v):
+        # long entries, vectors and indices; the drawn cone is moved to one
+        # of the wall's two cones, shifted by a long multiple of l
         base = build_base(LooijengaPair(ds))
-        if near:
-            cone = wall - 1 + (cone % 2) + base.l * (cone // 2)
-        got = outcome(base._cross, wall, cone, u, v)
-        assert got == outcome(matrix_transport, base, wall, cone, u, v)
-        assert near <= (got[0] == "value")
+        cone = wall - 1 + (cone % 2) + base.l * (cone // 2)
+        assert base._cross(wall, cone, u, v) == matrix_transport(base, wall, cone, u, v)
 
     @given(
         d=st.integers(min_value=-6, max_value=6),

@@ -157,6 +157,15 @@ class TestSpineFile:
         with pytest.raises(SchemaError):
             spine_from_json(del_pezzo, {"vertices": [], "edges": []})
 
+    def test_non_object(self, del_pezzo):
+        with pytest.raises(SchemaError, match="^spine file must be a JSON object$"):
+            spine_from_json(del_pezzo, [])
+
+    def test_three_coords(self, del_pezzo):
+        data = _with(_family_json(), ("vertices", 0, "coords"), ["1/1", "1/1", "1/1"])
+        with pytest.raises(SchemaError, match="^vertex 'v0' coords must be a pair$"):
+            spine_from_json(del_pezzo, data)
+
     def test_bad_direction(self, del_pezzo):
         data = {
             "vertices": [{"id": "a", "cone": 0, "coords": ["1/1", "1/1"]}],

@@ -276,6 +276,18 @@ def _malformed(base, case):
                          [tc.Edge("a", "x", 0, (0, 1), None),
                           tc.Edge("b", "x", 0, (0, 1), None)],
                          ("a", "c"))
+    if case == "boundary":
+        return make_tree([a, b], [ab], ("a", "a"))
+    if case == "loop":
+        return make_tree([a, b], [make_edge("a", "a", 0, (1, 0), 1)], ("a", "b"))
+    if case == "unbounded-tail":
+        return make_tree([Vertex("a", None), b], [ab], ("a", "b"))
+    if case == "bounded-ray-head":
+        return make_tree([a, b], [tc.Edge("a", "b", 0, (1, 0), None)], ("a", "b"))
+    if case == "unbounded-head":
+        return make_tree([a, Vertex("b", None)], [ab], ("a", "b"))
+    if case == "head-outside":
+        return make_tree([a, Vertex("b", base.point(2, 1, 1))], [ab], ("a", "b"))
     # a triangle and a lone vertex: n - 1 edges, but not connected
     return make_tree([a, b, Vertex("c", base.point(0, 2, 2)),
                       Vertex("d", base.point(0, 3, 3))],
@@ -292,10 +304,18 @@ class TestIndexedStructure:
         ("missing", "references missing vertex"),
         ("infinite-2-valent", "must be 1-valent"),
         ("cycle", "not connected"),
+        ("boundary", "^boundary must be two distinct vertices$"),
+        ("loop", "^loop edge$"),
+        ("unbounded-tail", "^edge tail 'a' is unbounded$"),
+        ("bounded-ray-head", r"^ray \('a', 'b'\) must end at infinity$"),
+        ("unbounded-head", r"^bounded edge \('a', 'b'\) ends at infinity$"),
+        ("head-outside", "^vertex 'b' lies outside cone 0 of its edge$"),
     ])
     def test_rejected_with_reason(self, del_pezzo, case, message):
+        # through `validate_extended_spine`, which runs the check first on
+        # any tree
         with pytest.raises(StructuralError, match=message):
-            check_structure(del_pezzo, _malformed(del_pezzo, case))
+            tc.validate_extended_spine(del_pezzo, _malformed(del_pezzo, case))
 
     def test_lookups(self, del_pezzo):
         s = tc.family_spine(2, 0, 1, 1)
@@ -344,6 +364,13 @@ class TestValidation:
         s = tc.family_spine(2, 0, -1, 1)
         codes = {v.code for v in validate_spine(del_pezzo, s)}
         assert "defect-not-outward" in codes
+
+    def test_vertex_at_infinity_is_structural(self, del_pezzo):
+        # refused before the structure check, which would accept it
+        ext = tc.extend(del_pezzo, tc.family_spine(2, 0, 1, 1)).extended
+        check_structure(del_pezzo, ext)
+        with pytest.raises(StructuralError, match="^unbounded vertex 'x2' not allowed here$"):
+            validate_spine(del_pezzo, ext)
 
     def test_extra_leaf_violates(self, del_pezzo):
         s = make_tree(
@@ -430,6 +457,18 @@ class TestBalancing:
             ("b", "a"),
         )
         assert not is_balanced(del_pezzo, tree, "w")
+
+    def test_positioned_ray_head_is_structural(self, del_pezzo):
+        # `is_balanced` runs no structure check; a ray whose head has a
+        # position still has no direction there
+        tree = make_tree(
+            [Vertex("a", del_pezzo.point(0, 1, 1)), Vertex("b", del_pezzo.point(0, 2, 1))],
+            [tc.Edge("a", "b", 0, (1, 0), None)],
+            ("a", "b"),
+        )
+        with pytest.raises(StructuralError,
+                           match="^rays have no direction at their infinite end$"):
+            is_balanced(del_pezzo, tree, "b")
 
     def test_origin_rejected(self, del_pezzo):
         tree = make_tree(

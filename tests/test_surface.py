@@ -3,16 +3,43 @@ exports, it covers every name the benchmark and the acceptance suite
 import from the package, its only aliases are the two the benchmark
 imports, every public method of its value classes has a supported caller
 and their only operators are `len` and `in`, the README library example
-runs as stated, and no error message writes a value at full length with
-`!r`."""
+runs as stated, no error message writes a value at full length with
+`!r`, every error class of `__all__` is raised by some public call, and
+every violation code that `src/` spells is produced by some validator."""
 
 import ast
 import builtins
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
 
+import pytest
+
 import tropcyl
+from tropcyl import (
+    BasePoint,
+    CountQuery,
+    CylinderInB,
+    Edge,
+    LooijengaPair,
+    TropicalTree,
+    Vertex,
+    build_base,
+    canonical_image,
+    count_spine,
+    cylinder_in_b,
+    del_pezzo_base,
+    extend,
+    extend_step,
+    family_spine,
+    is_balanced,
+    subdivide_edge,
+    validate_cylinder_b,
+    validate_extended_spine,
+    validate_spine,
+)
+from tropcyl.serialize import pair_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,3 +271,104 @@ def test_error_messages_format_values_with_brief():
                        '    y = Violation("c", x, f"{x!r}")\n'
                        '    raise KeyError(f"{brief(x)}")\n')
     assert _repr_in_error_messages(sample, errors) == [2, 3]
+
+
+def _tree(edges, boundary, **positions):
+    """The tree of `edges` on the vertices `positions` (id to a
+    (cone, a, b) triple of the degree-7 del Pezzo base, None for the
+    origin, or "inf" for infinity)."""
+    point = del_pezzo_base().point
+    vertices = [Vertex(vid, None if p == "inf" else BasePoint(None) if p is None
+                       else point(*p)) for vid, p in positions.items()]
+    return TropicalTree(vertices, [Edge(*e) for e in edges], boundary)
+
+
+def _two_vertex(a, b, cone, direction, length=1):
+    return _tree([("a", "b", cone, direction, length)], ("a", "b"), a=a, b=b)
+
+
+DEL_PEZZO = del_pezzo_base()
+MINUS_TWO = build_base(LooijengaPair((-2, -2, -2, -2)))
+# one public call for each error class of `__all__` but the base class,
+# which raises exactly that class
+RAISED_BY = {
+    tropcyl.DegenerateRay: lambda: extend_step(
+        DEL_PEZZO, _two_vertex((0, 1, 1), None, 0, (-1, -1)), "b"),
+    tropcyl.HitOrigin: lambda: extend_step(
+        DEL_PEZZO, _two_vertex((0, 3, 3), (0, 2, 2), 0, (-1, -1)), "b"),
+    tropcyl.InvalidArgument: lambda: LooijengaPair((1.5, 0, 0)),
+    tropcyl.InvalidPair: lambda: LooijengaPair((0, 0)),
+    tropcyl.InvalidQuery: lambda: CountQuery(0, 0, 0),
+    tropcyl.NotExtendable: lambda: extend(
+        MINUS_TWO, _two_vertex((0, 2, 1), (0, 1, 1), 0, (-1, 0)), max_steps=20),
+    tropcyl.NotInFamily: lambda: count_spine(DEL_PEZZO, subdivide_edge(
+        DEL_PEZZO, family_spine(2, 0, 1, 1), ("v0", "v2"), Fraction(1, 2))),
+    tropcyl.OriginVertex: lambda: is_balanced(
+        DEL_PEZZO, _two_vertex(None, (0, 1, 1), 0, (1, 1)), "a"),
+    tropcyl.SchemaError: lambda: pair_from_json({}),
+    tropcyl.StructuralError: lambda: validate_spine(
+        DEL_PEZZO, _two_vertex((0, 1, 1), "inf", 0, (1, 0), None)),
+    tropcyl.UnbalancedNonRadial: lambda: cylinder_in_b(DEL_PEZZO, _tree(
+        [("c", "p", 0, (0, 1), None), ("c", "q", 3, (2, 0), None)], ("p", "q"),
+        c=(0, 2, 0), p="inf", q="inf")),
+    tropcyl.UnsupportedBase: lambda: count_spine(MINUS_TWO, family_spine(2, 0, 1, 1)),
+    tropcyl.ZeroVector: lambda: canonical_image(
+        _two_vertex((0, 1, 1), "inf", 0, (0, 0), None)),
+}
+
+
+def test_every_error_class_has_a_public_call():
+    # a class that no public call raises is dead: delete it
+    classes = {value for value in map(vars(tropcyl).get, tropcyl.__all__)
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert tropcyl.TropcylError in classes
+    assert set(RAISED_BY) == classes - {tropcyl.TropcylError}
+
+
+@pytest.mark.parametrize("error", list(RAISED_BY), ids=lambda error: error.__name__)
+def test_public_call_raises_exactly_its_class(error):
+    with pytest.raises(error) as raised:
+        RAISED_BY[error]()
+    assert type(raised.value) is error
+
+
+def _violation_codes(tree: ast.Module) -> set:
+    """The first argument of each `Violation(...)` call, or None where it
+    is not a str literal."""
+    codes = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Violation"):
+            first = node.args[0] if node.args else None
+            codes.add(first.value if isinstance(first, ast.Constant)
+                      and isinstance(first.value, str) else None)
+    return codes
+
+
+# validator calls that together produce every violation code
+VIOLATING = [
+    # an origin vertex, a leaf off the boundary, a radial edge and a
+    # defect that does not point outward
+    lambda: validate_spine(DEL_PEZZO, _tree(
+        [("o", "b", 0, (1, 1), 1), ("b", "c", 0, (1, 0), 1)], ("b", "c"),
+        o=None, b=(0, 1, 1), c=(0, 2, 1))),
+    # an inward defect at the centre
+    lambda: validate_spine(DEL_PEZZO, family_spine(2, 0, -1, 1)),
+    # a bounded boundary
+    lambda: validate_extended_spine(DEL_PEZZO, family_spine(2, 0, 1, 1)),
+    # the spine as a cylinder body without its leg: an unbalanced centre
+    lambda: validate_cylinder_b(DEL_PEZZO, CylinderInB(family_spine(2, 0, 1, 1), ())),
+    # three edges at the origin vertex, one to a stray leaf
+    lambda: validate_cylinder_b(DEL_PEZZO, CylinderInB(_tree(
+        [("o", "a", 0, (1, 1), 1), ("o", "b", 0, (1, 2), 1), ("o", "c", 0, (1, 0), 1)],
+        ("a", "b"), o=None, a=(0, 1, 1), b=(0, 1, 2), c=(0, 1, 0)), ())),
+]
+
+
+def test_every_violation_code_is_produced():
+    # a code that `src/` spells but no validator call produces is dead
+    spelled = set().union(*(_violation_codes(ast.parse(path.read_text(encoding="utf-8")))
+                            for path in sorted((ROOT / "src" / "tropcyl").glob("*.py"))))
+    produced = {v.code for call in VIOLATING for v in call()}
+    assert "unbounded-boundary" in spelled
+    assert spelled == produced

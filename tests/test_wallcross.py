@@ -353,6 +353,22 @@ class TestCountSpine:
         with pytest.raises(NotInFamily):
             count_spine(del_pezzo, spine)
 
+    def test_valid_spine_off_the_wall(self, del_pezzo):
+        # a straight segment through (1, 1) in cone 0 is a valid spine whose
+        # centre is off the wall-1 ray
+        spine = tc.make_tree(
+            [tc.Vertex("a", del_pezzo.point(0, F(1, 2), 1)),
+             tc.Vertex("c", del_pezzo.point(0, 1, 1)),
+             tc.Vertex("b", del_pezzo.point(0, F(3, 2), 1))],
+            [tc.make_edge("c", "a", 0, (-1, 0), F(1, 2)),
+             tc.make_edge("c", "b", 0, (1, 0), F(1, 2))],
+            ("a", "b"),
+        )
+        assert tc.validate_spine(del_pezzo, spine) == []
+        with pytest.raises(NotInFamily,
+                           match="^central vertex must sit on the positive wall-1 ray$"):
+            count_spine(del_pezzo, spine)
+
 
 @pytest.mark.parametrize("call", [
     lambda: focus_focus_apply(None),
