@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from math import comb
 
-from .errors import InvalidQuery, TropcylError, brief
+from .errors import InvalidQuery, TropcylError
 from .extension import (
     MAX_STEPS,
     MAX_STEPS_CAP,
@@ -190,15 +190,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.m_min > args.m_max:
-        raise InvalidQuery(
-            f"table needs --m-min <= --m-max, got {brief(args.m_min)} > {brief(args.m_max)}")
-    report = wallcross.count_table(args.l_max, range(args.m_min, args.m_max + 1))
-    text = json.dumps(report, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(wallcross.count_table(args.l_max, args.m_min, args.m_max))
     return 0
 
 
@@ -247,7 +239,6 @@ def _table_arguments(p: argparse.ArgumentParser) -> None:
               f"{wallcross.TABLE_M_VALUES} values")
     p.add_argument("--m-min", type=int, default=0, help=m_help)
     p.add_argument("--m-max", type=int, default=0, help=m_help)
-    p.add_argument("--out", default=None)
 
 
 # name -> (help, argument builder, command): the one list of subcommands,

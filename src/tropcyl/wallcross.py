@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials in two variables and the focus-focus
+"""Laurent polynomials over Z in two variables and the focus-focus
 wall-crossing count engine.
 
 The shear x -> x(1+y), y -> y maps x^a y^b to x^a y^b (1+y)^a, a
@@ -12,44 +12,40 @@ counts against `math.comb`, which shares no code with the running binomials.
 
 from __future__ import annotations
 
-import sys
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase, brief
 from .extension import DEL_PEZZO_PAIR
-from .lattice import L_MAX, _set, is_int, is_rational, value_class
+from .lattice import L_MAX, _set, is_int, value_class
 from .spines import TropicalTree, _check_objects, _outgoing, validate_spine
 
 
 @value_class("terms")
 class SparseLaurentSeries:
-    """Laurent polynomial in x, y over the rationals.
+    """Laurent polynomial in x, y over the integers.
 
-    Stored as integer numerators `num`, a dict from (power of x, power of y)
-    to a nonzero int, over one positive `den`, with gcd(den, *num) = 1.
-    A series is read through `terms`, `num` and `den`: `terms` gives the
-    sorted ((i, j), Fraction) pairs, so `dict(s.terms)` maps each power to
-    its coefficient, and `==` compares the integers.  The constructor sums
-    a tuple or list of such pairs (int or Fraction coefficients), and
-    raises InvalidArgument on anything else, so the series of a dict `d`
-    is `SparseLaurentSeries(tuple(d.items()))`; `monomial` builds x^i y^j.
+    Stored as `num`, a dict from (power of x, power of y) to a nonzero
+    int.  A series is read through `terms` and `num`: `terms` gives the
+    sorted ((i, j), int) pairs, so `dict(s.terms)` is `num`, and `==`
+    compares `num`.  The constructor sums a tuple or list of such pairs,
+    and raises InvalidArgument on anything else, a `Fraction` coefficient
+    included, so the series of a dict `d` is
+    `SparseLaurentSeries(tuple(d.items()))`; `monomial` builds x^i y^j.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num",)
 
-    def __init__(self, terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()):
+    def __init__(self, terms: tuple[tuple[tuple[int, int], int], ...] = ()):
         if not (isinstance(terms, (tuple, list)) and all(
                 type(t) is tuple and len(t) == 2 and type(t[0]) is tuple
                 and len(t[0]) == 2 and is_int(t[0][0]) and is_int(t[0][1])
-                and is_rational(t[1]) for t in terms)):
+                and is_int(t[1]) for t in terms)):
             raise InvalidArgument(
-                f"series needs ((int, int), int or Fraction) terms, got {brief(terms)}")
-        den = lcm(*(c.denominator for _, c in terms))
+                f"series needs ((int, int), int) terms, got {brief(terms)}")
         acc: dict[tuple[int, int], int] = {}
         for k, c in terms:
-            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
-        _fill(self, acc, den)
+            acc[k] = acc.get(k, 0) + c
+        _fill(self, acc)
 
     @classmethod
     def monomial(cls, i: int, j: int) -> "SparseLaurentSeries":
@@ -58,28 +54,20 @@ class SparseLaurentSeries:
 
     def __eq__(self, other):
         if other.__class__ is SparseLaurentSeries:
-            return self.den == other.den and self.num == other.num
+            return self.num == other.num
         return NotImplemented
 
     @property
-    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        den = self.den
-        return tuple((k, Fraction(v, den)) for k, v in sorted(self.num.items()))
+    def terms(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return tuple(sorted(self.num.items()))
 
 
 _new_series = SparseLaurentSeries.__new__
 
 
-def _fill(s: SparseLaurentSeries, acc: dict, den: int) -> SparseLaurentSeries:
-    """`s` holding the int numerators `acc` over `den` > 0, without the
-    zeros and reduced by their common factor with `den`."""
-    num = {k: v for k, v in acc.items() if v}
-    if den != 1:
-        g = gcd(den, *num.values())
-        num = {k: v // g for k, v in num.items()}
-        den //= g
-    _set(s, "num", num)
-    _set(s, "den", den)
+def _fill(s: SparseLaurentSeries, acc: dict) -> SparseLaurentSeries:
+    """`s` holding the int coefficients `acc` without the zeros."""
+    _set(s, "num", {k: v for k, v in acc.items() if v})
     return s
 
 
@@ -99,7 +87,7 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries
             key = (a, b + k)
             acc[key] = acc.get(key, 0) + v
             v = v * (e - k) // (k + 1)
-    return _fill(_new_series(SparseLaurentSeries), acc, s.den)
+    return _fill(_new_series(SparseLaurentSeries), acc)
 
 
 def focus_focus_apply(s: SparseLaurentSeries) -> SparseLaurentSeries:
@@ -148,7 +136,6 @@ def count(q: CountQuery) -> int:
     Raises InvalidArgument unless `q` is a CountQuery."""
     _check_query(q)
     image = focus_focus_apply(SparseLaurentSeries.monomial(q.l, q.m))
-    assert image.den == 1
     return image.num.get((q.l, q.m + q.n), 0)
 
 
@@ -158,32 +145,32 @@ def backward_count(q: CountQuery) -> int:
     Raises InvalidArgument unless `q` is a CountQuery."""
     _check_query(q)
     image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
-    assert image.den == 1
     return image.num.get((-q.l, -q.m), 0)
 
 
-def count_table(l_max: int, m_values) -> dict:
-    """Count table rows for l = 0..l_max and each of at most TABLE_M_VALUES
-    values of m, each row read off one image and checked against the row
-    of `math.comb(l, n)` (which does not depend on m).  Raises
-    InvalidArgument unless `l_max` is an int and `m_values` a list, tuple
-    or range of ints (see `is_int`)."""
-    if not (is_int(l_max) and isinstance(m_values, (list, tuple, range))):
+def count_table(l_max: int, m_min: int, m_max: int) -> dict:
+    """Count table rows for l = 0..l_max and m = m_min..m_max, at most
+    TABLE_M_VALUES values of m, each row read off one image and checked
+    against the row of `math.comb(l, n)` (which does not depend on m).
+    Raises InvalidArgument unless `l_max`, `m_min` and `m_max` are ints
+    (see `is_int`)."""
+    if not (is_int(l_max) and is_int(m_min) and is_int(m_max)):
         raise InvalidArgument(
-            f"table needs an int l_max and a list, tuple or range of m values, got "
-            f"{brief(l_max)}, {brief(m_values)}")
+            f"table needs int l_max, m_min and m_max, got "
+            f"{brief(l_max)}, {brief(m_min)}, {brief(m_max)}")
+    if m_min > m_max:
+        raise InvalidQuery(
+            f"table needs --m-min <= --m-max, got {brief(m_min)} > {brief(m_max)}")
     if l_max < 1:
         raise InvalidQuery(f"table needs l_max >= 1, got {brief(l_max)}")
     if l_max > ORACLE_L_MAX:
         raise InvalidQuery(
             f"table is capped at l_max = {ORACLE_L_MAX}, got {brief(l_max)}")
-    if not m_values or m_values[TABLE_M_VALUES:]:
-        # sized by slices: len() of a range past sys.maxsize raises OverflowError
-        size = f"more than {sys.maxsize}" if m_values[sys.maxsize:] else len(m_values)
-        raise InvalidQuery(f"table needs 1 to {TABLE_M_VALUES} m values, got {size}")
-    if not all(map(is_int, m_values)):
-        raise InvalidArgument(f"table needs int m values, got {brief(m_values)}")
+    if m_max - m_min >= TABLE_M_VALUES:
+        raise InvalidQuery(f"table needs 1 to {TABLE_M_VALUES} m values, "
+                           f"got {brief(m_max - m_min + 1)}")
     expected = [[comb(l, n) for n in range(l + 1)] for l in range(l_max + 1)]
+    m_values = range(m_min, m_max + 1)
     rows = []
     for m in m_values:
         for l in range(0, l_max + 1):

@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
               f"{wallcross.TABLE_M_VALUES} values")
     p.add_argument("--m-min", type=int, default=0, help=m_help)
     p.add_argument("--m-max", type=int, default=0, help=m_help)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 
     return parser

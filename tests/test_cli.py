@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import tropcyl as tc
 from tropcyl import wallcross
-from tropcyl.cli import BASE_BITS, COMMANDS, TRACE_DIGITS, _command_parser, _top_parser, run
+from tropcyl.cli import (
+    BASE_BITS, COMMANDS, TRACE_DIGITS, _command_parser, _parse, _top_parser, run)
 from tropcyl.errors import brief
 from tropcyl.serialize import spine_to_json
 from subset_oracle import subset_count
@@ -491,11 +493,13 @@ class TestTable:
         else:
             assert report["m_values"] == list(range(m_min, m_max + 1))
 
-    def test_out_file(self, capsys, tmp_path):
-        out = tmp_path / "table.json"
-        code, report = run_json(capsys, ["table", "--l-max", "3", "--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text()) == report
+    def test_out_is_unrecognized(self, capsys):
+        # the report goes to stdout only; there is no --out file
+        assert run(["table", "--l-max", "3", "--out", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "tropcyl: error: unrecognized arguments: --out x"
 
 
 class TestDeterminism:
@@ -514,8 +518,23 @@ class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_readme_command_lines_parse(self, capsys):
+        # each `tropcyl ...` line of the README's sh blocks is a valid argv
+        text = README.read_text(encoding="utf-8")
+        lines = [shlex.split(line, comments=True)
+                 for block in text.split("```sh\n")[1:]
+                 for line in block.split("```")[0].splitlines()
+                 if line.startswith("tropcyl ")]
+        assert {argv[1] for argv in lines} == set(COMMANDS)
+        for argv in lines:
+            try:
+                _parse(argv[1:])
+            except SystemExit:
+                pytest.fail(f"{' '.join(argv)}: {capsys.readouterr().err}")
+
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Reports of the subcommands captured before a faster path replaced the
 # old one (adjacency indexed once per tree; positivity by elimination

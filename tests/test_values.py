@@ -64,7 +64,7 @@ EXAMPLES = {
     "SparseLaurentSeries": (
         tc.SparseLaurentSeries,
         lambda: tc.SparseLaurentSeries((((2, 1), 3),)),
-        lambda: tc.SparseLaurentSeries((((0, -1), F(1, 2)), ((2, 0), F(-2, 3)))),
+        lambda: tc.SparseLaurentSeries((((0, -1), 1), ((2, 0), -2), ((0, -1), 4))),
         lambda: tc.focus_focus_apply(tc.SparseLaurentSeries.monomial(3, 0))),
     "CountQuery": (lambda: tc.CountQuery(5, 0, 2), lambda: tc.CountQuery(5, 0, 3)),
 }
@@ -135,7 +135,8 @@ ARGUMENTS = {
     "CurveClass": st.tuples(
         st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=2).map(tuple)),
     "SparseLaurentSeries": st.tuples(
-        st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(0, 1)), FRACS),
+        st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(0, 1)),
+                           st.integers(-1, 2)),
                  max_size=2).map(tuple)),
 }
 

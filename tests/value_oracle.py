@@ -121,7 +121,7 @@ class ExtensionResult:
 
 @dataclass(frozen=True)
 class SparseLaurentSeries:
-    terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    terms: tuple[tuple[tuple[int, int], int], ...] = ()
 
 
 @dataclass(frozen=True)
