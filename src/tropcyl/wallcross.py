@@ -2,12 +2,13 @@
 wall-crossing count engine.
 
 The shear x -> x(1+y), y -> y maps x^a y^b to x^a y^b (1+y)^a, a
-polynomial summed in plain ints with running binomials; a negative power
-of (1+y) has no polynomial image.  The count of the del Pezzo family
-L(l, m, n) is the coefficient C(l, n) of x^l y^{m+n} in the image of
-x^l y^m; so is the reversed reading off the inverse image of
-x^{-l} y^{-(m+n)}, since x^{-l} maps to x^{-l}(1+y)^l.  Reports check
-counts against `math.comb`, which shares no code with the running binomials.
+polynomial in plain ints: the running binomials fill half of each row and
+the mirror C(a, k) = C(a, a-k) the rest; a negative power of (1+y) has no
+polynomial image.  The count of the del Pezzo family L(l, m, n) is the
+coefficient C(l, n) of x^l y^{m+n} in the image of x^l y^m; so is the
+reversed reading off the inverse image of x^{-l} y^{-(m+n)}, since x^{-l}
+maps to x^{-l}(1+y)^l.  Reports check counts against `math.comb`, which
+shares no code with the running binomials.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def _fill(s: SparseLaurentSeries, acc: dict) -> SparseLaurentSeries:
 
 def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries:
     """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
+
+    Each term v x^a y^b, with e = power_sign * a, maps to the row
+    v*C(e, k) x^a y^(b+k), k = 0..e.  The running product gives the row up
+    to k = e//2 and the mirror C(e, k) = C(e, e-k) the rest.  The first
+    row is the image; later rows are summed into it key by key, and only
+    then are zero coefficients dropped, since a single row has none.
     Raises InvalidArgument unless `s` is a series, and InvalidQuery unless
     each power of (1+y) lies in [0, L_MAX]."""
     if type(s) is not SparseLaurentSeries:
@@ -82,12 +89,24 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries
         e = power_sign * a
         if not 0 <= e <= L_MAX:
             raise InvalidQuery(f"shear needs powers of (1+y) in [0, {L_MAX}], got {brief(e)}")
-        # v*C(e, k); C(e, k+1) = C(e, k)(e-k)/(k+1) exactly
-        for k in range(e + 1):
-            key = (a, b + k)
-            acc[key] = acc.get(key, 0) + v
+        # C(e, k+1) = C(e, k)(e-k)/(k+1) exactly
+        row = [v]
+        for k in range(e // 2):
             v = v * (e - k) // (k + 1)
-    return _fill(_new_series(SparseLaurentSeries), acc)
+            row.append(v)
+        row += row[e % 2 - 2::-1]
+        if acc:
+            for j, c in enumerate(row, b):
+                key = (a, j)
+                acc[key] = acc.get(key, 0) + c
+        else:
+            acc = {(a, j): c for j, c in enumerate(row, b)}
+    image = _new_series(SparseLaurentSeries)
+    if len(s.num) > 1:
+        return _fill(image, acc)
+    # one row: v != 0 and every C(e, k) > 0
+    _set(image, "num", acc)
+    return image
 
 
 def focus_focus_apply(s: SparseLaurentSeries) -> SparseLaurentSeries:

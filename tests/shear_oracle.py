@@ -1,8 +1,9 @@
 """Test-only reference for the focus-focus shear: the substitution
 x -> x(1+y)^power_sign, y -> y summed term by term in `Fraction`s with
-`math.comb`, where the engine sums ints with running binomials; and the
-series sum and product, on the int coefficients `num`, with which the
-shear is checked to be a substitution."""
+`math.comb` over each whole row, where the engine fills half a row with
+running binomials in ints and mirrors the rest; and the series sum and
+product, on the int coefficients `num`, with which the shear is checked
+to be a substitution."""
 
 from fractions import Fraction
 from math import comb

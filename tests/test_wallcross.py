@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from tropcyl import (
     focus_focus_apply,
     virtual_dim,
 )
-from tropcyl.wallcross import focus_focus_inverse
+from tropcyl.wallcross import L_MAX, focus_focus_inverse
 from shear_oracle import fraction_shear, series_product, series_sum
 from subset_oracle import subset_count
 
@@ -107,7 +108,6 @@ class TestFocusFocus:
                 assert shear(S.monomial(a, b)) == S(tuple(expected.items())), (sign, a, b)
 
     def test_power_cap(self):
-        from tropcyl.wallcross import L_MAX
         assert len(focus_focus_apply(S.monomial(L_MAX, 0)).terms) == L_MAX + 1
         assert len(focus_focus_inverse(S.monomial(-L_MAX, 0)).terms) == L_MAX + 1
         for a in (L_MAX + 1, 10 ** 5000):
@@ -153,8 +153,9 @@ def _shear_both_ways(s, sign):
 
 
 class TestIntegerShear:
-    """The shear sums ints with running binomials; the reference sums
-    `Fraction`s with `math.comb` term by term."""
+    """The shear fills half of each row with running binomials in ints and
+    mirrors the rest; the reference sums `Fraction`s with `math.comb` over
+    the whole row, term by term."""
 
     def test_monomial_grid_matches_fraction_reference(self):
         for a in range(-6, 7):
@@ -176,9 +177,46 @@ class TestIntegerShear:
                         got, want = _shear_both_ways(s, sign)
                         assert got == want, (a, c1, c2, sign)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
+    def test_cancelling_series_match_fraction_reference(self, sign):
+        # rows of one x-power summed so that the coefficient of y^(b+k)
+        # cancels, on both parities of e: k C(e, k) = (e-k+1) C(e, k-1), and
+        # the three-term series cancels by construction; the zero is dropped
+        b = -3
+        for e in (1, 2, 7, 8, 25, 38, 39, 40):
+            a = sign * e
+            for k in sorted({1, 2, e // 2, (e + 1) // 2, e - 1, e} & set(range(1, e + 1))):
+                ck, ck1, ck2 = comb(e, k), comb(e, k - 1), comb(e, k - 2) if k > 1 else 0
+                two = S((((a, b), k), ((a, b + 1), -(e - k + 1))))
+                three = S((((a, b), -(ck1 + ck2)), ((a, b + 1), ck), ((a, b + 2), ck)))
+                for s in (two, three):
+                    got, want = _shear_both_ways(s, sign)
+                    assert got == want, (e, k, sign, s.terms)
+                    assert (a, b + k) not in got.num, (e, k, sign, s.terms)
+
+    @pytest.mark.parametrize("e", [0, 1, L_MAX - 1, L_MAX])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
+    def test_row_ends_match_comb(self, e, sign):
+        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        a = sign * e
+        got = shear(S((((a, 5), -3),)))
+        assert got.num == {(a, 5 + k): -3 * comb(e, k) for k in range(e + 1)}
+        assert all(type(c) is int for c in got.num.values())
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
+    def test_monomial_row_is_its_mirror(self, sign):
+        # coefficient(k) == coefficient(e - k), on both parities of e
+        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        for e in (*range(0, 42), 99, 100, L_MAX - 1, L_MAX):
+            a = sign * e
+            num = shear(S((((a, -2), 7),))).num
+            assert len(num) == e + 1, e
+            for k in range(e + 1):
+                assert num[(a, -2 + k)] == num[(a, -2 + e - k)], (e, k)
+
     @given(
         terms=st.dictionaries(
-            st.tuples(st.integers(-12, 12), st.integers(-6, 6)),
+            st.tuples(st.integers(-40, 40), st.integers(-6, 6)),
             st.integers(-20, 20),
             max_size=6),
         sign=st.sampled_from([1, -1]),
@@ -215,7 +253,7 @@ class TestSeriesInput:
         lambda: S((((0, 0), True),)),
         lambda: S(None),
         lambda: S({(0, 1): 1}),
-        lambda: S((((0, 1), 0.5),)),
+        lambda: S(0.5),
         lambda: S(([(0, 1), 1],)),
         lambda: S((((0, 1), 1, 2),)),
         lambda: S((((0, 1), F(1, 2)),)),
