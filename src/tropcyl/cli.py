@@ -281,9 +281,10 @@ def _top_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]):
     """(command, arguments) of `argv`; exits through argparse on a usage
     error or help.  An argv that starts with a command name is parsed by
-    that command's parser alone, in one pass; the top-level parser would
-    hand it the same arguments, and it reports any left over, as the
-    top-level parser does."""
+    that command's parser alone, in one pass, which reports any arguments
+    left over as the top-level parser does.  The top-level parser takes
+    the rest: -h exits 0, and [], "--" or an unknown name exit 2; it
+    returns only where argparse drops a leading "--" before a command."""
     if argv and argv[0] in COMMANDS:
         name = argv[0]
         args, extras = _command_parser(name).parse_known_args(argv[1:])

@@ -112,22 +112,19 @@ def _trace(base: TropicalBase, start: BasePoint, cone: int, u: int, v: int):
     canonical `BasePoint` (wall, N/g, 0, D/g) that `TropicalBase.point`
     would return; the length is reduced with one more gcd.
 
-    Precondition: `start` is off the origin and lies in the closed cone
-    `cone`.  `_cast`, the one caller, starts from `_end_state`, which
-    refuses an origin end and gives the end's own cone, or from the last
-    hit, which is never the origin and lies on a wall of the cone the ray
-    ran through.
+    Precondition: `start` is off the origin, in the closed cone `cone`,
+    0 <= cone < l, and a = 0 only if u < 0.  `_cast`, the one caller,
+    starts from `_end_state`, whose end has a > 0 in its own cone, or from
+    the last hit, on a wall of the cone the ray ran through (a = 0 only on
+    its second wall, which the ray left with u < 0).
     """
     if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
     l = base.l
-    cone %= l
     a, b, q = base._coords(start, cone)
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {brief(cone)}")
-    if a == 0 and u == 0:
-        raise DegenerateRay(f"direction runs along wall {brief((cone + 1) % l)}")
 
     if b == 0 and v < 0:
         # start on the cone's first wall, pointing across it: backward
@@ -196,9 +193,9 @@ def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     outgoing ray is (u, v), the negated edge direction of `_outgoing`, in
     the end's canonical cone `cone`.
 
-    A `BasePoint` built by hand may name a cone outside 0..l-1, which no
-    cone holds; that end is refused as `check_structure` refuses it, so
-    the start of every cast lies in its cone."""
+    A `BasePoint` built by hand may name a cone outside 0..l-1 or keep a
+    wall point in its lower cone (A = 0); that end is refused as
+    `check_structure` refuses it, so every cast starts in its cone, A > 0."""
     pos = tree.position(end)
     if pos is None:
         raise StructuralError(f"cannot extend at unbounded vertex {brief(end)}")
@@ -207,7 +204,7 @@ def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     if pos.is_origin:
         raise DegenerateRay("ray starts at the origin")
     ((edge, u, v),) = _outgoing(base, tree, end, pos)
-    if not 0 <= pos.cone < base.l:
+    if not 0 <= pos.cone < base.l or pos.A <= 0 or pos.B < 0:
         raise StructuralError(
             f"vertex {brief(end)} lies outside cone {brief(edge.cone)} of its edge")
     return end, pos, pos.cone, -u, -v

@@ -290,9 +290,8 @@ class TropicalBase:
         return _base_point(cone, A, B, Q)
 
     def _coords(self, p: BasePoint, cone: int):
-        """Coordinates of `p` in the closed cone `cone` as integers
-        (A, B, Q), meaning (A/Q, B/Q), or None."""
-        cone %= self.l
+        """Coordinates of `p` in the closed cone `cone`, 0 <= cone < l, as
+        integers (A, B, Q), meaning (A/Q, B/Q), or None."""
         pc = p.cone
         if pc is None:
             return (0, 0, 1)
@@ -304,13 +303,13 @@ class TropicalBase:
         return None
 
     def coords_in_cone(self, p: BasePoint, cone: int):
-        """Coordinates of `p` in the closed cone `cone`, as `Fraction`s, or
-        None: the rational view of `_coords`.  Raises InvalidArgument
-        unless `p` is a `BasePoint` and `cone` an int (see `is_int`)."""
+        """Coordinates of `p` in the closed cone `cone`, read modulo l, as
+        `Fraction`s, or None: the rational view of `_coords`.  Raises
+        InvalidArgument unless `p` is a `BasePoint` and `cone` an int."""
         if type(p) is not BasePoint or not is_int(cone):
             raise InvalidArgument(f"cone coordinates need a BasePoint and an int cone, got "
                                   f"{brief(p)}, {brief(cone)}")
-        c = self._coords(p, cone)
+        c = self._coords(p, cone % self.l)
         if c is None:
             return None
         A, B, Q = c
@@ -325,7 +324,7 @@ class TropicalBase:
         With d the self-intersection of the wall, the map from cone wall-1
         (l >= 3, so it is not cone wall) is (u, v) -> (v - d*u, -u), of
         determinant 1, and from cone wall its inverse (u, v) -> (-v, u - d*v).
-        `wall` and `cone` are both read modulo l, as edge cones are.
+        `wall` and `cone` are both read modulo l (`_trace` passes cone + 1).
 
         Precondition: `cone` is one of the wall's two cones.  Every caller
         holds it: `spines._outgoing` crosses only from the lower neighbour

@@ -7,11 +7,11 @@ at infinity are implicit: they appear only as heads of edges of length
 
 A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
-of its `BasePoint` over their lcm, and each edge length becomes the
-coprime pair (N, D) of `Edge.ratio`, with one gcd.  The parse has checked
-every type, so the vertices and edges are built unchecked by
-`spines._vertex` and `spines._edge`, the latter with its tail choice; the
-tree goes through the one `TropicalTree` constructor, as every tree does.
+of its `BasePoint` over their lcm, each cone is reduced modulo l, and
+each edge length becomes the coprime pair (N, D) of `Edge.ratio`, with
+one gcd.  The parse has checked every type, so the vertices and edges are
+built unchecked by `spines._vertex` and `spines._edge`, the latter with
+its tail choice; the tree goes through the one `TropicalTree` constructor.
 
 The writer formats each vertex and edge entry once, straight from the
 tree, as the text `json.dumps(entry, sort_keys=True)` gives: keys in
@@ -158,7 +158,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
             n, d = _parse_ratio(length)
             g = gcd(n, d)
             ratio = (n // g, d // g)
-        edges.append(_edge(tail, head, cone, u, v, ratio))
+        edges.append(_edge(tail, head, cone % base.l, u, v, ratio))
 
     boundary = data["boundary"]
     if (not isinstance(boundary, list) or len(boundary) != 2

@@ -263,13 +263,13 @@ class CylinderInB:
         _set(self, "legs", legs)
 
     def path_part(self) -> TropicalTree:
-        """The tree with all legs (and their origin endpoints) removed."""
-        legs = set(self.legs)
-        drop = {vid for leg in legs for vid in leg
-                if self.tree.position(vid) == ORIGIN}
-        return TropicalTree([v for v in self.tree.vertices if v.id not in drop],
-                            [e for e in self.tree.edges if (e.tail, e.head) not in legs],
-                            self.tree.boundary)
+        """The tree without its origin vertices and the legs to them, read
+        off the tree, whatever `legs` lists."""
+        tree = self.tree
+        drop = {v.id for v in tree.vertices if v.position is not None and v.position.is_origin}
+        return TropicalTree([v for v in tree.vertices if v.id not in drop],
+                            [e for e in tree.edges if e.tail not in drop and e.head not in drop],
+                            tree.boundary)
 
 
 @value_class("cylinder", "slopes", "heights")
@@ -346,10 +346,12 @@ def _check_objects(base, tree, what: str) -> None:
 def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
     """Raise StructuralError unless `tree` is a consistent mapped tree.
 
-    Vertices at the origin are allowed here; `validate_spine` reports them
+    Vertices at `ORIGIN` are allowed here; `validate_spine` reports them
     as `origin-image` violations, and cylinders end their legs there.
-    Vertices at infinity end rays; `validate_spine` refuses them first.  A
-    vertex elsewhere must lie in its cone: A >= 0 and B >= 0.  Raises
+    Vertices at infinity end rays; `validate_spine` refuses them first.
+    Any other point and every edge cone must be in the one form that
+    `TropicalBase.point` and the spine parse store: a cone in 0..l-1, and
+    A > 0, B >= 0, so a wall point lies on its own wall.  Raises
     InvalidArgument unless `base` is a `TropicalBase` and `tree` a
     `TropicalTree`; this is the check of every validator, of
     `cylinder_in_b` and of `extend`.
@@ -365,7 +367,8 @@ def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
 
     for v in tree.vertices:
         p = v.position
-        if p is not None and (p.A < 0 or p.B < 0):
+        if p is not None and (p != ORIGIN if p.cone is None
+                              else p.A <= 0 or p.B < 0 or not 0 <= p.cone < base.l):
             raise StructuralError(f"vertex {brief(v.id)} lies outside its cone {brief(p.cone)}")
 
     seen = set()
@@ -447,8 +450,8 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
 
     This is the one rule that orients an edge at a vertex: the stored
     direction at the tail, negated at the head, none at a ray's infinite
-    end (StructuralError); `_erasable` applies it without a base.
-    Edge cones count modulo l, as in `TropicalBase._coords`.
+    end (StructuralError); `_erasable` applies it without a base.  Edge
+    cones are read as stored, 0..l-1 (`check_structure`).
     """
     target = pos.cone
     out = []
@@ -459,10 +462,9 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
                 raise StructuralError("rays have no direction at their infinite end")
             u, v = -u, -v
         if e.cone != target:
-            cone = e.cone % base.l
-            if pos.B == 0 and (cone + 1) % base.l == target:
-                _, u, v = base._cross(target, cone, u, v)
-            elif cone != target:
+            if pos.B == 0 and e.cone == (target - 1) % base.l:
+                _, u, v = base._cross(target, e.cone, u, v)
+            else:
                 raise StructuralError(
                     f"edge cone {brief(e.cone)} is not adjacent to the vertex in cone "
                     f"{brief(target)}")
@@ -661,8 +663,8 @@ def _erasable(tree: TropicalTree, vid: str) -> bool:
 
 
 def canonical_image(tree: TropicalTree) -> tuple:
-    """The image point set of a `TropicalTree` (else InvalidArgument), as
-    the sorted tuple of its pieces; two images are compared with `==`.
+    """The image of a tree that `check_structure` accepts (InvalidArgument
+    on a non-tree), as the sorted tuple of its pieces; compare with `==`.
 
     A piece is ("seg", cone, point key, point key) with the endpoint keys
     ordered, or ("ray", cone, base point key, primitive direction).

@@ -116,7 +116,8 @@ def _int_field(x, what):
 
 
 def fraction_spine_from_json(base, data):
-    """`serialize.spine_from_json` through `fraction_point` and `make_edge`."""
+    """`serialize.spine_from_json` through `fraction_point` and `make_edge`;
+    an edge cone is read modulo l, as `fraction_point` reads a vertex cone."""
     if not isinstance(data, dict):
         raise SchemaError("spine file must be a JSON object")
     for key in ("vertices", "edges", "boundary"):
@@ -168,7 +169,7 @@ def fraction_spine_from_json(base, data):
         tail, head = item["tail"], item["head"]
         if not isinstance(tail, str) or not isinstance(head, str):
             raise SchemaError("edge endpoints must be vertex id strings")
-        cone = _int_field(item["cone"], "edge cone")
+        cone = _int_field(item["cone"], "edge cone") % base.l
         if item["length"] == "unbounded":
             if head not in ids:
                 vertices.append(Vertex(head, None))

@@ -428,6 +428,14 @@ class TestTrace:
         assert pts[1] == {"t": "0/1", "cone": 1, "coords": ["1/1", "0/1"]}
         assert pts[2] == {"t": "1/1", "cone": 0, "coords": ["2/1", "1/1"]}
 
+    def test_point_at_the_origin(self, capsys):
+        # height 0 puts the central vertex, and so the trace at t = 0, at
+        # the origin, which the report writes with no cone
+        code, report = run_json(capsys, [
+            "trace", "--l", "1", "--m", "0", "--n", "0", "--b", "0", "--t", "0"])
+        assert code == 0
+        assert report["points"] == [{"origin": True, "t": "0/1"}]
+
     def test_digit_cap(self, capsys):
         # an output coordinate past 4300 digits used to end in a bare
         # ValueError from the point writer

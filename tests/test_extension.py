@@ -32,9 +32,10 @@ from tropcyl import (
     tropical_trace,
 )
 from tropcyl.cli import run
-from tropcyl.extension import DEL_PEZZO_PAIR, _trace, spine_legs
+from tropcyl.extension import DEL_PEZZO_PAIR, MAX_STEPS, _trace, spine_legs
 from tropcyl.lattice import ORIGIN, _curve_class, _endless_rays, monodromy
-from tropcyl.serialize import extend_report, spine_text, spine_to_json
+from tropcyl.serialize import extend_report, spine_from_json, spine_text, spine_to_json
+from tropcyl.spines import check_structure
 
 from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
 from report_oracle import oracle_report
@@ -74,7 +75,8 @@ class TestIntegerRayTrace:
     compares `Fraction` parameters.  Every pair of calls gives an equal
     result tuple (equal repr, so equal types too) or the same error; the
     cast's length (N, D) is the reference's `Fraction` in lowest terms.
-    Starts are off the origin and in the direction's cone, as `_cast`
+    Starts are off the origin and in the direction's cone, 0..l-1, and a
+    start seen from the cone below its wall casts with u < 0, as `_cast`
     gives them."""
 
     def test_grid_matches_fraction_reference(self):
@@ -87,8 +89,10 @@ class TestIntegerRayTrace:
                 start = base.point(cone, a, b)
                 # a direction homed in the start's cone, and for a start on
                 # wall cone+1 also one homed in the next cone
-                homes = (cone, cone + 1) if a == 0 else (cone,)
+                homes = (cone, (cone + 1) % base.l) if a == 0 else (cone,)
                 for home, u, v in product(homes, GRID_STEPS, GRID_STEPS):
+                    if home == cone and a == 0 and u >= 0:
+                        continue
                     got = _trace_both_ways(base, start, home, u, v)
                     kinds.add(got[1][0] if got[0] == "value" else got[1].__name__)
         assert kinds == {"wall", "unbounded", "origin", "DegenerateRay"}
@@ -100,8 +104,9 @@ class TestIntegerRayTrace:
            u=st.integers(-12, 12), v=st.integers(-12, 12))
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_reference(self, ds, cone, a, b, u, v):
-        assume(a or b)
+        assume((a or b) and (a or u < 0))
         base = build_base(LooijengaPair(ds))
+        cone %= base.l
         _trace_both_ways(base, base.point(cone, a, b), cone, u, v)
 
 
@@ -196,6 +201,10 @@ class TestExtendStep:
             extend_step(del_pezzo, spine, "b")
         with pytest.raises(tc.StructuralError):
             extend(del_pezzo, spine)
+
+    def test_inner_vertex_is_not_an_end(self, del_pezzo):
+        with pytest.raises(tc.StructuralError, match="^vertex 'v0' is not a 1-valent end$"):
+            extend_step(del_pezzo, family_spine(2, 0, 1, 1), "v0")
 
     def test_old_end_becomes_balanced(self, del_pezzo):
         s = family_spine(2, -1, 1, 1)
@@ -524,6 +533,20 @@ class TestExtendStopsEndlessEnds:
                 assert outcome(extend, base, spine, budget) == outcome(
                     eager_extend, base, spine, budget), (ds, du, dv, budget)
 
+    def test_no_sector_finishes_as_the_eager_reference(self):
+        # tr M = 7, yet no sector holds the first l walls, so `_endless_rays`
+        # decides nothing; the end that casts l rays goes on and finishes
+        ds = (1, 1, -3, -3)
+        (a, _), (_, d) = monodromy(ds)
+        assert a + d == 7 and _endless_rays(ds) is None
+        base = build_base(LooijengaPair(ds))
+        spine = make_tree(
+            [Vertex("a", base.point(0, 5, 1)), Vertex("b", base.point(0, F(45, 8), F(5, 4)))],
+            [make_edge("a", "b", 0, (5, 2), F(1, 8))], ("a", "b"))
+        res = extend(base, spine)
+        assert res.steps == 6
+        assert res == eager_extend(base, spine, MAX_STEPS)
+
     def test_spiral_casts_at_most_one_turn_and_one_ray(self, monkeypatch, all_minus_two):
         casts = []
         monkeypatch.setattr(tc.extension, "_trace",
@@ -729,8 +752,6 @@ class TestCylinderFromTheCast:
            y=st.fractions(F(1, 9), 4, max_denominator=9),
            d=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
            s=st.integers(0, 3))
-    # an edge cone of l: the cylinder oracle reads it modulo l, as the engine does
-    @example(ds=[0, 0, 0], cone=3, x=F(1), y=F(2), d=(1, 0), s=1)
     @settings(max_examples=80, deadline=None)
     def test_bent_spines(self, ds, cone, x, y, d, s):
         # a center inside a cone, with arms d and s*r - d for the primitive
@@ -746,7 +767,7 @@ class TestCylinderFromTheCast:
             [Vertex("c", base.point(cone, x, y))]
             + [Vertex(vid, base.point(cone, x + eps * u, y + eps * v))
                for vid, (u, v) in zip("pq", arms)],
-            [make_edge("c", vid, cone, arm, eps) for vid, arm in zip("pq", arms)],
+            [make_edge("c", vid, cone % base.l, arm, eps) for vid, arm in zip("pq", arms)],
             ("p", "q"))
         if tc.validate_spine(base, spine):
             return
@@ -757,17 +778,98 @@ class TestCylinderFromTheCast:
         assert len(_complete_both_ways(base, spine)) == (s > 0)
 
 
-def _extend_stdout(tmp_path, base, spine):
-    """The stdout of `tropcyl extend` on `spine`, and the oracle report's
-    `json.dumps(..., sort_keys=True)` line."""
+def _cli_stdout(tmp_path, command, base, spine):
+    """The exit code and stdout of `tropcyl <command>` on the spine file of
+    `spine`, as `spine_text` writes it."""
     pair_path, spine_path = tmp_path / "pair.json", tmp_path / "spine.json"
     pair_path.write_text(json.dumps({"self_intersections": list(base.pair.self_intersections)}))
     spine_path.write_text(spine_text(spine))
     out = io.StringIO()
     with redirect_stdout(out):
-        assert run(["extend", str(pair_path), str(spine_path)]) == 0
+        code = run([command, str(pair_path), str(spine_path)])
+    return code, out.getvalue()
+
+
+def _with_edge_cone(spine, i, cone):
+    """`spine` with the cone of its i-th edge replaced by `cone`."""
+    edges = list(spine.edges)
+    e = edges[i]
+    edges[i] = make_edge(e.tail, e.head, cone, e.direction, e.length)
+    return make_tree(spine.vertices, edges, spine.boundary)
+
+
+class TestOneStoredForm:
+    """A tree holds each edge cone, wall point and leg in one form: edge
+    and vertex cones in 0..l-1, a wall point on its own wall, as
+    `TropicalBase.point` and the spine parse store them, and the legs as
+    its tree has them.  `check_structure` refuses any other form, so no
+    geometry it accepts has two canonical images."""
+
+    def test_edge_cones_past_l_are_refused(self, del_pezzo, tmp_path):
+        spine = family_spine(2, 0, 1, 1)
+        shifted = spine
+        for i, e in enumerate(spine.edges):
+            shifted = _with_edge_cone(shifted, i, e.cone + 4)
+        for call in (tc.validate_spine, extend):
+            with pytest.raises(tc.StructuralError, match="^vertex 'v0' lies outside cone 5 "):
+                call(del_pezzo, shifted)
+        # a spine file's edge cones are read modulo l, as its vertex cones are
+        for command in ("validate", "extend"):
+            assert _cli_stdout(tmp_path, command, del_pezzo, shifted) == _cli_stdout(
+                tmp_path, command, del_pezzo, spine)
+
+    def test_wall_point_off_its_wall_is_refused(self, del_pezzo):
+        # b = a + (-1, 1) = (0, 2) in cone 0 lies on wall 1, where `point`
+        # stores it as (2, 0) in cone 1; a hand-built point may keep it in
+        # cone 0, or name cone 1 as 5
+        def spine(b):
+            return make_tree([Vertex("a", del_pezzo.point(0, 1, 1)), Vertex("b", b)],
+                             [make_edge("a", "b", 0, (-1, 1), 1)], ("a", "b"))
+
+        for b in (tc.BasePoint(0, 0, 2), tc.BasePoint(5, 2, 0)):
+            for call in (tc.validate_spine, extend,
+                         lambda base, tree: extend_step(base, tree, "b")):
+                with pytest.raises(tc.StructuralError, match="^vertex 'b' lies outside "):
+                    call(del_pezzo, spine(b))
+        assert extend(del_pezzo, spine(del_pezzo.point(0, 0, 2))).steps == 3
+
+    def test_path_part_reads_the_legs_off_the_tree(self, del_pezzo):
+        cyl = cylinder_in_b(del_pezzo, extend(del_pezzo, family_spine(2, 0, 1, 1)).extended)
+        assert cyl.legs == (("o1", "v0"),)
+        image = tc.canonical_image(cyl.path_part())
+        assert "o1" not in cyl.path_part()
+        for legs in ((), (("zz", "yy"),)):
+            assert tc.canonical_image(tc.CylinderInB(cyl.tree, legs).path_part()) == image
+
+    @given(ds=st.lists(st.integers(-3, 2), min_size=3, max_size=8), cone=st.integers(0, 7),
+           d=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+           family=st.tuples(st.integers(1, 4), st.integers(-2, 2), st.integers(0, 4)),
+           which=st.integers(0, 2), k=st.integers(-3, 3).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_edge_cone_is_refused_and_parses_back(self, ds, cone, d, family,
+                                                          which, k):
+        # a two-vertex spine on a drawn base, or a family spine's edge
+        # `which` on the four-cone base, with its cone moved by k*l
+        if which == 2:
+            base = build_base(LooijengaPair(ds))
+            spine = _two_vertex_spine(base, cone % base.l, *d)
+            i = 0
+        else:
+            l, m, n = family
+            base, spine, i = tc.del_pezzo_base(), family_spine(l, m, min(n, l), 1), which
+        shifted = _with_edge_cone(spine, i, spine.edges[i].cone + k * base.l)
+        with pytest.raises(tc.StructuralError):
+            check_structure(base, shifted)
+        assert spine_from_json(base, spine_to_json(shifted)) == spine
+
+
+def _extend_stdout(tmp_path, base, spine):
+    """The stdout of `tropcyl extend` on `spine`, and the oracle report's
+    `json.dumps(..., sort_keys=True)` line."""
+    code, out = _cli_stdout(tmp_path, "extend", base, spine)
+    assert code == 0
     expected = json.dumps(oracle_report(base, spine, extend(base, spine)), sort_keys=True)
-    return out.getvalue(), expected + "\n"
+    return out, expected + "\n"
 
 
 # ids that `json.dumps` escapes: quotes, backslashes, control, non-ASCII

@@ -330,7 +330,7 @@ class TestEdgeLengthsInIntegers:
             for item in data["edges"]:
                 length = item["length"]
                 expected.append(fraction_make_edge(
-                    item["tail"], item["head"], item["cone"], tuple(item["direction"]),
+                    item["tail"], item["head"], item["cone"] % base.l, tuple(item["direction"]),
                     None if length == "unbounded" else fraction_parse_frac(length)))
             expected.sort(key=lambda e: (e.tail, e.head))
             assert [as_fraction_edge(e) for e in tree.edges] == expected

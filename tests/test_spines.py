@@ -23,6 +23,7 @@ from tropcyl import (
     validate_spine,
 )
 from tropcyl.lattice import ORIGIN
+from tropcyl.serialize import spine_from_json
 from tropcyl.spines import (
     _ends_match,
     _spine_conditions,
@@ -432,8 +433,9 @@ class TestBalancing:
         assert is_balanced(del_pezzo, tree, "w")
 
     def test_edge_cones_count_modulo_l(self, del_pezzo):
-        # cones 4 and 7 are cones 0 and 3 of the four-cone base, as in
-        # coords_in_cone and the ray cast
+        # cones 4 and 7 name cones 0 and 3 of the four-cone base: a spine
+        # file reads them modulo l, but a tree stores its edge cones in
+        # 0..l-1, and the structure check and the readers refuse others
         tree = make_tree(
             [Vertex("b", del_pezzo.point(0, 1, F(1, 2))),
              Vertex("w", del_pezzo.point(0, 2, 0)),
@@ -442,9 +444,16 @@ class TestBalancing:
              make_edge("w", "a", 7, (1, 2), 1)],
             ("b", "a"),
         )
-        assert is_balanced(del_pezzo, tree, "w")
-        assert direction_sum(del_pezzo, tree, "b") == (2, -1)
-        assert validate_spine(del_pezzo, tree) == []
+        with pytest.raises(StructuralError, match="^vertex 'a' lies outside cone 7 of its edge$"):
+            validate_spine(del_pezzo, tree)
+        with pytest.raises(StructuralError, match="^edge cone 7 is not adjacent"):
+            is_balanced(del_pezzo, tree, "w")
+        with pytest.raises(StructuralError, match="^edge cone 4 is not adjacent"):
+            direction_sum(del_pezzo, tree, "b")
+        parsed = spine_from_json(del_pezzo, tc.spine_to_json(tree))
+        assert [e.cone for e in parsed.edges] == [3, 0]
+        assert is_balanced(del_pezzo, parsed, "w")
+        assert validate_spine(del_pezzo, parsed) == []
 
     def test_wall_vertex_unbalanced(self, del_pezzo):
         w = del_pezzo.point(0, 2, 0)
@@ -524,6 +533,27 @@ class TestCanonicalImage:
         )
         with pytest.raises(StructuralError, match="infinite end"):
             canonical_image(tree)
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("t-zero", InvalidArgument, "^subdivision parameter must be strictly inside"),
+        ("no-edge", StructuralError, "^no bounded edge \\('v0', 'zz'\\)$"),
+        ("tail-outside", StructuralError, "^vertex 'a' does not lie in cone 2 of its edge$"),
+    ], ids=["t-zero", "no-edge", "tail-outside"])
+    def test_subdivide_refusals(self, del_pezzo, case, error, message):
+        # subdivide_edge runs no structure check, so it meets a tail that
+        # its edge's cone does not hold itself
+        s, key, t = tc.family_spine(2, 0, 1, 1), ("v0", "v2"), F(1, 2)
+        if case == "t-zero":
+            t = F(0)
+        elif case == "no-edge":
+            key = ("v0", "zz")
+        else:
+            key = ("a", "b")
+            s = make_tree([Vertex("a", del_pezzo.point(0, 1, 1)),
+                           Vertex("b", del_pezzo.point(0, 2, 1))],
+                          [make_edge("a", "b", 2, (1, 0), 1)], ("a", "b"))
+        with pytest.raises(error, match=message):
+            subdivide_edge(del_pezzo, s, key, t)
 
     def test_idempotent_on_realization(self, del_pezzo):
         # realize the canonical pieces as a fresh tree, canonicalize again
