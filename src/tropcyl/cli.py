@@ -66,8 +66,9 @@ BASE_BITS = 14_000
 
 def cmd_base(args) -> int:
     pair = pair_from_json(_load_json(args.pair_file))
-    if len(pair) > wallcross.L_MAX:
-        raise InvalidQuery(f"base is capped at l = {wallcross.L_MAX}, got {len(pair)}")
+    l = len(pair.self_intersections)
+    if l > wallcross.L_MAX:
+        raise InvalidQuery(f"base is capped at l = {wallcross.L_MAX}, got {l}")
     bits = sum((abs(d) + 1).bit_length() for d in pair.self_intersections)
     if bits > BASE_BITS:
         raise InvalidQuery(
@@ -152,13 +153,14 @@ def cmd_count(args) -> int:
 def cmd_symmetry(args) -> int:
     q = CountQuery(args.l, args.m, args.n)
     forward = count(q)
-    symmetric = forward == backward_count(q)
+    backward = backward_count(q)
+    symmetric = forward == backward
     report = {
         "l": args.l,
         "m": args.m,
         "n": args.n,
         "forward": forward,
-        "backward": forward if symmetric else None,
+        "backward": backward,
         "symmetric": symmetric,
     }
     _emit(report)

@@ -75,7 +75,6 @@ from .spines import (
     _outgoing,
     _point_key,
     _unused_ids,
-    _vertex,
 )
 
 DEL_PEZZO_PAIR = (0, -1, 0, 0)
@@ -196,12 +195,12 @@ def _end_state(base: TropicalBase, tree: TropicalTree, end: str):
     A `BasePoint` built by hand may name a cone outside 0..l-1 or keep a
     wall point in its lower cone (A = 0); that end is refused as
     `check_structure` refuses it, so every cast starts in its cone, A > 0."""
-    pos = tree.position(end)
+    pos = tree.vertex(end).position
     if pos is None:
         raise StructuralError(f"cannot extend at unbounded vertex {brief(end)}")
-    if tree.valency(end) != 1:
+    if len(tree.incident(end)) != 1:
         raise StructuralError(f"vertex {brief(end)} is not a 1-valent end")
-    if pos.is_origin:
+    if pos.cone is None:
         raise DegenerateRay("ray starts at the origin")
     ((edge, u, v),) = _outgoing(base, tree, end, pos)
     if not 0 <= pos.cone < base.l or pos.A <= 0 or pos.B < 0:
@@ -234,7 +233,7 @@ def _cast(base: TropicalBase, end, fresh: str):
 def _step_parts(step):
     """(new vertex, new edge) of a `_cast` step."""
     vid, fresh, point, cone, u, v, ratio = step
-    return _vertex(fresh, point), _edge(vid, fresh, cone, u, v, ratio)
+    return Vertex(fresh, point), _edge(vid, fresh, cone, u, v, ratio)
 
 
 def extend_step(base: TropicalBase, tree: TropicalTree, end: str):
@@ -380,7 +379,7 @@ def cylinder_in_b(base: TropicalBase, ext: TropicalTree) -> CylinderInB:
     """
     check_structure(base, ext)
     for b in ext.boundary:
-        if not ext.vertex(b).is_unbounded:
+        if ext.vertex(b).position is not None:
             raise StructuralError(
                 f"extended spine boundary {brief(b)} must run to infinity")
     legs = _legs(base, ext, ext.vertices)
@@ -434,7 +433,7 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
     for i in range(len(order) - 1):
         x, y = order[i], order[i + 1]
         e = ext.edge(x, y)
-        if e.is_ray:
+        if e.ratio is None:
             # travel toward infinity at either end of the path
             slopes[(e.tail, e.head)] = -1 if i == 0 else 1
             continue
@@ -442,13 +441,16 @@ def lift_to_tilde(base: TropicalBase, ext: TropicalTree) -> CylinderInBTilde:
         coord = coord + e.length
         heights[y] = coord
 
-    # origin endpoints inherit the height of their path vertex (slope 0)
-    for (t, h) in cyl.legs:
-        slopes[(t, h)] = 0
-        if t in heights:
-            heights[h] = heights[t]
-        else:
-            heights[t] = heights[h]
+    # the legs, read off the tree: `ext` is the path, so each origin
+    # vertex off it ends one leg and inherits its path vertex's height
+    # (slope 0)
+    tree = cyl.tree
+    for o in tree.vertices:
+        if o.id in heights or o.position is None or o.position.cone is not None:
+            continue
+        (e,) = tree.incident(o.id)
+        slopes[(e.tail, e.head)] = 0
+        heights[o.id] = heights[e.head if e.tail == o.id else e.tail]
 
     return CylinderInBTilde(
         cyl,

@@ -113,9 +113,6 @@ class LooijengaPair:
             raise InvalidPair(f"need at least 3 boundary components, got {len(si)}")
         _set(self, "self_intersections", tuple(si))
 
-    def __len__(self) -> int:
-        return len(self.self_intersections)
-
 
 def _over_lcm(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int]:
     """(A, B, Q) with A/Q = an/ad and B/Q = bn/bd over Q = lcm(ad, bd),
@@ -168,10 +165,6 @@ class BasePoint:
     @property
     def b(self) -> Fraction:
         return Fraction(self.B, self.Q)
-
-    @property
-    def is_origin(self) -> bool:
-        return self.cone is None
 
 
 _new_point = BasePoint.__new__
@@ -252,7 +245,7 @@ class TropicalBase:
     def __init__(self, pair: LooijengaPair):
         pair = _as_pair(pair)
         _set(self, "pair", pair)
-        _set(self, "l", len(pair))
+        _set(self, "l", len(pair.self_intersections))
 
     # -- points ----------------------------------------------------------
 
@@ -444,7 +437,7 @@ def _endless_rays(pair):
     (a, c), or b < 0 where that column vanishes.  P = I gives the normal
     (0, 0), on which every side test is 0, so no ray is decided.
     """
-    l = len(_as_pair(pair))
+    l = len(_as_pair(pair).self_intersections)
     walls = develop(pair, 0, l + 1)
     (a, c), (b, d) = walls[l], walls[l + 1]
     t = a + d
@@ -477,7 +470,7 @@ def fan_closure(pair: LooijengaPair):
     never occur for geometrically realizable pairs.)
     """
     pair = _as_pair(pair)
-    l = len(pair)
+    l = len(pair.self_intersections)
     vs = develop(pair, 0, l + 1)
     if vs[l:] == [(1, 0), (0, 1)]:
         return vs[:l]

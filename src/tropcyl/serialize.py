@@ -9,9 +9,9 @@ A spine file is read in one pass: each coordinate string becomes an
 integer pair (n, d), each vertex's two pairs become the integers (A, B, Q)
 of its `BasePoint` over their lcm, each cone is reduced modulo l, and
 each edge length becomes the coprime pair (N, D) of `Edge.ratio`, with
-one gcd.  The parse has checked every type, so the vertices and edges are
-built unchecked by `spines._vertex` and `spines._edge`, the latter with
-its tail choice; the tree goes through the one `TropicalTree` constructor.
+one gcd.  The vertices are built by `Vertex(...)`; the parse has checked
+every type, so the edges are built unchecked by `spines._edge`, with its
+tail choice.  The tree goes through the one `TropicalTree` constructor.
 
 The writer formats each vertex and edge entry once, straight from the
 tree, as the text `json.dumps(entry, sort_keys=True)` gives: keys in
@@ -35,7 +35,7 @@ from math import gcd
 from .errors import InvalidArgument, brief
 from .extension import ExtensionResult
 from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
-from .spines import Edge, TropicalTree, _edge, _edge_key, _vertex, _vertex_id
+from .spines import Edge, TropicalTree, Vertex, _edge, _edge_key, _vertex_id
 
 
 class SchemaError(ValueError):
@@ -111,7 +111,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if not isinstance(origin, bool):
             raise SchemaError(f'vertex {brief(vid)} "origin" must be true or false')
         if origin:
-            vertices.append(_vertex(vid, ORIGIN))
+            vertices.append(Vertex(vid, ORIGIN))
             continue
         if "cone" not in item or "coords" not in item:
             raise SchemaError(f"vertex {brief(vid)} needs cone and coords")
@@ -128,7 +128,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
             pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
         except ValueError as exc:
             raise SchemaError(f"vertex {brief(vid)}: {exc}") from exc
-        vertices.append(_vertex(vid, pos))
+        vertices.append(Vertex(vid, pos))
 
     edges = []
     for item in data["edges"]:
@@ -152,7 +152,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         if length == "unbounded":
             ratio = None
             if head not in ids:
-                vertices.append(_vertex(head, None))
+                vertices.append(Vertex(head, None))
                 ids.add(head)
         else:
             n, d = _parse_ratio(length)
@@ -176,7 +176,7 @@ def _ratio_to_str(n: int, d: int) -> str:
 def point_to_json(entry: dict, p: BasePoint) -> dict:
     """`entry` with the report fields of the point `p` added: "origin":
     true, or its cone and its two cone coordinates as "p/q"."""
-    if p.is_origin:
+    if p.cone is None:
         entry["origin"] = True
     else:
         entry["cone"] = p.cone

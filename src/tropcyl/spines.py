@@ -51,22 +51,6 @@ class Vertex:
         _set(self, "id", id)
         _set(self, "position", position)
 
-    @property
-    def is_unbounded(self) -> bool:
-        return self.position is None
-
-
-_new_vertex = Vertex.__new__
-
-
-def _vertex(id: str, position: BasePoint | None) -> Vertex:
-    """`Vertex` built unchecked, for the parse, which has checked that
-    `id` is a str and built `position` itself."""
-    v = _new_vertex(Vertex)
-    _set(v, "id", id)
-    _set(v, "position", position)
-    return v
-
 
 def _is_key(x) -> bool:
     """Whether `x` is an edge key: a tuple of two str ids."""
@@ -128,10 +112,6 @@ class Edge:
         ratio = self.ratio
         return None if ratio is None else Fraction(*ratio)
 
-    @property
-    def is_ray(self) -> bool:
-        return self.ratio is None
-
 
 _new_edge = Edge.__new__
 
@@ -192,12 +172,6 @@ class TropicalTree:
         _set(self, "_vertex_of", {v.id: v for v in reversed(vertices)})
         _set(self, "_incident", {vid: tuple(es) for vid, es in incident.items()})
 
-    def __contains__(self, vid: str) -> bool:
-        try:
-            return vid in self._vertex_of
-        except TypeError:
-            raise _bad_id(vid, "tree membership") from None
-
     def vertex(self, vid: str) -> Vertex:
         try:
             return self._vertex_of[vid]
@@ -206,17 +180,11 @@ class TropicalTree:
         except TypeError:
             raise _bad_id(vid, "vertex lookup") from None
 
-    def position(self, vid: str) -> BasePoint | None:
-        return self.vertex(vid).position
-
     def incident(self, vid: str) -> tuple[Edge, ...]:
         try:
             return self._incident.get(vid, ())
         except TypeError:
             raise _bad_id(vid, "edge lookup") from None
-
-    def valency(self, vid: str) -> int:
-        return len(self.incident(vid))
 
     def edge(self, a: str, b: str) -> Edge:
         """The first edge at `a` whose other end is `b`; either may be its tail."""
@@ -266,7 +234,7 @@ class CylinderInB:
         """The tree without its origin vertices and the legs to them, read
         off the tree, whatever `legs` lists."""
         tree = self.tree
-        drop = {v.id for v in tree.vertices if v.position is not None and v.position.is_origin}
+        drop = {v.id for v in tree.vertices if v.position is not None and v.position.cone is None}
         return TropicalTree([v for v in tree.vertices if v.id not in drop],
                             [e for e in tree.edges if e.tail not in drop and e.head not in drop],
                             tree.boundary)
@@ -362,7 +330,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
     if tree.boundary[0] == tree.boundary[1]:
         raise StructuralError("boundary must be two distinct vertices")
     for b in tree.boundary:
-        if b not in tree:
+        if b not in tree._vertex_of:
             raise StructuralError(f"boundary vertex {brief(b)} missing")
 
     for v in tree.vertices:
@@ -418,7 +386,7 @@ def check_structure(base: TropicalBase, tree: TropicalTree) -> None:
                     f"its direction and length")
 
     for v in tree.vertices:
-        if v.position is None and tree.valency(v.id) != 1:
+        if v.position is None and len(tree.incident(v.id)) != 1:
             raise StructuralError(f"unbounded vertex {brief(v.id)} must be 1-valent")
 
     if len(tree.edges) != len(tree.vertices) - 1:
@@ -458,7 +426,7 @@ def _outgoing(base: TropicalBase, tree: TropicalTree, vid: str, pos: BasePoint):
     for e in tree.incident(vid):
         u, v = e.direction
         if vid != e.tail:
-            if e.is_ray:
+            if e.ratio is None:
                 raise StructuralError("rays have no direction at their infinite end")
             u, v = -u, -v
         if e.cone != target:
@@ -476,10 +444,10 @@ def direction_sum(base: TropicalBase, tree: TropicalTree, vid: str) -> tuple[int
     """The sum (u, v) of the outgoing edge directions at `vid`, as ints in
     the canonical cone of its position, added from `_outgoing`: the one
     quantity balancing, the outward defect and the leg rule read."""
-    pos = tree.position(vid)
+    pos = tree.vertex(vid).position
     if pos is None:
         raise StructuralError(f"vertex {brief(vid)} is unbounded")
-    if pos.is_origin:
+    if pos.cone is None:
         raise OriginVertex("direction sums are undefined at the origin")
     total_u = 0
     total_v = 0
@@ -546,10 +514,10 @@ def _spine_conditions(base: TropicalBase, tree: TropicalTree) -> list[Violation]
     """
     out: list[Violation] = []
     for v in tree.vertices:
-        if v.position is not None and v.position.is_origin:
+        if v.position is not None and v.position.cone is None:
             out.append(Violation("origin-image", v.id,
                                  f"vertex {v.id!r} maps to the origin"))
-    leaves = {v.id for v in tree.vertices if tree.valency(v.id) == 1}
+    leaves = {v.id for v in tree.vertices if len(tree.incident(v.id)) == 1}
     if leaves != set(tree.boundary):
         out.append(Violation(
             "leaf-set", ",".join(sorted(leaves)),
@@ -596,7 +564,7 @@ def validate_extended_spine(base: TropicalBase, tree: TropicalTree) -> list[Viol
     """Spine conditions for a spine whose two ends run to infinity."""
     check_structure(base, tree)
     out = _spine_conditions(base, tree)
-    unbounded = {v.id for v in tree.vertices if v.is_unbounded}
+    unbounded = {v.id for v in tree.vertices if v.position is None}
     if unbounded != set(tree.boundary):
         out.append(Violation(
             "unbounded-boundary", ",".join(sorted(unbounded)),
@@ -615,13 +583,13 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
     for v in tree.vertices:
         if v.id in tree.boundary:
             continue
-        if tree.valency(v.id) == 1:
-            if v.position is None or not v.position.is_origin:
+        if len(tree.incident(v.id)) == 1:
+            if v.position is None or v.position.cone is not None:
                 out.append(Violation(
                     "leaf-off-origin", v.id,
                     f"non-boundary leaf {v.id!r} does not map to the origin"))
         else:
-            if v.position is not None and v.position.is_origin:
+            if v.position is not None and v.position.cone is None:
                 out.append(Violation(
                     "origin-branch", v.id,
                     f"origin vertex {v.id!r} must be 1-valent"))
@@ -636,7 +604,7 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
 
 
 def _point_key(p: BasePoint):
-    if p.is_origin:
+    if p.cone is None:
         return (-1, ZERO, ZERO)
     return (p.cone, p.a, p.b)
 
@@ -648,14 +616,14 @@ def _erasable(tree: TropicalTree, vid: str) -> bool:
     inc = tree.incident(vid)
     if len(inc) != 2 or vid in tree.boundary:
         return False
-    pos = tree.position(vid)
-    if pos is None or pos.is_origin or inc[0].cone != inc[1].cone:
+    pos = tree.vertex(vid).position
+    if pos is None or pos.cone is None or inc[0].cone != inc[1].cone:
         return False
     su = sv = 0
     for e in inc:
         u, v = e.direction
         if vid != e.tail:
-            if e.is_ray:
+            if e.ratio is None:
                 raise StructuralError("rays have no direction at their infinite end")
             u, v = -u, -v
         su, sv = su + u, sv + v
@@ -681,7 +649,7 @@ def canonical_image(tree: TropicalTree) -> tuple:
     walked = set()
     pieces = []
     for v in tree.vertices:
-        if v.id in erasable or v.is_unbounded:
+        if v.id in erasable or v.position is None:
             continue
         for first in tree.incident(v.id):
             if id(first) in walked:
@@ -694,12 +662,12 @@ def canonical_image(tree: TropicalTree) -> tuple:
                     break
                 e1, e2 = tree.incident(end)
                 last = e2 if e1 is last else e1
-            if last.is_ray:
+            if last.ratio is None:
                 pieces.append(("ray", last.cone, _point_key(v.position),
                                primitive_part(*last.direction)))
             else:
                 k1, k2 = sorted((_point_key(v.position),
-                                 _point_key(tree.position(end))))
+                                 _point_key(tree.vertex(end).position)))
                 pieces.append(("seg", last.cone, k1, k2))
     return tuple(sorted(pieces))
 
@@ -726,10 +694,10 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     if not 0 < t < 1:
         raise InvalidArgument("subdivision parameter must be strictly inside (0, 1)")
     target = next((e for e in tree.incident(key[0]) if (e.tail, e.head) == key), None)
-    if target is None or target.is_ray:
+    if target is None or target.ratio is None:
         raise StructuralError(f"no bounded edge {brief(key)}")
     fresh = next(_unused_ids(tree, "s"))
-    tail = tree.position(target.tail)
+    tail = tree.vertex(target.tail).position
     tc = None if tail is None else base.coords_in_cone(tail, target.cone)
     if tc is None:
         raise StructuralError(

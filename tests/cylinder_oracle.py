@@ -73,15 +73,16 @@ def full_cylinder_in_b(base, ext):
     legs added; legs as sorted (tail, head) keys."""
     check_structure(base, ext)
     for b in ext.boundary:
-        if not ext.vertex(b).is_unbounded:
+        if ext.vertex(b).position is not None:
             raise StructuralError(f"extended spine boundary {b!r} must run to infinity")
     vertices = [(v.id, v.position) for v in ext.vertices]
+    ids = {v.id for v in ext.vertices}
     edges = [as_fraction_edge(e) for e in ext.edges]
     legs = []
     k = 0
     for v in ext.vertices:
         pos = v.position
-        if pos is None or pos.is_origin:
+        if pos is None or pos.cone is None:
             continue
         su, sv = vector_direction_sum(base, ext, v.id)
         if (su, sv) == (0, 0):
@@ -90,7 +91,7 @@ def full_cylinder_in_b(base, ext):
             raise UnbalancedNonRadial(f"vertex {v.id!r} is not balanced radially")
         length = Fraction(gcd(pos.A, pos.B), pos.Q * gcd(su, sv))
         k += 1
-        while f"o{k}" in ext:
+        while f"o{k}" in ids:
             k += 1
         vertices.append((f"o{k}", None))
         leg = fraction_make_edge(v.id, f"o{k}", pos.cone, (-su, -sv), length)
@@ -109,13 +110,14 @@ def fraction_cylinder_to_json(ext, cylinder) -> dict:
     """The cylinder report of `full_cylinder_in_b(base, ext)`; origin
     vertices are the ones `ext` does not have."""
     vertices, edges, boundary, legs = cylinder
+    ids = {v.id for v in ext.vertices}
     out = []
     for vid, pos in vertices:
-        if vid not in ext:
+        if vid not in ids:
             out.append({"id": vid, "origin": True})
         elif pos is None:
             continue
-        elif pos.is_origin:
+        elif pos.cone is None:
             out.append({"id": vid, "origin": True})
         else:
             out.append({"id": vid, "cone": pos.cone, "coords": [_frac(pos.a), _frac(pos.b)]})

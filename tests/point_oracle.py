@@ -56,7 +56,7 @@ def fraction_point(base, cone, a, b):
 def fraction_coords_in_cone(base, p, cone):
     """`TropicalBase.coords_in_cone` on the `Fraction` coordinates of `p`."""
     cone %= base.l
-    if p.is_origin:
+    if p.cone is None:
         return (ZERO, ZERO)
     if p.cone == cone:
         return (p.a, p.b)
@@ -195,9 +195,9 @@ def fraction_spine_to_json(tree) -> dict:
     """`serialize.spine_to_json` on the `Fraction` coordinates."""
     vertices = []
     for v in tree.vertices:
-        if v.is_unbounded:
+        if v.position is None:
             continue
-        if v.position.is_origin:
+        if v.position.cone is None:
             vertices.append({"id": v.id, "origin": True})
         else:
             vertices.append({
@@ -212,7 +212,7 @@ def fraction_spine_to_json(tree) -> dict:
             "head": e.head,
             "cone": e.cone,
             "direction": [e.direction[0], e.direction[1]],
-            "length": "unbounded" if e.is_ray else _frac_to_str(e.length),
+            "length": "unbounded" if e.ratio is None else _frac_to_str(e.length),
         })
     return {"vertices": vertices, "edges": edges,
             "boundary": [tree.boundary[0], tree.boundary[1]]}

@@ -66,12 +66,13 @@ def eager_extend(base, spine, max_steps):
     """`extend` on a valid spine as it was before its steps were kept as
     tuples: every step casts with `fraction_trace` and builds its `Vertex`
     and its edge (through `make_edge`) at once."""
-    fresh = (f"x{k}" for k in count(1) if f"x{k}" not in spine)
+    ids = {v.id for v in spine.vertices}
+    fresh = (f"x{k}" for k in count(1) if f"x{k}" not in ids)
     ends = []
     for end in spine.boundary:
         (edge,) = spine.incident(end)
         cone, u, v = direction_at(base, edge, end)
-        ends.append((end, spine.position(end), cone, -u, -v))
+        ends.append((end, spine.vertex(end).position, cone, -u, -v))
     vertices, edges, boundary = list(spine.vertices), list(spine.edges), list(spine.boundary)
     total = {}
     steps = side = 0

@@ -17,7 +17,7 @@ def _ratio_to_str(n, d):
 
 
 def _point_to_json(entry, p):
-    if p.is_origin:
+    if p.cone is None:
         entry["origin"] = True
     else:
         entry["cone"] = p.cone

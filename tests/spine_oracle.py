@@ -22,7 +22,7 @@ def direction_at(base, edge, vid):
     if vid == edge.tail:
         return edge.cone % base.l, u, v
     if vid == edge.head:
-        if edge.is_ray:
+        if edge.ratio is None:
             raise StructuralError("rays have no direction at their infinite end")
         return edge.cone % base.l, -u, -v
     raise StructuralError(f"vertex {vid!r} is not an endpoint of the edge")
@@ -73,10 +73,10 @@ def matrix_transport(base, wall, cone, u, v):
 def vector_direction_sum(base, tree, vid):
     """`direction_sum`: each edge's `direction_at` carried into the
     vertex's canonical cone by `matrix_transport`, then added."""
-    pos = tree.position(vid)
+    pos = tree.vertex(vid).position
     if pos is None:
         raise StructuralError(f"vertex {vid!r} is unbounded")
-    if pos.is_origin:
+    if pos.cone is None:
         raise OriginVertex("direction sums are undefined at the origin")
     target = pos.cone
     total_u = total_v = 0
@@ -106,16 +106,16 @@ def two_pass_spine_conditions(base, tree):
     its own cone, then the defect test of every 2-valent vertex."""
     out = []
     for v in tree.vertices:
-        if v.position is not None and v.position.is_origin:
+        if v.position is not None and v.position.cone is None:
             out.append(Violation("origin-image", v.id,
                                  f"vertex {v.id!r} maps to the origin"))
-    leaves = {v.id for v in tree.vertices if tree.valency(v.id) == 1}
+    leaves = {v.id for v in tree.vertices if len(tree.incident(v.id)) == 1}
     if leaves != set(tree.boundary):
         out.append(Violation(
             "leaf-set", ",".join(sorted(leaves)),
             "the 1-valent vertices must be exactly the boundary pair"))
     for v in tree.vertices:
-        if v.position is None or v.position.is_origin:
+        if v.position is None or v.position.cone is None:
             continue
         for e in tree.incident(v.id):
             if _is_radial(base, v.position, *direction_at(base, e, v.id)):
@@ -124,9 +124,9 @@ def two_pass_spine_conditions(base, tree):
                     f"edge ({e.tail!r}, {e.head!r}) points along the origin "
                     f"ray at vertex {v.id!r}"))
     for v in tree.vertices:
-        if v.position is None or v.position.is_origin:
+        if v.position is None or v.position.cone is None:
             continue
-        if tree.valency(v.id) != 2:
+        if len(tree.incident(v.id)) != 2:
             continue
         su, sv = vector_direction_sum(base, tree, v.id)
         if (su, sv) == (0, 0):

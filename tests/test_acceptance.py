@@ -124,7 +124,7 @@ def test_criterion_6_balancing_conservation(del_pezzo):
             res = extend(del_pezzo, family_spine(l, m, n, b))
             cyl = cylinder_in_b(del_pezzo, res.extended)
             for v in cyl.tree.vertices:
-                if v.is_unbounded or cyl.tree.valency(v.id) <= 1:
+                if v.position is None or len(cyl.tree.incident(v.id)) <= 1:
                     continue
                 if not is_balanced(del_pezzo, cyl.tree, v.id):
                     failures += 1
@@ -181,7 +181,7 @@ def test_criterion_8_rigidity_lite(del_pezzo):
             if mode == "height":
                 # move the central vertex along its wall
                 delta = F(rng.randint(1, 5), rng.randint(6, 11))
-                b0 = spine.position("v0").a
+                b0 = spine.vertex("v0").position.a
                 other = family_spine(*_family_parameters(spine), b0 + delta)
                 if validate_spine(del_pezzo, other):
                     continue
@@ -207,7 +207,7 @@ def _perturb_leaf(base, spine, rng):
 
     leaf = rng.choice(("v1", "v2"))
     edge = [e for e in spine.edges if leaf in (e.tail, e.head)][0]
-    pos = spine.position(leaf)
+    pos = spine.vertex(leaf).position
     da = F(rng.randint(-3, 3), rng.randint(17, 23))
     db = F(rng.randint(-3, 3), rng.randint(17, 23))
     if da == 0 and db == 0:
@@ -216,7 +216,7 @@ def _perturb_leaf(base, spine, rng):
     if a <= 0 or b <= 0:
         return None
     new_pos = base.point(pos.cone, a, b)
-    anchor = spine.position("v0")
+    anchor = spine.vertex("v0").position
     tc0 = base.coords_in_cone(anchor, edge.cone)
     delta = (a - tc0[0], b - tc0[1])
     if delta == (0, 0):

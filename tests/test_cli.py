@@ -416,6 +416,15 @@ class TestSymmetryCmd:
         assert report["forward"] == 6
         assert report["symmetric"] is True
 
+    def test_report_carries_the_backward_count(self, capsys, monkeypatch):
+        # the backward count is reported as computed, not echoed from the
+        # forward one, so a disagreement shows both values
+        monkeypatch.setattr(tc.cli, "backward_count",
+                            lambda q: wallcross.count(q) + 1)
+        code, report = run_json(capsys, ["symmetry", "--l", "4", "--m", "-1", "--n", "2"])
+        assert code == 1
+        assert (report["forward"], report["backward"], report["symmetric"]) == (6, 7, False)
+
 
 class TestTrace:
     def test_points(self, capsys):

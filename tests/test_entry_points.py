@@ -300,11 +300,8 @@ ENTRY_POINTS = {
         SEQUENCE | OBJECT))),
     "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
                                     st.tuples(POINT, INT)),
-    "TropicalTree.__contains__": (EXTENDED.__contains__, st.tuples(ANY_VID)),
     "TropicalTree.vertex": (EXTENDED.vertex, st.tuples(ANY_VID)),
-    "TropicalTree.position": (EXTENDED.position, st.tuples(ANY_VID)),
     "TropicalTree.incident": (EXTENDED.incident, st.tuples(ANY_VID)),
-    "TropicalTree.valency": (EXTENDED.valency, st.tuples(ANY_VID)),
     "TropicalTree.edge": (EXTENDED.edge, st.tuples(ANY_VID, ANY_VID)),
     "SparseLaurentSeries": (lambda terms: _series(S, terms), st.tuples(_or_any(
         st.lists(st.tuples(st.tuples(INT, INT), INT), max_size=3).map(tuple), OBJECT))),
@@ -521,11 +518,8 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: tc.Edge("a", "b", "0", (1, 0), 1),
     lambda: tc.Edge("a", "b", 0, None, 1),
     lambda: EXTENDED.vertex([]),
-    lambda: EXTENDED.position([]),
     lambda: EXTENDED.incident([]),
-    lambda: EXTENDED.valency([]),
     lambda: EXTENDED.edge([], "v0"),
-    lambda: [] in EXTENDED,
     lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
     lambda: DEL_PEZZO.coords_in_cone(None, 0),
     lambda: tc.CurveClass(None),
@@ -535,8 +529,7 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
         "CylinderInBTilde-slope-key", "CylinderInBTilde-height",
         "Violation-where", "ExtensionResult-dict", "ExtensionResult-float",
         "Edge-float-length", "Edge-tail",
-        "Edge-cone", "Edge-direction", "tree-vertex", "tree-position", "tree-incident",
-        "tree-valency", "tree-edge", "tree-in",
+        "Edge-cone", "Edge-direction", "tree-vertex", "tree-incident", "tree-edge",
         "coords_in_cone-cone", "coords_in_cone-point", "CurveClass-none",
         "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):

@@ -30,7 +30,7 @@ class TestPair:
         # the pair is read cyclically where a wall is crossed: walls 5 and
         # -3 are wall 1, whose self-intersection is -1
         p = LooijengaPair((0, -1, 0, 0))
-        assert len(p) == 4
+        assert len(p.self_intersections) == 4
         assert p.self_intersections[1] == -1
         base = build_base(p)
         for wall in (1, 5, -3):
@@ -71,7 +71,7 @@ class TestPoints:
         assert (p.cone, p.a, p.b) == (0, 5, 0)
 
     def test_origin_unique(self, del_pezzo):
-        assert del_pezzo.point(0, 0, 0).is_origin
+        assert del_pezzo.point(0, 0, 0).cone is None
         assert del_pezzo.point(2, 0, 0) == ORIGIN
 
     def test_negative_coordinates_rejected(self, del_pezzo):

@@ -151,7 +151,7 @@ class TestSpineFile:
             "boundary": ["a", "b"],
         }
         tree = spine_from_json(del_pezzo, data)
-        assert tree.position("a") == del_pezzo.point(1, 2, 0)
+        assert tree.vertex("a").position == del_pezzo.point(1, 2, 0)
 
     def test_missing_sections(self, del_pezzo):
         with pytest.raises(SchemaError):
@@ -334,6 +334,7 @@ class TestEdgeLengthsInIntegers:
                     None if length == "unbounded" else fraction_parse_frac(length)))
             expected.sort(key=lambda e: (e.tail, e.head))
             assert [as_fraction_edge(e) for e in tree.edges] == expected
+            ids = {v.id for v in tree.vertices}
             written = spine_to_json(tree)["edges"]
             for e, entry, ref in zip(tree.edges, written, expected):
                 if e.ratio is None:
@@ -343,7 +344,7 @@ class TestEdgeLengthsInIntegers:
                 assert d > 0 and F(n, d) == ref.length and (n, d) == (
                     ref.length.numerator, ref.length.denominator)
                 assert entry["length"] == f"{ref.length.numerator}/{ref.length.denominator}"
-                ends = [tree.position(x) if x in tree else None for x in (e.tail, e.head)]
+                ends = [tree.vertex(x).position if x in ids else None for x in (e.tail, e.head)]
                 if None in ends:
                     continue
                 ref_ends = [fraction_coords_in_cone(base, x, e.cone) for x in ends]

@@ -192,8 +192,9 @@ def _public_methods() -> dict[str, bool]:
 
 def test_the_only_operators_are_those_src_uses():
     # `_public_methods` leaves dunder methods out, so an operator that only
-    # tests use, such as a series `+` or `*`, is pinned here instead; the
-    # two left are `len(pair)` and `b not in tree`
+    # tests use, such as a series `+` or `*`, is pinned here instead; none
+    # is left: `src/` spells `len(pair.self_intersections)` and
+    # `b not in tree._vertex_of`
     from test_entry_points import VALUE_PROTOCOL
 
     classes = {value for value in map(vars(tropcyl).get, tropcyl.__all__)
@@ -202,7 +203,7 @@ def test_the_only_operators_are_those_src_uses():
                  for name, value in vars(cls).items()
                  if name.startswith("__") and name.endswith("__") and callable(value)
                  and name not in VALUE_PROTOCOL}
-    assert operators == {"LooijengaPair.__len__", "TropicalTree.__contains__"}
+    assert operators == set()
 
 
 def test_public_method_names_are_unique():
