@@ -73,14 +73,13 @@ def cmd_base(args) -> int:
     if bits > BASE_BITS:
         raise InvalidQuery(
             f"base is capped at {BASE_BITS} bits of |d| + 1 over the entries d, got {bits}")
-    base = build_base(pair)
     mono = monodromy(pair)
     (a, _), (_, d) = mono
     closure = fan_closure(pair)
     report = {
         "pair": list(pair.self_intersections),
-        "cones": base.l,
-        "walls": base.l,
+        "cones": l,
+        "walls": l,
         "monodromy": [list(r) for r in mono],
         "monodromy_is_identity": mono == ((1, 0), (0, 1)),
         "monodromy_trace": a + d,
@@ -125,10 +124,27 @@ def cmd_extend(args) -> int:
     return 0
 
 
+# The most digits `tropcyl trace` takes in l, m, n and in the numerator and
+# denominator of --b and of each --t value, and `tropcyl count` in those of
+# --b.  With every trace input at the cap, the report's integers have at
+# most 3001 digits, within the 4300 that `str` of an int writes.
+TRACE_DIGITS = 1000
+_DIGIT_CAP = 10 ** TRACE_DIGITS
+
+
+def _cap_digits(values, what: str) -> None:
+    """Raise InvalidQuery, "<what> of at most TRACE_DIGITS digits", if
+    an int of `values` has more digits, before any work on them."""
+    if any(abs(x) >= _DIGIT_CAP for x in values):
+        raise InvalidQuery(f"{what} of at most {TRACE_DIGITS} digits")
+
+
 def cmd_count(args) -> int:
     q = CountQuery(args.l, args.m, args.n)
     b = None if args.b is None else parse_frac(args.b)
     if b is not None:
+        _cap_digits((b.numerator, b.denominator),
+                    "count takes the numerator and denominator of --b")
         spine = family_spine(args.l, args.m, args.n, b)
         value = count_spine(del_pezzo_base(), spine)
     else:
@@ -167,21 +183,12 @@ def cmd_symmetry(args) -> int:
     return 0 if symmetric else 1
 
 
-# The most digits `tropcyl trace` takes in l, m, n and in the numerator and
-# denominator of --b and of each --t value.  With every input at the cap,
-# the report's integers have at most 3001 digits, within the 4300 that
-# `str` of an int writes.
-TRACE_DIGITS = 1000
-
-
 def cmd_trace(args) -> int:
     b = parse_frac(args.b)
     ts = [parse_frac(x) for x in args.t.split(",") if x]
-    cap = 10 ** TRACE_DIGITS
-    if any(abs(x) >= cap for x in (args.l, args.m, args.n, b.numerator, b.denominator,
-                                   *(y for t in ts for y in (t.numerator, t.denominator)))):
-        raise InvalidQuery(f"trace takes l, m, n and the numerators and denominators "
-                           f"of --b and --t of at most {TRACE_DIGITS} digits")
+    _cap_digits((args.l, args.m, args.n, b.numerator, b.denominator,
+                 *(y for t in ts for y in (t.numerator, t.denominator))),
+                "trace takes l, m, n and the numerators and denominators of --b and --t")
     points = [point_to_json({"t": frac_to_str(t)},
                             tropical_trace(args.l, args.m, args.n, b, t))
               for t in ts]

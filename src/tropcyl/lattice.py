@@ -7,9 +7,11 @@ depends on the self-intersection number of the i-th boundary component;
 `TropicalBase._cross` is that map, in integers, and the spine checks and
 the ray cast both cross walls through it.  All coordinates are exact and
 integral: a tangent vector is a plain int pair (u, v) in the basis of a
-cone, and a point of a cone is an integer pair over one common positive
-denominator, so every test on points compares integers.  `Fraction`
-appears only where a coordinate is read out as a rational.  No floats
+cone, and a point is read only through its stored integers (cone, A, B,
+Q), the cone coordinates (A/Q, B/Q) over one common positive denominator,
+so every test on points compares integers.  `Fraction` appears only
+where a coordinate is read out as a rational (`BasePoint.a`/`.b`, the
+fields that `hash`, the repr and pickling go through).  No floats
 anywhere.
 """
 
@@ -238,6 +240,9 @@ class TropicalBase:
     `l`, the number of cones, is read once from the pair; it takes no part
     in equality, hashing or repr.  `pair` is a `LooijengaPair` or a tuple
     or list it is built from (else InvalidArgument).
+
+    Its one public method is `point`; the package builds and reads points
+    on their stored integers through `_point` and `_coords`.
     """
 
     __slots__ = ("pair", "l")
@@ -294,19 +299,6 @@ class TropicalBase:
             # wall point seen from the lower-indexed neighbour
             return (0, p.A, p.Q)
         return None
-
-    def coords_in_cone(self, p: BasePoint, cone: int):
-        """Coordinates of `p` in the closed cone `cone`, read modulo l, as
-        `Fraction`s, or None: the rational view of `_coords`.  Raises
-        InvalidArgument unless `p` is a `BasePoint` and `cone` an int."""
-        if type(p) is not BasePoint or not is_int(cone):
-            raise InvalidArgument(f"cone coordinates need a BasePoint and an int cone, got "
-                                  f"{brief(p)}, {brief(cone)}")
-        c = self._coords(p, cone % self.l)
-        if c is None:
-            return None
-        A, B, Q = c
-        return (Fraction(A, Q), Fraction(B, Q))
 
     # -- wall crossing ---------------------------------------------------
 

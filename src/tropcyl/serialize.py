@@ -34,7 +34,7 @@ from math import gcd
 
 from .errors import InvalidArgument, brief
 from .extension import ExtensionResult
-from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, is_int
+from .lattice import ORIGIN, BasePoint, LooijengaPair, TropicalBase, _over_lcm, is_int
 from .spines import Edge, TropicalTree, Vertex, _edge, _edge_key, _vertex_id
 
 
@@ -47,13 +47,21 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# The largest exponent, in absolute value, of a rational string: 10**4299
+# has the 4300 digits that `int` reads from a string at most, and a larger
+# exponent would have `Fraction` build a power of 10 in unbounded time.
+EXPONENT_MAX = 4299
+
+
 def _parse_ratio(s) -> tuple[int, int]:
     """(n, d) with d > 0 and n/d the rational of a string or int, not
     necessarily in lowest terms; SchemaError for anything else.
 
     A canonical "p/q" (ASCII digits, at most one leading "-", q without a
     leading zero) is read with `int`; every other string goes to
-    `Fraction`, which settles what is accepted.
+    `Fraction`, which settles what is accepted, once its exponent, the
+    integer after its last "e" or "E", is known to be at most
+    EXPONENT_MAX in absolute value (an "e" can only start an exponent).
     """
     if isinstance(s, str):
         num, slash, den = s.partition("/")
@@ -61,7 +69,12 @@ def _parse_ratio(s) -> tuple[int, int]:
             if (slash and s.isascii() and den.isdigit() and den[0] != "0"
                     and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())):
                 return int(num), int(den)
+            e = max(s.rfind("e"), s.rfind("E"))
+            if e >= 0 and abs(int(s[e + 1:])) > EXPONENT_MAX:
+                raise SchemaError(f"bad rational {brief(s)}: exponent beyond {EXPONENT_MAX}")
             x = Fraction(s)
+        except SchemaError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {brief(s)}") from exc
         return x.numerator, x.denominator
@@ -124,8 +137,7 @@ def spine_from_json(base: TropicalBase, data) -> TropicalTree:
         try:
             an, ad = _parse_ratio(coords[0])
             bn, bd = _parse_ratio(coords[1])
-            q = ad if ad == bd else ad * bd // gcd(ad, bd)
-            pos = base._point(cone, an * (q // ad), bn * (q // bd), q)
+            pos = base._point(cone, *_over_lcm(an, ad, bn, bd))
         except ValueError as exc:
             raise SchemaError(f"vertex {brief(vid)}: {exc}") from exc
         vertices.append(Vertex(vid, pos))

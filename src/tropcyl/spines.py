@@ -22,7 +22,6 @@ from .errors import (
 )
 from .lattice import (
     ORIGIN,
-    ZERO,
     BasePoint,
     TropicalBase,
     _set,
@@ -604,9 +603,9 @@ def validate_cylinder_b(base: TropicalBase, cyl: CylinderInB) -> list[Violation]
 
 
 def _point_key(p: BasePoint):
-    if p.cone is None:
-        return (-1, ZERO, ZERO)
-    return (p.cone, p.a, p.b)
+    """The stored integers (cone, A, B, Q) of a point, the origin as
+    (-1, 0, 0, 1): unique per point of a checked tree, as the stored form is."""
+    return (-1, 0, 0, 1) if p.cone is None else (p.cone, p.A, p.B, p.Q)
 
 
 def _erasable(tree: TropicalTree, vid: str) -> bool:
@@ -635,7 +634,9 @@ def canonical_image(tree: TropicalTree) -> tuple:
     on a non-tree), as the sorted tuple of its pieces; compare with `==`.
 
     A piece is ("seg", cone, point key, point key) with the endpoint keys
-    ordered, or ("ray", cone, base point key, primitive direction).
+    ordered, or ("ray", cone, base point key, primitive direction); a
+    point key is the point's stored integers (see `_point_key`), so a
+    piece holds only ints and strs.
     Collinear balanced 2-valent vertices inside one cone are erased first,
     so subdivisions of the same image coincide.  A cylinder's image is that
     of `cyl.tree`, and its path's that of `cyl.path_part()`."""
@@ -684,7 +685,8 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
     It takes the first id of s1, s2, ... that `tree` does not use
     (`_unused_ids`); `relabel` renames it.  Raises InvalidArgument unless
     `base` is a `TropicalBase`, `tree` a `TropicalTree`, `key` a tuple of
-    two str ids and `t` rational (see `is_rational`).
+    two str ids and `t` rational (see `is_rational`), and StructuralError
+    unless `key` is a bounded edge whose cone, in 0..l-1, holds its tail.
     """
     _check_objects(base, tree, "subdivide_edge")
     if not _is_key(key):
@@ -698,15 +700,18 @@ def subdivide_edge(base: TropicalBase, tree: TropicalTree, key: tuple[str, str],
         raise StructuralError(f"no bounded edge {brief(key)}")
     fresh = next(_unused_ids(tree, "s"))
     tail = tree.vertex(target.tail).position
-    tc = None if tail is None else base.coords_in_cone(tail, target.cone)
+    tc = (base._coords(tail, target.cone)
+          if tail is not None and 0 <= target.cone < base.l else None)
     if tc is None:
         raise StructuralError(
             f"vertex {brief(target.tail)} does not lie in cone {brief(target.cone)} of its "
             f"edge")
+    # tail + t * (N/D) * direction, over the one denominator Q * w
+    A, B, Q = tc
+    N, D = target.ratio
+    w, s = t.denominator * D, t.numerator * N * Q
     du, dv = target.direction
-    mid = base.point(target.cone,
-                     tc[0] + t * target.length * du,
-                     tc[1] + t * target.length * dv)
+    mid = base._point(target.cone, A * w + s * du, B * w + s * dv, Q * w)
     vertices = list(tree.vertices) + [Vertex(fresh, mid)]
     edges = [e for e in tree.edges if e is not target]
     edges.append(Edge(target.tail, fresh, target.cone,

@@ -1,15 +1,19 @@
 """Test-only references for points and the spine parse: the `Fraction`
 forms the engine used before it stored a point as integers (A, B, Q) and
-read spine files straight into that form.  `fraction_point`,
-`fraction_coords_in_cone` and `split_ends_match` are `TropicalBase.point`,
-`TropicalBase.coords_in_cone` and `spines._ends_match` as they were;
-`fraction_parse_frac`, `fraction_spine_from_json` and
-`fraction_spine_to_json` are the parse and the writer of `serialize` as
-they were, built through the public constructors.  `fraction_is_radial`
-and `fraction_is_outward_radial` are the radial tests of the spine checks
-and the leg rule on those coordinates, for the spine, ray and cylinder
-oracles alike.  `lattice_length` splits a segment into its lattice length
-and primitive direction, for tests that build edges between points."""
+read spine files straight into that form.  `fraction_point` and
+`split_ends_match` are `TropicalBase.point` and `spines._ends_match` as
+they were.  `fraction_coords_in_cone` is the `Fraction` reader of a
+point's cone coordinates that the engine had before it read points only
+through their stored integers; every oracle reads coordinates through it,
+so none shares the engine's reader.  `fraction_parse_frac`,
+`fraction_spine_from_json` and `fraction_spine_to_json` are the parse and
+the writer of `serialize` as they were, built through the public
+constructors.  `fraction_is_radial` and `fraction_is_outward_radial` are
+the radial tests of the spine checks and the leg rule on those
+coordinates, for the spine, ray and cylinder oracles alike.
+`lattice_length` splits a segment into its lattice length and primitive
+direction, for tests that build edges between points, and `image_atoms`
+lists what a canonical image is made of."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,6 +39,15 @@ def lattice_length(a, b):
     return Fraction(g, Q), (A // g, B // g)
 
 
+def image_atoms(x):
+    """The leaves of the nested tuples of a canonical image."""
+    if type(x) is tuple:
+        for y in x:
+            yield from image_atoms(y)
+    else:
+        yield x
+
+
 def fraction_point(base, cone, a, b):
     """`TropicalBase.point` on `Fraction`s."""
     if not is_int(cone):
@@ -54,7 +67,9 @@ def fraction_point(base, cone, a, b):
 
 
 def fraction_coords_in_cone(base, p, cone):
-    """`TropicalBase.coords_in_cone` on the `Fraction` coordinates of `p`."""
+    """Coordinates of `p` in the closed cone `cone`, read modulo l, as
+    `Fraction`s, or None: `TropicalBase._coords` on the `Fraction`
+    coordinates of `p`."""
     cone %= base.l
     if p.cone is None:
         return (ZERO, ZERO)

@@ -24,6 +24,7 @@ from tropcyl import (
 from tropcyl.errors import InvalidArgument, brief_rational
 from tropcyl.extension import DEL_PEZZO_PAIR, _family_height
 from tropcyl.lattice import develop
+from point_oracle import fraction_coords_in_cone
 from spine_oracle import direction_at, matrix_transport
 
 
@@ -35,7 +36,7 @@ def fraction_trace(base, start, cone, u, v):
     if u == 0 and v == 0:
         raise DegenerateRay("ray direction is zero")
     cone %= base.l
-    a, b = base.coords_in_cone(start, cone)
+    a, b = fraction_coords_in_cone(base, start, cone)
 
     if b == 0 and v == 0:
         raise DegenerateRay(f"direction runs along wall {cone}")

@@ -11,7 +11,7 @@ engine, and the outward test is the `Fraction` one of `point_oracle`."""
 from tropcyl import OriginVertex, StructuralError
 from tropcyl.spines import Violation
 
-from point_oracle import fraction_is_outward_radial
+from point_oracle import fraction_coords_in_cone, fraction_is_outward_radial
 
 
 def direction_at(base, edge, vid):
@@ -96,7 +96,7 @@ def _is_radial(base, pos, cone, u, v) -> bool:
     """Whether +-(u, v), a vector of cone `cone`, points along the ray from
     the origin through `pos`: u*bn*ad == v*an*bd for the cone coordinates
     (an/ad, bn/bd) of `pos` in that cone."""
-    pa, pb = base.coords_in_cone(pos, cone)
+    pa, pb = fraction_coords_in_cone(base, pos, cone)
     an, ad, bn, bd = pa.numerator, pa.denominator, pb.numerator, pb.denominator
     return u * bn * ad == v * an * bd
 

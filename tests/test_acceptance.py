@@ -203,7 +203,7 @@ def _family_parameters(spine):
 
 def _perturb_leaf(base, spine, rng):
     from tropcyl import Vertex, make_edge, make_tree
-    from point_oracle import lattice_length
+    from point_oracle import fraction_coords_in_cone, lattice_length
 
     leaf = rng.choice(("v1", "v2"))
     edge = [e for e in spine.edges if leaf in (e.tail, e.head)][0]
@@ -217,7 +217,7 @@ def _perturb_leaf(base, spine, rng):
         return None
     new_pos = base.point(pos.cone, a, b)
     anchor = spine.vertex("v0").position
-    tc0 = base.coords_in_cone(anchor, edge.cone)
+    tc0 = fraction_coords_in_cone(base, anchor, edge.cone)
     delta = (a - tc0[0], b - tc0[1])
     if delta == (0, 0):
         return None

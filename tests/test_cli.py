@@ -356,6 +356,29 @@ class TestCount:
         assert code == 1
         assert report["error"] == "InvalidQuery"
 
+    def test_height_of_5000_digits_keeps_the_exit_contract(self):
+        # used to count, then end in a bare ValueError traceback writing b
+        _check_exit_contract(["count", "--l", "2", "--m", "0", "--n", "1", "--b", "1e5000"])
+
+    @pytest.mark.parametrize("b", ["1" + "0" * TRACE_DIGITS, "1/" + "1" * (TRACE_DIGITS + 1),
+                                   "-" + "7" * 4300],
+                             ids=["numerator", "denominator", "4300-digits"])
+    def test_height_past_the_digit_cap(self, capsys, b):
+        code, report = run_json(capsys, ["count", "--l", "2", "--m", "0", "--n", "1",
+                                         f"--b={b}"])
+        assert code == 1
+        assert report["error"] == "InvalidQuery"
+        assert report["detail"] == (f"count takes the numerator and denominator of --b "
+                                    f"of at most {TRACE_DIGITS} digits")
+
+    def test_height_at_the_digit_cap(self, capsys):
+        top = "9" * TRACE_DIGITS
+        code, report = run_json(capsys, ["count", "--l", "2", "--m", "0", "--n", "1",
+                                         "--b", f"{top}/{top[1:]}8"])
+        assert code == 0
+        assert report["count"] == 2
+        assert report["b"] == f"{top}/{top[1:]}8"
+
     @pytest.mark.parametrize("command", ["count", "symmetry"])
     def test_l_above_cap(self, capsys, command):
         code, report = run_json(capsys, [command, "--l", "1001", "--m", "0", "--n", "0"])
@@ -474,6 +497,26 @@ class TestTrace:
                                          f"--b={b}", f"--t={t0},{t1}"])
         assert code == 1
         assert report["error"] == "InvalidQuery"
+
+
+class TestExponentBound:
+    """A --b or --t string whose exponent passes `serialize.EXPONENT_MAX`
+    is malformed input, refused before `Fraction` builds its power of 10."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--l", "2", "--m", "0", "--n", "1", "--b", "1e10000000"],
+        ["trace", "--l", "1", "--m", "0", "--n", "0", "--b", "1e10000000", "--t", "0"],
+        ["trace", "--l", "1", "--m", "0", "--n", "0", "--b", "1", "--t=0,-1e-10000000"],
+    ], ids=["count-b", "trace-b", "trace-t"])
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("tropcyl: bad rational ")
+        assert "exponent beyond" in captured.err
+        assert elapsed < 1
 
 
 class TestTable:

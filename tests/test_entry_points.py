@@ -298,8 +298,6 @@ ENTRY_POINTS = {
     "monodromy": (_monodromy, st.tuples(_or_any(
         st.builds(tc.LooijengaPair, st.lists(st.integers(-3, 3), min_size=3, max_size=5)),
         SEQUENCE | OBJECT))),
-    "TropicalBase.coords_in_cone": (_objects(DEL_PEZZO.coords_in_cone, tc.BasePoint, int),
-                                    st.tuples(POINT, INT)),
     "TropicalTree.vertex": (EXTENDED.vertex, st.tuples(ANY_VID)),
     "TropicalTree.incident": (EXTENDED.incident, st.tuples(ANY_VID)),
     "TropicalTree.edge": (EXTENDED.edge, st.tuples(ANY_VID, ANY_VID)),
@@ -520,8 +518,6 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
     lambda: EXTENDED.vertex([]),
     lambda: EXTENDED.incident([]),
     lambda: EXTENDED.edge([], "v0"),
-    lambda: DEL_PEZZO.coords_in_cone(tc.BasePoint(0, 1), "a"),
-    lambda: DEL_PEZZO.coords_in_cone(None, 0),
     lambda: tc.CurveClass(None),
     lambda: tc.CurveClass(((0, -3),)),
 ], ids=["is_balanced-list-id", "extend_step-list-id", "subdivide-list-key",
@@ -530,7 +526,7 @@ def test_wrong_class_or_inexact_argument_is_invalid_argument(call):
         "Violation-where", "ExtensionResult-dict", "ExtensionResult-float",
         "Edge-float-length", "Edge-tail",
         "Edge-cone", "Edge-direction", "tree-vertex", "tree-incident", "tree-edge",
-        "coords_in_cone-cone", "coords_in_cone-point", "CurveClass-none",
+        "CurveClass-none",
         "CurveClass-negative"])
 def test_unhashable_id_or_field_of_the_wrong_class_is_invalid_argument(call):
     # each used to end in a bare TypeError or AttributeError, or to store

@@ -39,7 +39,7 @@ from tropcyl.spines import check_structure
 
 from cylinder_oracle import fraction_cylinder_to_json, full_cylinder_in_b
 from report_oracle import oracle_report
-from point_oracle import lattice_length
+from point_oracle import fraction_coords_in_cone, lattice_length
 from ray_oracle import (
     eager_extend,
     fraction_family_spine,
@@ -1122,10 +1122,10 @@ class TestTrace:
         l, m, n, b = 3, -1, 2, F(1)
         eps = F(1, 100)
         plus = tropical_trace(l, m, n, b, eps)
-        c0 = del_pezzo.coords_in_cone(plus, 0)
+        c0 = fraction_coords_in_cone(del_pezzo, plus, 0)
         assert c0 == (l * eps, b + m * eps)
         minus = tropical_trace(l, m, n, b, -eps)
-        c1 = del_pezzo.coords_in_cone(minus, 1)
+        c1 = fraction_coords_in_cone(del_pezzo, minus, 1)
         assert c1 == (b + (n - m - l) * eps, l * eps)
 
     def test_agreement_with_extension(self, del_pezzo):

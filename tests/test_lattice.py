@@ -126,13 +126,14 @@ class TestPoints:
             CurveClass(coeffs)
 
     def test_coords_in_cone(self, del_pezzo):
+        # a point is read in a cone through its stored integers (A, B, Q)
         p = del_pezzo.point(1, 4, 0)  # on wall 1
-        assert del_pezzo.coords_in_cone(p, 1) == (4, 0)
-        assert del_pezzo.coords_in_cone(p, 0) == (0, 4)
-        assert del_pezzo.coords_in_cone(p, 2) is None
-        interior = del_pezzo.point(2, 1, 1)
-        assert del_pezzo.coords_in_cone(interior, 2) == (1, 1)
-        assert del_pezzo.coords_in_cone(interior, 1) is None
+        assert del_pezzo._coords(p, 1) == (4, 0, 1)
+        assert del_pezzo._coords(p, 0) == (0, 4, 1)
+        assert del_pezzo._coords(p, 2) is None
+        interior = del_pezzo.point(2, Fraction(1, 2), 1)
+        assert del_pezzo._coords(interior, 2) == (1, 2, 2)
+        assert del_pezzo._coords(interior, 1) is None
 
 
 class TestTransport:

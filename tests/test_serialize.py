@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import tropcyl as tc
 from tropcyl.errors import brief
 from tropcyl.serialize import (
+    EXPONENT_MAX,
     SchemaError,
     extend_report,
     frac_to_str,
@@ -100,6 +102,38 @@ class TestParseFastPath:
     @pytest.mark.parametrize("s", ODD_STRINGS, ids=range(len(ODD_STRINGS)))
     def test_matches_fraction_parse(self, s):
         assert _parse_outcome(parse_frac, s) == _parse_outcome(_fraction_parse, s)
+
+
+# exponents past EXPONENT_MAX; `Fraction("1e10000000")` alone takes seconds
+BEYOND_EXPONENT = ("1e10000000", "-2.5E-10000000", "1e+000" + "9" * 4000,
+                   f"1e{EXPONENT_MAX + 1}", f" 7e-{EXPONENT_MAX + 1} ", "1e" + "9" * 5000)
+
+
+class TestExponentBound:
+    """A rational string whose exponent would build a power of 10 past the
+    4300 digits `int` reads is refused before `Fraction` builds it."""
+
+    @pytest.mark.parametrize("s", [f"1e{EXPONENT_MAX}", f"-3.5e-{EXPONENT_MAX}",
+                                   f"1E+0_{EXPONENT_MAX}", "1e٣", "1e-0"],
+                             ids=range(5))
+    def test_at_the_bound_matches_fraction_parse(self, s):
+        assert _parse_outcome(parse_frac, s) == _parse_outcome(_fraction_parse, s)
+
+    @pytest.mark.parametrize("s", BEYOND_EXPONENT, ids=range(len(BEYOND_EXPONENT)))
+    def test_beyond_the_bound_is_refused_at_once(self, s):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="^bad rational "):
+            parse_frac(s)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("path", [("vertices", 0, "coords", 0), ("edges", 0, "length")],
+                             ids=["coordinate", "length"])
+    def test_spine_string_beyond_the_bound(self, del_pezzo, path):
+        data = _with(_family_json(), path, "1e10000000")
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="exponent beyond"):
+            spine_from_json(del_pezzo, data)
+        assert time.perf_counter() - start < 1
 
 
 class TestPairFile:

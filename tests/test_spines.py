@@ -35,8 +35,10 @@ from tropcyl.spines import (
 from ray_oracle import fraction_ends_match, outcome
 from point_oracle import (
     as_ints,
+    fraction_coords_in_cone,
     fraction_is_outward_radial,
     fraction_is_radial,
+    image_atoms,
     lattice_length,
     split_ends_match,
 )
@@ -65,8 +67,8 @@ def _realize(base, image):
     boundary = []
 
     def point_of(key):
-        cone, a, b = key
-        return ORIGIN if cone == -1 else base.point(cone, a, b)
+        cone, A, B, Q = key
+        return ORIGIN if cone == -1 else base.point(cone, F(A, Q), F(B, Q))
 
     def vid_for(key):
         if key not in points:
@@ -80,8 +82,8 @@ def _realize(base, image):
         if piece[0] == "seg":
             _, cone, k1, k2 = piece
             t, h = vid_for(k1), vid_for(k2)
-            c1 = base.coords_in_cone(point_of(k1), cone)
-            c2 = base.coords_in_cone(point_of(k2), cone)
+            c1 = fraction_coords_in_cone(base, point_of(k1), cone)
+            c2 = fraction_coords_in_cone(base, point_of(k2), cone)
             delta = (c2[0] - c1[0], c2[1] - c1[1])
             length, prim = lattice_length(*delta)
             edges.append(make_edge(t, h, cone, prim, length))
@@ -538,7 +540,11 @@ class TestCanonicalImage:
         ("t-zero", InvalidArgument, "^subdivision parameter must be strictly inside"),
         ("no-edge", StructuralError, "^no bounded edge \\('v0', 'zz'\\)$"),
         ("tail-outside", StructuralError, "^vertex 'a' does not lie in cone 2 of its edge$"),
-    ], ids=["t-zero", "no-edge", "tail-outside"])
+        # an edge cone named as c + l used to be read modulo l, and the
+        # tree returned was one the structure check refuses
+        ("cone-plus-l", StructuralError, "^vertex 'v0' does not lie in cone 4 of its edge$"),
+        ("cone-minus-l", StructuralError, "^vertex 'v0' does not lie in cone -4 of its edge$"),
+    ], ids=["t-zero", "no-edge", "tail-outside", "cone-plus-l", "cone-minus-l"])
     def test_subdivide_refusals(self, del_pezzo, case, error, message):
         # subdivide_edge runs no structure check, so it meets a tail that
         # its edge's cone does not hold itself
@@ -547,6 +553,10 @@ class TestCanonicalImage:
             t = F(0)
         elif case == "no-edge":
             key = ("v0", "zz")
+        elif case.startswith("cone-"):
+            shift = 4 if case == "cone-plus-l" else -4
+            s = make_tree(s.vertices, [make_edge(e.tail, e.head, e.cone + shift, e.direction,
+                                                 e.length) for e in s.edges], s.boundary)
         else:
             key = ("a", "b")
             s = make_tree([Vertex("a", del_pezzo.point(0, 1, 1)),
@@ -554,6 +564,16 @@ class TestCanonicalImage:
                           [make_edge("a", "b", 2, (1, 0), 1)], ("a", "b"))
         with pytest.raises(error, match=message):
             subdivide_edge(del_pezzo, s, key, t)
+
+    def test_pieces_hold_only_ints_and_strs(self, del_pezzo):
+        # a point key is the point's stored integers, not two Fractions
+        for (l, m, n) in [(2, -1, 1), (1, 0, 1), (3, 2, 0), (4, -2, 3)]:
+            s = tc.family_spine(l, m, n, F(3, 2))
+            ext = tc.extend(del_pezzo, s).extended
+            cyl = tc.cylinder_in_b(del_pezzo, ext)
+            for tree in (s, ext, cyl.tree, cyl.path_part()):
+                image = canonical_image(tree)
+                assert image and set(map(type, image_atoms(image))) <= {int, str}, image
 
     def test_idempotent_on_realization(self, del_pezzo):
         # realize the canonical pieces as a fresh tree, canonicalize again
@@ -678,7 +698,7 @@ class TestIntegerChecks:
         home = cone if pos.cone is None else pos.cone
         if radial and pos.cone is not None:
             # a multiple of the point's own coordinates, to hit the equality
-            pa, pb = base.coords_in_cone(pos, home)
+            pa, pb = fraction_coords_in_cone(base, pos, home)
             g = pa.denominator * pb.denominator
             u, v = int(pa * g) * u, int(pb * g) * u
         assert outcome(_is_radial, base, pos, cone, u, v) == outcome(
@@ -740,7 +760,7 @@ def _star(base, cone, a, b, arms):
     on_wall = centre.cone is not None and centre.B == 0
     for i, (below, u, v) in enumerate(arms):
         home = centre.cone - 1 if below and on_wall else centre.cone
-        pa, pb = base.coords_in_cone(centre, home)
+        pa, pb = fraction_coords_in_cone(base, centre, home)
         qa, qb = pa + ARM * u, pb + ARM * v
         if qa < 0 or qb < 0 or (u, v) == (0, 0):
             return None
