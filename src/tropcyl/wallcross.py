@@ -7,8 +7,10 @@ the mirror C(a, k) = C(a, a-k) the rest; a negative power of (1+y) has no
 polynomial image.  The count of the del Pezzo family L(l, m, n) is the
 coefficient C(l, n) of x^l y^{m+n} in the image of x^l y^m; so is the
 reversed reading off the inverse image of x^{-l} y^{-(m+n)}, since x^{-l}
-maps to x^{-l}(1+y)^l.  Reports check counts against `math.comb`, which
-shares no code with the running binomials.
+maps to x^{-l}(1+y)^l.  Each count reads its one coefficient, with the
+running product stopped at min(n, l - n), and builds no image.  Reports
+check counts against `math.comb`, which shares no code with the running
+binomials.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb
 from .errors import InvalidArgument, InvalidQuery, NotInFamily, UnsupportedBase, brief
 from .extension import DEL_PEZZO_PAIR
 from .lattice import L_MAX, _set, is_int, value_class
-from .spines import TropicalTree, _check_objects, _outgoing, validate_spine
+from .spines import TropicalTree, _check_objects, _erasable, _outgoing, validate_spine
 
 
 @value_class("terms")
@@ -72,29 +74,37 @@ def _fill(s: SparseLaurentSeries, acc: dict) -> SparseLaurentSeries:
     return s
 
 
-def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries:
-    """Substitute x -> x(1+y)^power_sign, y -> y, monomial by monomial.
+def _binomials(v: int, e: int, stop: int) -> list[int]:
+    """[v*C(e, 0), ..., v*C(e, stop)] by the running product, for
+    stop <= e; [v] for stop < 0.  This is the package's one binomial
+    loop.  Raises InvalidQuery unless e lies in [0, L_MAX]."""
+    if not 0 <= e <= L_MAX:
+        raise InvalidQuery(f"shear needs powers of (1+y) in [0, {L_MAX}], got {brief(e)}")
+    row = [v]
+    # C(e, k+1) = C(e, k)(e-k)/(k+1) exactly
+    for k in range(stop):
+        v = v * (e - k) // (k + 1)
+        row.append(v)
+    return row
 
-    Each term v x^a y^b, with e = power_sign * a, maps to the row
-    v*C(e, k) x^a y^(b+k), k = 0..e.  The running product gives the row up
-    to k = e//2 and the mirror C(e, k) = C(e, e-k) the rest.  The first
-    row is the image; later rows are summed into it key by key, and only
-    then are zero coefficients dropped, since a single row has none.
-    Raises InvalidArgument unless `s` is a series, and InvalidQuery unless
-    each power of (1+y) lies in [0, L_MAX]."""
+
+def focus_focus_apply(s: SparseLaurentSeries) -> SparseLaurentSeries:
+    """The focus-focus wall-crossing substitution x -> x(1+y), y -> y, on a
+    series whose x-powers lie in [0, L_MAX], monomial by monomial.
+
+    Each term v x^a y^b maps to the row v*C(a, k) x^a y^(b+k), k = 0..a.
+    `_binomials` gives the row up to k = a//2 and the mirror
+    C(a, k) = C(a, a-k) the rest.  The first row is the image; later rows
+    are summed into it key by key, and only then are zero coefficients
+    dropped, since a single row has none.  Raises InvalidArgument unless
+    `s` is a series, and InvalidQuery unless each x-power lies in
+    [0, L_MAX]."""
     if type(s) is not SparseLaurentSeries:
         raise InvalidArgument(f"shear needs a SparseLaurentSeries, got {brief(s)}")
     acc: dict[tuple[int, int], int] = {}
     for (a, b), v in s.num.items():
-        e = power_sign * a
-        if not 0 <= e <= L_MAX:
-            raise InvalidQuery(f"shear needs powers of (1+y) in [0, {L_MAX}], got {brief(e)}")
-        # C(e, k+1) = C(e, k)(e-k)/(k+1) exactly
-        row = [v]
-        for k in range(e // 2):
-            v = v * (e - k) // (k + 1)
-            row.append(v)
-        row += row[e % 2 - 2::-1]
+        row = _binomials(v, a, a // 2)
+        row += row[a % 2 - 2::-1]
         if acc:
             for j, c in enumerate(row, b):
                 key = (a, j)
@@ -104,21 +114,19 @@ def _apply_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeries
     image = _new_series(SparseLaurentSeries)
     if len(s.num) > 1:
         return _fill(image, acc)
-    # one row: v != 0 and every C(e, k) > 0
+    # one row: v != 0 and every C(a, k) > 0
     _set(image, "num", acc)
     return image
 
 
-def focus_focus_apply(s: SparseLaurentSeries) -> SparseLaurentSeries:
-    """The focus-focus wall-crossing substitution x -> x(1+y), y -> y, on a
-    series whose x-powers lie in [0, L_MAX]."""
-    return _apply_shear(s, 1)
-
-
-def focus_focus_inverse(s: SparseLaurentSeries) -> SparseLaurentSeries:
-    """The inverse substitution x -> x(1+y)^{-1}, y -> y, on a series whose
-    x-powers lie in [-L_MAX, 0]."""
-    return _apply_shear(s, -1)
+def _shear_coefficient(a: int, b: int, sign: int, j: int) -> int:
+    """The coefficient of x^a y^j in the image of x^a y^b under
+    x -> x(1+y)^sign, y -> y: C(e, k) with e = sign*a and k = j - b, 0
+    unless 0 <= k <= e, read off the running product stopped at
+    min(k, e - k).  Raises InvalidQuery unless e lies in [0, L_MAX]."""
+    e, k = sign * a, j - b
+    c = _binomials(1, e, min(k, e - k))[-1]
+    return c if 0 <= k <= e else 0
 
 
 ORACLE_L_MAX = 20
@@ -151,20 +159,20 @@ def _check_query(q) -> None:
 
 def count(q: CountQuery) -> int:
     """Cylinder count of the family: the coefficient of x^l y^{m+n} in the
-    focus-focus image of x^l y^m.  Equals C(l, n) for 0 <= n <= l, else 0.
-    Raises InvalidArgument unless `q` is a CountQuery."""
+    focus-focus image of x^l y^m, read without building the image.  Equals
+    C(l, n) for 0 <= n <= l, else 0.  Raises InvalidArgument unless `q` is
+    a CountQuery."""
     _check_query(q)
-    image = focus_focus_apply(SparseLaurentSeries.monomial(q.l, q.m))
-    return image.num.get((q.l, q.m + q.n), 0)
+    return _shear_coefficient(q.l, q.m, 1, q.m + q.n)
 
 
 def backward_count(q: CountQuery) -> int:
     """The reversed reading of the count, an int: the coefficient of
-    x^{-l} y^{-m} in the inverse substitution applied to x^{-l} y^{-(m+n)}.
-    Raises InvalidArgument unless `q` is a CountQuery."""
+    x^{-l} y^{-m} in the inverse substitution x -> x(1+y)^{-1}, y -> y,
+    applied to x^{-l} y^{-(m+n)}, read without building the image.  Raises
+    InvalidArgument unless `q` is a CountQuery."""
     _check_query(q)
-    image = focus_focus_inverse(SparseLaurentSeries.monomial(-q.l, -(q.m + q.n)))
-    return image.num.get((-q.l, -q.m), 0)
+    return _shear_coefficient(-q.l, -(q.m + q.n), -1, -q.m)
 
 
 def count_table(l_max: int, m_min: int, m_max: int) -> dict:
@@ -219,10 +227,12 @@ def count_spine(base, spine: TropicalTree) -> int:
     is a TropicalBase and `spine` a TropicalTree.
 
     `validate_spine` settles the rest of the normal form.  Its two leaves
-    are the boundary, so the third vertex is the 2-valent centre, and it is
-    bounded and off the origin.  At a wall-1 point (A, 0) an arm is radial
-    exactly when v = 0, so non-radial arms have v0, v1 != 0, and a zero or
-    radial defect has v0 + v1 = 0.
+    are the boundary, so the spine is a path of bounded vertices off the
+    origin.  The inner vertices that `canonical_image` erases are set aside
+    first (a straight run keeps one), so a subdivision counts as the spine
+    it subdivides; the one vertex left is the 2-valent centre.  At a
+    wall-1 point (A, 0) an arm is radial exactly when v = 0, so non-radial
+    arms have v0, v1 != 0, and a zero or radial defect has v0 + v1 = 0.
     """
     _check_objects(base, spine, "count_spine")
     if base.pair.self_intersections != DEL_PEZZO_PAIR:
@@ -233,9 +243,12 @@ def count_spine(base, spine: TropicalTree) -> int:
     if violations:
         raise NotInFamily(
             "not a valid spine: " + "; ".join(v.message for v in violations))
-    if len(spine.vertices) != 3:
+    inner = [v for v in spine.vertices if v.id not in spine.boundary]
+    if len(inner) > 1:
+        inner = [v for v in inner if not _erasable(spine, v.id)] or inner[:1]
+    if len(inner) != 1:
         raise NotInFamily("normal form has exactly three vertices")
-    (center,) = [v for v in spine.vertices if v.id not in spine.boundary]
+    (center,) = inner
     pos = center.position
     if not (pos.cone == 1 and pos.B == 0):
         raise NotInFamily("central vertex must sit on the positive wall-1 ray")

@@ -1,11 +1,13 @@
 """Test-only reference for the focus-focus shear: the substitution
 x -> x(1+y)^power_sign, y -> y summed term by term in `Fraction`s with
 `math.comb` over each whole row, where the engine fills half a row with
-running binomials in ints and mirrors the rest; and the series sum and
-product, on the int coefficients `num`, with which the shear is checked
-to be a substitution."""
+running binomials in ints and mirrors the rest; the count of L(l, m, n)
+read off it in both directions; and the series sum and product, on the
+int coefficients `num`, with which the shear is checked to be a
+substitution."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from tropcyl import InvalidQuery, SparseLaurentSeries
@@ -24,6 +26,19 @@ def fraction_shear(s: SparseLaurentSeries, power_sign: int) -> SparseLaurentSeri
             acc[key] = acc.get(key, Fraction(0)) + Fraction(c) * comb(e, k)
     assert all(v.denominator == 1 for v in acc.values())
     return SparseLaurentSeries(tuple((k, v.numerator) for k, v in acc.items()))
+
+
+@lru_cache(maxsize=None)
+def _monomial_image(a: int, b: int, power_sign: int) -> SparseLaurentSeries:
+    return fraction_shear(SparseLaurentSeries.monomial(a, b), power_sign)
+
+
+def fraction_count(l: int, m: int, n: int, power_sign: int) -> int:
+    """The count of L(l, m, n) read off `fraction_shear`: forwards
+    (power_sign 1) the coefficient of x^l y^{m+n} in the image of x^l y^m,
+    backwards (-1) that of x^{-l} y^{-m} in the image of x^{-l} y^{-(m+n)}."""
+    a, b, j = (l, m, m + n) if power_sign == 1 else (-l, -(m + n), -m)
+    return _monomial_image(a, b, power_sign).num.get((a, j), 0)
 
 
 def series_sum(f: SparseLaurentSeries, g: SparseLaurentSeries) -> SparseLaurentSeries:

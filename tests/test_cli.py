@@ -415,21 +415,21 @@ class TestOneShearEachWay:
         ["symmetry", "--l", "4", "--m", "-1", "--n", "2"],
     ], ids=["count", "count-no-oracle", "count-b", "symmetry"])
     def test_each_direction_applied_once(self, capsys, monkeypatch, argv):
+        # one coefficient read forwards (sign 1) and one backwards (sign -1),
+        # and no whole shear image
         calls = []
+        read = wallcross._shear_coefficient
 
-        def spy(name):
-            shear = getattr(wallcross, name)
+        def counted(a, b, sign, j):
+            calls.append(sign)
+            return read(a, b, sign, j)
 
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return shear(*args, **kwargs)
-            return counted
-
-        for name in ("focus_focus_apply", "focus_focus_inverse"):
-            monkeypatch.setattr(wallcross, name, spy(name))
+        monkeypatch.setattr(wallcross, "_shear_coefficient", counted)
+        monkeypatch.setattr(wallcross, "focus_focus_apply",
+                            lambda s: calls.append("focus_focus_apply"))
         code, _ = run_json(capsys, argv)
         assert code == 0
-        assert sorted(calls) == ["focus_focus_apply", "focus_focus_inverse"]
+        assert sorted(calls) == [-1, 1]
 
 
 class TestSymmetryCmd:

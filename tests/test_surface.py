@@ -34,7 +34,6 @@ from tropcyl import (
     extend_step,
     family_spine,
     is_balanced,
-    subdivide_edge,
     validate_cylinder_b,
     validate_extended_spine,
     validate_spine,
@@ -302,8 +301,9 @@ RAISED_BY = {
     tropcyl.InvalidQuery: lambda: CountQuery(0, 0, 0),
     tropcyl.NotExtendable: lambda: extend(
         MINUS_TWO, _two_vertex((0, 2, 1), (0, 1, 1), 0, (-1, 0)), max_steps=20),
-    tropcyl.NotInFamily: lambda: count_spine(DEL_PEZZO, subdivide_edge(
-        DEL_PEZZO, family_spine(2, 0, 1, 1), ("v0", "v2"), Fraction(1, 2))),
+    tropcyl.NotInFamily: lambda: count_spine(DEL_PEZZO, _tree(
+        [("a", "c", 0, (-1, 0), Fraction(1, 2)), ("b", "c", 0, (0, -1), Fraction(1, 2))],
+        ("a", "b"), a=(0, Fraction(3, 2), 1), b=(0, 1, Fraction(3, 2)), c=(0, 1, 1))),
     tropcyl.OriginVertex: lambda: is_balanced(
         DEL_PEZZO, _two_vertex(None, (0, 1, 1), 0, (1, 1)), "a"),
     tropcyl.SchemaError: lambda: pair_from_json({}),

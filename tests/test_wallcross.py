@@ -17,14 +17,20 @@ from tropcyl import (
     count,
     count_spine,
     focus_focus_apply,
+    relabel,
+    subdivide_edge,
+    validate_spine,
     virtual_dim,
+    wallcross,
 )
-from tropcyl.wallcross import L_MAX, focus_focus_inverse
-from shear_oracle import fraction_shear, series_product, series_sum
+from tropcyl.wallcross import L_MAX
+from shear_oracle import fraction_count, fraction_shear, series_product, series_sum
 from subset_oracle import subset_count
+from test_pipeline import _subdivided
 
 F = Fraction
 S = SparseLaurentSeries
+DEL_PEZZO = tc.del_pezzo_base()
 
 
 def _binomial(n: int, k: int) -> int:
@@ -36,6 +42,29 @@ def _binomial(n: int, k: int) -> int:
         num *= n - i
         den *= i + 1
     return num // den
+
+
+def _backward_image(s):
+    """The inverse shear x -> x(1+y)^{-1}, y -> y of `s`, summed term by
+    term from `backward_count` readings, each read on its own: the term
+    c x^{-l} y^b gives c * backward_count(CountQuery(l, -(b + k), k)) at
+    x^{-l} y^{b+k}, for k = -2..l+2.  x^0 y^b is fixed and has no count; a
+    positive x-power or one past L_MAX is refused by CountQuery with
+    InvalidQuery, as the shear refuses it."""
+    acc: dict = {}
+    for (a, b), c in s.num.items():
+        row = {b: 1} if a == 0 else {
+            b + k: backward_count(CountQuery(-a, -(b + k), k))
+            for k in range(-2, max(-a, 0) + 3)}
+        for j, r in row.items():
+            acc[(a, j)] = acc.get((a, j), 0) + c * r
+    return S(tuple(acc.items()))
+
+
+def _shear(sign):
+    """The engine's shear for `sign`: the series image forwards, the
+    `backward_count` readings backwards."""
+    return focus_focus_apply if sign == 1 else _backward_image
 
 
 class TestSeries:
@@ -90,13 +119,15 @@ class TestFocusFocus:
         # a negative power of (1+y) has no polynomial image, either way
         with pytest.raises(InvalidQuery):
             focus_focus_apply(S.monomial(-1, 0))
-        with pytest.raises(InvalidQuery):
-            focus_focus_inverse(S.monomial(1, 0))
+        # the one-coefficient reader keeps the shear's power check
+        for a, sign in ((1, -1), (-1, 1), (L_MAX + 1, 1), (-L_MAX - 1, -1)):
+            with pytest.raises(InvalidQuery, match=r"^shear needs powers of \(1\+y\) in "):
+                wallcross._shear_coefficient(a, 0, sign, 0)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
     def test_monomial_images_match_binomial_oracle(self, sign):
         # x^a y^b -> sum_k C(sign*a, k) x^a y^(b+k), exactly for sign*a >= 0
-        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        shear = _shear(sign)
         for a in range(-25, 26):
             e = sign * a
             for b in (-3, 0, 2):
@@ -109,12 +140,12 @@ class TestFocusFocus:
 
     def test_power_cap(self):
         assert len(focus_focus_apply(S.monomial(L_MAX, 0)).terms) == L_MAX + 1
-        assert len(focus_focus_inverse(S.monomial(-L_MAX, 0)).terms) == L_MAX + 1
+        assert len(_backward_image(S.monomial(-L_MAX, 0)).terms) == L_MAX + 1
         for a in (L_MAX + 1, 10 ** 5000):
             with pytest.raises(InvalidQuery):
                 focus_focus_apply(S.monomial(a, 0))
             with pytest.raises(InvalidQuery):
-                focus_focus_inverse(S.monomial(-a, 0))
+                _backward_image(S.monomial(-a, 0))
 
     @given(
         terms=st.dictionaries(
@@ -139,8 +170,9 @@ class TestFocusFocus:
 
 def _shear_both_ways(s, sign):
     """The engine's image of `s` and the `Fraction` reference's, or the
-    exception type each raised; every engine coefficient is an int."""
-    shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+    exception type each raised; every engine coefficient is an int.
+    Backwards the engine's image is `_backward_image`."""
+    shear = _shear(sign)
     out = []
     for f in (lambda: shear(s), lambda: fraction_shear(s, sign)):
         try:
@@ -154,8 +186,9 @@ def _shear_both_ways(s, sign):
 
 class TestIntegerShear:
     """The shear fills half of each row with running binomials in ints and
-    mirrors the rest; the reference sums `Fraction`s with `math.comb` over
-    the whole row, term by term."""
+    mirrors the rest, and `backward_count` reads one coefficient of the
+    inverse; the reference sums `Fraction`s with `math.comb` over the
+    whole row, term by term."""
 
     def test_monomial_grid_matches_fraction_reference(self):
         for a in range(-6, 7):
@@ -197,7 +230,7 @@ class TestIntegerShear:
     @pytest.mark.parametrize("e", [0, 1, L_MAX - 1, L_MAX])
     @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
     def test_row_ends_match_comb(self, e, sign):
-        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        shear = _shear(sign)
         a = sign * e
         got = shear(S((((a, 5), -3),)))
         assert got.num == {(a, 5 + k): -3 * comb(e, k) for k in range(e + 1)}
@@ -206,7 +239,7 @@ class TestIntegerShear:
     @pytest.mark.parametrize("sign", [1, -1], ids=["apply", "inverse"])
     def test_monomial_row_is_its_mirror(self, sign):
         # coefficient(k) == coefficient(e - k), on both parities of e
-        shear = focus_focus_apply if sign == 1 else focus_focus_inverse
+        shear = _shear(sign)
         for e in (*range(0, 42), 99, 100, L_MAX - 1, L_MAX):
             a = sign * e
             num = shear(S((((a, -2), 7),))).num
@@ -353,6 +386,88 @@ class TestSymmetry:
                         subset_count(l, n), (l, m, n)
 
 
+class TestOneCoefficient:
+    """`count` and `backward_count` each read one coefficient off the
+    running product, stopped at min(n, l - n), against the whole rows of
+    `fraction_shear`, the subset enumeration and `math.comb`."""
+
+    def test_grid_matches_fraction_shear_and_subsets(self):
+        for l in range(1, 21):
+            for m in range(-3, 4):
+                for n in range(-2, l + 3):
+                    q = CountQuery(l, m, n)
+                    want = subset_count(l, n)
+                    assert count(q) == fraction_count(l, m, n, 1) == want, q
+                    assert backward_count(q) == fraction_count(l, m, n, -1) == want, q
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, L_MAX // 2 - 1, L_MAX // 2,
+                                   L_MAX // 2 + 1, *range(L_MAX - 3, L_MAX + 2)])
+    def test_at_the_power_cap(self, n):
+        q = CountQuery(L_MAX, 7, n)
+        want = comb(L_MAX, n) if 0 <= n <= L_MAX else 0
+        assert count(q) == want
+        assert backward_count(q) == want
+
+    @given(l=st.integers(1, L_MAX), m=st.integers(-10 ** 6, 10 ** 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_comb(self, l, m, data):
+        n = data.draw(st.integers(-2, l + 2))
+        want = comb(l, n) if 0 <= n <= l else 0
+        q = CountQuery(l, m, n)
+        assert count(q) == want
+        assert backward_count(q) == want
+
+
+class TestCountedWork:
+    """Steps of the one running binomial, `wallcross._binomials`, counted
+    through a spy, not timed: a count takes min(n, l - n) steps and builds
+    no series, and each row of the shear takes e // 2."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+        binomials = wallcross._binomials
+
+        def counted(v, e, stop):
+            row = binomials(v, e, stop)
+            taken.append((e, len(row) - 1))
+            return row
+
+        monkeypatch.setattr(wallcross, "_binomials", counted)
+        return taken
+
+    @pytest.mark.parametrize("l", [250, 500, 1000])
+    def test_a_count_stops_at_the_nearer_end(self, steps, l):
+        for n in (-2, 0, 1, 3, l // 2 - 1, l // 2, l - 3, l, l + 1):
+            for read in (count, backward_count):
+                steps.clear()
+                read(CountQuery(l, -1, n))
+                assert steps == [(l, max(0, min(n, l - n)))], (read.__name__, l, n)
+
+    def test_each_shear_row_takes_half_its_power(self, steps):
+        focus_focus_apply(S((((7, 0), 1), ((8, 1), -2), ((0, 3), 5), ((L_MAX, -1), 3))))
+        assert sorted(steps) == [(0, 0), (7, 3), (8, 4), (L_MAX, L_MAX // 2)]
+
+    def test_a_count_builds_no_series(self, monkeypatch):
+        built = []
+        init = S.__init__
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(S, "__init__", counted_init)
+        monkeypatch.setattr(wallcross, "_new_series",
+                            lambda cls: built.append(cls) or object.__new__(cls))
+        for q in (CountQuery(5, 3, 2), CountQuery(L_MAX, 0, L_MAX // 2), CountQuery(4, 0, 9)):
+            count(q)
+            backward_count(q)
+        assert built == []
+        # the spies see the series a shear builds: its argument and its image
+        focus_focus_apply(S.monomial(3, 0))
+        assert len(built) == 2
+
+
 class TestCountSpine:
     def test_family_counts(self, del_pezzo):
         assert count_spine(del_pezzo, tc.family_spine(2, 0, 1, 1)) == 2
@@ -373,10 +488,63 @@ class TestCountSpine:
             count_spine(square, tc.family_spine(2, 0, 1, 1))
 
     def test_four_vertex_spine_rejected(self, del_pezzo):
+        # two bends in cone 0: neither inner vertex can be erased
+        h = 14
+        spine = tc.make_tree(
+            [tc.Vertex("e1", del_pezzo.point(0, 2 + F(1, h), 2 + F(3, h))),
+             tc.Vertex("c1", del_pezzo.point(0, 2, 2)),
+             tc.Vertex("c2", del_pezzo.point(0, 3, 1)),
+             tc.Vertex("e2", del_pezzo.point(0, 3 + F(7, h), 1 + F(1, h)))],
+            [tc.make_edge("c1", "e1", 0, (1, 3), F(1, h)),
+             tc.make_edge("c1", "c2", 0, (1, -1), 1),
+             tc.make_edge("c2", "e2", 0, (7, 1), F(1, h))],
+            ("e1", "e2"),
+        )
+        assert validate_spine(del_pezzo, spine) == []
+        with pytest.raises(NotInFamily, match="^normal form has exactly three vertices$"):
+            count_spine(del_pezzo, spine)
+
+    def test_subdivided_family_spine_counts(self, del_pezzo):
+        # a subdivision has the family spine's image, and so its count; both
+        # used to raise NotInFamily: normal form has exactly three vertices
         s = tc.family_spine(2, 0, 1, 1)
-        s4 = tc.subdivide_edge(del_pezzo, s, ("v0", "v2"), F(1, 2))
-        with pytest.raises(NotInFamily):
-            count_spine(del_pezzo, s4)
+        assert count_spine(del_pezzo, subdivide_edge(del_pezzo, s, ("v0", "v2"), F(1, 2))) == 2
+        s = tc.family_spine(4, -1, 2, 1)
+        s5 = subdivide_edge(del_pezzo, s, ("v0", "v1"), F(1, 2))
+        assert validate_spine(del_pezzo, s5) == []
+        assert tc.canonical_image(s5) == tc.canonical_image(s)
+        assert count_spine(del_pezzo, s5) == count_spine(del_pezzo, s) == 6
+
+    @given(l=st.integers(1, 6), m=st.integers(-4, 4), data=st.data(),
+           b=st.fractions(F(1, 9), 3, max_denominator=9).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_count_does_not_depend_on_the_subdivision(self, l, m, b, data):
+        n = data.draw(st.integers(0, l))
+        spine = tc.family_spine(l, m, n, b)
+        for _ in range(data.draw(st.integers(1, 3))):
+            spine = _subdivided(data.draw, DEL_PEZZO, spine)
+        ids = [v.id for v in spine.vertices]
+        spine = relabel(spine, dict(zip(ids, data.draw(st.permutations(ids)))))
+        assert count_spine(DEL_PEZZO, spine) == count(CountQuery(l, m, n))
+
+    @pytest.mark.parametrize("arms", [((-1, 0), (1, 0)), ((1, 0), (0, 1))],
+                             ids=["straight", "bent"])
+    def test_subdivided_off_wall_spine_keeps_its_message(self, del_pezzo, arms):
+        # a centre at (1, 1) in cone 0, off the wall-1 ray, with or without a
+        # bend; a subdivision is refused as the spine it subdivides
+        vertices = [tc.Vertex("c", del_pezzo.point(0, 1, 1))]
+        edges = []
+        for name, (u, v) in zip("ab", arms):
+            vertices.append(tc.Vertex(name, del_pezzo.point(0, 1 + F(u, 2), 1 + F(v, 2))))
+            edges.append(tc.make_edge("c", name, 0, (u, v), F(1, 2)))
+        spine = tc.make_tree(vertices, edges, ("a", "b"))
+        e = spine.edges[0]
+        sub = subdivide_edge(del_pezzo, spine, (e.tail, e.head), F(1, 3))
+        for tree in (spine, sub):
+            assert validate_spine(del_pezzo, tree) == []
+            with pytest.raises(NotInFamily,
+                               match="^central vertex must sit on the positive wall-1 ray$"):
+                count_spine(del_pezzo, tree)
 
     def test_off_wall_center_rejected(self, del_pezzo):
         spine = tc.make_tree(
@@ -410,7 +578,7 @@ class TestCountSpine:
 @pytest.mark.parametrize("call", [
     lambda: focus_focus_apply(None),
     lambda: focus_focus_apply({(1, 0): 1}),
-    lambda: focus_focus_inverse(None),
+    lambda: backward_count((5, 0, 2)),
     lambda: count(None),
     lambda: count((5, 0, 2)),
     lambda: backward_count(None),
@@ -418,7 +586,7 @@ class TestCountSpine:
     lambda: count_spine(tc.del_pezzo_base().pair, tc.family_spine(2, 0, 1, 1)),
     lambda: count_spine(tc.del_pezzo_base(), None),
     lambda: count_spine(tc.del_pezzo_base(), tc.canonical_image(tc.family_spine(2, 0, 1, 1))),
-], ids=["apply-None", "apply-dict", "inverse-None", "count-None", "count-tuple",
+], ids=["apply-None", "apply-dict", "backward-tuple", "count-None", "count-tuple",
         "backward-None", "count_spine-None-base", "count_spine-pair",
         "count_spine-None-spine", "count_spine-image"])
 def test_object_of_the_wrong_class_is_invalid_argument(call):
